@@ -213,7 +213,7 @@ def record_float_pool(rng, per_kind=800):
         json.dump(pool, fh)
     for n, phase, value in W.RATIONAL_FLOAT_POINTS:
         Z = annulus.partition_direct(params.params_from_n(n, phase), None,
-                                     W.RATIONAL_FLOAT_ORDERS[1])
+                                     max(W.RATIONAL_FLOAT_ORDERS))
         assert Z.terms == ((0, value),) and Z.terms[0].exponent == 0, (n, phase)
     print("float_pool.json.gz:", {k: len(v) for k, v in pool.items()})
 

@@ -1,4 +1,4 @@
-"""loopgas benchmark: four workloads, end-to-end metrics, and a traced run.
+"""loopgas benchmark: workloads, end-to-end metrics, and a traced run.
 
     python3 perfbench/run.py --workload <name|all> --seed N --seconds S --trace 0|1
     python3 perfbench/run.py --selftest
@@ -6,18 +6,33 @@
 Run from the repository root; the program is imported from ``src/``.
 
 ``--trace 0`` measures the end-to-end metrics of ``catalog.END_TO_END`` with
-tracing off.  ``--trace 1`` instead runs every job twice, untraced and traced
-in alternating order, and reports the per-layer metrics of
+tracing off.  Job times are at the reference speed of ``calibrate.py``: a
+short kernel timed after every job rescales each one, which takes out the
+drift of a shared host's CPU speed.  Set-up, measured in fresh processes, is
+rescaled by the kernel timed in that process right after it.  The raw
+wall-clock median and the host's speed are printed beside the metrics.
+
+``--trace 1`` instead runs every job twice, untraced and traced in
+alternating order, and reports the per-layer metrics of
 ``catalog.PER_LAYER`` from the traced executions, the tracing overhead (traced
 minus untraced job time, over the same jobs) and the fixed-order probes.
 Every job's output is checked against references recorded by ``record.py``;
 a job that raises or fails its check is a failed op.
 
-A run measures for ``--seconds`` and at least 100 jobs (so that the 90th
-percentile has ten samples beyond it), but never more than 120 s.  The last
-line of stdout is one JSON object: ``correct``, ``attempted``, ``failed``,
-``metrics``.  ``correct`` is false when a job fails other than the known
-defect named in the workload's notes; ``failed`` counts every failed job.
+Fixed-input ``untimed`` jobs run once first, checked but not timed.  A run
+then does a fixed amount of work: the whole rounds of the schedule that took
+``--seconds`` of job time at the reference speed when the benchmark was
+defined (``Workload.round_s``), and at least 100 jobs (so that the 90th
+percentile has ten samples beyond it).  Every seed and every version of the
+program thus runs the same mix of jobs, where a time limit would let a faster
+version, or a faster phase of the host, reach rounds of another mix.  A run
+stops early only after 120 s of wall time.  The traced run instead runs for
+``--seconds`` of wall time.
+
+The last line of stdout is one JSON object: ``correct``, ``attempted``,
+``failed``, ``metrics``.  ``correct`` is false when a job fails other than the
+known defect named in the workload's notes; ``attempted`` and ``failed`` count
+every job, timed or untimed.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+import calibrate
 import catalog
 import tracer as tr
 import workloads as W
@@ -46,7 +62,7 @@ SRC = ROOT / "src"
 MIN_JOBS = 100
 CAP_S = 120.0
 # set-ups per run, half before and half after the timed loop, after one warm-up
-SETUP_REPS = 6
+SETUP_REPS = 8
 # Jobs whose failure is a known defect of the program at the reference commit
 # (float backend noise at rational g, ROADMAP item 4).  They count as failed
 # ops but do not make the run incorrect.
@@ -56,7 +72,9 @@ KNOWN_DEFECT_KINDS = {"partition_direct_rational"}
 @dataclass
 class Result:
     kind: str
-    lat: float
+    lat: float    # s; at the reference speed once run_untraced has rescaled it
+    wall: float   # s
+    start: float  # time.perf_counter() at the start
     ok: bool
     rows: int
     reuse: int
@@ -89,7 +107,7 @@ def exec_inproc(job, seen: set, tracer=None) -> Result:
         lat, ok = time.perf_counter() - t0, False
     reuse = int(job.series_key in seen)
     seen.add(job.series_key)
-    return Result(job.kind, lat, ok, job.rows, reuse)
+    return Result(job.kind, lat, lat, t0, ok, job.rows, reuse)
 
 
 def numpy_import_ms(stderr: str) -> Optional[float]:
@@ -119,7 +137,8 @@ def exec_subproc(job, traced: bool = False) -> Result:
     p = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
     lat = time.perf_counter() - t0
     ok = p.returncode == 0 and hashlib.sha256(p.stdout).hexdigest() == job.sha256
-    res = Result(job.kind, lat, ok, job.rows, job.rows - 1, stdout_bytes=len(p.stdout))
+    res = Result(job.kind, lat, lat, t0, ok, job.rows, job.rows - 1,
+                 stdout_bytes=len(p.stdout))
     if traced:
         err = p.stderr.decode(errors="replace")
         res.sums, res.numpy_ms = trace_sums(err), numpy_import_ms(err)
@@ -142,7 +161,25 @@ def percentile(sorted_vals: list, p: float) -> float:
     return a + (b - a) * (x - i)
 
 
-def end_to_end(results: list, setup_samples: list, subprocess_wl: bool) -> dict:
+# Half-width of the quantile band that job_ms_p50 and job_ms_p90 average over.
+PCT_BAND = 0.05
+
+
+def band_percentile(sorted_vals: list, p: float) -> float:
+    """The p-th percentile as the mean of ``percentile`` over [p - PCT_BAND,
+    p + PCT_BAND].  On a shared host a single long job's time varies by a
+    quarter from run to run; near p90 the jobs are few and their times far
+    apart, so the plain percentile jumped from one to the next (23% spread
+    between runs of exact-highorder) where the band average moves with all of
+    them."""
+    steps = 40
+    return statistics.fmean(percentile(sorted_vals, p - PCT_BAND + 2 * PCT_BAND * k / steps)
+                            for k in range(steps + 1))
+
+
+def end_to_end(results: list, n_failed: int, n_attempted: int, setup_samples: list,
+               subprocess_wl: bool, speeds: list) -> dict:
+    """Metrics of the timed ``results``; ``ops_failed_frac`` also counts untimed jobs."""
     ok = [r for r in results if r.ok]
     busy = sum(r.lat for r in results)
     lats = sorted([r.lat * 1e3 for r in ok]) + [math.inf] * (len(results) - len(ok))
@@ -151,23 +188,25 @@ def end_to_end(results: list, setup_samples: list, subprocess_wl: bool) -> dict:
     return {
         "setup_s": (statistics.median(setup_samples), len(setup_samples)),
         "jobs_per_s": (len(ok) / busy, n),
-        "job_ms_p50": (percentile(lats, 0.5), n),
-        "job_ms_p90": (percentile(lats, 0.9), n),
+        "job_ms_p50": (band_percentile(lats, 0.5), n),
+        "job_ms_p90": (band_percentile(lats, 0.9), n),
         "rows_per_s": (sum(r.rows for r in ok) / busy, rows),
         "peak_rss_mb": (usage.ru_maxrss * 1024 / 1e6, 1),
-        "ops_failed_frac": ((n - len(ok)) / n, n),
+        "ops_failed_frac": (n_failed / n_attempted, n_attempted),
+        "wall_ms_p50": (statistics.median(r.wall * 1e3 for r in results), n),
+        "host_speed": (statistics.median(speeds), len(speeds)),
     }
 
 
 def measure_setup(name: str, seed: int, reps: int, warm_up: bool) -> list:
-    """Set-up time of the workload, each in a fresh process."""
+    """Set-up time of the workload, each in a fresh process, at the reference speed."""
     cmd = [sys.executable, str(W.HERE / "run.py"), "--setup-probe",
            "--workload", name, "--seed", str(seed)]
     samples = []
     for i in range(reps + warm_up):
         p = subprocess.run(cmd, cwd=ROOT, env=ENV, capture_output=True, text=True, check=True)
         if i or not warm_up:
-            samples.append(float(p.stdout.strip().splitlines()[-1]))
+            samples.append(float(p.stdout.split()[-1]))
     return samples
 
 
@@ -212,24 +251,38 @@ def import_probe() -> dict:
 # -- passes ---------------------------------------------------------------------
 
 
-def timed_loop(jobs, seconds: float, min_jobs: int, step):
-    """Call ``step(job, index)`` until ``seconds`` and ``min_jobs`` are both
-    reached (or CAP_S passes, or the schedule ends)."""
+def timed_loop(jobs, step, seconds: float = math.inf):
+    """Call ``step(job, index)`` on each job until ``seconds`` (or CAP_S) of
+    wall time pass."""
     out = []
     t_start = time.perf_counter()
     for i, job in enumerate(jobs):
-        el = time.perf_counter() - t_start
-        if el >= CAP_S or (el >= seconds and len(out) >= min_jobs):
+        if time.perf_counter() - t_start >= min(seconds, CAP_S):
             break
         out.append(step(job, i))
     return out, len(out) == len(jobs)
 
 
 def run_untraced(wl, seconds, min_jobs):
+    rounds = max(math.ceil(seconds / wl.round_s), math.ceil(min_jobs / wl.round_len), 1)
+    jobs = wl.jobs[:rounds * wl.round_len]
     seen: set = set()
-    step = ((lambda job, i: exec_subproc(job)) if wl.subprocess
-            else (lambda job, i: exec_inproc(job, seen)))
-    return timed_loop(wl.jobs, seconds, min_jobs, step)
+    clock = calibrate.SpeedClock()
+
+    def step(job, i):
+        res = exec_subproc(job) if wl.subprocess else exec_inproc(job, seen)
+        clock.mark()
+        return res
+    results, _ = timed_loop(jobs, step)
+    factors = [clock.factor(r.start, r.start + r.wall) for r in results]
+    for r, f in zip(results, factors):
+        r.lat = r.wall * f
+    return results, len(results) < rounds * wl.round_len, factors
+
+
+def run_untimed(wl) -> list:
+    seen: set = set()
+    return [exec_subproc(job) if wl.subprocess else exec_inproc(job, seen) for job in wl.untimed]
 
 
 def run_traced(wl, seconds):
@@ -253,7 +306,7 @@ def run_traced(wl, seconds):
         u = untraced()
         return u, traced()
 
-    pairs, exhausted = timed_loop(wl.jobs, seconds, 0, step)
+    pairs, exhausted = timed_loop(wl.jobs, step, seconds)
     traced_res = [t for _, t in pairs]
     if wl.subprocess:
         sums: dict = {}
@@ -332,10 +385,12 @@ def run_workload(args) -> int:
     for note in wl.notes:
         print(f"# note: {note}")
     metrics_out = {}
+    untimed = run_untimed(wl)
     if not args.trace:
-        results, exhausted = run_untraced(wl, args.seconds, args.min_jobs)
+        results, exhausted, speeds = run_untraced(wl, args.seconds, args.min_jobs)
         setup_samples += measure_setup(name, args.seed, SETUP_REPS - half, False)
-        e2e = end_to_end(results, setup_samples, wl.subprocess)
+        attempted, failed, _ = summarise(results + untimed)
+        e2e = end_to_end(results, failed, attempted, setup_samples, wl.subprocess, speeds)
         rows = []
         for mname, (value, samples) in e2e.items():
             unit, _, desc = {**catalog.END_TO_END, **catalog.REPORTED_ONLY}[mname]
@@ -366,12 +421,14 @@ def run_workload(args) -> int:
             got = "  ".join(f"o{k} {layer[f'probe.{pname}.o{k}_ms']:.1f}" for k in orders)
             want = "  ".join(f"o{k} {v:g}" for k, v in zip((64, 256, 1024), base[pname]))
             print(f"# probe {pname:<16} {got}   | ROADMAP baseline ms: {want}")
-    attempted, failed, correct = summarise(results)
+    attempted, failed, correct = summarise(results + untimed)
     reuse = sum(r.reuse for r in results) / max(sum(r.rows for r in results), 1)
-    print(f"# jobs by kind (failed/attempted): {fail_kinds(results)}")
+    print(f"# timed jobs by kind (failed/attempted): {fail_kinds(results)}")
+    if untimed:
+        print(f"# untimed fixed-input jobs by kind (failed/attempted): {fail_kinds(untimed)}")
     print(f"# rows or jobs reusing a series built earlier in the same process: {reuse:.1%}")
     if exhausted:
-        print("# warning: the schedule ran out before the time was up")
+        print("# warning: fewer jobs ran than planned (the schedule ran out, or the 120-s cap)")
     print(f"# loadavg end {loadavg()}")
     for m in metrics_out.values():  # +inf (over 10% failed) is not valid JSON
         if not math.isfinite(m["value"]):
@@ -426,7 +483,7 @@ def selftest() -> int:
             return None, ""
         return json.loads(p.stdout.strip().splitlines()[-1]), p.stdout
 
-    for name in catalog.WORKLOADS:
+    for name in (*catalog.WORKLOADS, *catalog.EXTRA_WORKLOADS):
         res, text = quick(name, 0)
         if res is None:
             continue
@@ -455,9 +512,9 @@ def selftest() -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", choices=[*catalog.WORKLOADS, "all"])
+    ap.add_argument("--workload", choices=[*catalog.WORKLOADS, *catalog.EXTRA_WORKLOADS, "all"])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=22.0)
+    ap.add_argument("--seconds", type=float, default=24.0)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--selftest", action="store_true")
     ap.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
@@ -476,7 +533,9 @@ def main(argv=None) -> int:
     if args.setup_probe:
         t0 = time.perf_counter()
         W.BUILDERS[args.workload](args.seed)
-        print(time.perf_counter() - t0)
+        elapsed = time.perf_counter() - t0
+        # wall time, then the same at the reference speed
+        print(elapsed, elapsed * calibrate.REF_KERNEL_MS / calibrate.kernel_ms())
         return 0
     if args.workload == "all":
         return run_all(args)
