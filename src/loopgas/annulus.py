@@ -41,7 +41,13 @@ from typing import Optional
 
 from .errors import DomainError, IdentityError, TailBoundError
 from .params import CGParams, WrapWeight, default_wrap
-from .qseries import Backend, GenSeries, euler_inverse
+from .qseries import (
+    Backend,
+    GenSeries,
+    _quadratic_support,
+    _times_euler_inverse,
+    euler_inverse,
+)
 
 _SIN_ZERO_TOL = 1e-9
 
@@ -73,74 +79,90 @@ class ChannelEval:
 # -- direct channel -----------------------------------------------------------
 
 
-def _exact_exponent(params: CGParams, p: int) -> Fraction:
-    return params.leg_exponent_exact(p) - params.c_exact / 24
+def _exponent(params: CGParams, exact: bool):
+    """p -> h(p) - c/24, as a Fraction if `exact`, else in float arithmetic.
+
+    The exact form is one integer quadratic over a common denominator, so
+    each exponent costs a single Fraction normalisation."""
+    if exact:
+        g = params.g_exact
+        coeffs = (g / 4, (g - 1) / 2, -params.c_exact / 24)
+        den = math.lcm(*(x.denominator for x in coeffs))
+        a, b, c = (int(x * den) for x in coeffs)
+        return lambda p: Fraction(a * p * p + b * p + c, den)
+    g, shift = params.g, params.c / 24.0
+    return lambda p: g * p * p / 4.0 - (1.0 - g) * p / 2.0 - shift
 
 
-def _float_exponent(params: CGParams, p: int) -> float:
-    g = params.g
-    return g * p * p / 4.0 - (1.0 - g) * p / 2.0 - params.c / 24.0
+def _recurrence(a, t0, t1, step: int = 1):
+    """Lookup p -> t_{p // step} for t_{i+1} = a t_i - t_{i-1}, grown on demand."""
+    table = [t0, t1]
+
+    def lookup(p: int):
+        while len(table) <= p // step:
+            table.append(a * table[-1] - table[-2])
+        return table[p // step]
+
+    return lookup
 
 
-def _wrap_table(w: WrapWeight, pmax: int, parity: Optional[str], backend: Backend):
-    """d_p for 0 <= p <= pmax as a lookup, exact where the backend demands it.
+def _wrap_table(w: WrapWeight, parity: Optional[str], backend: Backend):
+    """d_p for p >= 0 as a lookup, exact where the backend demands it.
 
     Even-parity sums only ever touch even-index d_p, which close under the
     step-two recurrence d_{p+2} = (n'^2 - 2) d_p - d_{p-2}; that keeps e.g.
     n' = sqrt(Q) points exact even though n' itself is irrational.
     """
-    def cheb(n_prime, one):
-        table = [one, n_prime * one]
-        for _ in range(pmax):
-            table.append(n_prime * table[-1] - table[-2])
-        return lambda p: table[p]
-
     if backend is Backend.FLOAT:
-        return cheb(w.n_prime, 1.0)
+        return _recurrence(w.n_prime, 1.0, float(w.n_prime))
     if w.n_prime_exact is not None:
-        return cheb(w.n_prime_exact, Fraction(1))
+        return _recurrence(w.n_prime_exact, Fraction(1), Fraction(w.n_prime_exact))
     if parity == "even" and w.n_prime_sq_exact is not None:
         sq = w.n_prime_sq_exact
-        even = [Fraction(1), sq - 1]
-        for _ in range(pmax // 2):
-            even.append((sq - 2) * even[-1] - even[-2])
-        return lambda p: even[p // 2]
+        return _recurrence(sq - 2, Fraction(1), sq - 1, 2)
     raise DomainError(
         "exact backend needs a rational wrap weight (or rational n'^2 for the "
         "even-parity sector); use the floating backend for this point"
     )
 
 
-def _signed_coeff(d, p: int):
-    """sin((p+1)chi')/sin(chi') for any integer p via d_{p} for p >= 0."""
-    if p >= 0:
-        return d(p)
-    if p == -1:
-        return None  # exactly zero
-    return -d(-p - 2)
+def _flux_range(params: CGParams, cutoff, exponent) -> list:
+    """(p, exponent(p)) for every flux p with exponent below cutoff, ascending.
+
+    A module-level name called through the module global: perfbench's tracer
+    patches it to count the flux sectors of each `flux_sum`."""
+    return _quadratic_support(exponent, cutoff, params.m0)
 
 
-def _flux_range(params: CGParams, cutoff, exponent) -> list[int]:
-    """All p with total exponent below cutoff (exponent callable, quadratic)."""
-    m0 = params.m0
-    ps = []
-    p = 0
-    while True:
-        e = exponent(p)
-        if e < cutoff:
-            ps.append(p)
-        elif p > m0 + 1:
-            break
-        p += 1
-    p = -1
-    while True:
-        e = exponent(p)
-        if e < cutoff:
-            ps.append(p)
-        elif p < m0 - 1:
-            break
-        p -= 1
-    return sorted(ps)
+def _flux_theta(
+    params: CGParams,
+    weight,
+    cutoff,
+    exponent,
+    backend: Backend,
+    form: str = "integer",
+    parity: Optional[str] = None,
+) -> GenSeries:
+    """The flux sum with weight w_p = weight(p) on each sector p >= 0.
+
+    form="integer" sums w_p q^{exponent(p)} over all p in Z, reflecting the
+    table as w_{-1} = 0 and w_p = -w_{-p-2} for p <= -2 (the null-state
+    subtraction); form="null_pairs" sums w_p (q^{e_p} - q^{e_p+p+1}) over
+    p >= 0.  `cutoff` has the type of the exponents.  `flux_sum` and every
+    observable are this sum with their own weight table."""
+    pairs = []
+    for p, e in _flux_range(params, cutoff, exponent):
+        if form == "null_pairs":
+            if p >= 0:
+                wp = weight(p)
+                pairs += [(e, wp), (e + p + 1, -wp)]
+        elif parity == "even" and p % 2 or parity == "odd" and not p % 2:
+            continue
+        elif p >= 0:
+            pairs.append((e, weight(p)))
+        elif p <= -2:
+            pairs.append((e, -weight(-p - 2)))
+    return GenSeries.from_terms(pairs, cutoff, backend)
 
 
 def flux_sum(
@@ -166,52 +188,21 @@ def flux_sum(
         raise DomainError(f"unknown flux-sum form {form!r}")
     if form == "null_pairs" and parity is not None:
         raise DomainError("parity restriction applies to the integer-flux form only")
-    if backend is Backend.EXACT and params.g_exact is None:
+    exact = backend is Backend.EXACT
+    if exact and params.g_exact is None:
         raise DomainError(
             "exact backend requires an exact-registry coupling; "
             "use the floating backend for this parameter point"
         )
-    exponent = (
-        (lambda p: _exact_exponent(params, p))
-        if backend is Backend.EXACT
-        else (lambda p: _float_exponent(params, p))
-    )
-    cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
+    exponent = _exponent(params, exact)
+    cutoff_c = Fraction(cutoff) if exact else float(cutoff)
     if not exponent(0) < cutoff_c:
         raise DomainError(
             f"cutoff {cutoff} excludes the p=0 identity term at exponent "
             f"{exponent(0)}; increase it"
         )
-    ps = _flux_range(params, cutoff_c, exponent)
-    pmax = max(abs(p) for p in ps) + 2
-    d = _wrap_table(w, pmax, parity, backend)
-
-    pairs = []
-    if form == "integer":
-        for p in ps:
-            if parity == "even" and p % 2 != 0:
-                continue
-            if parity == "odd" and p % 2 == 0:
-                continue
-            coeff = _signed_coeff(d, p)
-            if coeff is None:
-                continue
-            pairs.append((exponent(p), coeff))
-    else:
-        for p in ps:
-            if p < 0:
-                continue
-            e = exponent(p)
-            pairs.append((e, d(p)))
-            pairs.append((e + p + 1, -d(p)))
-    return GenSeries.from_terms(pairs, cutoff_c, backend)
-
-
-def _times_euler_inverse(theta: GenSeries) -> GenSeries:
-    if theta.is_zero:
-        return theta
-    eul = euler_inverse(theta.cutoff - theta.min_exponent, theta.backend)
-    return theta * eul
+    d = _wrap_table(w, parity, backend)
+    return _flux_theta(params, d, cutoff_c, exponent, backend, form, parity)
 
 
 def partition_direct(
@@ -257,12 +248,12 @@ def partition_naive(
     if w is None:
         w = default_wrap(params)
     cutoff_f = float(cutoff)
-    exponent = lambda p: _float_exponent(params, p)
+    exponent = _exponent(params, exact=False)
     if not exponent(0) < cutoff_f:
         raise DomainError("cutoff excludes the p=0 term; increase it")
-    ps = _flux_range(params, cutoff_f, exponent)
     pairs = [
-        (exponent(p), math.cos((p - params.m0) * w.chi_prime)) for p in ps
+        (e, math.cos((p - params.m0) * w.chi_prime))
+        for p, e in _flux_range(params, cutoff_f, exponent)
     ]
     theta = GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT)
     return _times_euler_inverse(theta)
@@ -292,20 +283,14 @@ def partition_crossed(
     pref = math.sqrt(2.0 / g)
     s = math.sin(w.chi_prime)
 
-    pairs: list[tuple[float, float]] = []
     if abs(s) > _SIN_ZERO_TOL:
-        m = 0
-        while True:
-            added = False
-            for mm in ((m, -m) if m else (0,)):
-                u = w.chi_prime + 2.0 * math.pi * mm
-                e = _crossed_exponent(params, u)
-                if e < cutoff_f:
-                    pairs.append((e, pref * math.sin(u / g) / s))
-                    added = True
-            if not added and m > 0:
-                break
-            m += 1
+        u = lambda m: w.chi_prime + 2.0 * math.pi * m
+        support = _quadratic_support(
+            lambda m: _crossed_exponent(params, u(m)),
+            cutoff_f,
+            -w.chi_prime / (2.0 * math.pi),
+        )
+        pairs = [(e, pref * math.sin(u(m) / g) / s) for m, e in support]
     else:
         pairs = _crossed_limit_pairs(params, w, cutoff_f, pref)
     if not pairs:
@@ -326,30 +311,24 @@ def _crossed_limit_pairs(params, w, cutoff_f, pref):
     g = params.g
     s0 = math.cos(w.chi_prime)  # +1 at chi'=0, -1 at chi'=+-pi
     at_zero = abs(w.chi_prime) < 1.0
-    us = []
-    if at_zero:
-        us.append(0.0)
-    j = 0 if not at_zero else 1
-    while True:
-        u = (2.0 * math.pi * j) if at_zero else (math.pi * (2 * j + 1))
-        if _crossed_exponent(params, u) >= cutoff_f and j > 0:
-            break
-        us.append(u)
-        j += 1
+    u = (lambda j: 2.0 * math.pi * j) if at_zero else (lambda j: math.pi * (2 * j + 1))
+    support = _quadratic_support(
+        lambda j: _crossed_exponent(params, u(j)), cutoff_f, 0 if at_zero else -0.5
+    )
     pairs = []
-    for u in us:
-        e = _crossed_exponent(params, u)
-        if e >= cutoff_f:
-            continue
-        weight = 1.0 if u == 0.0 else 2.0
-        ln_coeff = weight * u * math.sin(u / g) / (math.pi**2 * g * s0)
+    for j, e in support:
+        if j < 0:
+            continue  # the mirror image of the j >= 0 term it pairs with
+        uj = u(j)
+        weight = 1.0 if uj == 0.0 else 2.0
+        ln_coeff = weight * uj * math.sin(uj / g) / (math.pi**2 * g * s0)
         if abs(ln_coeff) > 1e-9:
             raise IdentityError(
                 f"crossed channel develops a ln(qtilde) term (coefficient "
                 f"{ln_coeff:.3e}) at n' = {w.n_prime}; no pure power series "
                 "exists -- evaluate in the direct channel"
             )
-        pairs.append((e, pref * weight * math.cos(u / g) / (g * s0)))
+        pairs.append((e, pref * weight * math.cos(uj / g) / (g * s0)))
     return pairs
 
 

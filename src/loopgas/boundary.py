@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError, RegulatorFitError
 
 
@@ -68,6 +66,10 @@ def e1_cutoff(
     E1(eps) = A/eps + B + C eps over the given eps values.  The finite part B
     must reproduce e1_zeta; A is the non-universal divergence
     -(pi/gL)[(alpha1-alpha2)^2 + (alpha1+alpha2)^2]."""
+    # imported here so that importing loopgas does not load numpy; lstsq
+    # (not an exact 3x3 solve) fixes the rounding of the recorded outputs
+    import numpy as np
+
     eps = [float(e) for e in epsilon_list]
     if len(eps) < 3 or len(set(eps)) != len(eps):
         raise DomainError("need at least 3 distinct epsilon values")

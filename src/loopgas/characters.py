@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BackendMismatchError, DecompositionError, DomainError
-from .qseries import Backend, GenSeries, euler_inverse
+from .qseries import Backend, GenSeries, _quadratic_support, _times_euler_inverse
 
 
 @dataclass(frozen=True)
@@ -72,28 +72,19 @@ def rocha_caridi(
     cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
 
     def family(offset: int, sign: int):
-        out = []
-        k = 0
-        while True:
-            added = False
-            for kk in ((k, -k) if k else (0,)):
-                num = 2 * N * kk + offset
-                e = Fraction(num * num, 4 * N) - Fraction(1, 24)
-                if e < cutoff_c:
-                    out.append((e, sign))
-                    added = True
-            if not added and k > 0:
-                break
-            k += 1
-        return out
+        support = _quadratic_support(
+            lambda k: Fraction((2 * N * k + offset) ** 2, 4 * N) - Fraction(1, 24),
+            cutoff_c,
+            Fraction(-offset, 2 * N),
+        )
+        return [(e, sign) for _, e in support]
 
     theta = GenSeries.from_terms(
         family(a, 1) + family(b, -1), cutoff_c, backend
     )
     if theta.is_zero:
         raise DomainError("cutoff excludes every character term; increase it")
-    eul = euler_inverse(theta.cutoff - theta.min_exponent, backend)
-    out = theta * eul
+    out = _times_euler_inverse(theta)
     assert out.min_exponent == (
         spec.leading_exponent
         if backend is Backend.EXACT

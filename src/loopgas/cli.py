@@ -85,40 +85,32 @@ def _resolve_backend(cfg: RunConfig, params) -> Backend:
     return Backend.EXACT if params.g_exact is not None else Backend.FLOAT
 
 
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 def _series_payload(series: GenSeries, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(series.to_json_dict(), indent=2) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["exponent", "coefficient"])
-    w.writerows(series.to_csv_rows())
-    return buf.getvalue()
+    return _csv(["exponent", "coefficient"], series.to_csv_rows())
 
 
-def _row_payload(row: dict, fmt: str) -> str:
+def _table_payload(table, fmt: str) -> str:
+    """One row (a dict) or a table (a list of dicts) as JSON or CSV."""
     if fmt == "json":
-        return json.dumps(row, indent=2) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(row.keys())
-    w.writerow(
-        [format_number(v) if isinstance(v, float) else v for v in row.values()]
+        return json.dumps(table, indent=2) + "\n"
+    rows = [table] if isinstance(table, dict) else table
+    if not rows:
+        return ""
+    return _csv(
+        rows[0].keys(),
+        [[format_number(v) if isinstance(v, float) else v for v in row.values()]
+         for row in rows],
     )
-    return buf.getvalue()
-
-
-def _table_payload(rows: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    if rows:
-        w.writerow(rows[0].keys())
-        for row in rows:
-            w.writerow(
-                [format_number(v) if isinstance(v, float) else v for v in row.values()]
-            )
-    return buf.getvalue()
 
 
 def _write(payload: str, cfg: RunConfig) -> None:
@@ -136,10 +128,15 @@ def _write(payload: str, cfg: RunConfig) -> None:
 # -- subcommand bodies ----------------------------------------------------------
 
 
-def _cmd_partition(cfg: RunConfig, naive: bool) -> str:
+def _model(cfg: RunConfig):
     params = params_from_n(cfg.n, cfg.phase)
     w = wrap_weight(cfg.phase, cfg.n_prime) if cfg.n_prime is not None else None
-    if naive:
+    return params, w
+
+
+def _cmd_partition(cfg: RunConfig, args) -> str:
+    params, w = _model(cfg)
+    if args.naive:
         series = annulus.partition_naive(params, w, cfg.order)
     elif cfg.parity is not None:
         series = annulus.partition_direct_parity(
@@ -152,25 +149,9 @@ def _cmd_partition(cfg: RunConfig, naive: bool) -> str:
     return _series_payload(series, cfg.format)
 
 
-def _cmd_crossed(cfg: RunConfig) -> str:
-    params = params_from_n(cfg.n, cfg.phase)
-    w = wrap_weight(cfg.phase, cfg.n_prime) if cfg.n_prime is not None else None
+def _cmd_crossed(cfg: RunConfig, args) -> str:
+    params, w = _model(cfg)
     return _series_payload(annulus.partition_crossed(params, w, cfg.order), cfg.format)
-
-
-def _duality_row(cfg: RunConfig, ratio: float, tol: float) -> dict:
-    params = params_from_n(cfg.n, cfg.phase)
-    w = wrap_weight(cfg.phase, cfg.n_prime) if cfg.n_prime is not None else None
-    ev = annulus.duality_check(params, w, ratio, cfg.order, tol)
-    if ev.residual > tol:
-        raise IdentityError(
-            f"channel duality violated: residual {ev.residual:.3e} > {tol:.1e}"
-        )
-    row = ev.to_json_dict()
-    dt, ct = row.pop("tail_bounds")
-    row["tail_bound_direct"] = dt
-    row["tail_bound_crossed"] = ct
-    return row
 
 
 def _minimal_model_basis(params) -> list[characters.CharacterSpec]:
@@ -193,68 +174,34 @@ def _minimal_model_basis(params) -> list[characters.CharacterSpec]:
     ]
 
 
-def _cmd_characters(cfg: RunConfig) -> str:
-    params = params_from_n(cfg.n, cfg.phase)
+def _cmd_characters(cfg: RunConfig, args) -> str:
+    params, w = _model(cfg)
     basis = _minimal_model_basis(params)
-    w = wrap_weight(cfg.phase, cfg.n_prime) if cfg.n_prime is not None else None
     if cfg.parity is not None:
         Z = annulus.partition_direct_parity(
             params, w, cfg.order, cfg.parity, Backend.EXACT
         )
     else:
         Z = annulus.partition_direct(params, w, cfg.order, Backend.EXACT)
-    coeffs = characters.decompose(Z, basis)
-    payload = characters.decomposition_to_json(coeffs)
-    if cfg.format == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["p_minor", "p_major", "r", "s", "coefficient"])
-    for t in payload["terms"]:
-        w.writerow(
-            [payload["model"]["p"], payload["model"]["q"], t["r"], t["s"], t["coefficient"]]
-        )
-    return buf.getvalue()
+    payload = characters.decomposition_to_json(characters.decompose(Z, basis))
+    if cfg.format == "csv":
+        m = payload["model"]
+        payload = [
+            {"p_minor": m["p"], "p_major": m["q"], **t} for t in payload["terms"]
+        ]
+    return _table_payload(payload, cfg.format)
 
 
-def _crossing_row(order: int, q: float) -> dict:
-    P = observables.crossing_probability(order, Backend.EXACT)
-    v, tail = P.eval_at(q)
-    return {"q": q, "P": v, "tail_bound": tail}
-
-
-def _saw_row(phase: Phase, order: int, q: float, crossed: bool) -> dict:
-    series = (
-        observables.saw_loop_dilute(order)
-        if phase is Phase.DILUTE
-        else observables.saw_loop_dense(order)[0]
-    )
-    if crossed:
-        qt = q
-        qq = math.exp(2.0 * math.pi**2 / math.log(qt))
-        v, tail = series.eval_at(qq)
-        asym = abs(math.log(qt)) / (6.0 * math.pi)
-        return {
-            "q_tilde": qt,
-            "q": qq,
-            "Z1": v,
-            "tail_bound": tail,
-            "log_asymptote": asym,
-            "ratio_to_log_asymptote": v / asym,
-        }
-    v, tail = series.eval_at(q)
-    return {"q": q, "Z1": v, "tail_bound": tail}
-
-
-def _cmd_logcft(cfg: RunConfig) -> str:
+def _cmd_logcft(cfg: RunConfig, args) -> str:
     return _series_payload(
         observables.log_partition(cfg.phase, cfg.order), cfg.format
     )
 
 
-def _cmd_boundary(cfg: RunConfig, g, a1, a2, L, epsilons) -> str:
+def _cmd_boundary(cfg: RunConfig, args) -> str:
+    g, a1, a2, L = args.g, args.alpha1, args.alpha2, args.L
     b = boundary.BoundaryCoupling(g=g, alpha1=a1, alpha2=a2, L=L)
-    finite, divergent = boundary.e1_cutoff(b, epsilons)
+    finite, divergent = boundary.e1_cutoff(b, args.epsilons)
     row = {
         "g": g,
         "alpha1": a1,
@@ -266,31 +213,110 @@ def _cmd_boundary(cfg: RunConfig, g, a1, a2, L, epsilons) -> str:
         "e1_cutoff_divergent": divergent,
         "c_effective": boundary.c_effective(b),
     }
-    return _row_payload(row, cfg.format)
+    return _table_payload(row, cfg.format)
 
 
-def _cmd_sweep(cfg: RunConfig, target: str, values: list[float], tol: float,
-               crossed: bool) -> str:
-    rows = []
-    if target == "crossing":
-        for q in values:
-            rows.append(_crossing_row(cfg.order, q))
-    elif target == "duality":
-        if cfg.n is None or cfg.phase is None:
-            raise DomainError("duality sweep requires --n and --phase")
-        for ratio in values:
-            rows.append(_duality_row(cfg, ratio, tol))
-    elif target == "saw":
-        if cfg.phase is None:
-            raise DomainError("saw sweep requires --phase")
-        for q in values:
-            rows.append(_saw_row(cfg.phase, cfg.order, q, crossed))
-    else:
-        raise DomainError(f"unknown sweep target {target!r}")
-    return _table_payload(rows, cfg.format)
+# Row makers: each builds its series once and returns modulus -> output row.
+
+
+def _duality_rows(cfg: RunConfig, args):
+    if cfg.n is None or cfg.phase is None:
+        raise DomainError("duality sweep requires --n and --phase")
+    params, w = _model(cfg)
+
+    def row(ratio: float) -> dict:
+        ev = annulus.duality_check(params, w, ratio, cfg.order, args.tol)
+        if ev.residual > args.tol:
+            raise IdentityError(
+                f"channel duality violated: residual {ev.residual:.3e} > {args.tol:.1e}"
+            )
+        out = ev.to_json_dict()
+        out["tail_bound_direct"], out["tail_bound_crossed"] = out.pop("tail_bounds")
+        return out
+
+    return row
+
+
+def _crossing_rows(cfg: RunConfig, args):
+    P = observables.crossing_probability(cfg.order, Backend.EXACT)
+
+    def row(q: float) -> dict:
+        v, tail = P.eval_at(q)
+        return {"q": q, "P": v, "tail_bound": tail}
+
+    return row
+
+
+def _saw_rows(cfg: RunConfig, args):
+    if cfg.phase is None:
+        raise DomainError("saw sweep requires --phase")
+    series = (
+        observables.saw_loop_dilute(cfg.order)
+        if cfg.phase is Phase.DILUTE
+        else observables.saw_loop_dense(cfg.order)[0]
+    )
+    crossed = getattr(args, "crossed", False)
+
+    def row(x: float) -> dict:
+        if not crossed:
+            v, tail = series.eval_at(x)
+            return {"q": x, "Z1": v, "tail_bound": tail}
+        if not 0.0 < x < 1.0:
+            raise DomainError(
+                f"conjugate modulus must satisfy 0 < qtilde < 1, got {x!r}"
+            )
+        q = math.exp(2.0 * math.pi**2 / math.log(x))
+        v, tail = series.eval_at(q)
+        asym = abs(math.log(x)) / (6.0 * math.pi)
+        return {
+            "q_tilde": x,
+            "q": q,
+            "Z1": v,
+            "tail_bound": tail,
+            "log_asymptote": asym,
+            "ratio_to_log_asymptote": v / asym,
+        }
+
+    return row
+
+
+_ROWS = {"duality": _duality_rows, "crossing": _crossing_rows, "saw": _saw_rows}
+
+
+def _cmd_evaluate(cfg: RunConfig, args) -> str:
+    modulus = cfg.ratio if cfg.command == "duality" else cfg.modulus
+    return _table_payload(_ROWS[cfg.command](cfg, args)(modulus), cfg.format)
+
+
+def _cmd_sweep(cfg: RunConfig, args) -> str:
+    row = _ROWS[args.target](cfg, args)
+    return _table_payload([row(v) for v in args.values], cfg.format)
+
+
+_COMMANDS = {
+    "partition": _cmd_partition,
+    "crossed": _cmd_crossed,
+    "duality": _cmd_evaluate,
+    "characters": _cmd_characters,
+    "crossing": _cmd_evaluate,
+    "saw": _cmd_evaluate,
+    "logcft": _cmd_logcft,
+    "boundary": _cmd_boundary,
+    "sweep": _cmd_sweep,
+}
 
 
 # -- argument parsing -------------------------------------------------------------
+
+
+def _float_list(text: str) -> list[float]:
+    """argparse type for a comma-separated list of numbers."""
+    try:
+        return [float(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -350,13 +376,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha1", type=float, required=True)
     p.add_argument("--alpha2", type=float, required=True)
     p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--epsilons", default="0.01,0.005,0.0025",
+    p.add_argument("--epsilons", type=_float_list, default="0.01,0.005,0.0025",
                    help="comma-separated regulator values")
 
     p = sub.add_parser("sweep", help="tabulate a target over a grid")
     common(p, model=False)
     p.add_argument("--target", choices=["crossing", "duality", "saw"], required=True)
-    p.add_argument("--values", required=True,
+    p.add_argument("--values", type=_float_list, required=True,
                    help="comma-separated moduli (q, qtilde, or ratios)")
     p.add_argument("--n", type=float, default=None)
     p.add_argument("--phase", choices=["dilute", "dense"], default=None)
@@ -384,31 +410,7 @@ def main(argv=None) -> int:
             format=args.format,
             output=args.output,
         )
-        if cfg.command == "partition":
-            payload = _cmd_partition(cfg, args.naive)
-        elif cfg.command == "crossed":
-            payload = _cmd_crossed(cfg)
-        elif cfg.command == "duality":
-            payload = _row_payload(_duality_row(cfg, args.ratio, args.tol), cfg.format)
-        elif cfg.command == "characters":
-            payload = _cmd_characters(cfg)
-        elif cfg.command == "crossing":
-            payload = _row_payload(_crossing_row(cfg.order, cfg.modulus), cfg.format)
-        elif cfg.command == "saw":
-            payload = _row_payload(
-                _saw_row(cfg.phase, cfg.order, cfg.modulus, False), cfg.format
-            )
-        elif cfg.command == "logcft":
-            payload = _cmd_logcft(cfg)
-        elif cfg.command == "boundary":
-            eps = [float(x) for x in args.epsilons.split(",") if x]
-            payload = _cmd_boundary(cfg, args.g, args.alpha1, args.alpha2, args.L, eps)
-        elif cfg.command == "sweep":
-            values = [float(x) for x in args.values.split(",") if x]
-            payload = _cmd_sweep(cfg, args.target, values, args.tol, args.crossed)
-        else:  # pragma: no cover - argparse enforces the choices
-            print(f"unknown command {cfg.command!r}", file=sys.stderr)
-            return EXIT_USAGE
+        payload = _COMMANDS[cfg.command](cfg, args)
         _write(payload, cfg)
         return EXIT_OK
     except TailBoundError as exc:

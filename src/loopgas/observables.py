@@ -33,49 +33,70 @@ a ln(q) piece from differentiating the flux exponents,
 where the constants are the exact chain-rule factors dg/dn = -+1/(2 pi)
 combined with dh/dg = p^2/4 + p/2, so the three-term decomposition equals
 the derivative without free normalization.
+
+Each series above is computed as the direct-channel flux sum of
+`loopgas.annulus` times prod(1-q^r)^{-1}: sum_p w_p q^{h(p) - c/24} over all
+p in Z, with w_{-1} = 0 and w_p = -w_{-p-2} for p <= -2.  An observable only
+picks the coupling and the weight table w_p for p >= 0 (d_p as in
+`loopgas.params`):
+
+    crossing_probability (n = 1 dense): d_p at n' = 0, i.e. cos(p pi/2)
+    saw_loop_dilute, saw_loop_dense, saw_loop_derivative_series (n = 0):
+        d/dn' d_p at n' = 0, i.e. (-1)^k (k+1) at p = 2k+1 and 0 at even p
+    log_partition_exact_core (n = 0): p(p+2)/8 d_p at n' = 0, which is
+        dh/dg d_p / 2; regrouped=True is the null-pair form
+
+The hand-written alternating sums live in the test suite as an oracle.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
-from .annulus import partition_direct
+from .annulus import _exponent, _flux_theta, partition_direct
 from .errors import DomainError, IdentityError, TailBoundError
 from .params import CGParams, Phase, as_phase, params_from_n, wrap_weight
-from .qseries import Backend, GenSeries, euler_inverse, max_abs_coeff_diff
+from .qseries import Backend, GenSeries, _times_euler_inverse, max_abs_coeff_diff
+
+_PERCOLATION = params_from_n(1.0, Phase.DENSE)
+_N0 = {phase: params_from_n(0.0, phase) for phase in Phase}
 
 
-def _times_euler(theta: GenSeries) -> GenSeries:
-    if theta.is_zero:
-        return theta
-    return theta * euler_inverse(theta.cutoff - theta.min_exponent, theta.backend)
+def _d_at_zero(p: int) -> int:
+    """d_p at n' = 0: U_p(0) = cos(p pi/2)."""
+    return (1, 0, -1, 0)[p % 4]
+
+
+def _d_slope_at_zero(p: int) -> int:
+    """d/dn' d_p at n' = 0: (-1)^k (k+1) at p = 2k+1, zero at even p."""
+    return (p + 1) // 2 * (-1) ** (p // 2) if p % 2 else 0
+
+
+def _log_weight(p: int) -> int:
+    """p(p+2)/8 d_p at n' = 0, half of dh/dg = p^2/4 + p/2 times d_p.
+
+    An integer: 8 divides p(p+2) at even p, and d_p = 0 at odd p."""
+    return p * (p + 2) // 8 * _d_at_zero(p)
+
+
+def _flux_series(params, weight, cutoff, backend: Backend, form="integer") -> GenSeries:
+    """Euler-completed flux sum of `params` with weight table `weight`.
+
+    Exponents are built as Fractions and coerced once, in either backend."""
+    cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
+    theta = _flux_theta(
+        params, weight, cutoff_c, _exponent(params, exact=True), backend, form
+    )
+    return _times_euler_inverse(theta)
 
 
 def crossing_probability(cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:
     """Probability that a percolation cluster joins the two annulus boundaries."""
-    cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
-    pairs = []
-    k = 0
-    while True:
-        added = False
-        for kk in ((k, -k) if k else (0,)):
-            e1 = Fraction(8 * kk * kk, 3) - Fraction(2 * kk, 3)
-            e2 = Fraction(8 * kk * kk, 3) + 2 * kk + Fraction(1, 3)
-            if e1 < cutoff_c:
-                pairs.append((e1, 1))
-                added = True
-            if e2 < cutoff_c:
-                pairs.append((e2, -1))
-                added = True
-        if not added and k > 0:
-            break
-        k += 1
-    return _times_euler(GenSeries.from_terms(pairs, cutoff_c, backend))
+    return _flux_series(_PERCOLATION, _d_at_zero, cutoff, backend)
 
 
 def wrap_count_generating(
@@ -95,20 +116,7 @@ def wrap_count_generating(
 
 def saw_loop_dilute(cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:
     """Single wrapping self-avoiding loop, dilute point (g = 3/2); ~ q^{5/8}."""
-    cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
-    pairs = []
-    k = 1
-    while True:
-        added = False
-        for kk in (k, -k):
-            e = Fraction(3 * kk * kk, 2) - kk + Fraction(1, 8)
-            if e < cutoff_c:
-                pairs.append((e, kk * (-1) ** ((kk - 1) % 2)))
-                added = True
-        if not added:
-            break
-        k += 1
-    return _times_euler(GenSeries.from_terms(pairs, cutoff_c, backend))
+    return _flux_series(_N0[Phase.DILUTE], _d_slope_at_zero, cutoff, backend)
 
 
 def saw_loop_derivative_series(
@@ -118,26 +126,7 @@ def saw_loop_derivative_series(
 
     d/dn' [sin((p+1)chi')/sin chi'] at chi' = -+pi/2 equals
     -(p+1) cos((p+1) pi/2) / 2 on both branches, so only odd p contribute."""
-    phase = as_phase(phase)
-    params = params_from_n(0.0, phase)
-    g = params.g_exact
-    c24 = params.c_exact / 24
-    cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
-    pairs = []
-    p = 1
-    while True:
-        added = False
-        for pp in (p, -p):
-            e = g * pp * pp / 4 - (1 - g) * Fraction(pp, 2) - c24
-            if e < cutoff_c:
-                halfturns = (pp + 1) // 2
-                coeff = -Fraction(pp + 1, 2) * (-1) ** (halfturns % 2)
-                pairs.append((e, coeff))
-                added = True
-        if not added and p > 2:
-            break
-        p += 2
-    return _times_euler(GenSeries.from_terms(pairs, cutoff_c, backend))
+    return _flux_series(_N0[as_phase(phase)], _d_slope_at_zero, cutoff, backend)
 
 
 def saw_loop_dense(
@@ -147,35 +136,17 @@ def saw_loop_dense(
 
     Returns (alternating-sum form, half-odd-integer product form); the two
     are compared term by term and a mismatch raises IdentityError."""
-    cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
-    c_shift = Fraction(1, 12)  # q^{-c/24} with c = -2
-    pairs = []
-    k = 0
-    while True:
-        added = False
-        for kk in ((k, -k) if k else (0,)):
-            e1 = 2 * kk * kk - Fraction(1, 8) + c_shift
-            e2 = 2 * kk * kk - 2 * kk + Fraction(3, 8) + c_shift
-            if e1 < cutoff_c:
-                pairs.append((e1, 1))
-                added = True
-            if e2 < cutoff_c:
-                pairs.append((e2, -1))
-                added = True
-        if not added and k > 0:
-            break
-        k += 1
-    series = _times_euler(GenSeries.from_terms(pairs, cutoff_c, backend))
+    series = _flux_series(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, backend)
 
+    cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
     closed = GenSeries.monomial(-Fraction(1, 24), 1, cutoff_c, backend)
-    m = 1
-    while Fraction(2 * m - 1, 2) + (-Fraction(1, 24)) < cutoff_c:
-        half = Fraction(2 * m - 1, 2)
+    half = Fraction(1, 2)  # m - 1/2 for m = 1, 2, ...
+    while half - Fraction(1, 24) < cutoff_c:
         factor = GenSeries.from_terms(
             [(0, 1), (half, -2), (2 * half, 1)], cutoff_c - closed.min_exponent, backend
         )
         closed = closed * factor
-        m += 1
+        half += 1
 
     eff = min(series.cutoff, closed.cutoff)
     same = (
@@ -196,37 +167,10 @@ def log_partition_exact_core(
 ) -> GenSeries:
     """Rational part of the ln(q) coefficient at n = 0 (chain factor -+1/pi off).
 
-    regrouped=True gives the null-pair form sum_k k(2k+1)(q^{a_k} - q^{a_k + p+1});
-    regrouped=False the direct two-family form; they must agree termwise."""
-    phase = as_phase(phase)
-    cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
-    if phase is Phase.DILUTE:
-        shift = Fraction(0)
-        e_plus = lambda k: Fraction(6 * k * k + k)
-        e_pair = lambda k: Fraction(6 * k * k + 5 * k + 1)
-        e_alt = lambda k: Fraction(6 * k * k - 5 * k + 1)
-    else:
-        shift = Fraction(1, 12)  # q^{-c/24} with c = -2
-        e_plus = lambda k: Fraction(2 * k * k - k)
-        e_pair = lambda k: Fraction(2 * k * k + 3 * k + 1)
-        e_alt = lambda k: Fraction(2 * k * k - 3 * k + 1)
-    pairs = []
-    k = 0
-    while True:
-        added = False
-        for kk in ((k, -k) if k else (0,)):
-            if regrouped:
-                fam = [(e_plus(kk), kk * (2 * kk + 1)), (e_pair(kk), -kk * (2 * kk + 1))]
-            else:
-                fam = [(e_plus(kk), kk * (2 * kk + 1)), (e_alt(kk), -kk * (2 * kk - 1))]
-            for e, cval in fam:
-                if cval != 0 and e + shift < cutoff_c:
-                    pairs.append((e + shift, cval))
-                    added = True
-        if not added and k > 1:
-            break
-        k += 1
-    return _times_euler(GenSeries.from_terms(pairs, cutoff_c, backend))
+    regrouped=True gives the null-pair form sum_{p>=0} w_p (q^{e_p} - q^{e_p+p+1});
+    regrouped=False the integer-flux form over all p; they must agree termwise."""
+    form = "null_pairs" if regrouped else "integer"
+    return _flux_series(_N0[as_phase(phase)], _log_weight, cutoff, backend, form)
 
 
 def log_chain_scale(phase) -> float:
@@ -268,10 +212,11 @@ def asymptote_fit(
         raise DomainError("fit window must satisfy 0 < lo < hi < 1")
     if npoints < 8:
         raise DomainError("need at least 8 sample points")
-    xs = np.exp(np.linspace(math.log(lo), math.log(hi), npoints))
+    step = (math.log(hi) - math.log(lo)) / (npoints - 1)
+    xs = [math.exp(math.log(lo) + i * step) for i in range(npoints)]
     vals = []
     for x in xs:
-        v, tail = evaluator(float(x))
+        v, tail = evaluator(x)
         if v <= 0.0:
             raise DomainError(f"power-law fit needs positive values, got {v} at {x}")
         if tail > 0.01 * abs(v):
@@ -280,12 +225,12 @@ def asymptote_fit(
                 f"modulus {x:.3e}; refusing to fit"
             )
         vals.append(v)
-    lx, ly = np.log(xs), np.log(vals)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = float(np.max(np.abs(ly - (slope * lx + intercept))))
+    lx, ly = [math.log(x) for x in xs], [math.log(v) for v in vals]
+    slope, intercept = statistics.linear_regression(lx, ly)
+    resid = max(abs(y - (slope * x + intercept)) for x, y in zip(lx, ly))
     return AsymptoteFit(
-        exponent_fit=float(slope),
-        prefactor_fit=float(math.exp(intercept)),
+        exponent_fit=slope,
+        prefactor_fit=math.exp(intercept),
         sample_window=(lo, hi),
         residual=resid,
     )

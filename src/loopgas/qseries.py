@@ -360,23 +360,37 @@ def _partition_numbers(kmax: int) -> list[int]:
     return p
 
 
+def _quadratic_support(f, cutoff: Number, vertex: Number) -> list:
+    """(k, f(k)) for every integer k with f(k) < cutoff, ascending in k.
+
+    f must be a convex quadratic in k with its minimum at `vertex`: the set
+    is then one run of integers, found by walking outward from the vertex
+    until f first reaches the cutoff on each side."""
+    split = math.floor(vertex)
+    below, above = [], []
+    for start, step, out in ((split, -1, below), (split + 1, 1, above)):
+        k = start
+        while (e := f(k)) < cutoff:
+            out.append((k, e))
+            k += step
+    return below[::-1] + above
+
+
+def _times_euler_inverse(theta: GenSeries) -> GenSeries:
+    r"""theta * \prod_{r\ge1}(1-q^r)^{-1}, complete up to theta's own cutoff."""
+    if theta.is_zero:
+        return theta
+    return theta * euler_inverse(theta.cutoff - theta.min_exponent, theta.backend)
+
+
 def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:
     r"""\prod_{r\ge1}(1-q^r) = \sum_{k\in\mathbb Z}(-1)^k q^{k(3k-1)/2} (Euler)."""
     if cutoff <= 0:
         raise DomainError("pentagonal_series requires cutoff > 0")
-    pairs = []
-    k = 0
-    while True:
-        hit = False
-        for kk in ((k, -k) if k else (0,)):
-            e = kk * (3 * kk - 1) // 2
-            if e < cutoff:
-                pairs.append((e, (-1) ** (kk % 2)))
-                hit = True
-        if not hit and k > 0:
-            break
-        k += 1
-    return GenSeries.from_terms(pairs, cutoff, backend)
+    support = _quadratic_support(lambda k: k * (3 * k - 1) // 2, cutoff, 0)
+    return GenSeries.from_terms(
+        [(e, (-1) ** (k % 2)) for k, e in support], cutoff, backend
+    )
 
 
 def euler_product(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:

@@ -1,0 +1,80 @@
+"""Independent oracle: the observables' theta brackets as hand-written alternating sums.
+
+loopgas builds every observable as one weighted flux sum.  These functions
+instead sum the closed-form brackets of the `loopgas.observables` module
+docstring over k in Z directly, then multiply by prod(1-q^r)^{-1}, so that
+equality with the package is a check rather than a tautology.  Exact backend.
+"""
+from fractions import Fraction as F
+
+from loopgas import Backend, GenSeries, euler_inverse
+
+
+def _series(terms, cutoff):
+    """prod(1-q^r)^{-1} times the sum of terms(k) over k = 0, +-1, +-2, ...
+
+    terms(k) lists (exponent, coefficient) pairs; the walk stops at the first
+    |k| >= 2 whose terms all lie at or above the cutoff."""
+    cutoff = F(cutoff)
+    pairs = []
+    k = 0
+    while True:
+        ks = (k, -k) if k else (0,)
+        kept = [(e, c) for kk in ks for e, c in terms(kk) if e < cutoff]
+        if not kept and k > 1:
+            break
+        pairs += kept
+        k += 1
+    theta = GenSeries.from_terms(pairs, cutoff, Backend.EXACT)
+    if theta.is_zero:
+        return theta
+    return theta * euler_inverse(theta.cutoff - theta.min_exponent)
+
+
+def crossing(cutoff):
+    """P: sum_k ( q^{8k^2/3 - 2k/3} - q^{8k^2/3 + 2k + 1/3} )."""
+    return _series(
+        lambda k: [
+            (F(8 * k * k - 2 * k, 3), 1),
+            (F(8 * k * k, 3) + 2 * k + F(1, 3), -1),
+        ],
+        cutoff,
+    )
+
+
+def saw_dilute(cutoff):
+    """Z1 at g = 3/2: sum_k k (-1)^{k-1} q^{3k^2/2 - k + 1/8}."""
+    return _series(
+        lambda k: [(F(3 * k * k, 2) - k + F(1, 8), k * (-1) ** ((k - 1) % 2))], cutoff
+    )
+
+
+def saw_dense(cutoff):
+    """Z1 at g = 1/2: q^{1/12} sum_k ( q^{2k^2 - 1/8} - q^{2k^2 - 2k + 3/8} )."""
+    shift = F(1, 12)
+    return _series(
+        lambda k: [
+            (2 * k * k - F(1, 8) + shift, 1),
+            (2 * k * k - 2 * k + F(3, 8) + shift, -1),
+        ],
+        cutoff,
+    )
+
+
+def log_core(phase, cutoff, regrouped):
+    """Rational ln(q) core at n = 0, in one of its two hand-derived families.
+
+    regrouped: sum_k k(2k+1) (q^{a_k} - q^{b_k}) with the null-pair partner b_k;
+    otherwise sum_k k(2k+1) q^{a_k} - k(2k-1) q^{c_k}, the direct form."""
+    if phase == "dilute":
+        shift, a, b, c = 0, (6, 1, 0), (6, 5, 1), (6, -5, 1)
+    else:
+        shift, a, b, c = F(1, 12), (2, -1, 0), (2, 3, 1), (2, -3, 1)
+    quad = lambda k, t: t[0] * k * k + t[1] * k + t[2] + shift  # noqa: E731
+
+    def terms(k):
+        if regrouped:
+            return [(quad(k, a), k * (2 * k + 1)), (quad(k, b), -k * (2 * k + 1))]
+        return [(quad(k, a), k * (2 * k + 1)), (quad(k, c), -k * (2 * k - 1))]
+
+    return _series(terms, cutoff)

@@ -1,12 +1,17 @@
 """Command-line interface: payload schemas, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import loopgas
 from loopgas import CharacterSpec, GenSeries, decompose
 from loopgas.cli import main
 
@@ -142,6 +147,12 @@ class TestEvaluationCommands:
         assert abs(d["terms"][0]["exponent"] - 1 / 12) < 1e-12
         assert abs(d["terms"][0]["coefficient"] + 1 / math.pi) < 1e-12
 
+    def test_boundary_malformed_epsilons_usage_exit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["boundary", "--g", "1.5", "--alpha1", "0.3", "--alpha2", "0.1",
+                  "--epsilons", "x"])
+        assert exc.value.code == 2
+
     def test_boundary_row(self, capsys):
         code, out, _ = run(
             capsys, "boundary", "--g", "1.5", "--alpha1", "0.3", "--alpha2", "0.1",
@@ -185,6 +196,19 @@ class TestSweep:
         ratios = [r["ratio_to_log_asymptote"] for r in rows]
         assert ratios[0] < ratios[1] < ratios[2] < 1.0
 
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_saw_crossed_modulus_outside_unit_interval(self, capsys, value):
+        code, _, err = run(
+            capsys, "sweep", "--target", "saw", "--phase", "dilute", "--crossed",
+            "--values", value,
+        )
+        assert code == 3 and "qtilde" in err
+
+    def test_malformed_values_usage_exit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--target", "crossing", "--values", "abc"])
+        assert exc.value.code == 2
+
     def test_saw_sweep_needs_phase(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--target", "saw", "--values", "0.1",
@@ -222,3 +246,52 @@ class TestOutputHandling:
             capsys, "partition", "--n", "1", "--phase", "dilute", "--order", "4"
         )
         assert code == 3
+
+
+# sha256 of stdout, recorded before the observables became weighted flux sums;
+# one command per subcommand plus the two floating-backend series whose
+# exponent arithmetic (float for partition, exact-then-rounded for logcft)
+# must not change.
+PINNED_STDOUT = [
+    ("partition --n 1 --phase dilute --order 40 --backend exact",
+     "f3f200e82845c37bc94f0867781d91a710befc5fd58df2a0ef61f656115bc2ba"),
+    ("partition --n 1 --phase dense --backend floating --order 64",
+     "f7494faea3870154a34c5e4ef0160ef10946b7f3be1adab86f30bba9b034dff0"),
+    ("crossed --n 1 --phase dense --order 64",
+     "a02c9707cabd081bf9bc179446a0d92198266d9e4f006f15854590819b8f5f56"),
+    ("duality --n 1 --phase dense --ratio 1 --order 64",
+     "98c3942197865d0ec41e9fd9b8b4a8a33f836b7dd79894a4cc3ede0f38f33d4a"),
+    ("characters --n 1.7320508075688772 --phase dense --parity even --order 40 "
+     "--format csv",
+     "723290fb6ab11c19f2fe06600876ba4349ad3dec8736c75074d134fde3e56c6a"),
+    ("crossing --q 0.5 --order 64 --format csv",
+     "66e0d6681cde6731e4236c9d13909f3faea5a299f3f70988ee4de82a407aaef8"),
+    ("saw --phase dense --q 0.3 --order 24",
+     "b032ef2099b892a633f12e3ada1f946236ece0da84ae50a04cf29be96861a0c2"),
+    ("logcft --phase dense --order 64 --format csv",
+     "fbe234373f65524c8bf6e0ba6002723751fa8d6324f16186e292cf7dcfd9f225"),
+    ("boundary --g 1.5 --alpha1 0.3 --alpha2 0.1",
+     "645e38b8da636f6477cbc54dca5ab87cd86bb6429cde656d1be3a097855cf5bf"),
+    ("sweep --target saw --phase dense --crossed --values 1e-4,1e-8,0.01 "
+     "--order 12 --format csv",
+     "76c84cee1bafd4cbfc3b7d58c5d4e15b7ca8899c8a64b840c120e5a7af0f098f"),
+]
+
+
+@pytest.mark.parametrize("command,digest", PINNED_STDOUT,
+                         ids=[c.split()[0] + "-" + str(i) for i, (c, _) in
+                              enumerate(PINNED_STDOUT)])
+def test_pinned_stdout_bytes(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_import_does_not_load_numpy():
+    # numpy is only needed by boundary.e1_cutoff, which imports it itself
+    code = "import sys, loopgas, loopgas.cli; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(loopgas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"

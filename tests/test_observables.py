@@ -26,6 +26,10 @@ from loopgas import (
 )
 from loopgas.annulus import partition_crossed
 
+import series_oracle as oracle
+
+ORACLE_ORDERS = (40, 256)
+
 
 def qt_to_q(qt: float) -> float:
     return math.exp(2.0 * math.pi**2 / math.log(qt))
@@ -40,7 +44,10 @@ class TestCrossingProbability:
 
     def test_equals_zero_wrap_weight_partition(self):
         perc = params_from_n(1.0, "dense")
-        assert crossing_probability(40) == wrap_count_generating(perc, 0.0, 40)
+        for k in ORACLE_ORDERS:
+            P = crossing_probability(k)
+            assert P == oracle.crossing(k)
+            assert P == wrap_count_generating(perc, 0.0, k)
 
     def test_value_at_half(self):
         v, tail = crossing_probability(64).eval_at(0.5)
@@ -138,7 +145,11 @@ class TestSawDilute:
         assert s.terms[0] == (F(5, 8), 1)
 
     def test_equals_termwise_derivative(self):
-        assert saw_loop_dilute(40) == saw_loop_derivative_series("dilute", 40)
+        for k in ORACLE_ORDERS:
+            expected = oracle.saw_dilute(k)
+            assert saw_loop_dilute(k) == expected
+            assert saw_loop_derivative_series("dilute", k) == expected
+            assert saw_loop_derivative_series("dense", k) == oracle.saw_dense(k)
 
     def test_finite_difference_oracle(self):
         s = saw_loop_dilute(64)
@@ -190,8 +201,9 @@ class TestSawDilute:
 
 class TestSawDense:
     def test_two_forms_agree_exactly(self):
-        series, closed = saw_loop_dense(40)
-        assert series == closed
+        for k in ORACLE_ORDERS:
+            series, closed = saw_loop_dense(k)
+            assert series == closed == oracle.saw_dense(k)
 
     def test_leading_and_second_closed_terms(self):
         _, closed = saw_loop_dense(5)
@@ -214,9 +226,11 @@ class TestSawDense:
 class TestLogPartition:
     def test_regrouped_and_direct_forms_agree(self):
         for phase in ("dilute", "dense"):
-            a = log_partition_exact_core(phase, 40, regrouped=True)
-            b = log_partition_exact_core(phase, 40, regrouped=False)
-            assert a == b
+            for k in ORACLE_ORDERS:
+                a = log_partition_exact_core(phase, k, regrouped=True)
+                b = log_partition_exact_core(phase, k, regrouped=False)
+                assert a == b == oracle.log_core(phase, k, regrouped=True)
+                assert b == oracle.log_core(phase, k, regrouped=False)
 
     def test_dilute_lowest_pair(self):
         # k = -1 contributes +(q^5 - q^2) before the euler factor
@@ -264,6 +278,12 @@ class TestAsymptoteFit:
         fit = asymptote_fit(lambda q: z.eval_at(q), (1e-4, 1e-2))
         assert abs(fit.exponent_fit) < 1e-10
         assert abs(fit.prefactor_fit - 2.0) < 1e-10
+
+    def test_recovers_exact_power_law(self):
+        fit = asymptote_fit(lambda x: (2.5 * x**0.625, 0.0), (1e-6, 1e-2))
+        assert abs(fit.exponent_fit - 0.625) < 1e-12
+        assert abs(fit.prefactor_fit - 2.5) < 1e-11
+        assert fit.residual < 1e-12
 
     def test_refuses_on_large_tail(self):
         s = euler_inverse(12, Backend.FLOAT)
