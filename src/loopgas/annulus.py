@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, IdentityError, TailBoundError
-from .params import CGParams, WrapWeight, default_wrap
+from .params import CGParams, WrapWeight, _recurrence, default_wrap
 from .qseries import (
     Backend,
     GenSeries,
@@ -92,18 +92,6 @@ def _exponent(params: CGParams, exact: bool):
         return lambda p: Fraction(a * p * p + b * p + c, den)
     g, shift = params.g, params.c / 24.0
     return lambda p: g * p * p / 4.0 - (1.0 - g) * p / 2.0 - shift
-
-
-def _recurrence(a, t0, t1, step: int = 1):
-    """Lookup p -> t_{p // step} for t_{i+1} = a t_i - t_{i-1}, grown on demand."""
-    table = [t0, t1]
-
-    def lookup(p: int):
-        while len(table) <= p // step:
-            table.append(a * table[-1] - table[-2])
-        return table[p // step]
-
-    return lookup
 
 
 def _wrap_table(w: WrapWeight, parity: Optional[str], backend: Backend):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BackendMismatchError, DecompositionError, DomainError
+from .errors import BackendMismatchError, DecompositionError, DomainError, IdentityError
 from .qseries import Backend, GenSeries, _quadratic_support, _times_euler_inverse
 
 
@@ -85,11 +85,12 @@ def rocha_caridi(
     if theta.is_zero:
         raise DomainError("cutoff excludes every character term; increase it")
     out = _times_euler_inverse(theta)
-    assert out.min_exponent == (
-        spec.leading_exponent
-        if backend is Backend.EXACT
-        else float(spec.leading_exponent)
-    )
+    leading = spec.leading_exponent
+    if out.min_exponent != (leading if backend is Backend.EXACT else float(leading)):
+        raise IdentityError(
+            f"character {spec} starts at q^{out.min_exponent}, "
+            f"not at h - c/24 = {leading}"
+        )
     return out
 
 

@@ -27,13 +27,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import annulus, boundary, characters, observables
 from .errors import DomainError, IdentityError, TailBoundError
-from .params import Phase, as_phase, params_from_n, wrap_weight
+from .params import Phase, params_from_n, wrap_weight
 from .qseries import Backend, GenSeries, format_number
 
 OUTDIR_ENV = "LOOPGAS_OUTDIR"
@@ -45,42 +43,10 @@ EXIT_IDENTITY = 4
 EXIT_TAIL = 5
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    command: str
-    n: Optional[float] = None
-    phase: Optional[Phase] = None
-    n_prime: Optional[float] = None
-    parity: Optional[str] = None
-    ratio: Optional[float] = None
-    q: Optional[float] = None
-    order: int = 64
-    backend: str = "auto"
-    format: str = "json"
-    output: Optional[str] = None
-
-    def __post_init__(self):
-        if self.order < 8:
-            raise DomainError("truncation order must be at least 8")
-        if self.command in ("crossing", "saw"):
-            if (self.ratio is None) == (self.q is None):
-                raise DomainError(
-                    "evaluation commands need exactly one of --ratio / --q"
-                )
-
-    @property
-    def modulus(self) -> float:
-        if self.q is not None:
-            return float(self.q)
-        return math.exp(-math.pi * float(self.ratio))
-
-
-def _resolve_backend(cfg: RunConfig, params) -> Backend:
-    if cfg.backend == "exact":
+def _resolve_backend(args, params) -> Backend:
+    if args.backend == "exact":
         return Backend.EXACT
-    if cfg.backend == "floating":
+    if args.backend == "floating":
         return Backend.FLOAT
     return Backend.EXACT if params.g_exact is not None else Backend.FLOAT
 
@@ -113,11 +79,11 @@ def _table_payload(table, fmt: str) -> str:
     )
 
 
-def _write(payload: str, cfg: RunConfig) -> None:
-    if cfg.output is None:
+def _write(payload: str, args) -> None:
+    if args.output is None:
         sys.stdout.write(payload)
         return
-    path = cfg.output
+    path = args.output
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
@@ -128,30 +94,31 @@ def _write(payload: str, cfg: RunConfig) -> None:
 # -- subcommand bodies ----------------------------------------------------------
 
 
-def _model(cfg: RunConfig):
-    params = params_from_n(cfg.n, cfg.phase)
-    w = wrap_weight(cfg.phase, cfg.n_prime) if cfg.n_prime is not None else None
+def _model(args):
+    params = params_from_n(args.n, args.phase)
+    w = wrap_weight(args.phase, args.n_prime) if args.n_prime is not None else None
     return params, w
 
 
-def _cmd_partition(cfg: RunConfig, args) -> str:
-    params, w = _model(cfg)
+def _cmd_partition(args) -> str:
+    params, w = _model(args)
     if args.naive:
-        series = annulus.partition_naive(params, w, cfg.order)
-    elif cfg.parity is not None:
+        series = annulus.partition_naive(params, w, args.order)
+    elif args.parity is not None:
         series = annulus.partition_direct_parity(
-            params, w, cfg.order, cfg.parity, _resolve_backend(cfg, params)
+            params, w, args.order, args.parity, _resolve_backend(args, params)
         )
     else:
         series = annulus.partition_direct(
-            params, w, cfg.order, _resolve_backend(cfg, params)
+            params, w, args.order, _resolve_backend(args, params)
         )
-    return _series_payload(series, cfg.format)
+    return _series_payload(series, args.format)
 
 
-def _cmd_crossed(cfg: RunConfig, args) -> str:
-    params, w = _model(cfg)
-    return _series_payload(annulus.partition_crossed(params, w, cfg.order), cfg.format)
+def _cmd_crossed(args) -> str:
+    params, w = _model(args)
+    series = annulus.partition_crossed(params, w, args.order)
+    return _series_payload(series, args.format)
 
 
 def _minimal_model_basis(params) -> list[characters.CharacterSpec]:
@@ -174,31 +141,31 @@ def _minimal_model_basis(params) -> list[characters.CharacterSpec]:
     ]
 
 
-def _cmd_characters(cfg: RunConfig, args) -> str:
-    params, w = _model(cfg)
+def _cmd_characters(args) -> str:
+    params, w = _model(args)
     basis = _minimal_model_basis(params)
-    if cfg.parity is not None:
+    if args.parity is not None:
         Z = annulus.partition_direct_parity(
-            params, w, cfg.order, cfg.parity, Backend.EXACT
+            params, w, args.order, args.parity, Backend.EXACT
         )
     else:
-        Z = annulus.partition_direct(params, w, cfg.order, Backend.EXACT)
+        Z = annulus.partition_direct(params, w, args.order, Backend.EXACT)
     payload = characters.decomposition_to_json(characters.decompose(Z, basis))
-    if cfg.format == "csv":
+    if args.format == "csv":
         m = payload["model"]
         payload = [
             {"p_minor": m["p"], "p_major": m["q"], **t} for t in payload["terms"]
         ]
-    return _table_payload(payload, cfg.format)
+    return _table_payload(payload, args.format)
 
 
-def _cmd_logcft(cfg: RunConfig, args) -> str:
+def _cmd_logcft(args) -> str:
     return _series_payload(
-        observables.log_partition(cfg.phase, cfg.order), cfg.format
+        observables.log_partition(args.phase, args.order), args.format
     )
 
 
-def _cmd_boundary(cfg: RunConfig, args) -> str:
+def _cmd_boundary(args) -> str:
     g, a1, a2, L = args.g, args.alpha1, args.alpha2, args.L
     b = boundary.BoundaryCoupling(g=g, alpha1=a1, alpha2=a2, L=L)
     finite, divergent = boundary.e1_cutoff(b, args.epsilons)
@@ -213,19 +180,19 @@ def _cmd_boundary(cfg: RunConfig, args) -> str:
         "e1_cutoff_divergent": divergent,
         "c_effective": boundary.c_effective(b),
     }
-    return _table_payload(row, cfg.format)
+    return _table_payload(row, args.format)
 
 
 # Row makers: each builds its series once and returns modulus -> output row.
 
 
-def _duality_rows(cfg: RunConfig, args):
-    if cfg.n is None or cfg.phase is None:
+def _duality_rows(args):
+    if args.n is None or args.phase is None:
         raise DomainError("duality sweep requires --n and --phase")
-    params, w = _model(cfg)
+    params, w = _model(args)
 
     def row(ratio: float) -> dict:
-        ev = annulus.duality_check(params, w, ratio, cfg.order, args.tol)
+        ev = annulus.duality_check(params, w, ratio, args.order, args.tol)
         if ev.residual > args.tol:
             raise IdentityError(
                 f"channel duality violated: residual {ev.residual:.3e} > {args.tol:.1e}"
@@ -237,8 +204,8 @@ def _duality_rows(cfg: RunConfig, args):
     return row
 
 
-def _crossing_rows(cfg: RunConfig, args):
-    P = observables.crossing_probability(cfg.order, Backend.EXACT)
+def _crossing_rows(args):
+    P = observables.crossing_probability(args.order, Backend.EXACT)
 
     def row(q: float) -> dict:
         v, tail = P.eval_at(q)
@@ -247,13 +214,13 @@ def _crossing_rows(cfg: RunConfig, args):
     return row
 
 
-def _saw_rows(cfg: RunConfig, args):
-    if cfg.phase is None:
+def _saw_rows(args):
+    if args.phase is None:
         raise DomainError("saw sweep requires --phase")
     series = (
-        observables.saw_loop_dilute(cfg.order)
-        if cfg.phase is Phase.DILUTE
-        else observables.saw_loop_dense(cfg.order)[0]
+        observables.saw_loop_dilute(args.order)
+        if args.phase == "dilute"
+        else observables.saw_loop_dense(args.order)[0]
     )
     crossed = getattr(args, "crossed", False)
 
@@ -283,14 +250,16 @@ def _saw_rows(cfg: RunConfig, args):
 _ROWS = {"duality": _duality_rows, "crossing": _crossing_rows, "saw": _saw_rows}
 
 
-def _cmd_evaluate(cfg: RunConfig, args) -> str:
-    modulus = cfg.ratio if cfg.command == "duality" else cfg.modulus
-    return _table_payload(_ROWS[cfg.command](cfg, args)(modulus), cfg.format)
+def _cmd_evaluate(args) -> str:
+    modulus = args.ratio  # duality evaluates at the aspect ratio itself
+    if args.command != "duality":
+        modulus = args.q if args.q is not None else math.exp(-math.pi * args.ratio)
+    return _table_payload(_ROWS[args.command](args)(modulus), args.format)
 
 
-def _cmd_sweep(cfg: RunConfig, args) -> str:
-    row = _ROWS[args.target](cfg, args)
-    return _table_payload([row(v) for v in args.values], cfg.format)
+def _cmd_sweep(args) -> str:
+    row = _ROWS[args.target](args)
+    return _table_payload([row(v) for v in args.values], args.format)
 
 
 _COMMANDS = {
@@ -397,21 +366,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            n=getattr(args, "n", None),
-            phase=as_phase(args.phase) if getattr(args, "phase", None) else None,
-            n_prime=getattr(args, "n_prime", None),
-            parity=getattr(args, "parity", None),
-            ratio=getattr(args, "ratio", None),
-            q=getattr(args, "q", None),
-            order=args.order,
-            backend=getattr(args, "backend", "auto"),
-            format=args.format,
-            output=args.output,
-        )
-        payload = _COMMANDS[cfg.command](cfg, args)
-        _write(payload, cfg)
+        if args.order < 8:
+            raise DomainError("truncation order must be at least 8")
+        _write(_COMMANDS[args.command](args), args)
         return EXIT_OK
     except TailBoundError as exc:
         print(f"tail-bound failure: {exc}", file=sys.stderr)

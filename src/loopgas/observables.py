@@ -60,7 +60,13 @@ from typing import Callable
 from .annulus import _exponent, _flux_theta, partition_direct
 from .errors import DomainError, IdentityError, TailBoundError
 from .params import CGParams, Phase, as_phase, params_from_n, wrap_weight
-from .qseries import Backend, GenSeries, _times_euler_inverse, max_abs_coeff_diff
+from .qseries import (
+    Backend,
+    GenSeries,
+    _expand_product,
+    _times_euler_inverse,
+    max_abs_coeff_diff,
+)
 
 _PERCOLATION = params_from_n(1.0, Phase.DENSE)
 _N0 = {phase: params_from_n(0.0, phase) for phase in Phase}
@@ -135,18 +141,21 @@ def saw_loop_dense(
     """Single wrapping loop in the dense phase (g = 1/2); leading q^{-1/24}.
 
     Returns (alternating-sum form, half-odd-integer product form); the two
-    are compared term by term and a mismatch raises IdentityError."""
+    are compared term by term and a mismatch raises IdentityError.  The
+    product q^{-1/24} prod_{m>=1}(1 - q^{m-1/2})^2 is expanded directly on
+    the q^{1/2} grid: in t = q^{1/2} it is prod over odd s of (1 - t^s)^2,
+    and its t^j term sits at exponent j/2 - 1/24."""
     series = _flux_series(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, backend)
 
     cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
-    closed = GenSeries.monomial(-Fraction(1, 24), 1, cutoff_c, backend)
-    half = Fraction(1, 2)  # m - 1/2 for m = 1, 2, ...
-    while half - Fraction(1, 24) < cutoff_c:
-        factor = GenSeries.from_terms(
-            [(0, 1), (half, -2), (2 * half, 1)], cutoff_c - closed.min_exponent, backend
-        )
-        closed = closed * factor
-        half += 1
+    length = math.ceil(2 * Fraction(cutoff) + Fraction(1, 12))
+    odd = range(1, length, 2)
+    coeffs = _expand_product([s for s in odd for _ in (0, 1)], length)
+    closed = GenSeries.from_terms(
+        [(Fraction(j, 2) - Fraction(1, 24), c) for j, c in enumerate(coeffs)],
+        cutoff_c,
+        backend,
+    )
 
     eff = min(series.cutoff, closed.cutoff)
     same = (

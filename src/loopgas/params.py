@@ -103,14 +103,6 @@ class CGParams:
             return None
         return (1 - self.g_exact) / self.g_exact
 
-    def leg_exponent_exact(self, p: int) -> Fraction:
-        if self.g_exact is None:
-            raise DomainError(
-                "exact leg exponent requires an exact-registry parameter point"
-            )
-        g = self.g_exact
-        return g * p * p / 4 - (1 - g) * Fraction(p, 2)
-
 
 @dataclass(frozen=True)
 class WrapWeight:
@@ -191,6 +183,18 @@ def leg_exponent(params: CGParams, p: int) -> float:
     return g * p * p / 4.0 - (1.0 - g) * p / 2.0
 
 
+def _recurrence(a, t0, t1, step: int = 1):
+    """Lookup p -> t_{p // step} for t_{i+1} = a t_i - t_{i-1}, grown on demand."""
+    table = [t0, t1]
+
+    def lookup(p: int):
+        while len(table) <= p // step:
+            table.append(a * table[-1] - table[-2])
+        return table[p // step]
+
+    return lookup
+
+
 def wrap_coefficient(p: int, n_prime: Number) -> Number:
     """Degeneracy factor d_p = sin((p+1)chi')/sin(chi') as U_p(n'/2).
 
@@ -200,12 +204,7 @@ def wrap_coefficient(p: int, n_prime: Number) -> Number:
     """
     if p < 0:
         raise DomainError("wrap_coefficient requires p >= 0")
-    if p == 0:
-        return n_prime * 0 + 1
-    prev, cur = n_prime * 0 + 1, n_prime
-    for _ in range(p - 1):
-        prev, cur = cur, n_prime * cur - prev
-    return cur
+    return _recurrence(n_prime, n_prime * 0 + 1, n_prime)(p)
 
 
 def vortex_marginality_check(params: CGParams) -> float:

@@ -117,15 +117,6 @@ class GenSeries:
     ) -> "GenSeries":
         return GenSeries.from_terms([(0, value)], cutoff, backend)
 
-    @staticmethod
-    def monomial(
-        exponent: Number,
-        coefficient: Number,
-        cutoff: Number,
-        backend: Backend = Backend.EXACT,
-    ) -> "GenSeries":
-        return GenSeries.from_terms([(exponent, coefficient)], cutoff, backend)
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -244,15 +235,6 @@ class GenSeries:
             raise DomainError("cannot extend a series by truncating upward")
         return GenSeries(
             tuple(t for t in self.terms if t.exponent < c), c, self.backend
-        )
-
-    def to_float(self) -> "GenSeries":
-        if self.backend is Backend.FLOAT:
-            return self
-        return GenSeries.from_terms(
-            [(float(e), float(c)) for e, c in self.terms],
-            float(self.cutoff),
-            Backend.FLOAT,
         )
 
     # -- evaluation ----------------------------------------------------------
@@ -376,6 +358,16 @@ def _quadratic_support(f, cutoff: Number, vertex: Number) -> list:
     return below[::-1] + above
 
 
+def _expand_product(steps: Iterable[int], length: int) -> list[int]:
+    r"""Coefficients of t^0 .. t^{length-1} in \prod_{s in steps}(1 - t^s).
+
+    One pass a[i] -= a[i-s] per factor, all i at once from the old values."""
+    a = [1] + [0] * (length - 1)
+    for s in steps:
+        a[s:] = [x - y for x, y in zip(a[s:], a)]
+    return a
+
+
 def _times_euler_inverse(theta: GenSeries) -> GenSeries:
     r"""theta * \prod_{r\ge1}(1-q^r)^{-1}, complete up to theta's own cutoff."""
     if theta.is_zero:
@@ -398,12 +390,9 @@ def euler_product(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries
     pentagonal closed form; the two must agree exactly)."""
     if cutoff <= 0:
         raise DomainError("euler_product requires cutoff > 0")
-    out = GenSeries.constant(1, cutoff, backend)
-    r = 1
-    while r < cutoff:
-        out = out * GenSeries.from_terms([(0, 1), (r, -1)], cutoff, backend)
-        r += 1
-    return out
+    length = math.ceil(float(cutoff))
+    coeffs = _expand_product(range(1, length), length)
+    return GenSeries.from_terms(enumerate(coeffs), cutoff, backend)
 
 
 def dedekind_eta_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:
@@ -454,13 +443,14 @@ def eta_modular_check(
 
 
 def max_abs_coeff_diff(a: GenSeries, b: GenSeries) -> float:
-    """Largest absolute coefficient difference between two series (common cutoff)."""
-    cutoff = min(float(a.cutoff), float(b.cutoff))
-    seen: dict[float, float] = {}
-    for e, c in a.terms:
-        if float(e) < cutoff:
-            seen[float(e)] = seen.get(float(e), 0.0) + float(c)
-    for e, c in b.terms:
-        if float(e) < cutoff:
-            seen[float(e)] = seen.get(float(e), 0.0) - float(c)
-    return max((abs(v) for v in seen.values()), default=0.0)
+    """Largest absolute coefficient difference between two series (common cutoff).
+
+    Compared in the floating backend, so exponents within FLOAT_EXPONENT_TOL
+    (e.g. one ulp apart after different float additions) are one term."""
+    diff = GenSeries.from_terms(
+        [(float(e), float(c)) for e, c in a.terms]
+        + [(float(e), -float(c)) for e, c in b.terms],
+        min(float(a.cutoff), float(b.cutoff)),
+        Backend.FLOAT,
+    )
+    return max((abs(c) for _, c in diff.terms), default=0.0)

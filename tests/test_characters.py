@@ -12,6 +12,7 @@ from loopgas import (
     DecompositionError,
     DomainError,
     GenSeries,
+    IdentityError,
     decompose,
     decomposition_to_json,
     euler_inverse,
@@ -107,6 +108,12 @@ class TestRochaCaridi:
     def test_float_backend(self):
         ch = rocha_caridi(CharacterSpec(3, 4, 1, 1), cutoff=8, backend=Backend.FLOAT)
         assert abs(ch.terms[0].exponent + 1 / 48) < 1e-12
+
+    def test_leading_exponent_mismatch_raises(self, monkeypatch):
+        # the self-check must raise, not assert: `python -O` strips asserts
+        monkeypatch.setattr(CharacterSpec, "leading_exponent", property(lambda _: F(7)))
+        with pytest.raises(IdentityError):
+            rocha_caridi(CharacterSpec(3, 4, 1, 1), cutoff=8)
 
 
 class TestFamilyRegrouping:

@@ -130,6 +130,9 @@ class TestEvaluationCommands:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "crossing", "--q", "0.5", "--ratio", "1.0")
         assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "crossing", "--order", "16")
+        assert exc.value.code == 2
 
     def test_saw_row(self, capsys):
         code, out, _ = run(

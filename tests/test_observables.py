@@ -16,6 +16,7 @@ from loopgas import (
     log_chain_scale,
     log_partition,
     log_partition_exact_core,
+    max_abs_coeff_diff,
     params_from_n,
     partition_direct,
     saw_loop_dense,
@@ -201,9 +202,18 @@ class TestSawDilute:
 
 class TestSawDense:
     def test_two_forms_agree_exactly(self):
-        for k in ORACLE_ORDERS:
+        for k in ORACLE_ORDERS + (1024,):
             series, closed = saw_loop_dense(k)
             assert series == closed == oracle.saw_dense(k)
+
+    def test_float_backend_matches_exact(self):
+        # the series half's float exponents come from float additions and sit
+        # an ulp away from the closed form's; the check must still pass
+        exact = saw_loop_dense(64)
+        floating = saw_loop_dense(64, Backend.FLOAT)
+        for f, e in zip(floating, exact):
+            assert f.backend is Backend.FLOAT
+            assert max_abs_coeff_diff(f, e) < 1e-9
 
     def test_leading_and_second_closed_terms(self):
         _, closed = saw_loop_dense(5)

@@ -1,6 +1,7 @@
 """Series arithmetic, Euler/pentagonal/eta building blocks, serialization."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from loopgas import (
     euler_inverse,
     euler_product,
     eval_at,
+    max_abs_coeff_diff,
     pentagonal_series,
 )
 from loopgas.errors import BackendMismatchError
@@ -132,7 +134,8 @@ class TestPentagonal:
         assert pentagonal_series(10).coefficient(3) == 0
 
     def test_matches_direct_product_expansion(self):
-        assert pentagonal_series(31) == euler_product(31)
+        for k in (31, 400):
+            assert pentagonal_series(k) == euler_product(k)
 
 
 class TestDedekindEta:
@@ -189,6 +192,15 @@ class TestEvalAt:
             v1, tail1 = lo.eval_at(q)
             v2, _ = hi.eval_at(q)
             assert abs(v2 - v1) <= tail1
+
+
+class TestMaxAbsCoeffDiff:
+    def test_exponents_one_ulp_apart_are_one_term(self):
+        e = 3 - 1 / 24
+        a = S([(e, 5.0)], 10, Backend.FLOAT)
+        b = S([(math.nextafter(e, 0.0), 5.0)], 10, Backend.FLOAT)
+        assert a.terms[0].exponent != b.terms[0].exponent
+        assert max_abs_coeff_diff(a, b) == 0.0
 
 
 # -- ring axioms on random exact series -----------------------------------------
