@@ -44,6 +44,7 @@ from .params import CGParams, WrapWeight, _recurrence, default_wrap
 from .qseries import (
     Backend,
     GenSeries,
+    _as_cutoff,
     _quadratic_support,
     _times_euler_inverse,
     euler_inverse,
@@ -183,7 +184,7 @@ def flux_sum(
             "use the floating backend for this parameter point"
         )
     exponent = _exponent(params, exact)
-    cutoff_c = Fraction(cutoff) if exact else float(cutoff)
+    cutoff_c = _as_cutoff(cutoff, backend)
     if not exponent(0) < cutoff_c:
         raise DomainError(
             f"cutoff {cutoff} excludes the p=0 identity term at exponent "

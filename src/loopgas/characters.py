@@ -24,7 +24,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BackendMismatchError, DecompositionError, DomainError, IdentityError
-from .qseries import Backend, GenSeries, _quadratic_support, _times_euler_inverse
+from .qseries import (
+    Backend,
+    GenSeries,
+    _as_cutoff,
+    _quadratic_support,
+    _times_euler_inverse,
+)
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ def rocha_caridi(
     N = spec.p_minor * spec.p_major
     a = spec.p_major * spec.r - spec.p_minor * spec.s
     b = spec.p_major * spec.r + spec.p_minor * spec.s
-    cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
+    cutoff_c = _as_cutoff(cutoff, backend)
 
     def family(offset: int, sign: int):
         support = _quadratic_support(

@@ -63,6 +63,7 @@ from .params import CGParams, Phase, as_phase, params_from_n, wrap_weight
 from .qseries import (
     Backend,
     GenSeries,
+    _as_cutoff,
     _expand_product,
     _times_euler_inverse,
     max_abs_coeff_diff,
@@ -93,9 +94,9 @@ def _flux_series(params, weight, cutoff, backend: Backend, form="integer") -> Ge
     """Euler-completed flux sum of `params` with weight table `weight`.
 
     Exponents are built as Fractions and coerced once, in either backend."""
-    cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
     theta = _flux_theta(
-        params, weight, cutoff_c, _exponent(params, exact=True), backend, form
+        params, weight, _as_cutoff(cutoff, backend), _exponent(params, exact=True),
+        backend, form,
     )
     return _times_euler_inverse(theta)
 
@@ -147,13 +148,12 @@ def saw_loop_dense(
     and its t^j term sits at exponent j/2 - 1/24."""
     series = _flux_series(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, backend)
 
-    cutoff_c = Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
     length = math.ceil(2 * Fraction(cutoff) + Fraction(1, 12))
     odd = range(1, length, 2)
     coeffs = _expand_product([s for s in odd for _ in (0, 1)], length)
     closed = GenSeries.from_terms(
         [(Fraction(j, 2) - Fraction(1, 24), c) for j, c in enumerate(coeffs)],
-        cutoff_c,
+        cutoff,
         backend,
     )
 

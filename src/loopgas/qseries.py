@@ -19,6 +19,12 @@ The module also provides the standard building blocks used throughout:
 the Euler product \prod_{r\ge1}(1-q^r), its inverse (the integer-partition
 generating function), the Dedekind eta series q^{1/24}\prod(1-q^r), and a
 numerical check of the eta modular transformation between conjugate moduli.
+
+Every series of the package is theta(q) times \prod(1-q^r)^{-1}.  In the exact
+backend that multiply runs on integers: theta's exponents lie on a lattice
+(1/D)Z and its coefficients on (1/C)Z, and the partition numbers come from
+one table shared by every call.  The floating backend has no lattice and uses
+the generic Cauchy product.
 """
 
 from __future__ import annotations
@@ -65,6 +71,14 @@ def _coerce(x: Number, backend: Backend) -> Number:
     return _as_exact(x) if backend is Backend.EXACT else float(x)
 
 
+def _as_cutoff(cutoff: Number, backend: Backend) -> Number:
+    """A finite cutoff in the backend's number type; exact takes any float as
+    its exact binary value, since a cutoff only bounds exponents."""
+    if isinstance(cutoff, float) and not math.isfinite(cutoff):
+        raise DomainError(f"cutoff must be finite, got {cutoff!r}")
+    return Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
+
+
 @dataclass(frozen=True)
 class GenSeries:
     """Immutable truncated series: sum of coeff * q^exponent below ``cutoff``."""
@@ -87,7 +101,7 @@ class GenSeries:
         at or above the cutoff discarded.  In the floating backend, exponents
         within FLOAT_EXPONENT_TOL of each other are merged.
         """
-        cutoff = _coerce(cutoff, backend)
+        cutoff = _as_cutoff(cutoff, backend)
         acc: dict[Number, Number] = {}
         for e, c in pairs:
             e = _coerce(e, backend)
@@ -109,7 +123,7 @@ class GenSeries:
 
     @staticmethod
     def zero(cutoff: Number, backend: Backend = Backend.EXACT) -> "GenSeries":
-        return GenSeries((), _coerce(cutoff, backend), backend)
+        return GenSeries((), _as_cutoff(cutoff, backend), backend)
 
     @staticmethod
     def constant(
@@ -230,7 +244,7 @@ class GenSeries:
         )
 
     def truncate(self, cutoff: Number) -> "GenSeries":
-        c = _coerce(cutoff, self.backend)
+        c = _as_cutoff(cutoff, self.backend)
         if c > self.cutoff:
             raise DomainError("cannot extend a series by truncating upward")
         return GenSeries(
@@ -312,34 +326,42 @@ def format_number(x: Number) -> str:
 
 def euler_inverse(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:
     r"""\prod_{r\ge1}(1-q^r)^{-1} = \sum_k p(k) q^k with p(k) the partition numbers."""
+    cutoff = _as_cutoff(cutoff, backend)
     if cutoff <= 0:
         raise DomainError("euler_inverse requires cutoff > 0")
-    kmax = max(math.ceil(float(cutoff)) - 1, 0)
-    p = _partition_numbers(kmax)
-    return GenSeries.from_terms(
-        [(k, p[k]) for k in range(kmax + 1)], cutoff, backend
-    )
+    p = _partition_numbers(math.ceil(cutoff) - 1)
+    return GenSeries.from_terms(enumerate(p), cutoff, backend)
+
+
+#: p(0), p(1), ... -- grown on demand by _partition_numbers, never in place.
+_PARTITIONS = [1]
 
 
 def _partition_numbers(kmax: int) -> list[int]:
-    """p(0..kmax) via the pentagonal-number recurrence."""
-    p = [0] * (kmax + 1)
-    p[0] = 1
-    for k in range(1, kmax + 1):
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            g2 = j * (3 * j + 1) // 2
-            if g1 > k:
-                break
-            sign = 1 if j % 2 == 1 else -1
-            total += sign * p[k - g1]
-            if g2 <= k:
-                total += sign * p[k - g2]
-            j += 1
-        p[k] = total
-    return p
+    """p(0..kmax) via the pentagonal-number recurrence, as a fresh list.
+
+    The values come from one module-level table.  A call past its end extends
+    a copy and publishes that, so a list once published never changes."""
+    global _PARTITIONS
+    p = _PARTITIONS
+    if kmax >= len(p):
+        p = p[:]
+        for k in range(len(p), kmax + 1):
+            total = 0
+            j = 1
+            while True:
+                g1 = j * (3 * j - 1) // 2
+                g2 = j * (3 * j + 1) // 2
+                if g1 > k:
+                    break
+                sign = 1 if j % 2 == 1 else -1
+                total += sign * p[k - g1]
+                if g2 <= k:
+                    total += sign * p[k - g2]
+                j += 1
+            p.append(total)
+        _PARTITIONS = p
+    return p[: kmax + 1]
 
 
 def _quadratic_support(f, cutoff: Number, vertex: Number) -> list:
@@ -369,14 +391,47 @@ def _expand_product(steps: Iterable[int], length: int) -> list[int]:
 
 
 def _times_euler_inverse(theta: GenSeries) -> GenSeries:
-    r"""theta * \prod_{r\ge1}(1-q^r)^{-1}, complete up to theta's own cutoff."""
+    r"""theta * \prod_{r\ge1}(1-q^r)^{-1}, complete up to theta's own cutoff.
+
+    Exact: theta's exponents and cutoff lie on a lattice (1/D)Z and its
+    coefficients on (1/C)Z, so the product is integer shift-and-add of the
+    partition numbers: a term a/C q^{n/D} adds a p(k) to grid slot n + kD.
+    Slots are kept as one integer list per residue of n mod D, and the result
+    is built once from them.  Floating exponents have no lattice, so that
+    backend takes the generic multiply."""
     if theta.is_zero:
         return theta
-    return theta * euler_inverse(theta.cutoff - theta.min_exponent, theta.backend)
+    if theta.backend is Backend.FLOAT:
+        return theta * euler_inverse(theta.cutoff - theta.min_exponent, theta.backend)
+    cutoff = Fraction(theta.cutoff)
+    D = math.lcm(cutoff.denominator, *(e.denominator for e, _ in theta.terms))
+    C = math.lcm(*(c.denominator for _, c in theta.terms))
+    top = cutoff.numerator * (D // cutoff.denominator)
+    grid = [(e.numerator * (D // e.denominator), c.numerator * (C // c.denominator))
+            for e, c in theta.terms]
+    # Slot n sits in column n // D of the row for residue n % D.  A term at
+    # slot n reaches slots n + kD < top: k = 0 .. (top - 1 - n) // D.
+    base = grid[0][0] // D
+    width = (top - 1) // D - base + 1
+    p = _partition_numbers((top - 1 - grid[0][0]) // D)
+    rows: dict[int, list[int]] = {}
+    for n, a in grid:
+        row = rows.setdefault(n % D, [0] * width)
+        lo = n // D - base
+        hi = lo + (top - 1 - n) // D + 1
+        row[lo:hi] = [x + a * y for x, y in zip(row[lo:hi], p)]
+    residues = sorted(rows)
+    terms = []
+    for col, vals in enumerate(zip(*(rows[r] for r in residues)), base):
+        for r, v in zip(residues, vals):
+            if v:
+                terms.append(SeriesTerm(Fraction(col * D + r, D), Fraction(v, C)))
+    return GenSeries(tuple(terms), cutoff, Backend.EXACT)
 
 
 def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:
     r"""\prod_{r\ge1}(1-q^r) = \sum_{k\in\mathbb Z}(-1)^k q^{k(3k-1)/2} (Euler)."""
+    cutoff = _as_cutoff(cutoff, backend)
     if cutoff <= 0:
         raise DomainError("pentagonal_series requires cutoff > 0")
     support = _quadratic_support(lambda k: k * (3 * k - 1) // 2, cutoff, 0)
@@ -388,9 +443,10 @@ def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSe
 def euler_product(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:
     r"""\prod_{r\ge1}(1-q^r) by direct product expansion (independent of the
     pentagonal closed form; the two must agree exactly)."""
+    cutoff = _as_cutoff(cutoff, backend)
     if cutoff <= 0:
         raise DomainError("euler_product requires cutoff > 0")
-    length = math.ceil(float(cutoff))
+    length = math.ceil(cutoff)
     coeffs = _expand_product(range(1, length), length)
     return GenSeries.from_terms(enumerate(coeffs), cutoff, backend)
 
@@ -398,11 +454,10 @@ def euler_product(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries
 def dedekind_eta_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:
     r"""q^{1/24}\prod_{r\ge1}(1-q^r); leading term q^{1/24}."""
     shift = Fraction(1, 24) if backend is Backend.EXACT else 1.0 / 24.0
+    cutoff = _as_cutoff(cutoff, backend)
     if cutoff <= shift:
         raise DomainError("dedekind_eta_series requires cutoff > 1/24")
-    return pentagonal_series(
-        _coerce(cutoff, backend) - shift, backend
-    ).shift(shift)
+    return pentagonal_series(cutoff - shift, backend).shift(shift)
 
 
 def eval_at(series: GenSeries, q: float) -> tuple[float, float]:

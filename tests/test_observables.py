@@ -50,6 +50,12 @@ class TestCrossingProbability:
             assert P == oracle.crossing(k)
             assert P == wrap_count_generating(perc, 0.0, k)
 
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_infinite_cutoff_is_a_domain_error(self, backend):
+        # the floating flux walk would otherwise never reach the cutoff
+        with pytest.raises(DomainError, match="finite"):
+            crossing_probability(math.inf, backend)
+
     def test_value_at_half(self):
         v, tail = crossing_probability(64).eval_at(0.5)
         assert 0.0 < v < 1.0 and tail < 1e-12

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopgas
 from loopgas import (
     Backend,
     DomainError,
@@ -20,6 +24,7 @@ from loopgas import (
     eval_at,
     max_abs_coeff_diff,
     pentagonal_series,
+    qseries,
 )
 from loopgas.errors import BackendMismatchError
 
@@ -122,6 +127,70 @@ class TestEulerInverse:
     def test_domain(self):
         with pytest.raises(DomainError):
             euler_inverse(0)
+
+
+class TestPartitionTable:
+    def test_known_values(self):
+        assert qseries._partition_numbers(100)[-1] == 190569292
+        assert (qseries._partition_numbers(1000)[-1]
+                == 24061467864032622473692149727991)
+
+    def test_prefix_after_a_longer_call(self):
+        qseries._partition_numbers(1000)
+        assert qseries._partition_numbers(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+    def test_returned_list_is_a_copy(self):
+        p = qseries._partition_numbers(20)
+        p[5] = -1
+        p.append(0)
+        assert qseries._partition_numbers(21)[5:] == [7, 11, 15, 22, 30, 42, 56, 77,
+                                                      101, 135, 176, 231, 297, 385,
+                                                      490, 627, 792]
+
+    def test_nothing_computed_at_import(self):
+        code = "import loopgas, loopgas.cli; print(len(loopgas.qseries._PARTITIONS))"
+        src = os.path.dirname(os.path.dirname(loopgas.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "1"
+
+
+class TestExactCutoff:
+    def test_cutoff_just_above_an_integer_keeps_the_last_term(self):
+        c = F(10**17 + 1, 10**17)
+        assert euler_inverse(c) == S([(0, 1), (1, 1)], c)
+        assert euler_product(c) == pentagonal_series(c) == S([(0, 1), (1, -1)], c)
+
+    def test_float_cutoff_is_taken_exactly(self):
+        for make in (euler_inverse, euler_product, pentagonal_series,
+                     dedekind_eta_series):
+            assert make(7.5) == make(F(15, 2))
+        assert euler_product(7.5) == pentagonal_series(7.5)
+        assert euler_inverse(10).truncate(7.5) == euler_inverse(F(15, 2))
+        assert GenSeries.zero(7.5) == GenSeries.zero(F(15, 2))
+
+    def test_float_coefficients_still_must_be_integral(self):
+        with pytest.raises(DomainError):
+            S([(0, 0.5)], 5)
+        with pytest.raises(DomainError):
+            S([(0.5, 1)], 5)
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    @pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan])
+    def test_non_finite_cutoff_is_a_domain_error(self, cutoff, backend):
+        makers = (
+            lambda: GenSeries.zero(cutoff, backend),
+            lambda: GenSeries.from_terms([(0, 1)], cutoff, backend),
+            lambda: euler_inverse(10, backend).truncate(cutoff),
+            lambda: euler_inverse(cutoff, backend),
+            lambda: euler_product(cutoff, backend),
+            lambda: pentagonal_series(cutoff, backend),
+            lambda: dedekind_eta_series(cutoff, backend),
+        )
+        for make in makers:
+            with pytest.raises(DomainError, match="finite"):
+                make()
 
 
 class TestPentagonal:
@@ -251,6 +320,50 @@ def test_mul_associates_below_common_cutoff(a, b, c):
 def test_distributes_below_common_cutoff(a, b, c):
     x, y = common_truncate(a * (b + c), a * b + a * c)
     assert x == y
+
+
+# -- the Euler multiply on the exponent lattice ---------------------------------
+
+lattice_exponents = st.sampled_from([1, 2, 3, 8, 24, 48, 120]).flatmap(
+    lambda d: st.integers(-4 * d, 16 * d).map(lambda n: F(n, d))
+)
+lattice_theta = st.builds(
+    lambda pairs, cancel, cutoff: S(
+        pairs + [(e + 1, -c) for e, c in pairs[:cancel]], cutoff
+    ),
+    st.lists(st.tuples(lattice_exponents, coefficients), min_size=0, max_size=8),
+    st.integers(min_value=0, max_value=3),
+    st.fractions(min_value=F(1, 3), max_value=20, max_denominator=11),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattice_theta)
+def test_lattice_euler_multiply_matches_generic_product(theta):
+    """The exact kernel against theta times the partition series.  A term
+    (e + 1, -c) next to (e, c) cancels slot e + 1, since p(1) = p(0)."""
+    expected = (theta if theta.is_zero
+                else theta * euler_inverse(theta.cutoff - theta.min_exponent))
+    assert qseries._times_euler_inverse(theta) == expected
+
+
+class TestLatticeEulerMultiply:
+    def test_pentagonal_theta_collapses_to_one_term(self):
+        theta = pentagonal_series(F(101, 3)).shift(F(-5, 24))
+        assert (qseries._times_euler_inverse(theta)
+                == S([(F(-5, 24), 1)], F(101, 3) - F(5, 24)))
+
+    def test_exact_backend_bypasses_the_generic_multiply(self, monkeypatch):
+        def generic(*args, **kwargs):
+            raise RuntimeError("generic multiply")
+
+        theta = S([(F(-1, 24), 1), (F(2, 3), F(-3, 2)), (F(7, 8), 4)], F(41, 3))
+        expected = theta * euler_inverse(theta.cutoff - theta.min_exponent)
+        monkeypatch.setattr(GenSeries, "__mul__", generic)
+        with pytest.raises(RuntimeError, match="generic multiply"):
+            qseries._times_euler_inverse(S([(-1 / 24, 1.0)], 10.0, Backend.FLOAT))
+        monkeypatch.setattr(qseries, "euler_inverse", generic)
+        assert qseries._times_euler_inverse(theta) == expected
 
 
 # -- serialization ----------------------------------------------------------------
