@@ -47,7 +47,6 @@ from .qseries import (
     _as_cutoff,
     _quadratic_support,
     _times_euler_inverse,
-    euler_inverse,
 )
 
 _SIN_ZERO_TOL = 1e-9
@@ -95,24 +94,33 @@ def _exponent(params: CGParams, exact: bool):
     return lambda p: g * p * p / 4.0 - (1.0 - g) * p / 2.0 - shift
 
 
+def _exact_ok(
+    params: CGParams, w: Optional[WrapWeight] = None, parity: Optional[str] = None
+) -> bool:
+    """Whether the exact backend can build this flux sum: the coupling is in
+    the exact registry, and n' is rational (for the even sector alone, a
+    rational n'^2 is enough)."""
+    w = default_wrap(params) if w is None else w
+    return params.g_exact is not None and (
+        w.n_prime_exact is not None
+        or parity == "even" and w.n_prime_sq_exact is not None
+    )
+
+
 def _wrap_table(w: WrapWeight, parity: Optional[str], backend: Backend):
     """d_p for p >= 0 as a lookup, exact where the backend demands it.
 
     Even-parity sums only ever touch even-index d_p, which close under the
     step-two recurrence d_{p+2} = (n'^2 - 2) d_p - d_{p-2}; that keeps e.g.
-    n' = sqrt(Q) points exact even though n' itself is irrational.
+    n' = sqrt(Q) points exact even though n' itself is irrational.  An exact
+    table is only asked for where `_exact_ok` holds.
     """
     if backend is Backend.FLOAT:
         return _recurrence(w.n_prime, 1.0, float(w.n_prime))
     if w.n_prime_exact is not None:
         return _recurrence(w.n_prime_exact, Fraction(1), Fraction(w.n_prime_exact))
-    if parity == "even" and w.n_prime_sq_exact is not None:
-        sq = w.n_prime_sq_exact
-        return _recurrence(sq - 2, Fraction(1), sq - 1, 2)
-    raise DomainError(
-        "exact backend needs a rational wrap weight (or rational n'^2 for the "
-        "even-parity sector); use the floating backend for this point"
-    )
+    sq = w.n_prime_sq_exact
+    return _recurrence(sq - 2, Fraction(1), sq - 1, 2)
 
 
 def _flux_range(params: CGParams, cutoff, exponent) -> list:
@@ -178,10 +186,11 @@ def flux_sum(
     if form == "null_pairs" and parity is not None:
         raise DomainError("parity restriction applies to the integer-flux form only")
     exact = backend is Backend.EXACT
-    if exact and params.g_exact is None:
+    if exact and not _exact_ok(params, w, parity):
         raise DomainError(
-            "exact backend requires an exact-registry coupling; "
-            "use the floating backend for this parameter point"
+            "exact backend needs an exact-registry coupling and a rational wrap "
+            "weight (or rational n'^2 for the even-parity sector); use the "
+            "floating backend for this point"
         )
     exponent = _exponent(params, exact)
     cutoff_c = _as_cutoff(cutoff, backend)
@@ -236,7 +245,7 @@ def partition_naive(
     at chi' = chi."""
     if w is None:
         w = default_wrap(params)
-    cutoff_f = float(cutoff)
+    cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
     exponent = _exponent(params, exact=False)
     if not exponent(0) < cutoff_f:
         raise DomainError("cutoff excludes the p=0 term; increase it")
@@ -268,7 +277,7 @@ def partition_crossed(
     if w is None:
         w = default_wrap(params)
     g = params.g
-    cutoff_f = float(cutoff)
+    cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
     pref = math.sqrt(2.0 / g)
     s = math.sin(w.chi_prime)
 
@@ -285,9 +294,7 @@ def partition_crossed(
     if not pairs:
         raise DomainError("cutoff excludes the leading crossed-channel term")
     theta = GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT)
-    e0 = theta.min_exponent
-    eul2 = euler_inverse((cutoff_f - e0) / 2.0, Backend.FLOAT).dilate(2.0)
-    return theta * eul2
+    return _times_euler_inverse(theta, 2)
 
 
 def _crossed_limit_pairs(params, w, cutoff_f, pref):
@@ -332,33 +339,44 @@ def duality_check(
 
     Agreement validates the whole Poisson-resummation derivation; disagreement
     beyond tolerance would mean an inconsistent pair of series."""
+    return _duality_evaluator(params, w, cutoff, tol)(ratio)
+
+
+def _duality_evaluator(params: CGParams, w: Optional[WrapWeight], cutoff, tol: float):
+    """ratio -> ChannelEval for one model.  Both channels are built once, at
+    the first ratio that passes the range check, and reused for the rest."""
     if w is None:
         w = default_wrap(params)
-    if not (0.2 <= ratio <= 5.0):
-        raise DomainError("ratio must lie in [0.2, 5] for both channels to converge")
-    q = math.exp(-math.pi * ratio)
-    qt = math.exp(-2.0 * math.pi / ratio)
-    try:
-        direct = partition_direct(params, w, cutoff, Backend.EXACT)
-    except DomainError:
-        direct = partition_direct(params, w, cutoff, Backend.FLOAT)
-    crossed = partition_crossed(params, w, cutoff)
-    dv, dt = direct.eval_at(q)
-    cv, ct = crossed.eval_at(qt)
-    if dt > tol or ct > tol:
-        raise TailBoundError(
-            f"tail bounds ({dt:.2e}, {ct:.2e}) exceed {tol:.1e} at order "
-            f"{cutoff}; increase the cutoff"
+    channels = []
+
+    def evaluate(ratio: float) -> ChannelEval:
+        if not (0.2 <= ratio <= 5.0):
+            raise DomainError("ratio must lie in [0.2, 5] for both channels to converge")
+        if not channels:
+            backend = Backend.EXACT if _exact_ok(params, w) else Backend.FLOAT
+            channels.extend([partition_direct(params, w, cutoff, backend),
+                             partition_crossed(params, w, cutoff)])
+        direct, crossed = channels
+        q = math.exp(-math.pi * ratio)
+        qt = math.exp(-2.0 * math.pi / ratio)
+        dv, dt = direct.eval_at(q)
+        cv, ct = crossed.eval_at(qt)
+        if dt > tol or ct > tol:
+            raise TailBoundError(
+                f"tail bounds ({dt:.2e}, {ct:.2e}) exceed {tol:.1e} at order "
+                f"{cutoff}; increase the cutoff"
+            )
+        return ChannelEval(
+            ratio=float(ratio),
+            q=q,
+            q_tilde=qt,
+            direct_value=dv,
+            crossed_value=cv,
+            residual=abs(dv - cv),
+            tail_bounds=(dt, ct),
         )
-    return ChannelEval(
-        ratio=float(ratio),
-        q=q,
-        q_tilde=qt,
-        direct_value=dv,
-        crossed_value=cv,
-        residual=abs(dv - cv),
-        tail_bounds=(dt, ct),
-    )
+
+    return evaluate
 
 
 # -- boundary data ------------------------------------------------------------

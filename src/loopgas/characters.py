@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BackendMismatchError, DecompositionError, DomainError, IdentityError
+from .errors import DecompositionError, DomainError, IdentityError
 from .qseries import (
     Backend,
     GenSeries,
@@ -119,11 +119,8 @@ def decompose(
     eff = Z.cutoff if cutoff is None else min(Z.cutoff, cutoff)
     chars = {}
     for i in order:
-        ch = rocha_caridi(basis[i], eff, Z.backend)
-        if Z.backend is not ch.backend:
-            raise BackendMismatchError("Z and characters must share a backend")
-        chars[i] = ch
-        eff = min(eff, ch.cutoff)
+        chars[i] = rocha_caridi(basis[i], eff, Z.backend)
+        eff = min(eff, chars[i].cutoff)
 
     remainder = Z.truncate(eff)
     coeffs: dict[CharacterSpec, object] = {}

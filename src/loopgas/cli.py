@@ -43,12 +43,11 @@ EXIT_IDENTITY = 4
 EXIT_TAIL = 5
 
 
-def _resolve_backend(args, params) -> Backend:
-    if args.backend == "exact":
-        return Backend.EXACT
-    if args.backend == "floating":
-        return Backend.FLOAT
-    return Backend.EXACT if params.g_exact is not None else Backend.FLOAT
+def _resolve_backend(args, params, w) -> Backend:
+    if args.backend == "auto":
+        exact = annulus._exact_ok(params, w, args.parity)
+        return Backend.EXACT if exact else Backend.FLOAT
+    return Backend.EXACT if args.backend == "exact" else Backend.FLOAT
 
 
 def _csv(header, rows) -> str:
@@ -100,18 +99,19 @@ def _model(args):
     return params, w
 
 
+def _direct(args, params, w, backend: Backend):
+    """The direct-channel series, restricted to --parity when it is given."""
+    if args.parity is None:
+        return annulus.partition_direct(params, w, args.order, backend)
+    return annulus.partition_direct_parity(params, w, args.order, args.parity, backend)
+
+
 def _cmd_partition(args) -> str:
     params, w = _model(args)
     if args.naive:
         series = annulus.partition_naive(params, w, args.order)
-    elif args.parity is not None:
-        series = annulus.partition_direct_parity(
-            params, w, args.order, args.parity, _resolve_backend(args, params)
-        )
     else:
-        series = annulus.partition_direct(
-            params, w, args.order, _resolve_backend(args, params)
-        )
+        series = _direct(args, params, w, _resolve_backend(args, params, w))
     return _series_payload(series, args.format)
 
 
@@ -144,12 +144,7 @@ def _minimal_model_basis(params) -> list[characters.CharacterSpec]:
 def _cmd_characters(args) -> str:
     params, w = _model(args)
     basis = _minimal_model_basis(params)
-    if args.parity is not None:
-        Z = annulus.partition_direct_parity(
-            params, w, args.order, args.parity, Backend.EXACT
-        )
-    else:
-        Z = annulus.partition_direct(params, w, args.order, Backend.EXACT)
+    Z = _direct(args, params, w, Backend.EXACT)
     payload = characters.decomposition_to_json(characters.decompose(Z, basis))
     if args.format == "csv":
         m = payload["model"]
@@ -189,10 +184,10 @@ def _cmd_boundary(args) -> str:
 def _duality_rows(args):
     if args.n is None or args.phase is None:
         raise DomainError("duality sweep requires --n and --phase")
-    params, w = _model(args)
+    evaluate = annulus._duality_evaluator(*_model(args), args.order, args.tol)
 
     def row(ratio: float) -> dict:
-        ev = annulus.duality_check(params, w, ratio, args.order, args.tol)
+        ev = evaluate(ratio)
         if ev.residual > args.tol:
             raise IdentityError(
                 f"channel duality violated: residual {ev.residual:.3e} > {args.tol:.1e}"

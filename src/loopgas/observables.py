@@ -63,10 +63,10 @@ from .params import CGParams, Phase, as_phase, params_from_n, wrap_weight
 from .qseries import (
     Backend,
     GenSeries,
+    SeriesTerm,
     _as_cutoff,
     _expand_product,
     _times_euler_inverse,
-    max_abs_coeff_diff,
 )
 
 _PERCOLATION = params_from_n(1.0, Phase.DENSE)
@@ -114,8 +114,6 @@ def wrap_count_generating(
     Polynomial in n' of the flux degeneracies, so wrap-number distributions
     follow by finite differencing in n' (Chebyshev-basis inversion is the
     natural route; left to the caller)."""
-    if not (-2.0 <= float(n_prime) <= 2.0):
-        raise DomainError("wrap weight must satisfy |n'| <= 2")
     return partition_direct(
         params, wrap_weight(params.phase, n_prime), cutoff, backend
     )
@@ -145,8 +143,9 @@ def saw_loop_dense(
     are compared term by term and a mismatch raises IdentityError.  The
     product q^{-1/24} prod_{m>=1}(1 - q^{m-1/2})^2 is expanded directly on
     the q^{1/2} grid: in t = q^{1/2} it is prod over odd s of (1 - t^s)^2,
-    and its t^j term sits at exponent j/2 - 1/24."""
-    series = _flux_series(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, backend)
+    and its t^j term sits at exponent j/2 - 1/24.  Both forms are built and
+    compared exactly; the floating backend converts each term once."""
+    series = _flux_series(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, Backend.EXACT)
 
     length = math.ceil(2 * Fraction(cutoff) + Fraction(1, 12))
     odd = range(1, length, 2)
@@ -154,19 +153,19 @@ def saw_loop_dense(
     closed = GenSeries.from_terms(
         [(Fraction(j, 2) - Fraction(1, 24), c) for j, c in enumerate(coeffs)],
         cutoff,
-        backend,
     )
 
     eff = min(series.cutoff, closed.cutoff)
-    same = (
-        series.truncate(eff) == closed.truncate(eff)
-        if backend is Backend.EXACT
-        else max_abs_coeff_diff(series, closed) < 1e-9
-    )
-    if not same:
+    if series.truncate(eff) != closed.truncate(eff):
         raise IdentityError(
             "dense wrapping-loop forms disagree: Jacobi triple product "
             "instance failed"
+        )
+    if backend is Backend.FLOAT:
+        series, closed = (
+            GenSeries(tuple(SeriesTerm(float(e), float(c)) for e, c in s),
+                      float(s.cutoff), backend)
+            for s in (series, closed)
         )
     return series, closed
 

@@ -51,24 +51,26 @@ def as_phase(phase: Union[Phase, str]) -> Phase:
         raise DomainError(f"unknown phase {phase!r}; expected 'dilute' or 'dense'")
 
 
-# chi/pi = a/b angles with rational cos^2; value -> (chi_over_pi, n_exact or None)
-# n = 2 cos(pi a/b); n_exact is a Fraction only when 2 cos is rational.
-_EXACT_ANGLES: list[tuple[Fraction, Optional[Fraction]]] = [
-    (Fraction(0), Fraction(2)),        # n = 2
-    (Fraction(1, 6), None),            # n = sqrt(3)
-    (Fraction(1, 4), None),            # n = sqrt(2)
-    (Fraction(1, 3), Fraction(1)),     # n = 1
-    (Fraction(1, 2), Fraction(0)),     # n = 0
-    (Fraction(2, 3), Fraction(-1)),    # n = -1
-    (Fraction(3, 4), None),            # n = -sqrt(2)
-    (Fraction(5, 6), None),            # n = -sqrt(3)
+# chi/pi = a/b angles with rational cos^2: (chi_over_pi, n_exact or None, n^2)
+# n = 2 cos(pi a/b); n_exact is a Fraction only when 2 cos is rational, while
+# n^2 = 2 + 2 cos(2 pi a/b) is rational at every entry.
+_Angle = tuple[Fraction, Optional[Fraction], Fraction]
+_EXACT_ANGLES: list[_Angle] = [
+    (Fraction(0), Fraction(2), Fraction(4)),        # n = 2
+    (Fraction(1, 6), None, Fraction(3)),            # n = sqrt(3)
+    (Fraction(1, 4), None, Fraction(2)),            # n = sqrt(2)
+    (Fraction(1, 3), Fraction(1), Fraction(1)),     # n = 1
+    (Fraction(1, 2), Fraction(0), Fraction(0)),     # n = 0
+    (Fraction(2, 3), Fraction(-1), Fraction(1)),    # n = -1
+    (Fraction(3, 4), None, Fraction(2)),            # n = -sqrt(2)
+    (Fraction(5, 6), None, Fraction(3)),            # n = -sqrt(3)
 ]
 
 
-def _match_exact_angle(n: float) -> Optional[tuple[Fraction, Optional[Fraction]]]:
-    for frac, n_exact in _EXACT_ANGLES:
-        if abs(n - 2.0 * math.cos(math.pi * float(frac))) < _MATCH_TOL:
-            return frac, n_exact
+def _match_exact_angle(n: float) -> Optional[_Angle]:
+    for angle in _EXACT_ANGLES:
+        if abs(n - 2.0 * math.cos(math.pi * float(angle[0]))) < _MATCH_TOL:
+            return angle
     return None
 
 
@@ -132,17 +134,9 @@ def params_from_n(n: float, phase: Union[Phase, str]) -> CGParams:
     g_exact = n_exact = n_sq_exact = None
     hit = _match_exact_angle(n)
     if hit is not None:
-        frac, n_exact = hit
-        chi_over_pi = -frac if phase is Phase.DILUTE else frac
-        g_exact = 1 - chi_over_pi
-        n_sq_exact = 2 + 2 * _cos_two_pi_frac(frac)
+        frac, n_exact, n_sq_exact = hit
+        g_exact = 1 + frac if phase is Phase.DILUTE else 1 - frac
     return CGParams(n, phase, chi, g, c, m0, g_exact, n_exact, n_sq_exact)
-
-
-def _cos_two_pi_frac(frac: Fraction) -> Fraction:
-    """cos(2 pi a/b) for the registry angles; rational by construction."""
-    val = math.cos(2.0 * math.pi * float(frac))
-    return Fraction(round(val * 2), 2)
 
 
 def wrap_weight(phase: Union[Phase, str], n_prime: float) -> WrapWeight:
@@ -161,8 +155,7 @@ def wrap_weight(phase: Union[Phase, str], n_prime: float) -> WrapWeight:
     else:
         hit = _match_exact_angle(n_prime)
         if hit is not None:
-            frac, n_prime_exact = hit
-            n_prime_sq_exact = 2 + 2 * _cos_two_pi_frac(frac)
+            _, n_prime_exact, n_prime_sq_exact = hit
     return WrapWeight(n_prime, chi_prime, n_prime_exact, n_prime_sq_exact)
 
 

@@ -20,10 +20,11 @@ the Euler product \prod_{r\ge1}(1-q^r), its inverse (the integer-partition
 generating function), the Dedekind eta series q^{1/24}\prod(1-q^r), and a
 numerical check of the eta modular transformation between conjugate moduli.
 
-Every series of the package is theta(q) times \prod(1-q^r)^{-1}.  In the exact
-backend that multiply runs on integers: theta's exponents lie on a lattice
-(1/D)Z and its coefficients on (1/C)Z, and the partition numbers come from
-one table shared by every call.  The floating backend has no lattice and uses
+Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
+\prod(1-q^{2r})^{-1} in the crossed channel's qtilde.  In the exact backend
+that multiply runs on integers: theta's exponents lie on a lattice (1/D)Z and
+its coefficients on (1/C)Z, and the partition numbers come from one table
+shared by every call.  The floating backend has no lattice and uses
 the generic Cauchy product.
 """
 
@@ -390,19 +391,20 @@ def _expand_product(steps: Iterable[int], length: int) -> list[int]:
     return a
 
 
-def _times_euler_inverse(theta: GenSeries) -> GenSeries:
-    r"""theta * \prod_{r\ge1}(1-q^r)^{-1}, complete up to theta's own cutoff.
+def _times_euler_inverse(theta: GenSeries, step: int = 1) -> GenSeries:
+    r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1}, complete up to theta's own cutoff.
 
     Exact: theta's exponents and cutoff lie on a lattice (1/D)Z and its
     coefficients on (1/C)Z, so the product is integer shift-and-add of the
-    partition numbers: a term a/C q^{n/D} adds a p(k) to grid slot n + kD.
-    Slots are kept as one integer list per residue of n mod D, and the result
-    is built once from them.  Floating exponents have no lattice, so that
-    backend takes the generic multiply."""
+    partition numbers: a term a/C q^{n/D} adds a p(k) to grid slot
+    n + k step D.  Slots are kept as one integer list per residue of n mod D,
+    and the result is built once from them.  Floating exponents have no
+    lattice, so that backend takes the generic multiply."""
     if theta.is_zero:
         return theta
     if theta.backend is Backend.FLOAT:
-        return theta * euler_inverse(theta.cutoff - theta.min_exponent, theta.backend)
+        span = theta.cutoff - theta.min_exponent
+        return theta * euler_inverse(span / step, theta.backend).dilate(step)
     cutoff = Fraction(theta.cutoff)
     D = math.lcm(cutoff.denominator, *(e.denominator for e, _ in theta.terms))
     C = math.lcm(*(c.denominator for _, c in theta.terms))
@@ -410,16 +412,17 @@ def _times_euler_inverse(theta: GenSeries) -> GenSeries:
     grid = [(e.numerator * (D // e.denominator), c.numerator * (C // c.denominator))
             for e, c in theta.terms]
     # Slot n sits in column n // D of the row for residue n % D.  A term at
-    # slot n reaches slots n + kD < top: k = 0 .. (top - 1 - n) // D.
+    # slot n reaches slots n + k step D < top: every step-th column from its
+    # own, for k = 0 .. (top - 1 - n) // (step D).
     base = grid[0][0] // D
     width = (top - 1) // D - base + 1
-    p = _partition_numbers((top - 1 - grid[0][0]) // D)
+    p = _partition_numbers((top - 1 - grid[0][0]) // (step * D))
     rows: dict[int, list[int]] = {}
     for n, a in grid:
         row = rows.setdefault(n % D, [0] * width)
         lo = n // D - base
-        hi = lo + (top - 1 - n) // D + 1
-        row[lo:hi] = [x + a * y for x, y in zip(row[lo:hi], p)]
+        hi = lo + (top - 1 - n) // (step * D) * step + 1
+        row[lo:hi:step] = [x + a * y for x, y in zip(row[lo:hi:step], p)]
     residues = sorted(rows)
     terms = []
     for col, vals in enumerate(zip(*(rows[r] for r in residues)), base):

@@ -1,16 +1,23 @@
 """Direct/crossed channels, duality, parity sectors, boundary entropy."""
 
 import math
+import os
+import resource
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
 
+import loopgas
 from loopgas import (
     Backend,
     DomainError,
     GenSeries,
     IdentityError,
     TailBoundError,
+    annulus,
     asymptote_fit,
     boundary_g_factor,
     duality_check,
@@ -136,6 +143,47 @@ class TestCoefficientStructure:
     def test_potts3_full_sum_requires_float(self):
         with pytest.raises(DomainError):
             partition_direct(POTTS3, cutoff=20, backend=Backend.EXACT)
+
+
+class TestExactRule:
+    """`annulus._exact_ok` is the one statement of when the exact backend
+    runs; every caller that picks a backend asks it."""
+
+    def test_predicate_matches_exact_flux_sum(self):
+        registry = [2.0, math.sqrt(3), math.sqrt(2), 1.0, 0.0, -1.0,
+                    -math.sqrt(2), -math.sqrt(3)]
+        wraps = [None, 0.0, 0.5, 1.0, 2.0, -2.0, math.sqrt(2), -math.sqrt(2),
+                 math.sqrt(3), -math.sqrt(3), 0.3]
+        disagree = []
+        for n in registry + [0.7, -1.3]:
+            for phase in ("dilute", "dense"):
+                params = params_from_n(n, phase)
+                for n_prime in wraps:
+                    w = None if n_prime is None else wrap_weight(phase, n_prime)
+                    for parity in (None, "even", "odd"):
+                        try:
+                            flux_sum(params, w, 8, parity, Backend.EXACT)
+                            built = True
+                        except DomainError:
+                            built = False
+                        if annulus._exact_ok(params, w, parity) != built:
+                            disagree.append((n, phase, n_prime, parity))
+        assert not disagree
+
+    def test_duality_check_asks_the_rule(self, monkeypatch):
+        backends = []
+        real = annulus.partition_direct
+
+        def recording(params, w, cutoff, backend):
+            backends.append(backend)
+            return real(params, w, cutoff, backend)
+
+        monkeypatch.setattr(annulus, "partition_direct", recording)
+        duality_check(params_from_n(1.5, "dilute"), ratio=0.7)
+        duality_check(POTTS3, ratio=1.0)  # registry coupling, irrational n'
+        duality_check(ISING, wrap_weight("dilute", 0.3), ratio=1.0)
+        duality_check(ISING, ratio=1.0)
+        assert backends == [Backend.FLOAT] * 3 + [Backend.EXACT]
 
 
 class TestNaive:
@@ -278,3 +326,31 @@ class TestCutoffGuards:
     def test_crossed_cutoff_guard(self):
         with pytest.raises(DomainError):
             partition_crossed(DENSE0, cutoff=-1)
+
+    def test_non_finite_cutoff_in_float_builders(self):
+        """partition_naive and partition_crossed refuse inf, -inf and NaN.
+        A +inf cutoff once walked flux sectors without end, so the check runs
+        in a child process with a time and an address-space limit."""
+        code = textwrap.dedent("""
+            import math
+            from loopgas import (DomainError, params_from_n, partition_crossed,
+                                 partition_naive)
+            params = params_from_n(1.0, "dilute")
+            for build in (partition_naive, partition_crossed):
+                for cutoff in (math.inf, -math.inf, math.nan):
+                    try:
+                        build(params, None, cutoff)
+                    except DomainError:
+                        continue
+                    raise SystemExit(f"{build.__name__}({cutoff}) did not raise")
+        """)
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = os.path.dirname(os.path.dirname(loopgas.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 import loopgas
-from loopgas import CharacterSpec, GenSeries, decompose
+from loopgas import CharacterSpec, GenSeries, annulus, cli, decompose
 from loopgas.cli import main
 
 
@@ -57,6 +58,29 @@ class TestPartition:
         )
         assert code == 0
         assert json.loads(out)["terms"][0]["exponent"] == "-1/30"
+
+
+    @pytest.mark.parametrize("n", ["1.7320508075688772", "-1.7320508075688772",
+                                   "1.4142135623730951", "-1.4142135623730951"])
+    @pytest.mark.parametrize("parity", [None, "odd"])
+    def test_auto_falls_back_to_floating_at_irrational_n(self, capsys, n, parity):
+        argv = ["partition", "--n", n, "--phase", "dense", "--order", "20"]
+        code, out, _ = run(capsys, *argv, *(["--parity", parity] if parity else []))
+        assert code == 0
+        assert json.loads(out)["backend"] == "floating"
+
+    def test_auto_stays_exact_where_the_sector_is_rational(self, capsys):
+        args = ("partition", "--n", "1.7320508075688772", "--phase", "dense",
+                "--order", "20")
+        code, out, _ = run(capsys, *args, "--parity", "even")
+        assert code == 0 and json.loads(out)["backend"] == "exact-rational"
+        code, out, _ = run(capsys, "partition", "--n", "1", "--phase", "dense",
+                           "--n-prime", "0.3", "--order", "20")
+        assert code == 0 and json.loads(out)["backend"] == "floating"
+
+    def test_backend_rule_lives_in_annulus(self):
+        assert "g_exact" not in inspect.getsource(cli._resolve_backend)
+        assert "except DomainError" not in inspect.getsource(annulus)
 
 
 class TestDuality:
@@ -188,6 +212,40 @@ class TestSweep:
         rows = json.loads(out)
         assert len(rows) == 3
         assert all(r["residual"] < 1e-8 for r in rows)
+
+    # stdout sha256 recorded while every row still rebuilt both channels
+    @pytest.mark.parametrize("n,digest", [
+        ("1", "9ddfd39703e5577658f49e2f794d62eb70a72ade2e1d564a15fb6acede34a5ab"),
+        ("1.7320508075688772",
+         "a96c606d5966ab4e2b8cd236dc76ba2f9593a47962c6f6460b5dc4d48dd6a09e"),
+    ], ids=["exact-direct", "floating-direct"])
+    def test_duality_sweep_builds_each_channel_once(self, capsys, monkeypatch,
+                                                    n, digest):
+        calls = {"partition_direct": 0, "partition_crossed": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(annulus, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(annulus, name, counted)
+        code, out, _ = run(
+            capsys, "sweep", "--target", "duality", "--n", n, "--phase",
+            "dilute" if n == "1" else "dense", "--values", "0.5,1,2",
+            "--order", "64",
+        )
+        assert code == 0
+        assert calls == {"partition_direct": 1, "partition_crossed": 1}
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_duality_sweep_checks_ratio_before_building(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a channel for an out-of-range ratio")
+
+        monkeypatch.setattr(annulus, "partition_crossed", refuse)
+        code, _, err = run(
+            capsys, "sweep", "--target", "duality", "--n", "1", "--phase",
+            "dilute", "--values", "7,1", "--order", "64",
+        )
+        assert code == 3 and "ratio" in err
 
     def test_saw_crossed_ratio_tends_to_one(self, capsys):
         code, out, _ = run(

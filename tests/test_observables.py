@@ -8,6 +8,7 @@ import pytest
 from loopgas import (
     Backend,
     DomainError,
+    IdentityError,
     TailBoundError,
     asymptote_fit,
     central_charge_slope_at_zero,
@@ -25,6 +26,7 @@ from loopgas import (
     wrap_count_generating,
     wrap_weight,
 )
+from loopgas import observables
 from loopgas.annulus import partition_crossed
 
 import series_oracle as oracle
@@ -213,13 +215,34 @@ class TestSawDense:
             assert series == closed == oracle.saw_dense(k)
 
     def test_float_backend_matches_exact(self):
-        # the series half's float exponents come from float additions and sit
-        # an ulp away from the closed form's; the check must still pass
         exact = saw_loop_dense(64)
         floating = saw_loop_dense(64, Backend.FLOAT)
         for f, e in zip(floating, exact):
             assert f.backend is Backend.FLOAT
             assert max_abs_coeff_diff(f, e) < 1e-9
+
+    @pytest.mark.parametrize("order", [279, 300, 1024])
+    def test_float_backend_is_the_rounded_exact_pair(self, order):
+        # from order 279 the coefficients pass 2^53, where only an exact
+        # comparison of the two halves tells rounding from a failed identity
+        exact = saw_loop_dense(order)
+        floating = saw_loop_dense(order, Backend.FLOAT)
+        for f, e in zip(floating, exact):
+            assert f.backend is Backend.FLOAT and f.cutoff == float(e.cutoff)
+            assert f.terms == tuple((float(x), float(c)) for x, c in e.terms)
+
+    @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+    def test_perturbed_closed_form_fails_the_check(self, monkeypatch, backend):
+        real = observables._expand_product
+
+        def perturbed(steps, length):
+            coeffs = real(steps, length)
+            coeffs[-1] += 1
+            return coeffs
+
+        monkeypatch.setattr(observables, "_expand_product", perturbed)
+        with pytest.raises(IdentityError):
+            saw_loop_dense(64, backend)
 
     def test_leading_and_second_closed_terms(self):
         _, closed = saw_loop_dense(5)

@@ -338,13 +338,15 @@ lattice_theta = st.builds(
 
 
 @settings(max_examples=80, deadline=None)
-@given(lattice_theta)
-def test_lattice_euler_multiply_matches_generic_product(theta):
-    """The exact kernel against theta times the partition series.  A term
-    (e + 1, -c) next to (e, c) cancels slot e + 1, since p(1) = p(0)."""
+@given(lattice_theta, st.sampled_from([1, 2, 3]))
+def test_lattice_euler_multiply_matches_generic_product(theta, step):
+    """The exact kernel against theta times the partition series in q^step
+    (step 2 is the crossed channel's prod(1 - qtilde^{2r})^{-1}).  At step 1
+    a term (e + 1, -c) next to (e, c) cancels slot e + 1, since p(1) = p(0)."""
+    span = theta.cutoff - theta.min_exponent
     expected = (theta if theta.is_zero
-                else theta * euler_inverse(theta.cutoff - theta.min_exponent))
-    assert qseries._times_euler_inverse(theta) == expected
+                else theta * euler_inverse(span / step).dilate(step))
+    assert qseries._times_euler_inverse(theta, step) == expected
 
 
 class TestLatticeEulerMultiply:
