@@ -266,6 +266,41 @@ def _crossed_exponent(params: CGParams, u: float) -> float:
     )
 
 
+def _crossed_table(params: CGParams, w: WrapWeight):
+    """The crossed summand as (u, vertex, weight): term m sits at
+    qtilde^{_crossed_exponent(u(m))}, least at m = vertex, with coefficient
+    weight(m).  At sin(chi') = 0 (n' = +-2) the m and -m (chi' = 0) or m and
+    -1-m (chi' = +-pi) terms are paired and the limit taken: j >= 0 carries
+    2 cos(u/g)/(g cos(chi')) per pair (half at u = 0), weight(j < 0) is None,
+    and the pairing's ln(qtilde) coefficient 2 u sin(u/g)/(pi^2 g cos(chi'))
+    must vanish for a pure power series."""
+    g, chi_p = params.g, w.chi_prime
+    pref = math.sqrt(2.0 / g)
+    s = math.sin(chi_p)
+    if abs(s) > _SIN_ZERO_TOL:
+        u = lambda m: chi_p + 2.0 * math.pi * m
+        return u, -chi_p / (2.0 * math.pi), lambda m: pref * math.sin(u(m) / g) / s
+    s0 = math.cos(chi_p)  # +1 at chi'=0, -1 at chi'=+-pi
+    at_zero = abs(chi_p) < 1.0
+    u = (lambda j: 2.0 * math.pi * j) if at_zero else (lambda j: math.pi * (2 * j + 1))
+
+    def weight(j):
+        if j < 0:
+            return None
+        uj = u(j)
+        pair = 1.0 if uj == 0.0 else 2.0
+        ln_coeff = pair * uj * math.sin(uj / g) / (math.pi**2 * g * s0)
+        if abs(ln_coeff) > 1e-9:
+            raise IdentityError(
+                f"crossed channel develops a ln(qtilde) term (coefficient "
+                f"{ln_coeff:.3e}) at n' = {w.n_prime}; no pure power series "
+                "exists -- evaluate in the direct channel"
+            )
+        return pref * pair * math.cos(uj / g) / (g * s0)
+
+    return u, 0 if at_zero else -0.5, weight
+
+
 def partition_crossed(
     params: CGParams, w: Optional[WrapWeight] = None, cutoff=64
 ) -> GenSeries:
@@ -276,56 +311,16 @@ def partition_crossed(
     m = 0 coefficient is the boundary-entropy factor b_0^2."""
     if w is None:
         w = default_wrap(params)
-    g = params.g
+    u, vertex, weight = _crossed_table(params, w)
     cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
-    pref = math.sqrt(2.0 / g)
-    s = math.sin(w.chi_prime)
-
-    if abs(s) > _SIN_ZERO_TOL:
-        u = lambda m: w.chi_prime + 2.0 * math.pi * m
-        support = _quadratic_support(
-            lambda m: _crossed_exponent(params, u(m)),
-            cutoff_f,
-            -w.chi_prime / (2.0 * math.pi),
-        )
-        pairs = [(e, pref * math.sin(u(m) / g) / s) for m, e in support]
-    else:
-        pairs = _crossed_limit_pairs(params, w, cutoff_f, pref)
+    support = _quadratic_support(
+        lambda m: _crossed_exponent(params, u(m)), cutoff_f, vertex
+    )
+    pairs = [(e, c) for m, e in support if (c := weight(m)) is not None]
     if not pairs:
         raise DomainError("cutoff excludes the leading crossed-channel term")
     theta = GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT)
     return _times_euler_inverse(theta, 2)
-
-
-def _crossed_limit_pairs(params, w, cutoff_f, pref):
-    """sin(chi') = 0 (n' = +-2): paired-m limit of the crossed summand.
-
-    Pairs (m, -m) at chi' = 0, (m, -1-m) at chi' = pi, (m, 1-m) at chi' = -pi;
-    the surviving coefficient is 2 cos(u/g) / (g cos(chi')) per pair (half for
-    the self-paired u = 0 term).  The accompanying ln(qtilde) coefficient
-    2 u sin(u/g)/(pi^2 g cos(chi')) must vanish for a pure power series."""
-    g = params.g
-    s0 = math.cos(w.chi_prime)  # +1 at chi'=0, -1 at chi'=+-pi
-    at_zero = abs(w.chi_prime) < 1.0
-    u = (lambda j: 2.0 * math.pi * j) if at_zero else (lambda j: math.pi * (2 * j + 1))
-    support = _quadratic_support(
-        lambda j: _crossed_exponent(params, u(j)), cutoff_f, 0 if at_zero else -0.5
-    )
-    pairs = []
-    for j, e in support:
-        if j < 0:
-            continue  # the mirror image of the j >= 0 term it pairs with
-        uj = u(j)
-        weight = 1.0 if uj == 0.0 else 2.0
-        ln_coeff = weight * uj * math.sin(uj / g) / (math.pi**2 * g * s0)
-        if abs(ln_coeff) > 1e-9:
-            raise IdentityError(
-                f"crossed channel develops a ln(qtilde) term (coefficient "
-                f"{ln_coeff:.3e}) at n' = {w.n_prime}; no pure power series "
-                "exists -- evaluate in the direct channel"
-            )
-        pairs.append((e, pref * weight * math.cos(uj / g) / (g * s0)))
-    return pairs
 
 
 def duality_check(
@@ -345,6 +340,8 @@ def duality_check(
 def _duality_evaluator(params: CGParams, w: Optional[WrapWeight], cutoff, tol: float):
     """ratio -> ChannelEval for one model.  Both channels are built once, at
     the first ratio that passes the range check, and reused for the rest."""
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     if w is None:
         w = default_wrap(params)
     channels = []
@@ -383,14 +380,11 @@ def _duality_evaluator(params: CGParams, w: Optional[WrapWeight], cutoff, tol: f
 
 
 def boundary_g_factor(params: CGParams) -> float:
-    """Identity-module boundary factor b_0^2 = -(2/g)^{1/2} sin(pi/g)/sin(pi g).
+    """Identity-module boundary factor b_0^2: the m = 0 coefficient of the
+    crossed channel at n' = n, (2/g)^{1/2} sin(chi/g)/sin(chi).
 
-    At g = 1 the formula is 0/0; the analytic limit sqrt(2) is returned
-    (series expansion of both sines about g = 1 gives ratio -1)."""
-    g = params.g
-    if abs(g - 1.0) < 1e-12:
-        return math.sqrt(2.0)
-    return -math.sqrt(2.0 / g) * math.sin(math.pi / g) / math.sin(math.pi * g)
+    At n = 2 (g = 1, chi = 0) the paired limit gives sqrt(2)."""
+    return _crossed_table(params, default_wrap(params))[2](0)
 
 
 def leading_asymptote(
@@ -402,13 +396,10 @@ def leading_asymptote(
     """
     if w is None:
         w = default_wrap(params)
-    s = math.sin(w.chi_prime)
-    if abs(s) < _SIN_ZERO_TOL:
+    if abs(math.sin(w.chi_prime)) < _SIN_ZERO_TOL:
         raise DomainError(
             "leading_asymptote requires sin(chi') != 0; at n' = +-2 take the "
             "paired limit via partition_crossed"
         )
-    g, chi = params.g, params.chi
-    pref = math.sqrt(2.0 / g) * math.sin(w.chi_prime / g) / s
-    expo = (w.chi_prime**2 - chi**2) / (2.0 * math.pi**2 * g)
-    return pref, expo
+    expo = (w.chi_prime**2 - params.chi**2) / (2.0 * math.pi**2 * params.g)
+    return _crossed_table(params, w)[2](0), expo

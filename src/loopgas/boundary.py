@@ -39,16 +39,21 @@ class BoundaryCoupling:
     L: float = 1.0
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise DomainError("coupling g must be positive")
-        if self.L <= 0:
-            raise DomainError("strip width L must be positive")
+        if not 0 < self.g < math.inf:
+            raise DomainError("coupling g must be positive and finite")
+        if not (math.isfinite(self.alpha1) and math.isfinite(self.alpha2)):
+            raise DomainError("boundary couplings alpha1, alpha2 must be finite")
+        _check_width(self.L)
+
+
+def _check_width(L: float) -> None:
+    if not 0 < L < math.inf:
+        raise DomainError("strip width L must be positive and finite")
 
 
 def e0_zeta(L: float) -> float:
     """Zeta-regularized free ground-state energy -pi/(24 L)."""
-    if L <= 0:
-        raise DomainError("strip width L must be positive")
+    _check_width(L)
     return -math.pi / (24.0 * L)
 
 
@@ -66,6 +71,8 @@ def e1_cutoff(
     E1(eps) = A/eps + B + C eps over the given eps values.  The finite part B
     must reproduce e1_zeta; A is the non-universal divergence
     -(pi/gL)[(alpha1-alpha2)^2 + (alpha1+alpha2)^2]."""
+    if not fit_tol > 0:
+        raise DomainError(f"fit_tol must be positive, got {fit_tol!r}")
     # imported here so that importing loopgas does not load numpy; lstsq
     # (not an exact 3x3 solve) fixes the rounding of the recorded outputs
     import numpy as np

@@ -69,8 +69,6 @@ def _table_payload(table, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(table, indent=2) + "\n"
     rows = [table] if isinstance(table, dict) else table
-    if not rows:
-        return ""
     return _csv(
         rows[0].keys(),
         [[format_number(v) if isinstance(v, float) else v for v in row.values()]
@@ -274,13 +272,16 @@ _COMMANDS = {
 
 
 def _float_list(text: str) -> list[float]:
-    """argparse type for a comma-separated list of numbers."""
+    """argparse type for a non-empty comma-separated list of numbers."""
     try:
-        return [float(x) for x in text.split(",") if x]
+        values = [float(x) for x in text.split(",") if x]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}"
-        ) from None
+        )
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -481,6 +481,8 @@ def eta_modular_check(
     """
     if tau_imag <= 0:
         raise DomainError("tau_imag must be positive")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     delta = math.pi * float(tau_imag)
     q = math.exp(-delta)
     qt = math.exp(-2.0 * math.pi**2 / delta)

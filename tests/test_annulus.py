@@ -272,6 +272,11 @@ class TestDuality:
         with pytest.raises(TailBoundError):
             duality_check(ISING, ratio=0.2, cutoff=8)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(DomainError):
+            duality_check(ISING, ratio=0.2, cutoff=8, tol=tol)
+
 
 class TestBoundaryGFactor:
     def test_ising_free_boundary(self):
@@ -290,6 +295,39 @@ class TestBoundaryGFactor:
         for params in (ISING, POTTS3, PERC):
             z = partition_crossed(params, cutoff=20)
             assert abs(z.terms[0].coefficient - boundary_g_factor(params)) < 1e-12
+
+    # registry and generic n in both phases; dense n = 0, -1, -sqrt2, -sqrt3
+    # are left out because there g = 1/k and b_0^2 is rounding noise about 0
+    @pytest.mark.parametrize("n,phase", [
+        (n, phase)
+        for n in (2.0, math.sqrt(3.0), math.sqrt(2.0), 1.0, 0.0, -1.0,
+                  -math.sqrt(2.0), -math.sqrt(3.0), 1.999999999, 1.3, 0.7, -1.5)
+        for phase in ("dilute", "dense")
+        if not (phase == "dense" and n in (0.0, -1.0, -math.sqrt(2.0), -math.sqrt(3.0)))
+    ])
+    def test_is_the_m0_crossed_coefficient(self, n, phase):
+        params = params_from_n(n, phase)
+        b0sq = boundary_g_factor(params)
+        assert partition_crossed(params, cutoff=30).terms[0].coefficient == b0sq
+        if n != 2.0:  # sin(chi) = 0: leading_asymptote refuses the paired limit
+            assert leading_asymptote(params)[0] == b0sq
+
+    @pytest.mark.parametrize("phase", ["dilute", "dense"])
+    def test_near_free_boson_against_taylor_reference(self, phase):
+        # (2/g)^{1/2} sin(chi/g)/sin(chi) with both sines summed in Fractions
+        # at the float chi and g; chi ~ 3e-5, so ten Taylor terms are exact
+        params = params_from_n(2.0 - 1e-9, phase)
+
+        def sin(x):
+            term, total = x, x
+            for k in range(1, 10):
+                term = -term * x * x / ((2 * k) * (2 * k + 1))
+                total += term
+            return total
+
+        chi, g = F(params.chi), F(params.g)
+        ref = math.sqrt(2.0 / params.g) * float(sin(chi / g) / sin(chi))
+        assert abs(boundary_g_factor(params) - ref) < 1e-14 * ref
 
 
 class TestLeadingAsymptote:

@@ -35,6 +35,11 @@ class TestE0:
         with pytest.raises(DomainError):
             e0_zeta(0.0)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
+    def test_non_finite_width_rejected(self, L):
+        with pytest.raises(DomainError):
+            e0_zeta(L)
+
 
 class TestE1Zeta:
     def test_antisymmetric_couplings_vanish(self):
@@ -77,6 +82,11 @@ class TestE1Cutoff:
     def test_bad_epsilon_lists(self, eps):
         with pytest.raises(DomainError):
             e1_cutoff(BoundaryCoupling(1.0, 0.1, 0.2), eps)
+
+    @pytest.mark.parametrize("fit_tol", [math.nan, 0.0, -1e-9])
+    def test_fit_tolerance_must_be_positive(self, fit_tol):
+        with pytest.raises(DomainError):
+            e1_cutoff(BoundaryCoupling(1.0, 0.1, 0.2), EPS, fit_tol=fit_tol)
 
 
 class TestCEffective:
@@ -124,3 +134,10 @@ class TestCEffective:
             BoundaryCoupling(-1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             BoundaryCoupling(1.0, 0.0, 0.0, L=0.0)
+
+    @pytest.mark.parametrize("field", ["g", "alpha1", "alpha2", "L"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        fields = {"g": 1.5, "alpha1": 0.3, "alpha2": 0.1, "L": 1.0, field: value}
+        with pytest.raises(DomainError):
+            BoundaryCoupling(**fields)

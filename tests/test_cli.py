@@ -108,6 +108,18 @@ class TestDuality:
         )
         assert code == 5 and "tail" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    @pytest.mark.parametrize("command", [
+        ["duality", "--ratio", "0.2"],
+        ["sweep", "--target", "duality", "--values", "0.2,1"],
+    ], ids=["duality", "sweep"])
+    def test_tolerance_must_be_positive(self, capsys, command, tol):
+        code, out, err = run(
+            capsys, *command, "--n", "1", "--phase", "dilute", "--order", "8",
+            "--tol", tol,
+        )
+        assert code == 3 and out == "" and "tol" in err
+
 
 class TestCharactersCommand:
     def test_potts3_even(self, capsys):
@@ -178,6 +190,22 @@ class TestEvaluationCommands:
         with pytest.raises(SystemExit) as exc:
             main(["boundary", "--g", "1.5", "--alpha1", "0.3", "--alpha2", "0.1",
                   "--epsilons", "x"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--g", "nan"), ("--alpha1", "inf"), ("--alpha2", "-inf"), ("--L", "inf"),
+    ])
+    def test_boundary_non_finite_input_domain_exit(self, capsys, flag, value):
+        args = {"--g": "1.5", "--alpha1": "0.3", "--alpha2": "0.1", flag: value}
+        # "--flag=-inf": a separate "-inf" would parse as an option
+        code, out, _ = run(capsys, "boundary", *[f"{k}={v}" for k, v in args.items()])
+        assert code == 3 and out == ""
+
+    @pytest.mark.parametrize("epsilons", [",", ""])
+    def test_boundary_empty_epsilons_usage_exit(self, capsys, epsilons):
+        with pytest.raises(SystemExit) as exc:
+            main(["boundary", "--g", "1.5", "--alpha1", "0.3", "--alpha2", "0.1",
+                  "--epsilons", epsilons])
         assert exc.value.code == 2
 
     def test_boundary_row(self, capsys):
@@ -268,6 +296,12 @@ class TestSweep:
     def test_malformed_values_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--target", "crossing", "--values", "abc"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("values", [",", ""])
+    def test_empty_values_usage_exit(self, capsys, values):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--target", "crossing", "--values", values])
         assert exc.value.code == 2
 
     def test_saw_sweep_needs_phase(self, capsys):

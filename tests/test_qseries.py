@@ -235,6 +235,11 @@ class TestEtaModular:
         with pytest.raises(DomainError):
             eta_modular_check(-1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(DomainError):
+            eta_modular_check(0.05, order=10, tol=tol)
+
 
 class TestEvalAt:
     def test_constant(self):
