@@ -45,7 +45,9 @@ from .qseries import (
     Backend,
     GenSeries,
     _as_cutoff,
+    _merged,
     _quadratic_support,
+    _slot_series,
     _times_euler_inverse,
 )
 
@@ -80,18 +82,16 @@ class ChannelEval:
 
 
 def _exponent(params: CGParams, exact: bool):
-    """p -> h(p) - c/24, as a Fraction if `exact`, else in float arithmetic.
-
-    The exact form is one integer quadratic over a common denominator, so
-    each exponent costs a single Fraction normalisation."""
+    """(x, den) with h(p) - c/24 = x(p)/den: one integer quadratic over a common
+    denominator if `exact`, else the exponent in float arithmetic and den = 1."""
     if exact:
         g = params.g_exact
         coeffs = (g / 4, (g - 1) / 2, -params.c_exact / 24)
         den = math.lcm(*(x.denominator for x in coeffs))
         a, b, c = (int(x * den) for x in coeffs)
-        return lambda p: Fraction(a * p * p + b * p + c, den)
+        return (lambda p: a * p * p + b * p + c), den
     g, shift = params.g, params.c / 24.0
-    return lambda p: g * p * p / 4.0 - (1.0 - g) * p / 2.0 - shift
+    return (lambda p: g * p * p / 4.0 - (1.0 - g) * p / 2.0 - shift), 1
 
 
 def _exact_ok(
@@ -134,32 +134,33 @@ def _flux_range(params: CGParams, cutoff, exponent) -> list:
 def _flux_theta(
     params: CGParams,
     weight,
-    cutoff,
+    bound,
     exponent,
-    backend: Backend,
+    den,
     form: str = "integer",
     parity: Optional[str] = None,
-) -> GenSeries:
-    """The flux sum with weight w_p = weight(p) on each sector p >= 0.
+) -> list:
+    """The flux sum with weight w_p = weight(p) on each sector p >= 0, as pairs
+    (x, w) for w q^{x/den}, over the sectors with exponent(p) < bound.
 
     form="integer" sums w_p q^{exponent(p)} over all p in Z, reflecting the
     table as w_{-1} = 0 and w_p = -w_{-p-2} for p <= -2 (the null-state
     subtraction); form="null_pairs" sums w_p (q^{e_p} - q^{e_p+p+1}) over
-    p >= 0.  `cutoff` has the type of the exponents.  `flux_sum` and every
+    p >= 0, whose partners may lie above the bound.  `flux_sum` and every
     observable are this sum with their own weight table."""
     pairs = []
-    for p, e in _flux_range(params, cutoff, exponent):
+    for p, e in _flux_range(params, bound, exponent):
         if form == "null_pairs":
             if p >= 0:
                 wp = weight(p)
-                pairs += [(e, wp), (e + p + 1, -wp)]
+                pairs += [(e, wp), (e + p * den + den, -wp)]
         elif parity == "even" and p % 2 or parity == "odd" and not p % 2:
             continue
         elif p >= 0:
             pairs.append((e, weight(p)))
         elif p <= -2:
             pairs.append((e, -weight(-p - 2)))
-    return GenSeries.from_terms(pairs, cutoff, backend)
+    return pairs
 
 
 def flux_sum(
@@ -192,15 +193,21 @@ def flux_sum(
             "weight (or rational n'^2 for the even-parity sector); use the "
             "floating backend for this point"
         )
-    exponent = _exponent(params, exact)
+    exponent, den = _exponent(params, exact)
     cutoff_c = _as_cutoff(cutoff, backend)
-    if not exponent(0) < cutoff_c:
+    bound = math.ceil(cutoff_c * den) if exact else cutoff_c
+    if not exponent(0) < bound:
         raise DomainError(
             f"cutoff {cutoff} excludes the p=0 identity term at exponent "
-            f"{exponent(0)}; increase it"
+            f"{Fraction(exponent(0), den) if exact else exponent(0)}; increase it"
         )
     d = _wrap_table(w, parity, backend)
-    return _flux_theta(params, d, cutoff_c, exponent, backend, form, parity)
+    pairs = _flux_theta(params, d, bound, exponent, den, form, parity)
+    if not exact:
+        return GenSeries.from_terms(pairs, cutoff_c, backend)
+    C = math.lcm(*(c.denominator for _, c in pairs))
+    theta = _merged((x, c.numerator * C // c.denominator) for x, c in pairs if x < bound)
+    return _slot_series(theta, den, C, cutoff_c)
 
 
 def partition_direct(
@@ -246,7 +253,7 @@ def partition_naive(
     if w is None:
         w = default_wrap(params)
     cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
-    exponent = _exponent(params, exact=False)
+    exponent, _ = _exponent(params, exact=False)
     if not exponent(0) < cutoff_f:
         raise DomainError("cutoff excludes the p=0 term; increase it")
     pairs = [
@@ -260,15 +267,13 @@ def partition_naive(
 # -- crossed channel ----------------------------------------------------------
 
 
-def _crossed_exponent(params: CGParams, u: float) -> float:
-    return -params.c / 12.0 + (u * u - params.chi**2) / (
-        2.0 * math.pi**2 * params.g
-    )
+def _crossed_gap(params: CGParams, u: float) -> float:
+    return (u * u - params.chi**2) / (2.0 * math.pi**2 * params.g)
 
 
 def _crossed_table(params: CGParams, w: WrapWeight):
     """The crossed summand as (u, vertex, weight): term m sits at
-    qtilde^{_crossed_exponent(u(m))}, least at m = vertex, with coefficient
+    qtilde^{-c/12 + _crossed_gap(u(m))}, least at m = vertex, with coefficient
     weight(m).  At sin(chi') = 0 (n' = +-2) the m and -m (chi' = 0) or m and
     -1-m (chi' = +-pi) terms are paired and the limit taken: j >= 0 carries
     2 cos(u/g)/(g cos(chi')) per pair (half at u = 0), weight(j < 0) is None,
@@ -314,7 +319,7 @@ def partition_crossed(
     u, vertex, weight = _crossed_table(params, w)
     cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
     support = _quadratic_support(
-        lambda m: _crossed_exponent(params, u(m)), cutoff_f, vertex
+        lambda m: -params.c / 12.0 + _crossed_gap(params, u(m)), cutoff_f, vertex
     )
     pairs = [(e, c) for m, e in support if (c := weight(m)) is not None]
     if not pairs:
@@ -401,5 +406,5 @@ def leading_asymptote(
             "leading_asymptote requires sin(chi') != 0; at n' = +-2 take the "
             "paired limit via partition_crossed"
         )
-    expo = (w.chi_prime**2 - params.chi**2) / (2.0 * math.pi**2 * params.g)
-    return _crossed_table(params, w)[2](0), expo
+    u, _, weight = _crossed_table(params, w)
+    return weight(0), _crossed_gap(params, u(0))

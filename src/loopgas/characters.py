@@ -13,7 +13,8 @@ h_{r,s} = ((p' r - p s)^2 - (p'-p)^2)/(4 p p').
 
 `decompose` peels a partition function into a non-negative combination of
 characters by ascending leading exponent; with exact-rational series the
-peel-off is unambiguous and a nonzero remainder is a hard error.
+peel-off is unambiguous and a nonzero remainder is a hard error; it runs on
+integer slots, Z and the characters on one lattice as in `qseries`.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from .qseries import (
     Backend,
     GenSeries,
     _as_cutoff,
+    _euler_kernel,
+    _lattice,
     _quadratic_support,
-    _times_euler_inverse,
+    _slot_series,
 )
 
 
@@ -76,21 +79,20 @@ def rocha_caridi(
     a = spec.p_major * spec.r - spec.p_minor * spec.s
     b = spec.p_major * spec.r + spec.p_minor * spec.s
     cutoff_c = _as_cutoff(cutoff, backend)
+    # (2Nk + offset)^2/4N - 1/24 = (6 (2Nk + offset)^2 - N) / D
+    D = 24 * N
+    top = math.ceil(Fraction(cutoff_c) * D)
 
     def family(offset: int, sign: int):
         support = _quadratic_support(
-            lambda k: Fraction((2 * N * k + offset) ** 2, 4 * N) - Fraction(1, 24),
-            cutoff_c,
-            Fraction(-offset, 2 * N),
+            lambda k: 6 * (2 * N * k + offset) ** 2 - N, top, Fraction(-offset, 2 * N)
         )
-        return [(e, sign) for _, e in support]
+        return [(x, sign) for _, x in support]
 
-    theta = GenSeries.from_terms(
-        family(a, 1) + family(b, -1), cutoff_c, backend
-    )
-    if theta.is_zero:
+    slots = family(a, 1) + family(b, -1)
+    if not slots:
         raise DomainError("cutoff excludes every character term; increase it")
-    out = _times_euler_inverse(theta)
+    out = _euler_kernel(slots, D, 1, cutoff_c, backend=backend)
     leading = spec.leading_exponent
     if out.min_exponent != (leading if backend is Backend.EXACT else float(leading)):
         raise IdentityError(
@@ -116,20 +118,27 @@ def decompose(
         raise DomainError("basis characters must have distinct leading exponents")
     order = sorted(range(len(basis)), key=lambda i: leadings[i])
 
-    eff = Z.cutoff if cutoff is None else min(Z.cutoff, cutoff)
-    chars = {}
-    for i in order:
-        chars[i] = rocha_caridi(basis[i], eff, Z.backend)
-        eff = min(eff, chars[i].cutoff)
-
-    remainder = Z.truncate(eff)
+    eff = Z.cutoff if cutoff is None else min(Z.cutoff, _as_cutoff(cutoff, Z.backend))
+    chars = {basis[i]: rocha_caridi(basis[i], eff, Z.backend) for i in order}
     coeffs: dict[CharacterSpec, object] = {}
-    for i in order:
-        spec = basis[i]
-        coeff = remainder.coefficient(spec.leading_exponent)
-        coeffs[spec] = coeff
-        if coeff != 0:
-            remainder = remainder - chars[i].truncate(eff) * coeff
+    if Z.backend is Backend.FLOAT:
+        remainder = Z.truncate(eff)
+        for spec, ch in chars.items():
+            coeffs[spec] = coeff = remainder.coefficient(spec.leading_exponent)
+            if coeff != 0:
+                remainder = remainder - ch * coeff
+    else:
+        # Slot n holds C times the coefficient of q^{n/D}.  A character's
+        # slots are C times integers and its first is its leading term, so
+        # taking a/C of it is integer subtraction.
+        D, C, (z, *rows) = _lattice(Z, *chars.values())
+        top = math.ceil(eff * D)
+        rem = {n: a for n, a in z if n < top}
+        for spec, row in zip(chars, rows):
+            coeffs[spec] = Fraction(a := rem.get(row[0][0], 0), C)
+            for n, x in row if a else ():
+                rem[n] = rem.get(n, 0) - x // C * a
+        remainder = _slot_series(sorted(i for i in rem.items() if i[1]), D, C, eff)
     if not remainder.is_zero:
         raise DecompositionError(
             f"decomposition leaves a nonzero remainder with leading term "

@@ -65,8 +65,8 @@ from .qseries import (
     GenSeries,
     SeriesTerm,
     _as_cutoff,
+    _euler_kernel,
     _expand_product,
-    _times_euler_inverse,
 )
 
 _PERCOLATION = params_from_n(1.0, Phase.DENSE)
@@ -91,14 +91,12 @@ def _log_weight(p: int) -> int:
 
 
 def _flux_series(params, weight, cutoff, backend: Backend, form="integer") -> GenSeries:
-    """Euler-completed flux sum of `params` with weight table `weight`.
-
-    Exponents are built as Fractions and coerced once, in either backend."""
-    theta = _flux_theta(
-        params, weight, _as_cutoff(cutoff, backend), _exponent(params, exact=True),
-        backend, form,
-    )
-    return _times_euler_inverse(theta)
+    """Euler-completed flux sum with integer weights, on exact slots in both backends."""
+    exponent, den = _exponent(params, exact=True)
+    cutoff = _as_cutoff(cutoff, backend)
+    bound = math.ceil(Fraction(cutoff) * den)
+    pairs = _flux_theta(params, weight, bound, exponent, den, form)
+    return _euler_kernel(pairs, den, 1, cutoff, backend=backend)
 
 
 def crossing_probability(cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:

@@ -23,9 +23,10 @@ numerical check of the eta modular transformation between conjugate moduli.
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde.  In the exact backend
 that multiply runs on integers: theta's exponents lie on a lattice (1/D)Z and
-its coefficients on (1/C)Z, and the partition numbers come from one table
-shared by every call.  The floating backend has no lattice and uses
-the generic Cauchy product.
+its coefficients on (1/C)Z, so the kernel takes theta as integer slots from
+the theta builders, the partition numbers from one shared table, and builds
+Fraction terms only for its result.  The floating backend has no lattice and
+uses the generic Cauchy product.
 """
 
 from __future__ import annotations
@@ -391,45 +392,72 @@ def _expand_product(steps: Iterable[int], length: int) -> list[int]:
     return a
 
 
+def _lattice(*series: GenSeries):
+    """(D, C, slot lists): each series' terms a/C q^{n/D} as pairs (n, a)."""
+    D = math.lcm(*(e.denominator for s in series for e, _ in s.terms))
+    C = math.lcm(*(c.denominator for s in series for _, c in s.terms))
+    return D, C, [[(e.numerator * D // e.denominator, c.numerator * C // c.denominator)
+                   for e, c in s.terms] for s in series]
+
+
+def _merged(slots) -> list:
+    """Integer pairs (n, a) summed per n, ascending in n, zero sums dropped."""
+    acc: dict[int, int] = {}
+    for n, a in slots:
+        acc[n] = acc.get(n, 0) + a
+    return sorted(i for i in acc.items() if i[1])
+
+
+def _slot_series(slots, D: int, C: int, cutoff) -> GenSeries:
+    """sum a/C q^{n/D} over integer pairs (n, a), ascending in n, zero a dropped."""
+    terms = tuple(SeriesTerm(Fraction(n, D), Fraction(a, C)) for n, a in slots if a)
+    return GenSeries(terms, Fraction(cutoff), Backend.EXACT)
+
+
 def _times_euler_inverse(theta: GenSeries, step: int = 1) -> GenSeries:
     r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1}, complete up to theta's own cutoff.
 
-    Exact: theta's exponents and cutoff lie on a lattice (1/D)Z and its
-    coefficients on (1/C)Z, so the product is integer shift-and-add of the
-    partition numbers: a term a/C q^{n/D} adds a p(k) to grid slot
-    n + k step D.  Slots are kept as one integer list per residue of n mod D,
-    and the result is built once from them.  Floating exponents have no
-    lattice, so that backend takes the generic multiply."""
+    Floating exponents have no lattice, so that backend takes the generic
+    multiply; exact theta goes to `_euler_kernel` on its lattice."""
+    if theta.backend is Backend.EXACT:
+        D, C, (slots,) = _lattice(theta)
+        return _euler_kernel(slots, D, C, theta.cutoff, step)
     if theta.is_zero:
         return theta
-    if theta.backend is Backend.FLOAT:
-        span = theta.cutoff - theta.min_exponent
-        return theta * euler_inverse(span / step, theta.backend).dilate(step)
-    cutoff = Fraction(theta.cutoff)
-    D = math.lcm(cutoff.denominator, *(e.denominator for e, _ in theta.terms))
-    C = math.lcm(*(c.denominator for _, c in theta.terms))
-    top = cutoff.numerator * (D // cutoff.denominator)
-    grid = [(e.numerator * (D // e.denominator), c.numerator * (C // c.denominator))
-            for e, c in theta.terms]
+    span = theta.cutoff - theta.min_exponent
+    return theta * euler_inverse(span / step, theta.backend).dilate(step)
+
+
+def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
+    r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1} below `cutoff`, for theta the sum
+    of a/C q^{n/D} over integer pairs (n, a) in any order, repeats summed.
+
+    Exact: a term at slot n adds a p(k) to slot n + k step D, one integer list
+    per residue of n mod D.  Floating: n/D rounded once, generic multiply."""
+    if backend is Backend.FLOAT:
+        theta = [(n / D, a / C) for n, a in slots]
+        return _times_euler_inverse(GenSeries.from_terms(theta, cutoff, backend), step)
+    top = math.ceil(cutoff * D)
+    slots = _merged((n, a) for n, a in slots if n < top)
+    least = slots[0][0] if slots else top  # no slots: no rows
     # Slot n sits in column n // D of the row for residue n % D.  A term at
     # slot n reaches slots n + k step D < top: every step-th column from its
     # own, for k = 0 .. (top - 1 - n) // (step D).
-    base = grid[0][0] // D
+    base = least // D
     width = (top - 1) // D - base + 1
-    p = _partition_numbers((top - 1 - grid[0][0]) // (step * D))
+    p = _partition_numbers((top - 1 - least) // (step * D))
     rows: dict[int, list[int]] = {}
-    for n, a in grid:
+    for n, a in slots:
         row = rows.setdefault(n % D, [0] * width)
         lo = n // D - base
         hi = lo + (top - 1 - n) // (step * D) * step + 1
         row[lo:hi:step] = [x + a * y for x, y in zip(row[lo:hi:step], p)]
     residues = sorted(rows)
-    terms = []
-    for col, vals in enumerate(zip(*(rows[r] for r in residues)), base):
-        for r, v in zip(residues, vals):
-            if v:
-                terms.append(SeriesTerm(Fraction(col * D + r, D), Fraction(v, C)))
-    return GenSeries(tuple(terms), cutoff, Backend.EXACT)
+    cols = enumerate(zip(*(rows[r] for r in residues)), base)
+    return _slot_series(
+        ((col * D + r, v) for col, vals in cols for r, v in zip(residues, vals)),
+        D, C, cutoff,
+    )
 
 
 def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:

@@ -1,13 +1,15 @@
-"""Independent oracle: the observables' theta brackets as hand-written alternating sums.
+"""Independent oracles in exact series arithmetic.
 
-loopgas builds every observable as one weighted flux sum.  These functions
-instead sum the closed-form brackets of the `loopgas.observables` module
+loopgas builds every observable as one weighted flux sum.  Most functions
+here instead sum the closed-form brackets of the `loopgas.observables` module
 docstring over k in Z directly, then multiply by prod(1-q^r)^{-1}, so that
-equality with the package is a check rather than a tautology.  Exact backend.
+equality with the package is a check rather than a tautology.  `peel_off` is
+the character decomposition done with GenSeries subtraction, against which
+the package's integer-lattice peel-off is checked.  Exact backend.
 """
 from fractions import Fraction as F
 
-from loopgas import Backend, GenSeries, euler_inverse
+from loopgas import Backend, GenSeries, euler_inverse, rocha_caridi
 
 
 def _series(terms, cutoff):
@@ -78,3 +80,20 @@ def log_core(phase, cutoff, regrouped):
         return [(quad(k, a), k * (2 * k + 1)), (quad(k, c), -k * (2 * k - 1))]
 
     return _series(terms, cutoff)
+
+
+def peel_off(Z, basis, cutoff=None):
+    """Greedy peel-off of Z into `basis` characters by ascending leading
+    exponent, as series subtraction: (coefficients, remainder below the
+    effective cutoff).  loopgas.decompose returns the coefficients when the
+    remainder is zero and raises with it as the residual otherwise."""
+    order = sorted(basis, key=lambda spec: spec.leading_exponent)
+    eff = Z.cutoff if cutoff is None else min(Z.cutoff, F(cutoff))
+    remainder = Z.truncate(eff)
+    coeffs = {}
+    for spec in order:
+        coeff = remainder.coefficient(spec.leading_exponent)
+        coeffs[spec] = coeff
+        if coeff != 0:
+            remainder = remainder - rocha_caridi(spec, eff) * coeff
+    return coeffs, remainder

@@ -20,6 +20,7 @@ from loopgas import (
     annulus,
     asymptote_fit,
     boundary_g_factor,
+    default_wrap,
     duality_check,
     electric_dimension,
     euler_inverse,
@@ -354,6 +355,21 @@ class TestLeadingAsymptote:
     def test_wrap_two_rejected(self):
         with pytest.raises(DomainError):
             leading_asymptote(ISING, wrap_weight("dilute", 2.0))
+
+    @pytest.mark.parametrize("phase", ["dilute", "dense"])
+    @pytest.mark.parametrize("n", [
+        -1.9, -math.sqrt(3.0), -math.sqrt(2.0), -1.0, -0.5, 0.0, 0.3, 0.7, 1.0,
+        1.3, math.sqrt(2.0), math.sqrt(3.0),
+    ])
+    def test_exponent_is_the_crossed_gap_bit_for_bit(self, n, phase):
+        """The exponent is the m = 0 gap of the crossed table; the closed form
+        (chi'^2 - chi^2)/(2 pi^2 g) it replaced is the oracle, exact to the bit
+        at every wrap weight with sin(chi') != 0."""
+        params = params_from_n(n, phase)
+        for n_prime in (None, 0.0, 0.5, 1.0, 1.3, -0.7, -1.5):
+            w = default_wrap(params) if n_prime is None else wrap_weight(phase, n_prime)
+            closed = (w.chi_prime**2 - params.chi**2) / (2.0 * math.pi**2 * params.g)
+            assert leading_asymptote(params, w)[1] == closed
 
 
 class TestCutoffGuards:
