@@ -40,15 +40,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, IdentityError, TailBoundError
-from .params import CGParams, WrapWeight, _recurrence, default_wrap
+from .params import CGParams, WrapWeight, _recurrence, default_wrap, leg_exponent
 from .qseries import (
     Backend,
     GenSeries,
     _as_cutoff,
+    _euler_kernel,
     _merged,
     _quadratic_support,
     _slot_series,
-    _times_euler_inverse,
 )
 
 _SIN_ZERO_TOL = 1e-9
@@ -90,8 +90,7 @@ def _exponent(params: CGParams, exact: bool):
         den = math.lcm(*(x.denominator for x in coeffs))
         a, b, c = (int(x * den) for x in coeffs)
         return (lambda p: a * p * p + b * p + c), den
-    g, shift = params.g, params.c / 24.0
-    return (lambda p: g * p * p / 4.0 - (1.0 - g) * p / 2.0 - shift), 1
+    return (lambda p: leg_exponent(params, p) - params.c / 24.0), 1
 
 
 def _exact_ok(
@@ -163,21 +162,9 @@ def _flux_theta(
     return pairs
 
 
-def flux_sum(
-    params: CGParams,
-    w: Optional[WrapWeight] = None,
-    cutoff=64,
-    parity: Optional[str] = None,
-    backend: Backend = Backend.EXACT,
-    form: str = "integer",
-) -> GenSeries:
-    """Theta-like flux sum of the direct channel, including q^{-c/24}.
-
-    form="integer" sums over all p in Z (optionally parity-restricted);
-    form="null_pairs" builds the equivalent p >= 0 combination
-    d_p (q^{h(p)} - q^{h(p)+p+1}).  The Euler-inverse factor is *not*
-    applied here.
-    """
+def _flux_slots(params, w, cutoff, parity, backend, form="integer"):
+    """`flux_sum`'s theta as `_euler_kernel`'s (slots, D, C, cutoff): integer
+    slots below the cutoff over (den, C) if exact, else float (e, w), D = C = 1."""
     if w is None:
         w = default_wrap(params)
     if parity not in (None, "even", "odd"):
@@ -204,10 +191,30 @@ def flux_sum(
     d = _wrap_table(w, parity, backend)
     pairs = _flux_theta(params, d, bound, exponent, den, form, parity)
     if not exact:
-        return GenSeries.from_terms(pairs, cutoff_c, backend)
+        return pairs, 1, 1, cutoff_c
     C = math.lcm(*(c.denominator for _, c in pairs))
-    theta = _merged((x, c.numerator * C // c.denominator) for x, c in pairs if x < bound)
-    return _slot_series(theta, den, C, cutoff_c)
+    slots = [(x, c.numerator * C // c.denominator) for x, c in pairs if x < bound]
+    return slots, den, C, cutoff_c
+
+
+def flux_sum(
+    params: CGParams,
+    w: Optional[WrapWeight] = None,
+    cutoff=64,
+    parity: Optional[str] = None,
+    backend: Backend = Backend.EXACT,
+    form: str = "integer",
+) -> GenSeries:
+    """Theta-like flux sum of the direct channel, including q^{-c/24}.
+
+    form="integer" sums over all p in Z (optionally parity-restricted);
+    form="null_pairs" builds the equivalent p >= 0 combination
+    d_p (q^{h(p)} - q^{h(p)+p+1}).  The Euler-inverse factor is *not*
+    applied here."""
+    slots, D, C, cutoff = _flux_slots(params, w, cutoff, parity, backend, form)
+    if backend is Backend.EXACT:
+        return _slot_series(_merged(slots), D, C, cutoff)
+    return GenSeries.from_terms(slots, cutoff, backend)
 
 
 def partition_direct(
@@ -219,7 +226,7 @@ def partition_direct(
     """Annulus partition function, direct channel, null states subtracted.
 
     The p = 0 sector is normalized to coefficient 1 (identity operator)."""
-    return _times_euler_inverse(flux_sum(params, w, cutoff, None, backend))
+    return _euler_kernel(*_flux_slots(params, w, cutoff, None, backend), backend=backend)
 
 
 def partition_direct_parity(
@@ -235,7 +242,7 @@ def partition_direct_parity(
     sector free/fixed-type boundary conditions."""
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    return _times_euler_inverse(flux_sum(params, w, cutoff, parity, backend))
+    return _euler_kernel(*_flux_slots(params, w, cutoff, parity, backend), backend=backend)
 
 
 def partition_naive(
@@ -260,8 +267,7 @@ def partition_naive(
         (e, math.cos((p - params.m0) * w.chi_prime))
         for p, e in _flux_range(params, cutoff_f, exponent)
     ]
-    theta = GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT)
-    return _times_euler_inverse(theta)
+    return _euler_kernel(pairs, 1, 1, cutoff_f, backend=Backend.FLOAT)
 
 
 # -- crossed channel ----------------------------------------------------------
@@ -324,8 +330,7 @@ def partition_crossed(
     pairs = [(e, c) for m, e in support if (c := weight(m)) is not None]
     if not pairs:
         raise DomainError("cutoff excludes the leading crossed-channel term")
-    theta = GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT)
-    return _times_euler_inverse(theta, 2)
+    return _euler_kernel(pairs, 1, 1, cutoff_f, 2, Backend.FLOAT)
 
 
 def duality_check(

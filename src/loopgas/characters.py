@@ -46,6 +46,8 @@ class CharacterSpec:
     s: int
 
     def __post_init__(self):
+        if not all(isinstance(x, int) for x in vars(self).values()):
+            raise DomainError(f"p_minor, p_major, r and s must be int, got {self}")
         if not (0 < self.p_minor < self.p_major):
             raise DomainError("need 0 < p_minor < p_major")
         if math.gcd(self.p_minor, self.p_major) != 1:

@@ -67,6 +67,7 @@ from .qseries import (
     _as_cutoff,
     _euler_kernel,
     _expand_product,
+    _slot_series,
 )
 
 _PERCOLATION = params_from_n(1.0, Phase.DENSE)
@@ -143,15 +144,14 @@ def saw_loop_dense(
     the q^{1/2} grid: in t = q^{1/2} it is prod over odd s of (1 - t^s)^2,
     and its t^j term sits at exponent j/2 - 1/24.  Both forms are built and
     compared exactly; the floating backend converts each term once."""
+    _as_cutoff(cutoff, backend)
     series = _flux_series(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, Backend.EXACT)
 
-    length = math.ceil(2 * Fraction(cutoff) + Fraction(1, 12))
+    length = math.ceil(2 * series.cutoff + Fraction(1, 12))
     odd = range(1, length, 2)
     coeffs = _expand_product([s for s in odd for _ in (0, 1)], length)
-    closed = GenSeries.from_terms(
-        [(Fraction(j, 2) - Fraction(1, 24), c) for j, c in enumerate(coeffs)],
-        cutoff,
-    )
+    closed = _slot_series(((12 * j - 1, c) for j, c in enumerate(coeffs)
+                           if 12 * j - 1 < 24 * series.cutoff), 24, 1, series.cutoff)
 
     eff = min(series.cutoff, closed.cutoff)
     if series.truncate(eff) != closed.truncate(eff):
@@ -216,8 +216,8 @@ def asymptote_fit(
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi < 1.0):
         raise DomainError("fit window must satisfy 0 < lo < hi < 1")
-    if npoints < 8:
-        raise DomainError("need at least 8 sample points")
+    if not isinstance(npoints, int) or npoints < 8:
+        raise DomainError(f"need at least 8 sample points, as an int; got {npoints!r}")
     step = (math.log(hi) - math.log(lo)) / (npoints - 1)
     xs = [math.exp(math.log(lo) + i * step) for i in range(npoints)]
     vals = []

@@ -21,12 +21,12 @@ generating function), the Dedekind eta series q^{1/24}\prod(1-q^r), and a
 numerical check of the eta modular transformation between conjugate moduli.
 
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
-\prod(1-q^{2r})^{-1} in the crossed channel's qtilde.  In the exact backend
-that multiply runs on integers: theta's exponents lie on a lattice (1/D)Z and
-its coefficients on (1/C)Z, so the kernel takes theta as integer slots from
-the theta builders, the partition numbers from one shared table, and builds
-Fraction terms only for its result.  The floating backend has no lattice and
-uses the generic Cauchy product.
+\prod(1-q^{2r})^{-1} in the crossed channel's qtilde, and every builder hands
+theta to the one kernel, `_euler_kernel`, as pairs.  In the exact backend the
+multiply runs on integers: exponents on a lattice (1/D)Z, coefficients on
+(1/C)Z, partition numbers from one shared table, and Fraction terms built only
+for the result.  Floating exponents have no lattice: there the kernel takes
+the Cauchy product, the package's only internal series times series product.
 """
 
 from __future__ import annotations
@@ -73,11 +73,19 @@ def _coerce(x: Number, backend: Backend) -> Number:
     return _as_exact(x) if backend is Backend.EXACT else float(x)
 
 
+def _finite(x: Number, what: str) -> Number:
+    if isinstance(x, float) and not math.isfinite(x):
+        raise DomainError(f"{what} must be finite, got {x!r}")
+    return x
+
+
 def _as_cutoff(cutoff: Number, backend: Backend) -> Number:
     """A finite cutoff in the backend's number type; exact takes any float as
-    its exact binary value, since a cutoff only bounds exponents."""
-    if isinstance(cutoff, float) and not math.isfinite(cutoff):
-        raise DomainError(f"cutoff must be finite, got {cutoff!r}")
+    its exact binary value, since a cutoff only bounds exponents.  Every
+    builder calls this first, so it also refuses a backend that is not one."""
+    if not isinstance(backend, Backend):
+        raise DomainError(f"backend must be a Backend, got {backend!r}")
+    _finite(cutoff, "cutoff")
     return Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
 
 
@@ -227,7 +235,7 @@ class GenSeries:
 
     def shift(self, delta: Number) -> "GenSeries":
         """Multiply by q^delta (exponent shift)."""
-        d = _coerce(delta, self.backend)
+        d = _finite(_coerce(delta, self.backend), "shift")
         return GenSeries(
             tuple(SeriesTerm(e + d, c) for e, c in self.terms),
             self.cutoff + d,
@@ -236,7 +244,7 @@ class GenSeries:
 
     def dilate(self, factor: Number) -> "GenSeries":
         """Substitute q -> q^factor (exponent scaling), factor > 0."""
-        f = _coerce(factor, self.backend)
+        f = _finite(_coerce(factor, self.backend), "dilate factor")
         if f <= 0:
             raise DomainError("dilate factor must be positive")
         return GenSeries(
@@ -414,29 +422,18 @@ def _slot_series(slots, D: int, C: int, cutoff) -> GenSeries:
     return GenSeries(terms, Fraction(cutoff), Backend.EXACT)
 
 
-def _times_euler_inverse(theta: GenSeries, step: int = 1) -> GenSeries:
-    r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1}, complete up to theta's own cutoff.
-
-    Floating exponents have no lattice, so that backend takes the generic
-    multiply; exact theta goes to `_euler_kernel` on its lattice."""
-    if theta.backend is Backend.EXACT:
-        D, C, (slots,) = _lattice(theta)
-        return _euler_kernel(slots, D, C, theta.cutoff, step)
-    if theta.is_zero:
-        return theta
-    span = theta.cutoff - theta.min_exponent
-    return theta * euler_inverse(span / step, theta.backend).dilate(step)
-
-
 def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
     r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1} below `cutoff`, for theta the sum
-    of a/C q^{n/D} over integer pairs (n, a) in any order, repeats summed.
+    of a/C q^{n/D} over pairs (n, a) in any order, repeats summed.
 
-    Exact: a term at slot n adds a p(k) to slot n + k step D, one integer list
-    per residue of n mod D.  Floating: n/D rounded once, generic multiply."""
+    Exact: a term at integer slot n adds a p(k) to slot n + k step D, one integer
+    list per residue of n mod D.  Floating: (n/D, a/C), generic multiply."""
     if backend is Backend.FLOAT:
-        theta = [(n / D, a / C) for n, a in slots]
-        return _times_euler_inverse(GenSeries.from_terms(theta, cutoff, backend), step)
+        theta = GenSeries.from_terms([(n / D, a / C) for n, a in slots], cutoff, backend)
+        if theta.is_zero:
+            return theta
+        span = theta.cutoff - theta.min_exponent
+        return theta * euler_inverse(span / step, backend).dilate(step)
     top = math.ceil(cutoff * D)
     slots = _merged((n, a) for n, a in slots if n < top)
     least = slots[0][0] if slots else top  # no slots: no rows

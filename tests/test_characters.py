@@ -23,7 +23,9 @@ from loopgas import (
     params_from_n,
     partition_direct,
     partition_direct_parity,
+    qseries,
     rocha_caridi,
+    saw_loop_dense,
 )
 
 # Level dimensions computed once with the Gram-rank oracle below and frozen.
@@ -211,11 +213,14 @@ class TestDecompose:
                                                       GenSeries.zero(cutoff))
 
     def test_exact_path_bypasses_series_arithmetic(self, monkeypatch):
-        """Exact decompose, partition_direct and crossing_probability run on
-        the integer lattice: no series addition, product or normalisation."""
+        """Exact decompose, partition_direct (and its parity sectors),
+        crossing_probability and saw_loop_dense run on the integer lattice:
+        no series addition, product or normalisation."""
         ising = params_from_n(1.0, "dilute")
         direct = partition_direct(ising, cutoff=200)
+        even = partition_direct_parity(ising, cutoff=200)
         crossing = crossing_probability(200)
+        dense = saw_loop_dense(200)
 
         def refuse(*args, **kwargs):
             raise AssertionError("series arithmetic on an exact lattice path")
@@ -230,6 +235,22 @@ class TestDecompose:
         assert out == {basis[0]: 1, basis[1]: 1}
         assert all(isinstance(c, F) for c in out.values())
         assert crossing_probability(200) == crossing
+        assert partition_direct_parity(ising, cutoff=200) == even
+        assert saw_loop_dense(200) == dense
+
+    def test_exact_partition_never_lifts_theta_onto_a_lattice(self, monkeypatch):
+        """Exact partition functions hand theta to the Euler kernel as slots:
+        no theta series is built and read back through `qseries._lattice`."""
+        potts = params_from_n(1.0, "dense")
+        expected = [partition_direct(potts, cutoff=60),
+                    partition_direct_parity(potts, cutoff=60, parity="odd")]
+
+        def refuse(*series):
+            raise AssertionError("theta lifted back onto the lattice")
+
+        monkeypatch.setattr(qseries, "_lattice", refuse)
+        assert [partition_direct(potts, cutoff=60),
+                partition_direct_parity(potts, cutoff=60, parity="odd")] == expected
 
     def test_float_ising(self):
         Z = partition_direct(params_from_n(1.0, "dilute"), cutoff=40,

@@ -1,0 +1,136 @@
+"""Error paths of the public entry points: each refusal, its type and message."""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from loopgas import (
+    Backend,
+    CharacterSpec,
+    DomainError,
+    GenSeries,
+    RegulatorFitError,
+    annulus,
+    boundary,
+    characters,
+    observables,
+    params_from_n,
+    qseries,
+)
+from loopgas.cli import main
+
+ISING = params_from_n(1.0, "dilute")
+SPEC = CharacterSpec(3, 4, 1, 1)
+
+
+ERROR_PATHS = [
+    ("flux_sum parity", lambda: annulus.flux_sum(ISING, parity="both"),
+     DomainError, "parity must be 'even', 'odd' or None"),
+    ("flux_sum form", lambda: annulus.flux_sum(ISING, form="pairs"),
+     DomainError, "unknown flux-sum form"),
+    ("parity sector None", lambda: annulus.partition_direct_parity(ISING, parity=None),
+     DomainError, "parity must be 'even' or 'odd'"),
+    ("naive below p=0", lambda: annulus.partition_naive(ISING, cutoff=-1),
+     DomainError, "excludes the p=0 term"),
+    ("character below every term",
+     lambda: characters.rocha_caridi(CharacterSpec(3, 4, 1, 1), cutoff=-5),
+     DomainError, "excludes every character term"),
+    ("decompose empty basis",
+     lambda: characters.decompose(annulus.partition_direct(ISING, cutoff=8), []),
+     DomainError, "empty character basis"),
+    ("dilate by zero", lambda: qseries.euler_inverse(8).dilate(0),
+     DomainError, "dilate factor must be positive"),
+    ("truncate upward", lambda: qseries.euler_inverse(8).truncate(9),
+     DomainError, "truncating upward"),
+    ("pentagonal at zero", lambda: qseries.pentagonal_series(0),
+     DomainError, "requires cutoff > 0"),
+    ("euler product at zero", lambda: qseries.euler_product(0),
+     DomainError, "requires cutoff > 0"),
+    ("exact coercion of a str", lambda: qseries._as_exact("1/2"),
+     DomainError, "unsupported coefficient type str"),
+    ("regulator fit tolerance",
+     lambda: boundary.e1_cutoff(boundary.BoundaryCoupling(1.0, 0.1, 0.2),
+                                [0.01, 0.02, 0.03, 0.05], fit_tol=1e-30),
+     RegulatorFitError, "fit residual"),
+    ("power-law fit of a negative value",
+     lambda: observables.asymptote_fit(lambda x: (-1.0, 0.0), (0.1, 0.5)),
+     DomainError, "needs positive values"),
+]
+
+
+@pytest.mark.parametrize("call,exc,fragment", [p[1:] for p in ERROR_PATHS],
+                         ids=[p[0] for p in ERROR_PATHS])
+def test_error_path(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()
+
+
+def test_empty_decomposition_serialises_without_a_model():
+    assert characters.decomposition_to_json({}) == {"model": None, "terms": []}
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["characters", "--n", "0.7", "--phase", "dilute"], "rational coupling"),
+    (["characters", "--n", "2", "--phase", "dense"], "no Kac labels"),
+    (["sweep", "--target", "duality", "--values", "1.0"], "requires --n"),
+])
+def test_cli_domain_exit(capsys, argv, fragment):
+    assert main(argv) == 3
+    assert fragment in capsys.readouterr().err
+
+
+# -- inputs the entry points refuse -------------------------------------------
+
+BUILDERS = {
+    "partition_direct": lambda b: annulus.partition_direct(ISING, None, 16, b),
+    "partition_direct_parity":
+        lambda b: annulus.partition_direct_parity(ISING, None, 16, "even", b),
+    "flux_sum": lambda b: annulus.flux_sum(ISING, None, 16, None, b),
+    "crossing_probability": lambda b: observables.crossing_probability(16, b),
+    "wrap_count_generating":
+        lambda b: observables.wrap_count_generating(ISING, 1.0, 16, b),
+    "saw_loop_dilute": lambda b: observables.saw_loop_dilute(16, b),
+    "saw_loop_dense": lambda b: observables.saw_loop_dense(16, b),
+    "saw_loop_derivative_series":
+        lambda b: observables.saw_loop_derivative_series("dense", 16, b),
+    "log_partition_exact_core":
+        lambda b: observables.log_partition_exact_core("dense", 16, b),
+    "rocha_caridi": lambda b: characters.rocha_caridi(SPEC, 16, b),
+    "GenSeries.zero": lambda b: GenSeries.zero(4, b),
+    "GenSeries.constant": lambda b: GenSeries.constant(1, 4, b),
+    "GenSeries.from_terms": lambda b: GenSeries.from_terms([(0, 1)], 4, b),
+    "euler_inverse": lambda b: qseries.euler_inverse(8, b),
+    "pentagonal_series": lambda b: qseries.pentagonal_series(8, b),
+    "euler_product": lambda b: qseries.euler_product(8, b),
+    "dedekind_eta_series": lambda b: qseries.dedekind_eta_series(8, b),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+@pytest.mark.parametrize("backend", ["floating", "exact-rational", None])
+def test_backend_must_be_a_backend(build, backend):
+    """A backend's name is not a backend: no builder quietly picks one."""
+    build(Backend.FLOAT)
+    with pytest.raises(DomainError, match="backend must be a Backend"):
+        build(backend)
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("op", ["shift", "dilate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_shift_and_dilate_refuse_non_finite(backend, op, value):
+    series = qseries.euler_inverse(8, backend)
+    with pytest.raises(DomainError):
+        getattr(series, op)(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CharacterSpec(3, 4, 1.5, 1),
+    lambda: CharacterSpec(3.0, 4, 1, 1),
+    lambda: CharacterSpec(3, 4, 1, F(1)),
+    lambda: observables.asymptote_fit(lambda x: (1.0, 0.0), (0.1, 0.5), npoints=8.0),
+], ids=["float r", "float p_minor", "Fraction s", "float npoints"])
+def test_non_integer_labels_and_counts_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()

@@ -342,6 +342,12 @@ lattice_theta = st.builds(
 )
 
 
+def euler_kernel(theta, step=1):
+    """`_euler_kernel` applied to an exact theta given as a series."""
+    D, C, (slots,) = qseries._lattice(theta)
+    return qseries._euler_kernel(slots, D, C, theta.cutoff, step)
+
+
 @settings(max_examples=80, deadline=None)
 @given(lattice_theta, st.sampled_from([1, 2, 3]))
 def test_lattice_euler_multiply_matches_generic_product(theta, step):
@@ -351,14 +357,13 @@ def test_lattice_euler_multiply_matches_generic_product(theta, step):
     span = theta.cutoff - theta.min_exponent
     expected = (theta if theta.is_zero
                 else theta * euler_inverse(span / step).dilate(step))
-    assert qseries._times_euler_inverse(theta, step) == expected
+    assert euler_kernel(theta, step) == expected
 
 
 class TestLatticeEulerMultiply:
     def test_pentagonal_theta_collapses_to_one_term(self):
         theta = pentagonal_series(F(101, 3)).shift(F(-5, 24))
-        assert (qseries._times_euler_inverse(theta)
-                == S([(F(-5, 24), 1)], F(101, 3) - F(5, 24)))
+        assert euler_kernel(theta) == S([(F(-5, 24), 1)], F(101, 3) - F(5, 24))
 
     def test_exact_backend_bypasses_the_generic_multiply(self, monkeypatch):
         def generic(*args, **kwargs):
@@ -368,9 +373,9 @@ class TestLatticeEulerMultiply:
         expected = theta * euler_inverse(theta.cutoff - theta.min_exponent)
         monkeypatch.setattr(GenSeries, "__mul__", generic)
         with pytest.raises(RuntimeError, match="generic multiply"):
-            qseries._times_euler_inverse(S([(-1 / 24, 1.0)], 10.0, Backend.FLOAT))
+            qseries._euler_kernel([(-1 / 24, 1.0)], 1, 1, 10.0, backend=Backend.FLOAT)
         monkeypatch.setattr(qseries, "euler_inverse", generic)
-        assert qseries._times_euler_inverse(theta) == expected
+        assert euler_kernel(theta) == expected
 
 
 # -- serialization ----------------------------------------------------------------
