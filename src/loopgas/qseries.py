@@ -25,16 +25,21 @@ Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 theta to the one kernel, `_euler_kernel`, as pairs.  In the exact backend the
 multiply runs on integers: exponents on a lattice (1/D)Z, coefficients on
 (1/C)Z, partition numbers from one shared table, and Fraction terms built only
-for the result.  Floating exponents have no lattice: there the kernel takes
-the Cauchy product, the package's only internal series times series product.
+for the result.  Floating exponents have no lattice: there each theta term
+adds one row over the same partition table, and one stable sort and the
+floating merge rule (`_float_terms`, shared with `GenSeries.from_terms`)
+combine the rows.  No builder multiplies two series; `GenSeries.__mul__` on
+two series is for callers and tests.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
 from .errors import BackendMismatchError, DomainError, TailBoundError
@@ -79,6 +84,32 @@ def _finite(x: Number, what: str) -> Number:
     return x
 
 
+def _float_terms(pairs, cutoff: float) -> tuple[SeriesTerm, ...]:
+    """The floating backend's one merge rule, on (e, c) pairs sorted stably by e.
+
+    Pairs at one exponent are summed in their order, from 0.0.  Exponents
+    within FLOAT_EXPONENT_TOL of a group's first exponent then join that group,
+    which keeps the first exponent even where that exponent's own sum is zero.
+    Zero sums and groups at or above the cutoff are dropped last."""
+    out = []
+    lead = key = -math.inf
+    total = part = 0.0
+    for e, c in pairs:
+        if e == key:
+            part += c
+            continue
+        total += part
+        if e - lead >= FLOAT_EXPONENT_TOL:
+            if total and lead < cutoff:
+                out.append(SeriesTerm(lead, total))
+            lead, total = e, 0.0
+        key, part = e, 0.0 + c
+    total += part
+    if total and lead < cutoff:
+        out.append(SeriesTerm(lead, total))
+    return tuple(out)
+
+
 def _as_cutoff(cutoff: Number, backend: Backend) -> Number:
     """A finite cutoff in the backend's number type; exact takes any float as
     its exact binary value, since a cutoff only bounds exponents.  Every
@@ -109,25 +140,21 @@ class GenSeries:
 
         Duplicate exponents are summed, zero coefficients dropped, and terms
         at or above the cutoff discarded.  In the floating backend, exponents
-        within FLOAT_EXPONENT_TOL of each other are merged.
+        within FLOAT_EXPONENT_TOL of each other are merged (`_float_terms`),
+        and a NaN or infinite exponent or coefficient is a DomainError.
         """
         cutoff = _as_cutoff(cutoff, backend)
-        acc: dict[Number, Number] = {}
+        if backend is Backend.FLOAT:
+            pairs = [(_finite(float(e), "exponent"), _finite(float(c), "coefficient"))
+                     for e, c in pairs]
+            pairs.sort(key=itemgetter(0))
+            return GenSeries(_float_terms(pairs, cutoff), cutoff, backend)
+        acc: dict[Fraction, Fraction] = {}
         for e, c in pairs:
-            e = _coerce(e, backend)
-            c = _coerce(c, backend)
-            acc[e] = acc.get(e, _coerce(0, backend)) + c
-        items = sorted(acc.items())
-        if backend is Backend.FLOAT and items:
-            merged: list[list[float]] = []
-            for e, c in items:
-                if merged and e - merged[-1][0] < FLOAT_EXPONENT_TOL:
-                    merged[-1][1] += c
-                else:
-                    merged.append([e, c])
-            items = [(e, c) for e, c in merged]
+            e = _as_exact(e)
+            acc[e] = acc.get(e, Fraction(0)) + _as_exact(c)
         out = tuple(
-            SeriesTerm(e, c) for e, c in items if c != 0 and e < cutoff
+            SeriesTerm(e, c) for e, c in sorted(acc.items()) if c != 0 and e < cutoff
         )
         return GenSeries(out, cutoff, backend)
 
@@ -222,7 +249,7 @@ class GenSeries:
                         pairs.append((e, ca * cb))
             return GenSeries.from_terms(pairs, cutoff, self.backend)
         # scalar
-        c = _coerce(other, self.backend)
+        c = _finite(_coerce(other, self.backend), "scalar")
         if c == 0:
             return GenSeries.zero(self.cutoff, self.backend)
         return GenSeries(
@@ -427,13 +454,28 @@ def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
     of a/C q^{n/D} over pairs (n, a) in any order, repeats summed.
 
     Exact: a term at integer slot n adds a p(k) to slot n + k step D, one integer
-    list per residue of n mod D.  Floating: (n/D, a/C), generic multiply."""
+    list per residue of n mod D.  Floating: theta normalised from (n/D, a/C);
+    each theta term (e, a) adds the row (e + k step, a p(k)) below the cutoff,
+    and one stable sort and `_float_terms` merge the rows.  These are the float
+    operations, in the order, of theta * euler_inverse(span/step).dilate(step),
+    so the result is that product bit for bit."""
     if backend is Backend.FLOAT:
         theta = GenSeries.from_terms([(n / D, a / C) for n, a in slots], cutoff, backend)
         if theta.is_zero:
             return theta
-        span = theta.cutoff - theta.min_exponent
-        return theta * euler_inverse(span / step, backend).dilate(step)
+        low = theta.min_exponent
+        span = (theta.cutoff - low) / step
+        b = [k * step for k in map(float, range(math.ceil(span))) if k < span]
+        p = list(map(float, _partition_numbers(len(b) - 1)))
+        # The Cauchy product's cutoff bit for bit (its + 0.0 turns a -0.0 cutoff
+        # into 0.0); each row stops where the rounded e + b first reaches it.
+        top = min(theta.cutoff + 0.0, span * step + low)
+        pairs = []
+        for e, a in theta.terms:
+            n = bisect_left(b, top, key=e.__add__)
+            pairs += zip(map(e.__add__, b[:n]), map(a.__mul__, p[:n]))
+        pairs.sort(key=itemgetter(0))
+        return GenSeries(_float_terms(pairs, top), top, backend)
     top = math.ceil(cutoff * D)
     slots = _merged((n, a) for n, a in slots if n < top)
     least = slots[0][0] if slots else top  # no slots: no rows
@@ -504,13 +546,18 @@ def eta_modular_check(
         Z0(q) = q^{-1/24} prod (1-q^r)^{-1}
               = (delta/2 pi)^{1/2} qtilde^{-1/12} prod (1-qtilde^{2r})^{-1}.
     """
-    if tau_imag <= 0:
-        raise DomainError("tau_imag must be positive")
+    if not tau_imag > 0:
+        raise DomainError(f"tau_imag must be positive, got {tau_imag!r}")
+    _finite(tau_imag, "tau_imag")
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     delta = math.pi * float(tau_imag)
     q = math.exp(-delta)
     qt = math.exp(-2.0 * math.pi**2 / delta)
+    if not (0.0 < q < 1.0 and 0.0 < qt < 1.0):
+        raise DomainError(
+            f"tau_imag={tau_imag!r} rounds q or qtilde to 0 or 1 in double precision"
+        )
 
     z0_series = euler_inverse(order, Backend.FLOAT).shift(-1.0 / 24.0)
     lhs, tail_l = z0_series.eval_at(q)

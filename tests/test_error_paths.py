@@ -56,6 +56,32 @@ ERROR_PATHS = [
     ("power-law fit of a negative value",
      lambda: observables.asymptote_fit(lambda x: (-1.0, 0.0), (0.1, 0.5)),
      DomainError, "needs positive values"),
+    ("float NaN exponent",
+     lambda: GenSeries.from_terms([(math.nan, 1.0), (1, 1.0)], 4, Backend.FLOAT),
+     DomainError, "exponent must be finite, got nan"),
+    ("float -inf exponent",
+     lambda: GenSeries.from_terms([(1, 1.0), (-math.inf, 1.0)], 4, Backend.FLOAT),
+     DomainError, "exponent must be finite, got -inf"),
+    ("float inf coefficient",
+     lambda: GenSeries.from_terms([(1, math.inf)], 4, Backend.FLOAT),
+     DomainError, "coefficient must be finite, got inf"),
+    ("float NaN coefficient",
+     lambda: GenSeries.from_terms([(0.5, 2.0), (1, math.nan)], 4, Backend.FLOAT),
+     DomainError, "coefficient must be finite, got nan"),
+    ("float NaN scalar", lambda: qseries.euler_inverse(8, Backend.FLOAT) * math.nan,
+     DomainError, "scalar must be finite, got nan"),
+    ("eta tau_imag NaN", lambda: qseries.eta_modular_check(math.nan),
+     DomainError, "tau_imag must be positive, got nan"),
+    ("eta tau_imag inf", lambda: qseries.eta_modular_check(math.inf),
+     DomainError, "tau_imag must be finite, got inf"),
+    ("eta tau_imag -inf", lambda: qseries.eta_modular_check(-math.inf),
+     DomainError, "tau_imag must be positive, got -inf"),
+    ("eta tau_imag zero", lambda: qseries.eta_modular_check(0.0),
+     DomainError, "tau_imag must be positive, got 0.0"),
+    ("eta tau_imag q rounds to 1", lambda: qseries.eta_modular_check(1e-300),
+     DomainError, "tau_imag=1e-300 rounds q or qtilde"),
+    ("eta tau_imag q rounds to 0", lambda: qseries.eta_modular_check(1e300),
+     DomainError, "tau_imag=1e\\+300 rounds q or qtilde"),
 ]
 
 

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loopgas
@@ -366,16 +366,146 @@ class TestLatticeEulerMultiply:
         assert euler_kernel(theta) == S([(F(-5, 24), 1)], F(101, 3) - F(5, 24))
 
     def test_exact_backend_bypasses_the_generic_multiply(self, monkeypatch):
+        """Neither backend's kernel calls the Cauchy product or builds the
+        partition series: both read the shared partition table."""
         def generic(*args, **kwargs):
             raise RuntimeError("generic multiply")
 
         theta = S([(F(-1, 24), 1), (F(2, 3), F(-3, 2)), (F(7, 8), 4)], F(41, 3))
         expected = theta * euler_inverse(theta.cutoff - theta.min_exponent)
+        pairs = [(-1 / 24, 1.0), (2 / 3, -1.5), (7 / 8, 4.0)]
+        float_theta = S(pairs, 41 / 3, Backend.FLOAT)
+        float_expected = float_theta * euler_inverse(
+            float_theta.cutoff - float_theta.min_exponent, Backend.FLOAT)
         monkeypatch.setattr(GenSeries, "__mul__", generic)
-        with pytest.raises(RuntimeError, match="generic multiply"):
-            qseries._euler_kernel([(-1 / 24, 1.0)], 1, 1, 10.0, backend=Backend.FLOAT)
         monkeypatch.setattr(qseries, "euler_inverse", generic)
         assert euler_kernel(theta) == expected
+        got = qseries._euler_kernel(pairs, 1, 1, 41 / 3, backend=Backend.FLOAT)
+        assert got == float_expected
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_no_builder_multiplies_two_series(self, monkeypatch, backend):
+        """Series times series is public API only: every builder ends in the
+        Euler kernel, and what multiplies a series by a scalar still may."""
+        from loopgas import annulus, characters, observables, params_from_n
+
+        scalar = GenSeries.__mul__
+
+        def scalar_only(a, b):
+            if isinstance(b, GenSeries):
+                raise AssertionError("series times series inside a builder")
+            return scalar(a, b)
+
+        monkeypatch.setattr(GenSeries, "__mul__", scalar_only)
+        monkeypatch.setattr(GenSeries, "__rmul__", scalar_only)
+        ising = params_from_n(1.0, "dilute")
+        basis = [characters.CharacterSpec(3, 4, 1, 1), characters.CharacterSpec(3, 4, 1, 3)]
+        characters.decompose(annulus.partition_direct(ising, None, 40, backend), basis)
+        annulus.partition_direct_parity(ising, None, 40, "odd", backend)
+        annulus.flux_sum(ising, None, 40, None, backend)
+        for build in (observables.crossing_probability, observables.saw_loop_dilute,
+                      observables.saw_loop_dense):
+            build(40, backend)
+        observables.log_partition_exact_core("dense", 40, backend)
+        if backend is Backend.FLOAT:
+            generic = params_from_n(0.7, "dense")
+            annulus.partition_direct(generic, None, 40, backend)
+            annulus.partition_naive(generic, None, 40)
+            annulus.partition_crossed(generic, None, 40)
+            annulus.duality_check(generic, None, 1.0, 40)
+
+
+# -- the floating Euler multiply against the Cauchy product ---------------------
+
+# Dyadic exponents and coefficients make rows collide exactly (e + k is exact);
+# a nudge below FLOAT_EXPONENT_TOL makes them collide within the tolerance.
+dyadic = st.integers(-16, 64).map(lambda n: n / 8)
+float_coefficients = st.one_of(st.integers(-8, 8).map(lambda n: n / 4),
+                               st.floats(-5, 5, allow_subnormal=False))
+nudges = st.sampled_from([0.0, 1e-12, 3e-10, 6e-10, 9.9e-10, 1.2e-9])
+
+
+@st.composite
+def float_theta(draw):
+    """(theta pairs, cutoff, step).  The optional triple (e, a), (e + step,
+    -2a), (e + 2 step + nudge, b) puts a zero-sum key at e + 2 step, since
+    p(2) = 2 p(1): with a nudge, that key still anchors b's group."""
+    step = draw(st.sampled_from([1, 2, 3]))
+    pairs = draw(st.lists(
+        st.tuples(st.one_of(dyadic, st.floats(-2, 8)), float_coefficients),
+        max_size=6))
+    if draw(st.booleans()):
+        e, a = draw(dyadic), draw(st.integers(1, 8).map(lambda n: n / 4))
+        pairs += [(e, a), (e + step, -2 * a),
+                  (e + 2 * step + draw(nudges), draw(float_coefficients))]
+    return pairs, draw(st.one_of(dyadic, st.floats(0.25, 24))), step
+
+
+def merged_by_dict(pairs, cutoff):
+    """The floating normalisation written independently of `_float_terms`: a
+    dict sums repeats in insertion order, then a list merges each exponent
+    within FLOAT_EXPONENT_TOL of its group's first one, then zero sums and
+    exponents at or above the cutoff go."""
+    acc = {}
+    for e, c in pairs:
+        acc[float(e)] = acc.get(float(e), 0.0) + float(c)
+    merged = []
+    for e, c in sorted(acc.items()):
+        if merged and e - merged[-1][0] < qseries.FLOAT_EXPONENT_TOL:
+            merged[-1][1] += c
+        else:
+            merged.append([e, c])
+    return tuple((e, c) for e, c in merged if c != 0 and e < cutoff)
+
+
+@st.composite
+def float_pairs(draw):
+    """Unsorted pairs on a few exponents, each repeated exactly or nudged
+    within the tolerance, and optionally a key summing to zero (e, a) ...
+    (e, -a) with a nudged neighbour that it anchors."""
+    base = draw(st.lists(st.one_of(dyadic, st.floats(-2, 8)), min_size=1, max_size=4))
+    pairs = [(draw(st.sampled_from(base)) + draw(nudges), draw(float_coefficients))
+             for _ in range(draw(st.integers(0, 12)))]
+    if draw(st.booleans()):
+        e, a = draw(dyadic), draw(float_coefficients)
+        pairs += [(e, a), (e + draw(nudges), draw(float_coefficients)), (e, -a)]
+    return draw(st.permutations(pairs)), draw(st.floats(-1, 10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_pairs())
+@example(([(1.0, 2.0), (1.0 + 5e-10, 3.0), (1.0, -2.0)], 4.0))   # zero-sum lead
+@example(([(1.0, 0.1), (1.0 + 9e-10, 0.2), (1.0, 0.7)], 4.0))     # sum per key first
+@example(([(1.0, 1.0), (1.0 + 6e-10, 1.0), (1.0 + 1.2e-9, 1.0)], 4.0))  # first key anchors
+@example(([(2.0, -1e16), (2.0, 1.0), (2.0, 0.5)], 4.0))             # summed in order
+def test_float_from_terms_merge_rule(case):
+    pairs, cutoff = case
+    got = S(pairs, cutoff, Backend.FLOAT)
+    want = merged_by_dict(pairs, cutoff)
+    assert [repr(tuple(t)) for t in got.terms] == [repr(t) for t in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_theta())
+@example(([(0.5, 1.0), (1.5, 2.0)], 9.0, 1))                    # exactly equal
+@example(([(0.1, 1.0), (1.1 + 5e-10, 1.0)], 9.0, 1))             # within 1e-9
+@example(([(0.25, 1.0), (1.25, -2.0), (2.25 + 1e-10, 3.0)], 9.0, 1))  # zero-sum lead
+@example(([(-0.5, 0.75), (1.5, -1.5), (3.5 + 3e-10, -1.0)], 11.0, 2))
+@example(([(0.0, 0.5), (1.0, 0.5), (2.0, -1e16)], 9.0, 1))     # rows summed in order
+@example(([(-1.0, 1.0)], -0.0, 1))                             # cutoff + 0.0
+def test_float_euler_kernel_is_the_cauchy_product_bit_for_bit(case):
+    """The floating kernel's rows against theta times the partition series
+    in q^step: the same terms and cutoff, down to the last bit."""
+    pairs, cutoff, step = case
+    theta = S(pairs, cutoff, Backend.FLOAT)
+    span = theta.cutoff - theta.min_exponent
+    expected = (theta if theta.is_zero else
+                theta * euler_inverse(span / step, Backend.FLOAT).dilate(step))
+    got = qseries._euler_kernel(pairs, 1, 1, cutoff, step, Backend.FLOAT)
+    assert got.backend is Backend.FLOAT
+    assert got.terms == expected.terms
+    assert [repr(t) for t in got.terms] == [repr(t) for t in expected.terms]
+    assert repr(got.cutoff) == repr(expected.cutoff)
 
 
 # -- serialization ----------------------------------------------------------------
