@@ -30,7 +30,6 @@ from .qseries import (
     GenSeries,
     _as_cutoff,
     _euler_kernel,
-    _lattice,
     _quadratic_support,
     _slot_series,
 )
@@ -130,10 +129,14 @@ def decompose(
             if coeff != 0:
                 remainder = remainder - ch * coeff
     else:
-        # Slot n holds C times the coefficient of q^{n/D}.  A character's
-        # slots are C times integers and its first is its leading term, so
-        # taking a/C of it is integer subtraction.
-        D, C, (z, *rows) = _lattice(Z, *chars.values())
+        # Slot n holds C times the coefficient of q^{n/D}, on the lattice of
+        # Z and every character.  A character's slots are C times integers
+        # and its first is its leading term, so taking a/C of it is integer
+        # subtraction.
+        series = [Z, *chars.values()]
+        D = math.lcm(*(s._D for s in series))
+        C = math.lcm(*(s._C for s in series))
+        z, *rows = (s._slots(D, C) for s in series)
         top = math.ceil(eff * D)
         rem = {n: a for n, a in z if n < top}
         for spec, row in zip(chars, rows):

@@ -63,7 +63,6 @@ from .params import CGParams, Phase, as_phase, params_from_n, wrap_weight
 from .qseries import (
     Backend,
     GenSeries,
-    SeriesTerm,
     _as_cutoff,
     _euler_kernel,
     _expand_product,
@@ -160,11 +159,7 @@ def saw_loop_dense(
             "instance failed"
         )
     if backend is Backend.FLOAT:
-        series, closed = (
-            GenSeries(tuple(SeriesTerm(float(e), float(c)) for e, c in s),
-                      float(s.cutoff), backend)
-            for s in (series, closed)
-        )
+        series, closed = series._rounded(), closed._rounded()
     return series, closed
 
 

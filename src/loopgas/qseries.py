@@ -9,8 +9,9 @@ from ordinary Taylor series.
 
 Two coefficient backends are supported:
 
-* exact-rational -- exponents and coefficients are `fractions.Fraction`;
-  identities like Euler's pentagonal cancellation hold term by term.
+* exact-rational -- exponents and coefficients are rationals, read as
+  `fractions.Fraction`; identities like Euler's pentagonal cancellation hold
+  term by term.
 * floating -- doubles; terms whose exponents differ by less than 1e-9 are
   merged (distinct flux sectors can collide on one exponent at rational
   coupling, and float rounding must not split them).
@@ -20,14 +21,20 @@ the Euler product \prod_{r\ge1}(1-q^r), its inverse (the integer-partition
 generating function), the Dedekind eta series q^{1/24}\prod(1-q^r), and a
 numerical check of the eta modular transformation between conjugate moduli.
 
+An exact series is its lattice: exponents on (1/D)Z and coefficients on
+(1/C)Z, kept as integer slots n and a for the sum of (a/C) q^{n/D}, with D
+and C the least that hold the terms.  Its `terms` are a view of the slots,
+built as Fractions on first read; comparison, truncation, shifts, scalar
+multiples, evaluation and serialisation read the slots, and text is formatted
+from the integers.
+
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde, and every builder hands
 theta to the one kernel, `_euler_kernel`, as pairs.  In the exact backend the
-multiply runs on integers: exponents on a lattice (1/D)Z, coefficients on
-(1/C)Z, partition numbers from one shared table, and Fraction terms built only
-for the result.  Floating exponents have no lattice: there each theta term
-adds one row over the same partition table, and one stable sort and the
-floating merge rule (`_float_terms`, shared with `GenSeries.from_terms`)
+multiply runs on integers, with partition numbers from one shared table, and
+returns the slots it summed.  Floating exponents have no lattice: there each
+theta term adds one row over the same partition table, and one stable sort and
+the floating merge rule (`_float_terms`, shared with `GenSeries.from_terms`)
 combine the rows.  No builder multiplies two series; `GenSeries.__mul__` on
 two series is for callers and tests.
 """
@@ -37,8 +44,9 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
@@ -74,14 +82,23 @@ def _as_exact(x: Number) -> Fraction:
     raise DomainError(f"unsupported coefficient type {type(x).__name__}")
 
 
-def _coerce(x: Number, backend: Backend) -> Number:
-    return _as_exact(x) if backend is Backend.EXACT else float(x)
+def _coerce(x: Number, backend: Backend, what: str) -> Number:
+    return _as_exact(x) if backend is Backend.EXACT else _as_float(x, what)
 
 
 def _finite(x: Number, what: str) -> Number:
     if isinstance(x, float) and not math.isfinite(x):
         raise DomainError(f"{what} must be finite, got {x!r}")
     return x
+
+
+def _as_float(x: Number, what: str) -> float:
+    """x as a finite float; a value past the largest double is a DomainError."""
+    try:
+        x = float(x)
+    except OverflowError:
+        raise DomainError(f"{what} is too large for a float") from None
+    return _finite(x, what)
 
 
 def _float_terms(pairs, cutoff: float) -> tuple[SeriesTerm, ...]:
@@ -116,17 +133,105 @@ def _as_cutoff(cutoff: Number, backend: Backend) -> Number:
     builder calls this first, so it also refuses a backend that is not one."""
     if not isinstance(backend, Backend):
         raise DomainError(f"backend must be a Backend, got {backend!r}")
-    _finite(cutoff, "cutoff")
-    return Fraction(cutoff) if backend is Backend.EXACT else float(cutoff)
+    if backend is Backend.EXACT:
+        return Fraction(_finite(cutoff, "cutoff"))
+    return _as_float(cutoff, "cutoff")
 
 
-@dataclass(frozen=True)
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 class GenSeries:
-    """Immutable truncated series: sum of coeff * q^exponent below ``cutoff``."""
+    """Immutable truncated series: sum of coeff * q^exponent below ``cutoff``.
 
-    terms: tuple[SeriesTerm, ...]
-    cutoff: Number
-    backend: Backend
+    A floating series stores its terms.  An exact series stores its lattice:
+    integers D and C and ascending slot tuples n and a, for the sum of
+    (a/C) q^{n/D} with no zero a, D and C reduced by gcd to the least that
+    hold the terms.  Its `terms` are a view, built from the slots on first
+    read and kept; every exact operation below reads the slots."""
+
+    __slots__ = ("cutoff", "backend", "_terms", "_D", "_C", "_n", "_a")
+
+    def __new__(cls, terms, cutoff: Number, backend: Backend) -> "GenSeries":
+        """The series of `terms`, ascending in exponent, as `from_terms` gives
+        them; an exact series moves them onto its lattice."""
+        if backend is Backend.EXACT:
+            terms = [(_as_exact(e), _as_exact(c)) for e, c in terms]
+            D = math.lcm(*(e.denominator for e, _ in terms))
+            C = math.lcm(*(c.denominator for _, c in terms))
+            return cls._on_lattice(
+                tuple(e.numerator * (D // e.denominator) for e, _ in terms),
+                tuple(c.numerator * (C // c.denominator) for _, c in terms),
+                D, C, cutoff)
+        self = object.__new__(cls)
+        self._fill(cutoff, backend, terms)
+        return self
+
+    @classmethod
+    def _on_lattice(cls, n: tuple, a: tuple, D: int, C: int, cutoff) -> "GenSeries":
+        """The exact series sum (a/C) q^{n/D} over slot tuples n, a, ascending in
+        n with no zero a, on the least lattice that holds it."""
+        if (g := math.gcd(D, *n)) > 1:
+            D, n = D // g, tuple(x // g for x in n)
+        if (g := math.gcd(C, *a)) > 1:
+            C, a = C // g, tuple(x // g for x in a)
+        self = object.__new__(cls)
+        self._fill(cutoff, Backend.EXACT, None, D, C, n, a)
+        return self
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return GenSeries, (self.terms, self.cutoff, self.backend)
+
+    @property
+    def terms(self) -> tuple[SeriesTerm, ...]:
+        """(exponent, coefficient) pairs, ascending; an exact series builds
+        them from its slots on first read."""
+        if self._terms is None:
+            D, C = self._D, self._C
+            object.__setattr__(self, "_terms", tuple(
+                SeriesTerm(Fraction(n, D), Fraction(a, C)) for n, a in zip(self._n, self._a)))
+        return self._terms
+
+    def _slots(self, D: int, C: int) -> list[tuple[int, int]]:
+        """An exact series' pairs (n, a) on the lattice (1/D)Z, (1/C)Z, which
+        must hold its own."""
+        dn, ca = D // self._D, C // self._C
+        return list(zip([x * dn for x in self._n], [x * ca for x in self._a]))
+
+    def _rounded(self) -> "GenSeries":
+        """The floating series of an exact one, each term rounded once."""
+        terms = tuple(SeriesTerm(n / self._D, a / self._C) for n, a in zip(self._n, self._a))
+        return GenSeries(terms, float(self.cutoff), Backend.FLOAT)
+
+    def _texts(self):
+        """An exact series' (exponent, coefficient) as 'p/q' text, lazily."""
+        return zip(map(_ratio_text, self._n, repeat(self._D)),
+                   map(_ratio_text, self._a, repeat(self._C)))
+
+    def _key(self) -> tuple:
+        if self.backend is Backend.EXACT:
+            return self.backend, self.cutoff, self._D, self._C, self._n, self._a
+        return self.backend, self.cutoff, self.terms
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.cutoff, self.backend))
 
     # -- constructors -----------------------------------------------------
 
@@ -141,21 +246,23 @@ class GenSeries:
         Duplicate exponents are summed, zero coefficients dropped, and terms
         at or above the cutoff discarded.  In the floating backend, exponents
         within FLOAT_EXPONENT_TOL of each other are merged (`_float_terms`),
-        and a NaN or infinite exponent or coefficient is a DomainError.
+        and a NaN, infinite or too large exponent or coefficient is a
+        DomainError.
         """
         cutoff = _as_cutoff(cutoff, backend)
         if backend is Backend.FLOAT:
-            pairs = [(_finite(float(e), "exponent"), _finite(float(c), "coefficient"))
-                     for e, c in pairs]
+            try:
+                pairs = [(_finite(float(e), "exponent"), _finite(float(c), "coefficient"))
+                         for e, c in pairs]
+            except OverflowError:
+                raise DomainError("exponent or coefficient is too large for a float") from None
             pairs.sort(key=itemgetter(0))
             return GenSeries(_float_terms(pairs, cutoff), cutoff, backend)
         acc: dict[Fraction, Fraction] = {}
         for e, c in pairs:
             e = _as_exact(e)
             acc[e] = acc.get(e, Fraction(0)) + _as_exact(c)
-        out = tuple(
-            SeriesTerm(e, c) for e, c in sorted(acc.items()) if c != 0 and e < cutoff
-        )
+        out = [(e, c) for e, c in sorted(acc.items()) if c != 0 and e < cutoff]
         return GenSeries(out, cutoff, backend)
 
     @staticmethod
@@ -174,20 +281,21 @@ class GenSeries:
     def min_exponent(self) -> Number:
         """Exponent of the first term; for the zero series, the cutoff
         (the first exponent at which an unknown term could appear)."""
+        if self.backend is Backend.EXACT:
+            return Fraction(self._n[0], self._D) if self._n else self.cutoff
         return self.terms[0].exponent if self.terms else self.cutoff
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self)
 
     def coefficient(self, exponent: Number) -> Number:
         """Coefficient at an exponent (0 if absent; tolerant lookup for floats)."""
         if self.backend is Backend.EXACT:
-            e = _as_exact(exponent)
-            for te, tc in self.terms:
-                if te == e:
-                    return tc
-            return Fraction(0)
+            x = _as_exact(exponent) * self._D
+            i = bisect_left(self._n, x)
+            found = i < len(self._n) and self._n[i] == x
+            return Fraction(self._a[i] if found else 0, self._C)
         e = float(exponent)
         for te, tc in self.terms:
             if abs(te - e) < FLOAT_EXPONENT_TOL:
@@ -198,11 +306,12 @@ class GenSeries:
         return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._n if self.backend is Backend.EXACT else self.terms)
 
     def __repr__(self) -> str:  # compact, for interactive use
-        inner = " + ".join(f"({t.coefficient})*q^({t.exponent})" for t in self.terms[:6])
-        if len(self.terms) > 6:
+        shown = self._texts() if self.backend is Backend.EXACT else self.terms
+        inner = " + ".join(f"({c})*q^({e})" for e, c in islice(shown, 6))
+        if len(self) > 6:
             inner += " + ..."
         return f"<GenSeries[{self.backend.value}] {inner or '0'} ; cutoff={self.cutoff}>"
 
@@ -225,6 +334,9 @@ class GenSeries:
         )
 
     def __neg__(self) -> "GenSeries":
+        if self.backend is Backend.EXACT:
+            return GenSeries._on_lattice(
+                self._n, tuple(-x for x in self._a), self._D, self._C, self.cutoff)
         return GenSeries(
             tuple(SeriesTerm(e, -c) for e, c in self.terms), self.cutoff, self.backend
         )
@@ -249,9 +361,16 @@ class GenSeries:
                         pairs.append((e, ca * cb))
             return GenSeries.from_terms(pairs, cutoff, self.backend)
         # scalar
-        c = _finite(_coerce(other, self.backend), "scalar")
+        c = _coerce(other, self.backend, "scalar")
         if c == 0:
             return GenSeries.zero(self.cutoff, self.backend)
+        if self.backend is Backend.EXACT:
+            return GenSeries._on_lattice(
+                self._n, tuple(x * c.numerator for x in self._a),
+                self._D, self._C * c.denominator, self.cutoff)
+        # |c| times the largest |coefficient| is finite iff every product is
+        peak = max((abs(co) for _, co in self.terms), default=0.0)
+        _finite(c * peak, "scalar times the largest coefficient")
         return GenSeries(
             tuple(SeriesTerm(e, co * c) for e, co in self.terms),
             self.cutoff,
@@ -262,7 +381,12 @@ class GenSeries:
 
     def shift(self, delta: Number) -> "GenSeries":
         """Multiply by q^delta (exponent shift)."""
-        d = _finite(_coerce(delta, self.backend), "shift")
+        d = _coerce(delta, self.backend, "shift")
+        if self.backend is Backend.EXACT:
+            D = math.lcm(self._D, d.denominator)
+            k, m = D // self._D, d.numerator * (D // d.denominator)
+            return GenSeries._on_lattice(
+                tuple(x * k + m for x in self._n), self._a, D, self._C, self.cutoff + d)
         return GenSeries(
             tuple(SeriesTerm(e + d, c) for e, c in self.terms),
             self.cutoff + d,
@@ -271,9 +395,13 @@ class GenSeries:
 
     def dilate(self, factor: Number) -> "GenSeries":
         """Substitute q -> q^factor (exponent scaling), factor > 0."""
-        f = _finite(_coerce(factor, self.backend), "dilate factor")
+        f = _coerce(factor, self.backend, "dilate factor")
         if f <= 0:
             raise DomainError("dilate factor must be positive")
+        if self.backend is Backend.EXACT:
+            return GenSeries._on_lattice(
+                tuple(x * f.numerator for x in self._n), self._a,
+                self._D * f.denominator, self._C, self.cutoff * f)
         return GenSeries(
             tuple(SeriesTerm(e * f, c) for e, c in self.terms),
             self.cutoff * f,
@@ -284,6 +412,9 @@ class GenSeries:
         c = _as_cutoff(cutoff, self.backend)
         if c > self.cutoff:
             raise DomainError("cannot extend a series by truncating upward")
+        if self.backend is Backend.EXACT:
+            k = bisect_left(self._n, math.ceil(c * self._D))
+            return GenSeries._on_lattice(self._n[:k], self._a[:k], self._D, self._C, c)
         return GenSeries(
             tuple(t for t in self.terms if t.exponent < c), c, self.backend
         )
@@ -306,9 +437,16 @@ class GenSeries:
             )
         lnq = math.log(q)
         value = 0.0
-        for e, c in self.terms:
-            value += float(c) * math.exp(float(e) * lnq)
-        last = abs(float(self.terms[-1].coefficient)) if self.terms else 1.0
+        if self.backend is Backend.EXACT:
+            # n/D and a/C are correctly rounded, as float(Fraction(n, D)) is
+            D, C = self._D, self._C
+            for n, a in zip(self._n, self._a):
+                value += a / C * math.exp(n / D * lnq)
+            last = abs(self._a[-1] / C) if self._a else 1.0
+        else:
+            for e, c in self.terms:
+                value += float(c) * math.exp(float(e) * lnq)
+            last = abs(float(self.terms[-1].coefficient)) if self.terms else 1.0
         tail = 4.0 * last * math.exp(float(self.cutoff) * lnq) / (1.0 - q)
         return value, tail
 
@@ -316,13 +454,11 @@ class GenSeries:
 
     def to_json_dict(self) -> dict:
         enc = _encode_number
-        return {
-            "backend": self.backend.value,
-            "cutoff": enc(self.cutoff),
-            "terms": [
-                {"exponent": enc(e), "coefficient": enc(c)} for e, c in self.terms
-            ],
-        }
+        if self.backend is Backend.EXACT:
+            terms = [{"exponent": e, "coefficient": c} for e, c in self._texts()]
+        else:
+            terms = [{"exponent": enc(e), "coefficient": enc(c)} for e, c in self.terms]
+        return {"backend": self.backend.value, "cutoff": enc(self.cutoff), "terms": terms}
 
     @staticmethod
     def from_json_dict(d: dict) -> "GenSeries":
@@ -336,6 +472,8 @@ class GenSeries:
 
     def to_csv_rows(self) -> list[tuple[str, str]]:
         """Two-column (exponent, coefficient) rows, header excluded."""
+        if self.backend is Backend.EXACT:
+            return list(self._texts())
         return [(format_number(e), format_number(c)) for e, c in self.terms]
 
 
@@ -427,14 +565,6 @@ def _expand_product(steps: Iterable[int], length: int) -> list[int]:
     return a
 
 
-def _lattice(*series: GenSeries):
-    """(D, C, slot lists): each series' terms a/C q^{n/D} as pairs (n, a)."""
-    D = math.lcm(*(e.denominator for s in series for e, _ in s.terms))
-    C = math.lcm(*(c.denominator for s in series for _, c in s.terms))
-    return D, C, [[(e.numerator * D // e.denominator, c.numerator * C // c.denominator)
-                   for e, c in s.terms] for s in series]
-
-
 def _merged(slots) -> list:
     """Integer pairs (n, a) summed per n, ascending in n, zero sums dropped."""
     acc: dict[int, int] = {}
@@ -445,8 +575,9 @@ def _merged(slots) -> list:
 
 def _slot_series(slots, D: int, C: int, cutoff) -> GenSeries:
     """sum a/C q^{n/D} over integer pairs (n, a), ascending in n, zero a dropped."""
-    terms = tuple(SeriesTerm(Fraction(n, D), Fraction(a, C)) for n, a in slots if a)
-    return GenSeries(terms, Fraction(cutoff), Backend.EXACT)
+    pairs = [s for s in slots if s[1]]
+    n, a = zip(*pairs) if pairs else ((), ())
+    return GenSeries._on_lattice(n, a, D, C, Fraction(cutoff))
 
 
 def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
@@ -491,12 +622,13 @@ def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
         lo = n // D - base
         hi = lo + (top - 1 - n) // (step * D) * step + 1
         row[lo:hi:step] = [x + a * y for x, y in zip(row[lo:hi:step], p)]
+    # Read out column by column: the slots in ascending order, and their values.
     residues = sorted(rows)
-    cols = enumerate(zip(*(rows[r] for r in residues)), base)
-    return _slot_series(
-        ((col * D + r, v) for col, vals in cols for r, v in zip(residues, vals)),
-        D, C, cutoff,
-    )
+    end = (base + width) * D
+    grid = chain.from_iterable(zip(*(range(base * D + r, end, D) for r in residues)))
+    values = list(chain.from_iterable(zip(*(rows[r] for r in residues))))
+    return GenSeries._on_lattice(tuple(compress(grid, values)), tuple(filter(None, values)),
+                                 D, C, Fraction(cutoff))
 
 
 def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:

@@ -239,18 +239,25 @@ class TestDecompose:
         assert saw_loop_dense(200) == dense
 
     def test_exact_partition_never_lifts_theta_onto_a_lattice(self, monkeypatch):
-        """Exact partition functions hand theta to the Euler kernel as slots:
-        no theta series is built and read back through `qseries._lattice`."""
-        potts = params_from_n(1.0, "dense")
-        expected = [partition_direct(potts, cutoff=60),
-                    partition_direct_parity(potts, cutoff=60, parity="odd")]
+        """Exact series stay on their integer lattice from theta to the
+        peel-off: building partition functions and decomposing the 3-state
+        Potts even sector at order 1024 builds no Fraction term, for Z or for
+        any character."""
+        dense = params_from_n(1.0, "dense")
+        expected = [partition_direct(dense, cutoff=60),
+                    partition_direct_parity(dense, cutoff=60, parity="odd")]
+        potts = params_from_n(math.sqrt(3.0), "dense")
+        basis = [CharacterSpec(5, 6, 1, s) for s in (1, 3, 5)]
 
-        def refuse(*series):
-            raise AssertionError("theta lifted back onto the lattice")
+        def refuse(*args):
+            raise AssertionError("an exact series built its terms")
 
-        monkeypatch.setattr(qseries, "_lattice", refuse)
-        assert [partition_direct(potts, cutoff=60),
-                partition_direct_parity(potts, cutoff=60, parity="odd")] == expected
+        monkeypatch.setattr(qseries, "SeriesTerm", refuse)
+        assert [partition_direct(dense, cutoff=60),
+                partition_direct_parity(dense, cutoff=60, parity="odd")] == expected
+        Z = partition_direct_parity(potts, None, 1024, "even")
+        assert decompose(Z, basis) == dict(zip(basis, (1, 2, 1)))
+        assert Z._terms is None
 
     def test_float_ising(self):
         Z = partition_direct(params_from_n(1.0, "dilute"), cutoff=40,

@@ -1,6 +1,7 @@
 """Error paths of the public entry points: each refusal, its type and message."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -70,6 +71,20 @@ ERROR_PATHS = [
      DomainError, "coefficient must be finite, got nan"),
     ("float NaN scalar", lambda: qseries.euler_inverse(8, Backend.FLOAT) * math.nan,
      DomainError, "scalar must be finite, got nan"),
+    ("float exponent past the largest double",
+     lambda: GenSeries.from_terms([(10**400, 1)], 4, Backend.FLOAT),
+     DomainError, "exponent or coefficient is too large for a float"),
+    ("float coefficient past the largest double",
+     lambda: GenSeries.from_terms([(1, 10**400)], 4, Backend.FLOAT),
+     DomainError, "exponent or coefficient is too large for a float"),
+    ("float cutoff past the largest double", lambda: GenSeries.zero(10**400, Backend.FLOAT),
+     DomainError, "cutoff is too large for a float"),
+    ("float scalar past the largest double",
+     lambda: qseries.euler_inverse(8, Backend.FLOAT) * 10**400,
+     DomainError, "scalar is too large for a float"),
+    ("float scalar product overflows",
+     lambda: qseries.euler_inverse(8, Backend.FLOAT) * 1e308 * 10.0,
+     DomainError, "scalar times the largest coefficient must be finite, got inf"),
     ("eta tau_imag NaN", lambda: qseries.eta_modular_check(math.nan),
      DomainError, "tau_imag must be positive, got nan"),
     ("eta tau_imag inf", lambda: qseries.eta_modular_check(math.inf),
@@ -149,6 +164,16 @@ def test_shift_and_dilate_refuse_non_finite(backend, op, value):
     series = qseries.euler_inverse(8, backend)
     with pytest.raises(DomainError):
         getattr(series, op)(value)
+
+
+def test_float_scalar_overflow_is_checked_at_the_largest_coefficient():
+    """p(7) = 15 is the largest coefficient below q^8: a scalar of a sixteenth
+    of the largest double keeps every product finite, an eighth does not."""
+    series = qseries.euler_inverse(8, Backend.FLOAT)
+    big = series * (sys.float_info.max / 16)
+    assert all(math.isfinite(c) for _, c in big.terms)
+    with pytest.raises(DomainError, match="largest coefficient"):
+        series * (sys.float_info.max / 8)
 
 
 @pytest.mark.parametrize("call", [

@@ -342,9 +342,18 @@ lattice_theta = st.builds(
 )
 
 
+def lift(series):
+    """(D, C, slots): an exact series' Fraction terms a/C q^{n/D} as integer
+    pairs (n, a), worked out from `terms` alone."""
+    D = math.lcm(*(e.denominator for e, _ in series.terms))
+    C = math.lcm(*(c.denominator for _, c in series.terms))
+    return D, C, [(e.numerator * D // e.denominator, c.numerator * C // c.denominator)
+                  for e, c in series.terms]
+
+
 def euler_kernel(theta, step=1):
     """`_euler_kernel` applied to an exact theta given as a series."""
-    D, C, (slots,) = qseries._lattice(theta)
+    D, C, slots = lift(theta)
     return qseries._euler_kernel(slots, D, C, theta.cutoff, step)
 
 
@@ -413,6 +422,74 @@ class TestLatticeEulerMultiply:
             annulus.partition_naive(generic, None, 40)
             annulus.partition_crossed(generic, None, 40)
             annulus.duality_check(generic, None, 1.0, 40)
+
+
+# -- an exact series is its lattice --------------------------------------------
+
+
+@st.composite
+def lattice_slots(draw):
+    """(slots, D, C, cutoff) for the sum of a/C q^{n/D}: n negative or positive,
+    a zero, small or huge, and half the time a factor that D shares with every
+    n, or C with every a, so that the lattice reduces by a gcd."""
+    gD, gC = draw(st.sampled_from([1, 2, 6])), draw(st.sampled_from([1, 3, 10]))
+    D0 = draw(st.sampled_from([1, 2, 3, 8, 24, 120]))
+    cutoff = draw(st.fractions(min_value=-2, max_value=20, max_denominator=30))
+    ns = draw(st.lists(st.integers(-4 * D0, 20 * D0), unique=True, max_size=12))
+    a = st.one_of(st.just(0), st.integers(-40, 40), st.integers(-10**40, 10**40))
+    slots = [(n * gD, draw(a) * gC) for n in sorted(ns) if F(n, D0) < cutoff]
+    return slots, D0 * gD, draw(st.sampled_from([1, 2, 7, 12])) * gC, cutoff
+
+
+def term_view(series):
+    """What the dataclass with a stored term tuple printed and evaluated, from
+    `terms` alone: repr, JSON terms, CSV rows and eval_at at three q."""
+    shown = " + ".join(f"({c})*q^({e})" for e, c in series.terms[:6])
+    shown += " + ..." * (len(series.terms) > 6)
+    evals = []
+    for q in (0.05, 0.5, 0.93):
+        lnq, value = math.log(q), 0.0
+        for e, c in series.terms:
+            value += float(c) * math.exp(float(e) * lnq)
+        last = abs(float(series.terms[-1].coefficient)) if series.terms else 1.0
+        tail = 4.0 * last * math.exp(float(series.cutoff) * lnq) / (1.0 - q)
+        evals += [value.hex(), tail.hex()]
+    return (f"<GenSeries[exact-rational] {shown or '0'} ; cutoff={series.cutoff}>",
+            [{"exponent": str(e), "coefficient": str(c)} for e, c in series.terms],
+            [(str(e), str(c)) for e, c in series.terms], evals)
+
+
+@settings(max_examples=120, deadline=None)
+@given(lattice_slots(), st.fractions(min_value=0, max_value=5, max_denominator=24),
+       st.fractions(min_value=-3, max_value=3, max_denominator=40),
+       st.fractions(min_value=F(1, 7), max_value=5, max_denominator=9),
+       st.fractions(min_value=-5, max_value=5, max_denominator=12))
+def test_slot_series_is_the_series_of_its_terms(case, drop, delta, factor, k):
+    """A series built on integer slots and one built by `from_terms` from the
+    same Fractions agree in every view, and so does every operation that
+    reads the slots; the printed forms match the formulas on `terms`."""
+    slots, D, C, cutoff = case
+    pairs = [(F(n, D), F(a, C)) for n, a in slots]
+    s, t = qseries._slot_series(slots, D, C, cutoff), S(pairs, cutoff)
+    assert s == t and hash(s) == hash(t) and len(s) == len(t)
+    assert repr(s.terms) == repr(t.terms) and repr(s) == repr(t)
+    assert s.min_exponent == t.min_exponent
+    view = term_view(t)
+    assert (repr(s), s.to_json_dict()["terms"], s.to_csv_rows(),
+            [x for q in (0.05, 0.5, 0.93) for x in map(float.hex, s.eval_at(q))]) == view
+    assert s.to_json_dict() == t.to_json_dict()
+    assert s.to_csv_rows() == t.to_csv_rows()
+    terms = s.terms
+    for got, want in [
+        (s.truncate(cutoff - drop), S(terms, cutoff - drop)),
+        (s.shift(delta), S([(e + delta, c) for e, c in terms], cutoff + delta)),
+        (s.dilate(factor), S([(e * factor, c) for e, c in terms], cutoff * factor)),
+        (-s, S([(e, -c) for e, c in terms], cutoff)),
+        (s * k, S([(e, c * k) for e, c in terms], cutoff)),
+        (s + t, S(terms + terms, cutoff)),
+    ]:
+        assert got == want and repr(got.terms) == repr(want.terms)
+        assert got.to_json_dict() == want.to_json_dict()
 
 
 # -- the floating Euler multiply against the Cauchy product ---------------------
