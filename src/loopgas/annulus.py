@@ -35,7 +35,7 @@ cannot represent those, so they raise IdentityError when nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -67,15 +67,7 @@ class ChannelEval:
     tail_bounds: tuple[float, float]
 
     def to_json_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "q": self.q,
-            "q_tilde": self.q_tilde,
-            "direct_value": self.direct_value,
-            "crossed_value": self.crossed_value,
-            "residual": self.residual,
-            "tail_bounds": list(self.tail_bounds),
-        }
+        return {**asdict(self), "tail_bounds": list(self.tail_bounds)}
 
 
 # -- direct channel -----------------------------------------------------------

@@ -14,19 +14,21 @@ Two coefficient backends are supported:
   term by term.
 * floating -- doubles; terms whose exponents differ by less than 1e-9 are
   merged (distinct flux sectors can collide on one exponent at rational
-  coupling, and float rounding must not split them).
+  coupling, and float rounding must not split them), and a merged sum that
+  is not finite is a DomainError.
 
 The module also provides the standard building blocks used throughout:
 the Euler product \prod_{r\ge1}(1-q^r), its inverse (the integer-partition
 generating function), the Dedekind eta series q^{1/24}\prod(1-q^r), and a
 numerical check of the eta modular transformation between conjugate moduli.
 
-An exact series is its lattice: exponents on (1/D)Z and coefficients on
-(1/C)Z, kept as integer slots n and a for the sum of (a/C) q^{n/D}, with D
-and C the least that hold the terms.  Its `terms` are a view of the slots,
-built as Fractions on first read; comparison, truncation, shifts, scalar
-multiples, evaluation and serialisation read the slots, and text is formatted
-from the integers.
+Both backends keep one layout: tuples n and a for the sum of (a/C) q^{n/D}.
+An exact series is its lattice: n and a are integers, exponents on (1/D)Z and
+coefficients on (1/C)Z, with D and C the least that hold the terms, and text
+is formatted from the integers.  A floating series has D = C = 1, and n and a
+are its float exponents and coefficients.  `terms` is a view of the tuples,
+built as SeriesTerms on first read; comparison, hashing, truncation, shifts,
+scalar multiples, evaluation and serialisation read the tuples.
 
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde, and every builder hands
@@ -47,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
-from operator import itemgetter
+from operator import itemgetter, lt, truediv
 from typing import Iterable, NamedTuple, Union
 
 from .errors import BackendMismatchError, DomainError, TailBoundError
@@ -101,14 +103,16 @@ def _as_float(x: Number, what: str) -> float:
     return _finite(x, what)
 
 
-def _float_terms(pairs, cutoff: float) -> tuple[SeriesTerm, ...]:
-    """The floating backend's one merge rule, on (e, c) pairs sorted stably by e.
+def _float_terms(pairs, cutoff: float) -> "GenSeries":
+    """The floating series of (e, c) pairs sorted stably by e, by the floating
+    backend's one merge rule.
 
     Pairs at one exponent are summed in their order, from 0.0.  Exponents
     within FLOAT_EXPONENT_TOL of a group's first exponent then join that group,
     which keeps the first exponent even where that exponent's own sum is zero.
-    Zero sums and groups at or above the cutoff are dropped last."""
-    out = []
+    Zero sums and groups at or above the cutoff are dropped last, and a sum
+    that is not finite is a DomainError."""
+    es, cs = [], []
     lead = key = -math.inf
     total = part = 0.0
     for e, c in pairs:
@@ -118,13 +122,28 @@ def _float_terms(pairs, cutoff: float) -> tuple[SeriesTerm, ...]:
         total += part
         if e - lead >= FLOAT_EXPONENT_TOL:
             if total and lead < cutoff:
-                out.append(SeriesTerm(lead, total))
+                es.append(lead)
+                cs.append(total)
             lead, total = e, 0.0
         key, part = e, 0.0 + c
     total += part
     if total and lead < cutoff:
-        out.append(SeriesTerm(lead, total))
-    return tuple(out)
+        es.append(lead)
+        cs.append(total)
+    if not all(map(math.isfinite, cs)):
+        raise DomainError("a merged floating coefficient is not finite")
+    return GenSeries._on_lattice(tuple(es), tuple(cs), 1, 1, cutoff, Backend.FLOAT)
+
+
+def _float_exponents(n: tuple, cutoff: float, what: str) -> tuple:
+    """Moved floating exponents n, refused unless they and the cutoff are
+    finite and strictly increasing."""
+    ladder = n + (cutoff,)
+    if not (math.isfinite(ladder[0]) and math.isfinite(cutoff)
+            and all(map(lt, ladder, ladder[1:]))):
+        raise DomainError(f"{what} leaves exponents and cutoff that are not "
+                          "finite and strictly increasing")
+    return n
 
 
 def _as_cutoff(cutoff: Number, backend: Backend) -> Number:
@@ -147,39 +166,41 @@ def _ratio_text(n: int, d: int) -> str:
 class GenSeries:
     """Immutable truncated series: sum of coeff * q^exponent below ``cutoff``.
 
-    A floating series stores its terms.  An exact series stores its lattice:
-    integers D and C and ascending slot tuples n and a, for the sum of
-    (a/C) q^{n/D} with no zero a, D and C reduced by gcd to the least that
-    hold the terms.  Its `terms` are a view, built from the slots on first
-    read and kept; every exact operation below reads the slots."""
+    Every series stores integers D and C and ascending tuples n and a, for
+    the sum of (a/C) q^{n/D} with no zero a.  An exact series' n and a are
+    integer slots, with D and C reduced by gcd to the least that hold the
+    terms; a floating series' are its float exponents and coefficients, with
+    D = C = 1.  `terms` is a view, built from the tuples on first read and
+    kept; every operation below reads the tuples, except exact `+` and the
+    product of two series."""
 
     __slots__ = ("cutoff", "backend", "_terms", "_D", "_C", "_n", "_a")
 
     def __new__(cls, terms, cutoff: Number, backend: Backend) -> "GenSeries":
         """The series of `terms`, ascending in exponent, as `from_terms` gives
         them; an exact series moves them onto its lattice."""
+        D = C = 1
         if backend is Backend.EXACT:
             terms = [(_as_exact(e), _as_exact(c)) for e, c in terms]
             D = math.lcm(*(e.denominator for e, _ in terms))
             C = math.lcm(*(c.denominator for _, c in terms))
-            return cls._on_lattice(
-                tuple(e.numerator * (D // e.denominator) for e, _ in terms),
-                tuple(c.numerator * (C // c.denominator) for _, c in terms),
-                D, C, cutoff)
-        self = object.__new__(cls)
-        self._fill(cutoff, backend, terms)
-        return self
+            terms = [(e.numerator * (D // e.denominator), c.numerator * (C // c.denominator))
+                     for e, c in terms]
+        n, a = tuple(zip(*terms)) or ((), ())
+        return cls._on_lattice(n, a, D, C, cutoff, backend)
 
     @classmethod
-    def _on_lattice(cls, n: tuple, a: tuple, D: int, C: int, cutoff) -> "GenSeries":
-        """The exact series sum (a/C) q^{n/D} over slot tuples n, a, ascending in
-        n with no zero a, on the least lattice that holds it."""
-        if (g := math.gcd(D, *n)) > 1:
-            D, n = D // g, tuple(x // g for x in n)
-        if (g := math.gcd(C, *a)) > 1:
-            C, a = C // g, tuple(x // g for x in a)
+    def _on_lattice(cls, n: tuple, a: tuple, D: int, C: int, cutoff,
+                    backend: Backend) -> "GenSeries":
+        """The series sum (a/C) q^{n/D} over tuples n, a, ascending in n with
+        no zero a; an exact one on the least lattice that holds it."""
+        if backend is Backend.EXACT:
+            if (g := math.gcd(D, *n)) > 1:
+                D, n = D // g, tuple(x // g for x in n)
+            if (g := math.gcd(C, *a)) > 1:
+                C, a = C // g, tuple(x // g for x in a)
         self = object.__new__(cls)
-        self._fill(cutoff, Backend.EXACT, None, D, C, n, a)
+        self._fill(cutoff, backend, None, D, C, n, a)
         return self
 
     def _fill(self, *values) -> None:
@@ -196,12 +217,13 @@ class GenSeries:
 
     @property
     def terms(self) -> tuple[SeriesTerm, ...]:
-        """(exponent, coefficient) pairs, ascending; an exact series builds
-        them from its slots on first read."""
+        """(exponent, coefficient) pairs, ascending, built from the tuples on
+        first read: Fractions n/D and a/C for an exact series."""
         if self._terms is None:
-            D, C = self._D, self._C
-            object.__setattr__(self, "_terms", tuple(
-                SeriesTerm(Fraction(n, D), Fraction(a, C)) for n, a in zip(self._n, self._a)))
+            n, a = self._n, self._a
+            if self.backend is Backend.EXACT:
+                n, a = map(Fraction, n, repeat(self._D)), map(Fraction, a, repeat(self._C))
+            object.__setattr__(self, "_terms", tuple(map(SeriesTerm, n, a)))
         return self._terms
 
     def _slots(self, D: int, C: int) -> list[tuple[int, int]]:
@@ -212,18 +234,20 @@ class GenSeries:
 
     def _rounded(self) -> "GenSeries":
         """The floating series of an exact one, each term rounded once."""
-        terms = tuple(SeriesTerm(n / self._D, a / self._C) for n, a in zip(self._n, self._a))
-        return GenSeries(terms, float(self.cutoff), Backend.FLOAT)
+        return GenSeries._on_lattice(tuple(map(truediv, self._n, repeat(self._D))),
+                                     tuple(map(truediv, self._a, repeat(self._C))),
+                                     1, 1, float(self.cutoff), Backend.FLOAT)
 
-    def _texts(self):
-        """An exact series' (exponent, coefficient) as 'p/q' text, lazily."""
+    def _texts(self, fmt=str):
+        """(exponent, coefficient) for printing, lazily: an exact series' as
+        'p/q' text from its integers, a floating series' through fmt."""
+        if self.backend is Backend.FLOAT:
+            return zip(map(fmt, self._n), map(fmt, self._a))
         return zip(map(_ratio_text, self._n, repeat(self._D)),
                    map(_ratio_text, self._a, repeat(self._C)))
 
     def _key(self) -> tuple:
-        if self.backend is Backend.EXACT:
-            return self.backend, self.cutoff, self._D, self._C, self._n, self._a
-        return self.backend, self.cutoff, self.terms
+        return self.backend, self.cutoff, self._D, self._C, self._n, self._a
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -231,7 +255,7 @@ class GenSeries:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.terms, self.cutoff, self.backend))
+        return hash(self._key())
 
     # -- constructors -----------------------------------------------------
 
@@ -246,8 +270,8 @@ class GenSeries:
         Duplicate exponents are summed, zero coefficients dropped, and terms
         at or above the cutoff discarded.  In the floating backend, exponents
         within FLOAT_EXPONENT_TOL of each other are merged (`_float_terms`),
-        and a NaN, infinite or too large exponent or coefficient is a
-        DomainError.
+        and a NaN, infinite or too large exponent or coefficient, or a sum
+        that is not finite, is a DomainError.
         """
         cutoff = _as_cutoff(cutoff, backend)
         if backend is Backend.FLOAT:
@@ -257,7 +281,7 @@ class GenSeries:
             except OverflowError:
                 raise DomainError("exponent or coefficient is too large for a float") from None
             pairs.sort(key=itemgetter(0))
-            return GenSeries(_float_terms(pairs, cutoff), cutoff, backend)
+            return _float_terms(pairs, cutoff)
         acc: dict[Fraction, Fraction] = {}
         for e, c in pairs:
             e = _as_exact(e)
@@ -281,9 +305,9 @@ class GenSeries:
     def min_exponent(self) -> Number:
         """Exponent of the first term; for the zero series, the cutoff
         (the first exponent at which an unknown term could appear)."""
-        if self.backend is Backend.EXACT:
-            return Fraction(self._n[0], self._D) if self._n else self.cutoff
-        return self.terms[0].exponent if self.terms else self.cutoff
+        if not self._n:
+            return self.cutoff
+        return Fraction(self._n[0], self._D) if self.backend is Backend.EXACT else self._n[0]
 
     @property
     def is_zero(self) -> bool:
@@ -297,7 +321,7 @@ class GenSeries:
             found = i < len(self._n) and self._n[i] == x
             return Fraction(self._a[i] if found else 0, self._C)
         e = float(exponent)
-        for te, tc in self.terms:
+        for te, tc in zip(self._n, self._a):
             if abs(te - e) < FLOAT_EXPONENT_TOL:
                 return tc
         return 0.0
@@ -306,11 +330,10 @@ class GenSeries:
         return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self._n if self.backend is Backend.EXACT else self.terms)
+        return len(self._n)
 
     def __repr__(self) -> str:  # compact, for interactive use
-        shown = self._texts() if self.backend is Backend.EXACT else self.terms
-        inner = " + ".join(f"({c})*q^({e})" for e, c in islice(shown, 6))
+        inner = " + ".join(f"({c})*q^({e})" for e, c in islice(self._texts(), 6))
         if len(self) > 6:
             inner += " + ..."
         return f"<GenSeries[{self.backend.value}] {inner or '0'} ; cutoff={self.cutoff}>"
@@ -325,21 +348,15 @@ class GenSeries:
 
     def __add__(self, other: "GenSeries") -> "GenSeries":
         self._check_backend(other)
-        cutoff = min(self.cutoff, other.cutoff)
-        return GenSeries.from_terms(
-            [(t.exponent, t.coefficient) for t in self.terms]
-            + [(t.exponent, t.coefficient) for t in other.terms],
-            cutoff,
-            self.backend,
-        )
+        if self.backend is Backend.EXACT:
+            pairs = [*self.terms, *other.terms]
+        else:
+            pairs = [*zip(self._n, self._a), *zip(other._n, other._a)]
+        return GenSeries.from_terms(pairs, min(self.cutoff, other.cutoff), self.backend)
 
     def __neg__(self) -> "GenSeries":
-        if self.backend is Backend.EXACT:
-            return GenSeries._on_lattice(
-                self._n, tuple(-x for x in self._a), self._D, self._C, self.cutoff)
-        return GenSeries(
-            tuple(SeriesTerm(e, -c) for e, c in self.terms), self.cutoff, self.backend
-        )
+        return GenSeries._on_lattice(self._n, tuple(-x for x in self._a), self._D, self._C,
+                                     self.cutoff, self.backend)
 
     def __sub__(self, other: "GenSeries") -> "GenSeries":
         return self + (-other)
@@ -365,17 +382,13 @@ class GenSeries:
         if c == 0:
             return GenSeries.zero(self.cutoff, self.backend)
         if self.backend is Backend.EXACT:
-            return GenSeries._on_lattice(
-                self._n, tuple(x * c.numerator for x in self._a),
-                self._D, self._C * c.denominator, self.cutoff)
-        # |c| times the largest |coefficient| is finite iff every product is
-        peak = max((abs(co) for _, co in self.terms), default=0.0)
-        _finite(c * peak, "scalar times the largest coefficient")
-        return GenSeries(
-            tuple(SeriesTerm(e, co * c) for e, co in self.terms),
-            self.cutoff,
-            self.backend,
-        )
+            a, C = tuple(x * c.numerator for x in self._a), self._C * c.denominator
+        else:
+            # |c| times the largest |coefficient| is finite iff every product is
+            _finite(c * max(map(abs, self._a), default=0.0),
+                    "scalar times the largest coefficient")
+            a, C = tuple(x * c for x in self._a), 1
+        return GenSeries._on_lattice(self._n, a, self._D, C, self.cutoff, self.backend)
 
     __rmul__ = __mul__
 
@@ -385,13 +398,10 @@ class GenSeries:
         if self.backend is Backend.EXACT:
             D = math.lcm(self._D, d.denominator)
             k, m = D // self._D, d.numerator * (D // d.denominator)
-            return GenSeries._on_lattice(
-                tuple(x * k + m for x in self._n), self._a, D, self._C, self.cutoff + d)
-        return GenSeries(
-            tuple(SeriesTerm(e + d, c) for e, c in self.terms),
-            self.cutoff + d,
-            self.backend,
-        )
+            n = tuple(x * k + m for x in self._n)
+        else:
+            n, D = _float_exponents(tuple(x + d for x in self._n), self.cutoff + d, "shift"), 1
+        return GenSeries._on_lattice(n, self._a, D, self._C, self.cutoff + d, self.backend)
 
     def dilate(self, factor: Number) -> "GenSeries":
         """Substitute q -> q^factor (exponent scaling), factor > 0."""
@@ -399,25 +409,18 @@ class GenSeries:
         if f <= 0:
             raise DomainError("dilate factor must be positive")
         if self.backend is Backend.EXACT:
-            return GenSeries._on_lattice(
-                tuple(x * f.numerator for x in self._n), self._a,
-                self._D * f.denominator, self._C, self.cutoff * f)
-        return GenSeries(
-            tuple(SeriesTerm(e * f, c) for e, c in self.terms),
-            self.cutoff * f,
-            self.backend,
-        )
+            n, D = tuple(x * f.numerator for x in self._n), self._D * f.denominator
+        else:
+            n, D = _float_exponents(tuple(x * f for x in self._n), self.cutoff * f, "dilate"), 1
+        return GenSeries._on_lattice(n, self._a, D, self._C, self.cutoff * f, self.backend)
 
     def truncate(self, cutoff: Number) -> "GenSeries":
         c = _as_cutoff(cutoff, self.backend)
         if c > self.cutoff:
             raise DomainError("cannot extend a series by truncating upward")
-        if self.backend is Backend.EXACT:
-            k = bisect_left(self._n, math.ceil(c * self._D))
-            return GenSeries._on_lattice(self._n[:k], self._a[:k], self._D, self._C, c)
-        return GenSeries(
-            tuple(t for t in self.terms if t.exponent < c), c, self.backend
-        )
+        k = bisect_left(self._n, c * self._D)
+        return GenSeries._on_lattice(self._n[:k], self._a[:k], self._D, self._C, c,
+                                     self.backend)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -437,28 +440,21 @@ class GenSeries:
             )
         lnq = math.log(q)
         value = 0.0
-        if self.backend is Backend.EXACT:
-            # n/D and a/C are correctly rounded, as float(Fraction(n, D)) is
-            D, C = self._D, self._C
-            for n, a in zip(self._n, self._a):
-                value += a / C * math.exp(n / D * lnq)
-            last = abs(self._a[-1] / C) if self._a else 1.0
-        else:
-            for e, c in self.terms:
-                value += float(c) * math.exp(float(e) * lnq)
-            last = abs(float(self.terms[-1].coefficient)) if self.terms else 1.0
+        # n/D and a/C are correctly rounded, as float(Fraction(n, D)) is, and
+        # a float divided by 1 is itself
+        D, C = self._D, self._C
+        for n, a in zip(self._n, self._a):
+            value += a / C * math.exp(n / D * lnq)
+        last = abs(self._a[-1] / C) if self._a else 1.0
         tail = 4.0 * last * math.exp(float(self.cutoff) * lnq) / (1.0 - q)
         return value, tail
 
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        enc = _encode_number
-        if self.backend is Backend.EXACT:
-            terms = [{"exponent": e, "coefficient": c} for e, c in self._texts()]
-        else:
-            terms = [{"exponent": enc(e), "coefficient": enc(c)} for e, c in self.terms]
-        return {"backend": self.backend.value, "cutoff": enc(self.cutoff), "terms": terms}
+        terms = [{"exponent": e, "coefficient": c} for e, c in self._texts(_encode_number)]
+        return {"backend": self.backend.value, "cutoff": _encode_number(self.cutoff),
+                "terms": terms}
 
     @staticmethod
     def from_json_dict(d: dict) -> "GenSeries":
@@ -472,9 +468,7 @@ class GenSeries:
 
     def to_csv_rows(self) -> list[tuple[str, str]]:
         """Two-column (exponent, coefficient) rows, header excluded."""
-        if self.backend is Backend.EXACT:
-            return list(self._texts())
-        return [(format_number(e), format_number(c)) for e, c in self.terms]
+        return list(self._texts(format_number))
 
 
 def _encode_number(x: Number):
@@ -577,7 +571,7 @@ def _slot_series(slots, D: int, C: int, cutoff) -> GenSeries:
     """sum a/C q^{n/D} over integer pairs (n, a), ascending in n, zero a dropped."""
     pairs = [s for s in slots if s[1]]
     n, a = zip(*pairs) if pairs else ((), ())
-    return GenSeries._on_lattice(n, a, D, C, Fraction(cutoff))
+    return GenSeries._on_lattice(n, a, D, C, Fraction(cutoff), Backend.EXACT)
 
 
 def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
@@ -602,11 +596,11 @@ def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
         # into 0.0); each row stops where the rounded e + b first reaches it.
         top = min(theta.cutoff + 0.0, span * step + low)
         pairs = []
-        for e, a in theta.terms:
+        for e, a in zip(theta._n, theta._a):
             n = bisect_left(b, top, key=e.__add__)
             pairs += zip(map(e.__add__, b[:n]), map(a.__mul__, p[:n]))
         pairs.sort(key=itemgetter(0))
-        return GenSeries(_float_terms(pairs, top), top, backend)
+        return _float_terms(pairs, top)
     top = math.ceil(cutoff * D)
     slots = _merged((n, a) for n, a in slots if n < top)
     least = slots[0][0] if slots else top  # no slots: no rows
@@ -628,7 +622,7 @@ def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
     grid = chain.from_iterable(zip(*(range(base * D + r, end, D) for r in residues)))
     values = list(chain.from_iterable(zip(*(rows[r] for r in residues))))
     return GenSeries._on_lattice(tuple(compress(grid, values)), tuple(filter(None, values)),
-                                 D, C, Fraction(cutoff))
+                                 D, C, Fraction(cutoff), Backend.EXACT)
 
 
 def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:

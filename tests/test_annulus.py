@@ -31,6 +31,7 @@ from loopgas import (
     partition_direct,
     partition_direct_parity,
     partition_naive,
+    qseries,
     wrap_weight,
 )
 
@@ -246,6 +247,32 @@ class TestCrossed:
     def test_wrap_two_on_generic_point_has_log_terms(self):
         with pytest.raises(IdentityError):
             partition_crossed(ISING, wrap_weight("dilute", 2.0), 20)
+
+
+def test_float_series_build_no_terms_until_read(monkeypatch):
+    """A floating series keeps its exponents and coefficients as two tuples:
+    building the generic-coupling partition functions, evaluating, serialising
+    and every operation that reads the tuples build no SeriesTerm."""
+    generic = params_from_n(1.3, "dense")
+    builds = [lambda: partition_direct(generic, None, 256, Backend.FLOAT),
+              lambda: partition_crossed(generic, None, 256),
+              lambda: partition_naive(generic, None, 256)]
+    expected = [build() for build in builds]
+
+    def refuse(*args):
+        raise AssertionError("a floating series built its terms")
+
+    monkeypatch.setattr(qseries, "SeriesTerm", refuse)
+    for build, want in zip(builds, expected):
+        Z = build()
+        Z.eval_at(0.5)
+        assert Z == want and hash(Z) == hash(want)
+        assert Z.to_json_dict() == want.to_json_dict()
+        assert Z.to_csv_rows() == want.to_csv_rows()
+        results = [Z, -Z, Z.truncate(Z.cutoff / 2), Z.shift(0.25), Z.dilate(2.0), Z * 1.5]
+        for s in results:
+            s.eval_at(0.3)
+        assert all(s._terms is None for s in results)
 
 
 class TestDuality:

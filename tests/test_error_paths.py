@@ -82,6 +82,18 @@ ERROR_PATHS = [
     ("float scalar past the largest double",
      lambda: qseries.euler_inverse(8, Backend.FLOAT) * 10**400,
      DomainError, "scalar is too large for a float"),
+    ("float merged sum overflows",
+     lambda: GenSeries.from_terms([(0, 1e308), (0, 1e308)], 4, Backend.FLOAT),
+     DomainError, "a merged floating coefficient is not finite"),
+    ("float Euler row overflows",
+     lambda: qseries._euler_kernel([(0, 1e308)], 1, 1, 8, backend=Backend.FLOAT),
+     DomainError, "a merged floating coefficient is not finite"),
+    ("float dilate past the largest double",
+     lambda: qseries.euler_inverse(8, Backend.FLOAT).dilate(1e308),
+     DomainError, "dilate leaves exponents and cutoff that are not finite"),
+    ("float shift collapses the exponents",
+     lambda: qseries.euler_inverse(8, Backend.FLOAT).shift(1.7e308),
+     DomainError, "shift leaves exponents and cutoff that are not finite"),
     ("float scalar product overflows",
      lambda: qseries.euler_inverse(8, Backend.FLOAT) * 1e308 * 10.0,
      DomainError, "scalar times the largest coefficient must be finite, got inf"),

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -444,6 +445,8 @@ def lattice_slots(draw):
 def term_view(series):
     """What the dataclass with a stored term tuple printed and evaluated, from
     `terms` alone: repr, JSON terms, CSV rows and eval_at at three q."""
+    exact = series.backend is Backend.EXACT
+    enc, fmt = (str, str) if exact else (float, lambda x: format(x, ".17g"))
     shown = " + ".join(f"({c})*q^({e})" for e, c in series.terms[:6])
     shown += " + ..." * (len(series.terms) > 6)
     evals = []
@@ -454,9 +457,15 @@ def term_view(series):
         last = abs(float(series.terms[-1].coefficient)) if series.terms else 1.0
         tail = 4.0 * last * math.exp(float(series.cutoff) * lnq) / (1.0 - q)
         evals += [value.hex(), tail.hex()]
-    return (f"<GenSeries[exact-rational] {shown or '0'} ; cutoff={series.cutoff}>",
-            [{"exponent": str(e), "coefficient": str(c)} for e, c in series.terms],
-            [(str(e), str(c)) for e, c in series.terms], evals)
+    return (f"<GenSeries[{series.backend.value}] {shown or '0'} ; cutoff={series.cutoff}>",
+            [{"exponent": enc(e), "coefficient": enc(c)} for e, c in series.terms],
+            [(fmt(e), fmt(c)) for e, c in series.terms], evals)
+
+
+def printed(series):
+    """What `term_view` works out from `terms`, read from the series itself."""
+    return (repr(series), series.to_json_dict()["terms"], series.to_csv_rows(),
+            [x for q in (0.05, 0.5, 0.93) for x in map(float.hex, series.eval_at(q))])
 
 
 @settings(max_examples=120, deadline=None)
@@ -474,9 +483,7 @@ def test_slot_series_is_the_series_of_its_terms(case, drop, delta, factor, k):
     assert s == t and hash(s) == hash(t) and len(s) == len(t)
     assert repr(s.terms) == repr(t.terms) and repr(s) == repr(t)
     assert s.min_exponent == t.min_exponent
-    view = term_view(t)
-    assert (repr(s), s.to_json_dict()["terms"], s.to_csv_rows(),
-            [x for q in (0.05, 0.5, 0.93) for x in map(float.hex, s.eval_at(q))]) == view
+    assert printed(s) == term_view(t)
     assert s.to_json_dict() == t.to_json_dict()
     assert s.to_csv_rows() == t.to_csv_rows()
     terms = s.terms
@@ -583,6 +590,43 @@ def test_float_euler_kernel_is_the_cauchy_product_bit_for_bit(case):
     assert got.terms == expected.terms
     assert [repr(t) for t in got.terms] == [repr(t) for t in expected.terms]
     assert repr(got.cutoff) == repr(expected.cutoff)
+
+
+@settings(max_examples=120, deadline=None)
+@given(float_pairs(), st.floats(0, 3), st.floats(-3, 3), st.floats(0.125, 5),
+       st.floats(-5, 5).filter(bool))
+def test_float_series_is_the_series_of_its_terms(case, drop, delta, factor, k):
+    """A floating series built from a tuple, a list or a generator of its
+    terms, by `from_terms` or by a pickle round trip is one series in every
+    view; the printed forms and every operation that reads the exponent and
+    coefficient tuples match the formulas on `terms`, bit for bit."""
+    pairs, cutoff = case
+    t = S(pairs, cutoff, Backend.FLOAT)
+    terms, c = t.terms, t.cutoff
+    view = term_view(t)
+    for s in (GenSeries(tuple(terms), c, Backend.FLOAT), GenSeries(list(terms), c, Backend.FLOAT),
+              GenSeries((x for x in terms), c, Backend.FLOAT), S(terms, c, Backend.FLOAT),
+              pickle.loads(pickle.dumps(t))):
+        assert s == t and hash(s) == hash(t) and len(s) == len(t)
+        assert repr(s.terms) == repr(terms) and printed(s) == view
+        assert s.min_exponent == t.min_exponent
+    ops = [
+        (lambda: t.truncate(c - drop), [(e, x) for e, x in terms if e < c - drop], c - drop),
+        (lambda: -t, [(e, -x) for e, x in terms], c),
+        (lambda: t * k, [(e, x * k) for e, x in terms], c),
+        (lambda: t.shift(delta), [(e + delta, x) for e, x in terms], c + delta),
+        (lambda: t.dilate(factor), [(e * factor, x) for e, x in terms], c * factor),
+    ]
+    for op, want, want_cutoff in ops:
+        ladder = [e for e, _ in want] + [want_cutoff]
+        if any(x >= y for x, y in zip(ladder, ladder[1:])):
+            with pytest.raises(DomainError, match="not finite and strictly increasing"):
+                op()
+            continue
+        got = op()
+        assert repr(list(map(tuple, got.terms))) == repr(want)
+        assert repr(got.cutoff) == repr(want_cutoff)
+        assert printed(got) == term_view(got)
 
 
 # -- serialization ----------------------------------------------------------------
