@@ -32,13 +32,13 @@ scalar multiples, evaluation and serialisation read the tuples.
 
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde, and every builder hands
-theta to the one kernel, `_euler_kernel`, as pairs.  In the exact backend the
-multiply runs on integers, with partition numbers from one shared table, and
-returns the slots it summed.  Floating exponents have no lattice: there each
-theta term adds one row over the same partition table, and one stable sort and
-the floating merge rule (`_float_terms`, shared with `GenSeries.from_terms`)
-combine the rows.  No builder multiplies two series; `GenSeries.__mul__` on
-two series is for callers and tests.
+theta to the one kernel, `_euler_kernel`, as pairs.  Exact slots are the
+B-byte fields of one integer; each theta term adds the packed partition table
+shifted to its field, and every field is read back biased by half a field,
+more than any |sum|, so no borrow crosses between fields.  Floating exponents
+have no lattice: each theta term adds one row over the same partition table,
+and one stable sort and `_float_terms`, the merge rule of `from_terms`, combine
+the rows.  No builder multiplies two series; that is for callers and tests.
 """
 
 from __future__ import annotations
@@ -136,13 +136,14 @@ def _float_terms(pairs, cutoff: float) -> "GenSeries":
 
 
 def _float_exponents(n: tuple, cutoff: float, what: str) -> tuple:
-    """Moved floating exponents n, refused unless they and the cutoff are
-    finite and strictly increasing."""
+    """Moved floating exponents n, refused unless they and the cutoff are finite
+    and increasing, the exponents FLOAT_EXPONENT_TOL apart as merged ones are."""
     ladder = n + (cutoff,)
     if not (math.isfinite(ladder[0]) and math.isfinite(cutoff)
-            and all(map(lt, ladder, ladder[1:]))):
-        raise DomainError(f"{what} leaves exponents and cutoff that are not "
-                          "finite and strictly increasing")
+            and all(map(lt, ladder, ladder[1:]))
+            and all(y - x >= FLOAT_EXPONENT_TOL for x, y in zip(n, n[1:]))):
+        raise DomainError(f"{what} leaves exponents and cutoff that are not finite and "
+                          "strictly increasing, or exponents closer than FLOAT_EXPONENT_TOL")
     return n
 
 
@@ -171,8 +172,8 @@ class GenSeries:
     integer slots, with D and C reduced by gcd to the least that hold the
     terms; a floating series' are its float exponents and coefficients, with
     D = C = 1.  `terms` is a view, built from the tuples on first read and
-    kept; every operation below reads the tuples, except exact `+` and the
-    product of two series."""
+    kept; every operation below reads the tuples, except the product of two
+    series."""
 
     __slots__ = ("cutoff", "backend", "_terms", "_D", "_C", "_n", "_a")
 
@@ -348,11 +349,13 @@ class GenSeries:
 
     def __add__(self, other: "GenSeries") -> "GenSeries":
         self._check_backend(other)
-        if self.backend is Backend.EXACT:
-            pairs = [*self.terms, *other.terms]
-        else:
+        cutoff = min(self.cutoff, other.cutoff)
+        if self.backend is Backend.FLOAT:
             pairs = [*zip(self._n, self._a), *zip(other._n, other._a)]
-        return GenSeries.from_terms(pairs, min(self.cutoff, other.cutoff), self.backend)
+            return GenSeries.from_terms(pairs, cutoff, self.backend)
+        D, C = math.lcm(self._D, other._D), math.lcm(self._C, other._C)
+        slots = _merged(self._slots(D, C) + other._slots(D, C))
+        return _slot_series([s for s in slots if s[0] < cutoff * D], D, C, cutoff)
 
     def __neg__(self) -> "GenSeries":
         return GenSeries._on_lattice(self._n, tuple(-x for x in self._a), self._D, self._C,
@@ -578,12 +581,16 @@ def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
     r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1} below `cutoff`, for theta the sum
     of a/C q^{n/D} over pairs (n, a) in any order, repeats summed.
 
-    Exact: a term at integer slot n adds a p(k) to slot n + k step D, one integer
-    list per residue of n mod D.  Floating: theta normalised from (n/D, a/C);
-    each theta term (e, a) adds the row (e + k step, a p(k)) below the cutoff,
-    and one stable sort and `_float_terms` merge the rows.  These are the float
-    operations, in the order, of theta * euler_inverse(span/step).dilate(step),
-    so the result is that product bit for bit."""
+    Exact: the slots are the B-byte fields of one integer, column by column
+    (column n // D) and in a column over the R residues of n mod D in theta.
+    A term at slot n adds a p(k) to slot n + k step D, step R k fields on: it
+    adds a times the table of p(k), packed one every step R fields, shifted to
+    n's field, one big-integer multiply-add per term.  Floating: theta
+    normalised from (n/D, a/C); each theta term (e, a) adds the row
+    (e + k step, a p(k)) below the cutoff, and one stable sort and
+    `_float_terms` merge the rows.  These are the float operations, in the
+    order, of theta * euler_inverse(span/step).dilate(step), so the result is
+    that product bit for bit."""
     if backend is Backend.FLOAT:
         theta = GenSeries.from_terms([(n / D, a / C) for n, a in slots], cutoff, backend)
         if theta.is_zero:
@@ -603,24 +610,31 @@ def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
         return _float_terms(pairs, top)
     top = math.ceil(cutoff * D)
     slots = _merged((n, a) for n, a in slots if n < top)
-    least = slots[0][0] if slots else top  # no slots: no rows
-    # Slot n sits in column n // D of the row for residue n % D.  A term at
-    # slot n reaches slots n + k step D < top: every step-th column from its
-    # own, for k = 0 .. (top - 1 - n) // (step D).
+    least = slots[0][0] if slots else top  # no slots: no fields
+    # Field (n // D - base) R + (rank of n % D) holds slot n: the slots below
+    # top come first, in ascending order, and the last column's slots at or
+    # above top after them.
     base = least // D
-    width = (top - 1) // D - base + 1
+    index = {r: i for i, r in enumerate(sorted({n % D for n, _ in slots}))}
+    end = ((top - 1) // D + 1) * D
+    grid = list(chain.from_iterable(zip(*(range(base * D + r, end, D) for r in index))))
+    fields = bisect_left(grid, top)
     p = _partition_numbers((top - 1 - least) // (step * D))
-    rows: dict[int, list[int]] = {}
+    B = (sum(abs(a) for _, a in slots) * max(p, default=0)).bit_length() // 8 + 1
+    half, every = 1 << 8 * B - 1, step * len(index)
+    # Big-endian: field f sits at bit 8 B (fields - 1 - f), and the table holds
+    # p(k) at field (len(p) - k) every, so one right shift moves a term's row
+    # to its own field and drops what would land at or above top.
+    table = int.from_bytes((bytes(B) * (every - 1)).join(
+        map(int.to_bytes, p, repeat(B), repeat("big"))) + bytes(B * every), "big")
+    drop = len(p) * every + 1 - fields
+    # Every field's sum v has |v| <= sum |a| p(K) < half, so with half added
+    # to each field, v + half is that field's B-byte digit of acc.
+    acc = int.from_bytes(half.to_bytes(B, "big") * fields, "big")
     for n, a in slots:
-        row = rows.setdefault(n % D, [0] * width)
-        lo = n // D - base
-        hi = lo + (top - 1 - n) // (step * D) * step + 1
-        row[lo:hi:step] = [x + a * y for x, y in zip(row[lo:hi:step], p)]
-    # Read out column by column: the slots in ascending order, and their values.
-    residues = sorted(rows)
-    end = (base + width) * D
-    grid = chain.from_iterable(zip(*(range(base * D + r, end, D) for r in residues)))
-    values = list(chain.from_iterable(zip(*(rows[r] for r in residues))))
+        acc += a * (table >> 8 * B * ((n // D - base) * len(index) + index[n % D] + drop))
+    data = acc.to_bytes(B * fields, "big")
+    values = [int.from_bytes(data[i:i + B], "big") - half for i in range(0, B * fields, B)]
     return GenSeries._on_lattice(tuple(compress(grid, values)), tuple(filter(None, values)),
                                  D, C, Fraction(cutoff), Backend.EXACT)
 

@@ -5,11 +5,16 @@ here instead sum the closed-form brackets of the `loopgas.observables` module
 docstring over k in Z directly, then multiply by prod(1-q^r)^{-1}, so that
 equality with the package is a check rather than a tautology.  `peel_off` is
 the character decomposition done with GenSeries subtraction, against which
-the package's integer-lattice peel-off is checked.  Exact backend.
+the package's integer-lattice peel-off is checked.  `euler_rows` is the
+exact Euler completion done one column at a time, on one integer list per
+residue, against which the package's packed kernel is checked.  Exact backend.
 """
+import math
 from fractions import Fraction as F
+from itertools import chain, compress
 
 from loopgas import Backend, GenSeries, euler_inverse, rocha_caridi
+from loopgas.qseries import _partition_numbers
 
 
 def _series(terms, cutoff):
@@ -97,3 +102,36 @@ def peel_off(Z, basis, cutoff=None):
         if coeff != 0:
             remainder = remainder - rocha_caridi(spec, eff) * coeff
     return coeffs, remainder
+
+
+def euler_rows(slots, D, C, cutoff, step=1):
+    """theta * prod(1 - q^{step r})^{-1} below `cutoff`, for theta the sum of
+    a/C q^{n/D} over integer pairs (n, a), with one Python multiply-add per
+    theta term and column.
+
+    Slot n sits in column n // D of the row for residue n % D.  A term at slot
+    n reaches slots n + k step D < top: every step-th column from its own, for
+    k = 0 .. (top - 1 - n) // (step D).  The rows are read out column by
+    column, which lists the slots in ascending order."""
+    top = math.ceil(cutoff * D)
+    summed = {}
+    for n, a in slots:
+        if n < top:
+            summed[n] = summed.get(n, 0) + a
+    slots = sorted(i for i in summed.items() if i[1])
+    least = slots[0][0] if slots else top
+    base = least // D
+    width = (top - 1) // D - base + 1
+    p = _partition_numbers((top - 1 - least) // (step * D))
+    rows = {}
+    for n, a in slots:
+        row = rows.setdefault(n % D, [0] * width)
+        lo = n // D - base
+        hi = lo + (top - 1 - n) // (step * D) * step + 1
+        row[lo:hi:step] = [x + a * y for x, y in zip(row[lo:hi:step], p)]
+    residues = sorted(rows)
+    end = (base + width) * D
+    grid = chain.from_iterable(zip(*(range(base * D + r, end, D) for r in residues)))
+    values = list(chain.from_iterable(zip(*(rows[r] for r in residues))))
+    terms = [(F(n, D), F(a, C)) for n, a in zip(compress(grid, values), filter(None, values))]
+    return GenSeries(terms, F(cutoff), Backend.EXACT)

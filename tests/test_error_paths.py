@@ -94,6 +94,9 @@ ERROR_PATHS = [
     ("float shift collapses the exponents",
      lambda: qseries.euler_inverse(8, Backend.FLOAT).shift(1.7e308),
      DomainError, "shift leaves exponents and cutoff that are not finite"),
+    ("float dilate moves exponents within the merge tolerance",
+     lambda: qseries.euler_inverse(8, Backend.FLOAT).dilate(1e-12),
+     DomainError, "dilate leaves .* exponents closer than FLOAT_EXPONENT_TOL"),
     ("float scalar product overflows",
      lambda: qseries.euler_inverse(8, Backend.FLOAT) * 1e308 * 10.0,
      DomainError, "scalar times the largest coefficient must be finite, got inf"),

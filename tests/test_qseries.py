@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loopgas
+import series_oracle as oracle
 from loopgas import (
     Backend,
     DomainError,
@@ -370,6 +371,43 @@ def test_lattice_euler_multiply_matches_generic_product(theta, step):
     assert euler_kernel(theta, step) == expected
 
 
+@st.composite
+def kernel_slots(draw):
+    """(slots, D, C, cutoff, step) for the exact kernel, slots in any order:
+    up to 12 of the D residues, coefficients of either sign or all negative
+    and up to 2^200 in size, a cutoff anywhere inside a column, and repeats
+    that cancel some terms or the whole theta."""
+    step, D = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 3, 8, 24, 120, 720]))
+    residues = draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=12, unique=True))
+    size = draw(st.sampled_from([1, 40, 2**64, 2**200]))
+    negative = st.integers(1, size).map(lambda a: -a)
+    sizes = negative if draw(st.booleans()) else st.integers(-size, size)
+    slots = [(draw(st.integers(-3, 12)) * D + draw(st.sampled_from(residues)), draw(sizes))
+             for _ in range(draw(st.integers(0, 12)))]
+    slots += [(n, -a) for n, a in slots[:draw(st.integers(0, len(slots)))]]
+    cutoff = F(draw(st.integers(-14 * D, 98 * D)), D * draw(st.sampled_from([1, 7])))
+    return draw(st.permutations(slots)), D, draw(st.sampled_from([1, 12])), cutoff, step
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_slots())
+@example(([(0, 127)], 1, 1, F(2), 1))          # sum |a| p(K) = 2^7 - 1: one byte
+@example(([(0, -128)], 1, 1, F(2), 1))         # 2^7: two bytes
+@example(([(0, 4681)], 1, 1, F(6), 1))         # 4681 p(5) = 2^15 - 1 at slot 5
+@example(([(0, -16384)], 1, 1, F(3), 1))       # -16384 p(2) = -2^15 at slot 2
+@example(([(0, 1 - 2**199)], 1, 1, F(2), 1))   # 2^199 - 1: 25 bytes
+@example(([(0, 2**199)], 1, 1, F(2), 1))       # 2^199: 26 bytes
+@example(([(2, 5), (0, 3), (2, -5), (0, -3)], 1, 1, F(9), 2))  # theta cancels to zero
+def test_packed_euler_kernel_matches_the_row_oracle(case):
+    """The packed kernel against one multiply-add per theta term and column
+    (`series_oracle.euler_rows`): the same series, hash and terms."""
+    slots, D, C, cutoff, step = case
+    got = qseries._euler_kernel(slots, D, C, cutoff, step)
+    want = oracle.euler_rows(slots, D, C, cutoff, step)
+    assert got == want and hash(got) == hash(want)
+    assert repr(got.terms) == repr(want.terms)
+
+
 class TestLatticeEulerMultiply:
     def test_pentagonal_theta_collapses_to_one_term(self):
         theta = pentagonal_series(F(101, 3)).shift(F(-5, 24))
@@ -499,6 +537,20 @@ def test_slot_series_is_the_series_of_its_terms(case, drop, delta, factor, k):
         assert got.to_json_dict() == want.to_json_dict()
 
 
+@settings(max_examples=100, deadline=None)
+@given(lattice_slots(), lattice_slots(), st.booleans())
+def test_exact_add_on_slots_is_the_sum_of_its_terms(x, y, cancel):
+    """Exact + on the common lattice against `from_terms` of both term lists:
+    different D, C and cutoffs, and with `cancel` every term of s taken out."""
+    s, t = qseries._slot_series(*x), qseries._slot_series(*y)
+    if cancel:
+        t = S([*((e, -c) for e, c in s.terms), *t.terms], t.cutoff)
+    got, want = s + t, S([*s.terms, *t.terms], min(s.cutoff, t.cutoff))
+    assert got == want and hash(got) == hash(want)
+    assert repr(got.terms) == repr(want.terms)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
 # -- the floating Euler multiply against the Cauchy product ---------------------
 
 # Dyadic exponents and coefficients make rows collide exactly (e + k is exact);
@@ -618,8 +670,11 @@ def test_float_series_is_the_series_of_its_terms(case, drop, delta, factor, k):
         (lambda: t.dilate(factor), [(e * factor, x) for e, x in terms], c * factor),
     ]
     for op, want, want_cutoff in ops:
-        ladder = [e for e, _ in want] + [want_cutoff]
-        if any(x >= y for x, y in zip(ladder, ladder[1:])):
+        exponents = [e for e, _ in want]
+        ladder = exponents + [want_cutoff]
+        # refused unless strictly increasing and spaced as `from_terms` spaces them
+        if (any(x >= y for x, y in zip(ladder, ladder[1:])) or any(
+                y - x < qseries.FLOAT_EXPONENT_TOL for x, y in zip(exponents, exponents[1:]))):
             with pytest.raises(DomainError, match="not finite and strictly increasing"):
                 op()
             continue
