@@ -46,7 +46,6 @@ from .qseries import (
     GenSeries,
     _as_cutoff,
     _euler_kernel,
-    _merged,
     _quadratic_support,
     _slot_series,
 )
@@ -154,9 +153,20 @@ def _flux_theta(
     return pairs
 
 
-def _flux_slots(params, w, cutoff, parity, backend, form="integer"):
-    """`flux_sum`'s theta as `_euler_kernel`'s (slots, D, C, cutoff): integer
-    slots below the cutoff over (den, C) if exact, else float (e, w), D = C = 1."""
+def flux_sum(
+    params: CGParams,
+    w: Optional[WrapWeight] = None,
+    cutoff=64,
+    parity: Optional[str] = None,
+    backend: Backend = Backend.EXACT,
+    form: str = "integer",
+) -> GenSeries:
+    """The direct channel's theta, including q^{-c/24}: the flux sum that the
+    partition functions hand to `_euler_kernel`, which is *not* applied here.
+
+    form="integer" sums over all p in Z (optionally parity-restricted);
+    form="null_pairs" builds the equivalent p >= 0 combination
+    d_p (q^{h(p)} - q^{h(p)+p+1})."""
     if w is None:
         w = default_wrap(params)
     if parity not in (None, "even", "odd"):
@@ -183,30 +193,10 @@ def _flux_slots(params, w, cutoff, parity, backend, form="integer"):
     d = _wrap_table(w, parity, backend)
     pairs = _flux_theta(params, d, bound, exponent, den, form, parity)
     if not exact:
-        return pairs, 1, 1, cutoff_c
+        return GenSeries.from_terms(pairs, cutoff_c, backend)
     C = math.lcm(*(c.denominator for _, c in pairs))
-    slots = [(x, c.numerator * C // c.denominator) for x, c in pairs if x < bound]
-    return slots, den, C, cutoff_c
-
-
-def flux_sum(
-    params: CGParams,
-    w: Optional[WrapWeight] = None,
-    cutoff=64,
-    parity: Optional[str] = None,
-    backend: Backend = Backend.EXACT,
-    form: str = "integer",
-) -> GenSeries:
-    """Theta-like flux sum of the direct channel, including q^{-c/24}.
-
-    form="integer" sums over all p in Z (optionally parity-restricted);
-    form="null_pairs" builds the equivalent p >= 0 combination
-    d_p (q^{h(p)} - q^{h(p)+p+1}).  The Euler-inverse factor is *not*
-    applied here."""
-    slots, D, C, cutoff = _flux_slots(params, w, cutoff, parity, backend, form)
-    if backend is Backend.EXACT:
-        return _slot_series(_merged(slots), D, C, cutoff)
-    return GenSeries.from_terms(slots, cutoff, backend)
+    return _slot_series([(x, c.numerator * C // c.denominator) for x, c in pairs],
+                        den, C, cutoff_c)
 
 
 def partition_direct(
@@ -218,7 +208,7 @@ def partition_direct(
     """Annulus partition function, direct channel, null states subtracted.
 
     The p = 0 sector is normalized to coefficient 1 (identity operator)."""
-    return _euler_kernel(*_flux_slots(params, w, cutoff, None, backend), backend=backend)
+    return _euler_kernel(flux_sum(params, w, cutoff, None, backend))
 
 
 def partition_direct_parity(
@@ -234,7 +224,7 @@ def partition_direct_parity(
     sector free/fixed-type boundary conditions."""
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    return _euler_kernel(*_flux_slots(params, w, cutoff, parity, backend), backend=backend)
+    return _euler_kernel(flux_sum(params, w, cutoff, parity, backend))
 
 
 def partition_naive(
@@ -259,7 +249,7 @@ def partition_naive(
         (e, math.cos((p - params.m0) * w.chi_prime))
         for p, e in _flux_range(params, cutoff_f, exponent)
     ]
-    return _euler_kernel(pairs, 1, 1, cutoff_f, backend=Backend.FLOAT)
+    return _euler_kernel(GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT))
 
 
 # -- crossed channel ----------------------------------------------------------
@@ -322,7 +312,7 @@ def partition_crossed(
     pairs = [(e, c) for m, e in support if (c := weight(m)) is not None]
     if not pairs:
         raise DomainError("cutoff excludes the leading crossed-channel term")
-    return _euler_kernel(pairs, 1, 1, cutoff_f, 2, Backend.FLOAT)
+    return _euler_kernel(GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT), 2)
 
 
 def duality_check(

@@ -93,7 +93,8 @@ def rocha_caridi(
     slots = family(a, 1) + family(b, -1)
     if not slots:
         raise DomainError("cutoff excludes every character term; increase it")
-    out = _euler_kernel(slots, D, 1, cutoff_c, backend=backend)
+    theta = _slot_series(slots, D, 1, cutoff_c)
+    out = _euler_kernel(theta if backend is Backend.EXACT else theta._rounded())
     leading = spec.leading_exponent
     if out.min_exponent != (leading if backend is Backend.EXACT else float(leading)):
         raise IdentityError(
@@ -143,7 +144,7 @@ def decompose(
             coeffs[spec] = Fraction(a := rem.get(row[0][0], 0), C)
             for n, x in row if a else ():
                 rem[n] = rem.get(n, 0) - x // C * a
-        remainder = _slot_series(sorted(i for i in rem.items() if i[1]), D, C, eff)
+        remainder = _slot_series([i for i in rem.items() if i[1]], D, C, eff)
     if not remainder.is_zero:
         raise DecompositionError(
             f"decomposition leaves a nonzero remainder with leading term "

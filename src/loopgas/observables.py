@@ -91,12 +91,12 @@ def _log_weight(p: int) -> int:
 
 
 def _flux_series(params, weight, cutoff, backend: Backend, form="integer") -> GenSeries:
-    """Euler-completed flux sum with integer weights, on exact slots in both backends."""
+    """Euler-completed flux sum with integer weights; theta exact, rounded once if floating."""
     exponent, den = _exponent(params, exact=True)
-    cutoff = _as_cutoff(cutoff, backend)
-    bound = math.ceil(Fraction(cutoff) * den)
-    pairs = _flux_theta(params, weight, bound, exponent, den, form)
-    return _euler_kernel(pairs, den, 1, cutoff, backend=backend)
+    cutoff = Fraction(_as_cutoff(cutoff, backend))
+    pairs = _flux_theta(params, weight, math.ceil(cutoff * den), exponent, den, form)
+    theta = _slot_series(pairs, den, 1, cutoff)
+    return _euler_kernel(theta if backend is Backend.EXACT else theta._rounded())
 
 
 def crossing_probability(cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:
@@ -149,8 +149,8 @@ def saw_loop_dense(
     length = math.ceil(2 * series.cutoff + Fraction(1, 12))
     odd = range(1, length, 2)
     coeffs = _expand_product([s for s in odd for _ in (0, 1)], length)
-    closed = _slot_series(((12 * j - 1, c) for j, c in enumerate(coeffs)
-                           if 12 * j - 1 < 24 * series.cutoff), 24, 1, series.cutoff)
+    closed = _slot_series(((12 * j - 1, c) for j, c in enumerate(coeffs)), 24, 1,
+                          series.cutoff)
 
     eff = min(series.cutoff, closed.cutoff)
     if series.truncate(eff) != closed.truncate(eff):

@@ -32,13 +32,14 @@ scalar multiples, evaluation and serialisation read the tuples.
 
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde, and every builder hands
-theta to the one kernel, `_euler_kernel`, as pairs.  Exact slots are the
-B-byte fields of one integer; each theta term adds the packed partition table
-shifted to its field, and every field is read back biased by half a field,
-more than any |sum|, so no borrow crosses between fields.  Floating exponents
-have no lattice: each theta term adds one row over the same partition table,
-and one stable sort and `_float_terms`, the merge rule of `from_terms`, combine
-the rows.  No builder multiplies two series; that is for callers and tests.
+theta to the one kernel, `_euler_kernel`, as a series, an exact one normalised
+on its least lattice by `_slot_series`.  Exact slots are the B-byte fields of
+one integer; each theta term adds the packed partition table shifted to its
+field, and every field is read back biased by half a field, more than any
+|sum|, so no borrow crosses between fields.  Floating exponents have no
+lattice: each theta term adds one row over the same partition table, and one
+stable sort and `_float_terms`, the merge rule of `from_terms`, combine the
+rows.  No builder multiplies two series; that is for callers and tests.
 """
 
 from __future__ import annotations
@@ -178,17 +179,9 @@ class GenSeries:
     __slots__ = ("cutoff", "backend", "_terms", "_D", "_C", "_n", "_a")
 
     def __new__(cls, terms, cutoff: Number, backend: Backend) -> "GenSeries":
-        """The series of `terms`, ascending in exponent, as `from_terms` gives
-        them; an exact series moves them onto its lattice."""
-        D = C = 1
-        if backend is Backend.EXACT:
-            terms = [(_as_exact(e), _as_exact(c)) for e, c in terms]
-            D = math.lcm(*(e.denominator for e, _ in terms))
-            C = math.lcm(*(c.denominator for _, c in terms))
-            terms = [(e.numerator * (D // e.denominator), c.numerator * (C // c.denominator))
-                     for e, c in terms]
-        n, a = tuple(zip(*terms)) or ((), ())
-        return cls._on_lattice(n, a, D, C, cutoff, backend)
+        """`from_terms(terms, cutoff, backend)`: any (exponent, coefficient)
+        pairs, normalised, or its DomainError."""
+        return GenSeries.from_terms(terms, cutoff, backend)
 
     @classmethod
     def _on_lattice(cls, n: tuple, a: tuple, D: int, C: int, cutoff,
@@ -268,11 +261,11 @@ class GenSeries:
     ) -> "GenSeries":
         """Normalize arbitrary (exponent, coefficient) pairs into a GenSeries.
 
-        Duplicate exponents are summed, zero coefficients dropped, and terms
-        at or above the cutoff discarded.  In the floating backend, exponents
-        within FLOAT_EXPONENT_TOL of each other are merged (`_float_terms`),
-        and a NaN, infinite or too large exponent or coefficient, or a sum
-        that is not finite, is a DomainError.
+        Duplicate exponents are summed, zero sums dropped and terms at or above
+        the cutoff discarded, exactly on integer slots (`_slot_series`).  In
+        the floating backend, exponents within FLOAT_EXPONENT_TOL of each other
+        are merged (`_float_terms`), and a NaN, infinite or too large exponent
+        or coefficient, or a sum that is not finite, is a DomainError.
         """
         cutoff = _as_cutoff(cutoff, backend)
         if backend is Backend.FLOAT:
@@ -283,16 +276,15 @@ class GenSeries:
                 raise DomainError("exponent or coefficient is too large for a float") from None
             pairs.sort(key=itemgetter(0))
             return _float_terms(pairs, cutoff)
-        acc: dict[Fraction, Fraction] = {}
-        for e, c in pairs:
-            e = _as_exact(e)
-            acc[e] = acc.get(e, Fraction(0)) + _as_exact(c)
-        out = [(e, c) for e, c in sorted(acc.items()) if c != 0 and e < cutoff]
-        return GenSeries(out, cutoff, backend)
+        terms = [(_as_exact(e), _as_exact(c)) for e, c in pairs]
+        D = math.lcm(*(e.denominator for e, _ in terms))
+        C = math.lcm(*(c.denominator for _, c in terms))
+        return _slot_series([(e.numerator * D // e.denominator, c.numerator * C // c.denominator)
+                             for e, c in terms], D, C, cutoff)
 
     @staticmethod
     def zero(cutoff: Number, backend: Backend = Backend.EXACT) -> "GenSeries":
-        return GenSeries((), _as_cutoff(cutoff, backend), backend)
+        return GenSeries((), cutoff, backend)
 
     @staticmethod
     def constant(
@@ -354,8 +346,7 @@ class GenSeries:
             pairs = [*zip(self._n, self._a), *zip(other._n, other._a)]
             return GenSeries.from_terms(pairs, cutoff, self.backend)
         D, C = math.lcm(self._D, other._D), math.lcm(self._C, other._C)
-        slots = _merged(self._slots(D, C) + other._slots(D, C))
-        return _slot_series([s for s in slots if s[0] < cutoff * D], D, C, cutoff)
+        return _slot_series(self._slots(D, C) + other._slots(D, C), D, C, cutoff)
 
     def __neg__(self) -> "GenSeries":
         return GenSeries._on_lattice(self._n, tuple(-x for x in self._a), self._D, self._C,
@@ -562,37 +553,35 @@ def _expand_product(steps: Iterable[int], length: int) -> list[int]:
     return a
 
 
-def _merged(slots) -> list:
-    """Integer pairs (n, a) summed per n, ascending in n, zero sums dropped."""
+def _slot_series(slots, D: int, C: int, cutoff) -> GenSeries:
+    """The exact series sum a/C q^{n/D} below `cutoff`, for integer pairs
+    (n, a) in any order: the one exact normaliser.  Repeats are summed, and
+    zero sums and slots n >= cutoff D dropped, by integer compares; the
+    lattice is then reduced by gcd."""
+    cutoff = Fraction(cutoff)
+    top = math.ceil(cutoff * D)
     acc: dict[int, int] = {}
     for n, a in slots:
-        acc[n] = acc.get(n, 0) + a
-    return sorted(i for i in acc.items() if i[1])
+        if n < top:
+            acc[n] = acc.get(n, 0) + a
+    n, a = tuple(zip(*sorted(i for i in acc.items() if i[1]))) or ((), ())
+    return GenSeries._on_lattice(n, a, D, C, cutoff, Backend.EXACT)
 
 
-def _slot_series(slots, D: int, C: int, cutoff) -> GenSeries:
-    """sum a/C q^{n/D} over integer pairs (n, a), ascending in n, zero a dropped."""
-    pairs = [s for s in slots if s[1]]
-    n, a = zip(*pairs) if pairs else ((), ())
-    return GenSeries._on_lattice(n, a, D, C, Fraction(cutoff), Backend.EXACT)
+def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
+    r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1} below theta's cutoff, in its backend.
 
-
-def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
-    r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1} below `cutoff`, for theta the sum
-    of a/C q^{n/D} over pairs (n, a) in any order, repeats summed.
-
-    Exact: the slots are the B-byte fields of one integer, column by column
-    (column n // D) and in a column over the R residues of n mod D in theta.
-    A term at slot n adds a p(k) to slot n + k step D, step R k fields on: it
-    adds a times the table of p(k), packed one every step R fields, shifted to
-    n's field, one big-integer multiply-add per term.  Floating: theta
-    normalised from (n/D, a/C); each theta term (e, a) adds the row
+    Exact: the slots of theta, sum a/C q^{n/D} on its lattice, are the B-byte
+    fields of one integer, column by column (column n // D) and in a column
+    over the R residues of n mod D in theta.  A term at slot n adds a p(k) to
+    slot n + k step D, step R k fields on: it adds a times the table of p(k),
+    packed one every step R fields, shifted to n's field, one big-integer
+    multiply-add per term.  Floating: each theta term (e, a) adds the row
     (e + k step, a p(k)) below the cutoff, and one stable sort and
     `_float_terms` merge the rows.  These are the float operations, in the
     order, of theta * euler_inverse(span/step).dilate(step), so the result is
     that product bit for bit."""
-    if backend is Backend.FLOAT:
-        theta = GenSeries.from_terms([(n / D, a / C) for n, a in slots], cutoff, backend)
+    if theta.backend is Backend.FLOAT:
         if theta.is_zero:
             return theta
         low = theta.min_exponent
@@ -608,8 +597,8 @@ def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
             pairs += zip(map(e.__add__, b[:n]), map(a.__mul__, p[:n]))
         pairs.sort(key=itemgetter(0))
         return _float_terms(pairs, top)
+    D, cutoff, slots = theta._D, theta.cutoff, list(zip(theta._n, theta._a))
     top = math.ceil(cutoff * D)
-    slots = _merged((n, a) for n, a in slots if n < top)
     least = slots[0][0] if slots else top  # no slots: no fields
     # Field (n // D - base) R + (rank of n % D) holds slot n: the slots below
     # top come first, in ascending order, and the last column's slots at or
@@ -636,7 +625,7 @@ def _euler_kernel(slots, D: int, C: int, cutoff, step=1, backend=Backend.EXACT):
     data = acc.to_bytes(B * fields, "big")
     values = [int.from_bytes(data[i:i + B], "big") - half for i in range(0, B * fields, B)]
     return GenSeries._on_lattice(tuple(compress(grid, values)), tuple(filter(None, values)),
-                                 D, C, Fraction(cutoff), Backend.EXACT)
+                                 D, theta._C, cutoff, Backend.EXACT)
 
 
 def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:

@@ -7,7 +7,9 @@ equality with the package is a check rather than a tautology.  `peel_off` is
 the character decomposition done with GenSeries subtraction, against which
 the package's integer-lattice peel-off is checked.  `euler_rows` is the
 exact Euler completion done one column at a time, on one integer list per
-residue, against which the package's packed kernel is checked.  Exact backend.
+residue, against which the package's packed kernel is checked.  `normalised`
+merges exact terms in a dict of Fractions, against which the package's one
+exact normaliser on integer slots is checked.  Exact backend.
 """
 import math
 from fractions import Fraction as F
@@ -134,4 +136,21 @@ def euler_rows(slots, D, C, cutoff, step=1):
     grid = chain.from_iterable(zip(*(range(base * D + r, end, D) for r in residues)))
     values = list(chain.from_iterable(zip(*(rows[r] for r in residues))))
     terms = [(F(n, D), F(a, C)) for n, a in zip(compress(grid, values), filter(None, values))]
-    return GenSeries(terms, F(cutoff), Backend.EXACT)
+    return normalised(terms, cutoff)
+
+
+def normalised(pairs, cutoff):
+    """The exact series of (exponent, coefficient) pairs in any order, merged
+    in a dict of Fractions: repeats summed, zero sums and exponents at or above
+    the cutoff dropped, ascending, and stored on the least lattice, D and C
+    the lcm of the denominators of the kept exponents and coefficients."""
+    cutoff = F(cutoff)
+    acc = {}
+    for e, c in pairs:
+        acc[F(e)] = acc.get(F(e), F(0)) + F(c)
+    terms = [(e, c) for e, c in sorted(acc.items()) if c != 0 and e < cutoff]
+    D = math.lcm(*(e.denominator for e, _ in terms))
+    C = math.lcm(*(c.denominator for _, c in terms))
+    return GenSeries._on_lattice(tuple(e.numerator * D // e.denominator for e, _ in terms),
+                                 tuple(c.numerator * C // c.denominator for _, c in terms),
+                                 D, C, cutoff, Backend.EXACT)

@@ -63,6 +63,11 @@ ERROR_PATHS = [
     ("float -inf exponent",
      lambda: GenSeries.from_terms([(1, 1.0), (-math.inf, 1.0)], 4, Backend.FLOAT),
      DomainError, "exponent must be finite, got -inf"),
+    ("constructor NaN exponent",
+     lambda: GenSeries([(math.nan, 1.0)], 4, Backend.FLOAT),
+     DomainError, "exponent must be finite, got nan"),
+    ("constructor NaN cutoff", lambda: GenSeries([(0, 1.0)], math.nan, Backend.FLOAT),
+     DomainError, "cutoff must be finite, got nan"),
     ("float inf coefficient",
      lambda: GenSeries.from_terms([(1, math.inf)], 4, Backend.FLOAT),
      DomainError, "coefficient must be finite, got inf"),
@@ -86,7 +91,7 @@ ERROR_PATHS = [
      lambda: GenSeries.from_terms([(0, 1e308), (0, 1e308)], 4, Backend.FLOAT),
      DomainError, "a merged floating coefficient is not finite"),
     ("float Euler row overflows",
-     lambda: qseries._euler_kernel([(0, 1e308)], 1, 1, 8, backend=Backend.FLOAT),
+     lambda: qseries._euler_kernel(GenSeries.from_terms([(0, 1e308)], 8, Backend.FLOAT)),
      DomainError, "a merged floating coefficient is not finite"),
     ("float dilate past the largest double",
      lambda: qseries.euler_inverse(8, Backend.FLOAT).dilate(1e308),
@@ -153,6 +158,7 @@ BUILDERS = {
     "log_partition_exact_core":
         lambda b: observables.log_partition_exact_core("dense", 16, b),
     "rocha_caridi": lambda b: characters.rocha_caridi(SPEC, 16, b),
+    "GenSeries": lambda b: GenSeries([(0, 1)], 4, b),
     "GenSeries.zero": lambda b: GenSeries.zero(4, b),
     "GenSeries.constant": lambda b: GenSeries.constant(1, 4, b),
     "GenSeries.from_terms": lambda b: GenSeries.from_terms([(0, 1)], 4, b),

@@ -344,21 +344,6 @@ lattice_theta = st.builds(
 )
 
 
-def lift(series):
-    """(D, C, slots): an exact series' Fraction terms a/C q^{n/D} as integer
-    pairs (n, a), worked out from `terms` alone."""
-    D = math.lcm(*(e.denominator for e, _ in series.terms))
-    C = math.lcm(*(c.denominator for _, c in series.terms))
-    return D, C, [(e.numerator * D // e.denominator, c.numerator * C // c.denominator)
-                  for e, c in series.terms]
-
-
-def euler_kernel(theta, step=1):
-    """`_euler_kernel` applied to an exact theta given as a series."""
-    D, C, slots = lift(theta)
-    return qseries._euler_kernel(slots, D, C, theta.cutoff, step)
-
-
 @settings(max_examples=80, deadline=None)
 @given(lattice_theta, st.sampled_from([1, 2, 3]))
 def test_lattice_euler_multiply_matches_generic_product(theta, step):
@@ -368,7 +353,7 @@ def test_lattice_euler_multiply_matches_generic_product(theta, step):
     span = theta.cutoff - theta.min_exponent
     expected = (theta if theta.is_zero
                 else theta * euler_inverse(span / step).dilate(step))
-    assert euler_kernel(theta, step) == expected
+    assert qseries._euler_kernel(theta, step) == expected
 
 
 @st.composite
@@ -402,7 +387,7 @@ def test_packed_euler_kernel_matches_the_row_oracle(case):
     """The packed kernel against one multiply-add per theta term and column
     (`series_oracle.euler_rows`): the same series, hash and terms."""
     slots, D, C, cutoff, step = case
-    got = qseries._euler_kernel(slots, D, C, cutoff, step)
+    got = qseries._euler_kernel(qseries._slot_series(slots, D, C, cutoff), step)
     want = oracle.euler_rows(slots, D, C, cutoff, step)
     assert got == want and hash(got) == hash(want)
     assert repr(got.terms) == repr(want.terms)
@@ -411,7 +396,7 @@ def test_packed_euler_kernel_matches_the_row_oracle(case):
 class TestLatticeEulerMultiply:
     def test_pentagonal_theta_collapses_to_one_term(self):
         theta = pentagonal_series(F(101, 3)).shift(F(-5, 24))
-        assert euler_kernel(theta) == S([(F(-5, 24), 1)], F(101, 3) - F(5, 24))
+        assert qseries._euler_kernel(theta) == S([(F(-5, 24), 1)], F(101, 3) - F(5, 24))
 
     def test_exact_backend_bypasses_the_generic_multiply(self, monkeypatch):
         """Neither backend's kernel calls the Cauchy product or builds the
@@ -427,9 +412,8 @@ class TestLatticeEulerMultiply:
             float_theta.cutoff - float_theta.min_exponent, Backend.FLOAT)
         monkeypatch.setattr(GenSeries, "__mul__", generic)
         monkeypatch.setattr(qseries, "euler_inverse", generic)
-        assert euler_kernel(theta) == expected
-        got = qseries._euler_kernel(pairs, 1, 1, 41 / 3, backend=Backend.FLOAT)
-        assert got == float_expected
+        assert qseries._euler_kernel(theta) == expected
+        assert qseries._euler_kernel(float_theta) == float_expected
 
     @pytest.mark.parametrize("backend", list(Backend))
     def test_no_builder_multiplies_two_series(self, monkeypatch, backend):
@@ -537,6 +521,55 @@ def test_slot_series_is_the_series_of_its_terms(case, drop, delta, factor, k):
         assert got.to_json_dict() == want.to_json_dict()
 
 
+@st.composite
+def messy_slots(draw):
+    """(slots, D, C, cutoff) in any order: repeats, pairs that cancel, zero
+    coefficients and slots at or above the cutoff, and half the time a factor
+    that D shares with every n, or C with every a, so the lattice reduces."""
+    gD, gC = draw(st.sampled_from([1, 2, 6])), draw(st.sampled_from([1, 3, 10]))
+    D0 = draw(st.sampled_from([1, 2, 3, 8, 24, 120]))
+    cutoff = draw(st.fractions(min_value=-2, max_value=20, max_denominator=30))
+    a = st.one_of(st.just(0), st.integers(-40, 40), st.integers(-10**40, 10**40))
+    slots = [(draw(st.integers(-4 * D0, 24 * D0)) * gD, draw(a) * gC)
+             for _ in range(draw(st.integers(0, 12)))]
+    slots += draw(st.lists(st.sampled_from(slots), max_size=4)) if slots else []
+    slots += [(n, -x) for n, x in slots[:draw(st.integers(0, len(slots)))]]
+    C = draw(st.sampled_from([1, 2, 7, 12])) * gC
+    return draw(st.permutations(slots)), D0 * gD, C, cutoff
+
+
+@settings(max_examples=150, deadline=None)
+@given(messy_slots())
+@example(([(9, 4), (3, 2), (9, 6), (6, 0), (30, 2), (3, -2)], 6, 4, F(4)))  # D, C reduce to 2, 2
+def test_one_exact_normaliser_matches_the_dict_oracle(case):
+    """`_slot_series`, exact `from_terms` and the constructor on shuffled
+    slots against the Fraction-dict merge of `series_oracle.normalised`."""
+    slots, D, C, cutoff = case
+    pairs = [(F(n, D), F(a, C)) for n, a in slots]
+    want = oracle.normalised(pairs, cutoff)
+    s = qseries._slot_series(slots, D, C, cutoff)
+    for got in (s, S(pairs, cutoff), GenSeries(pairs, cutoff, Backend.EXACT),
+                pickle.loads(pickle.dumps(s))):
+        assert got == want and hash(got) == hash(want)
+        assert repr(got.terms) == repr(want.terms)
+        assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("terms", [[(2, 1), (1, 1)], [(1, 1), (0, 3), (1, 2)],
+                                   [(0, 1), (1, 0)], [(0, 1), (4, 1), (5, 2)],
+                                   [(1, 1), (1, -1)]],
+                         ids=["unsorted", "repeated", "zero", "above cutoff", "cancelling"])
+def test_constructor_is_from_terms(terms, backend):
+    """The public constructor normalises its terms as `from_terms` does, so
+    lookups, truncation and pickling see one series."""
+    s, t = GenSeries(terms, 4, backend), S(terms, 4, backend)
+    assert s == t and hash(s) == hash(t) and repr(s.terms) == repr(t.terms)
+    assert pickle.loads(pickle.dumps(s)) == t
+    assert s.coefficient(1) == sum(c for e, c in terms if e == 1)
+    assert s.truncate(2) == S([x for x in terms if x[0] < 2], 2, backend)
+
+
 @settings(max_examples=100, deadline=None)
 @given(lattice_slots(), lattice_slots(), st.booleans())
 def test_exact_add_on_slots_is_the_sum_of_its_terms(x, y, cancel):
@@ -637,7 +670,7 @@ def test_float_euler_kernel_is_the_cauchy_product_bit_for_bit(case):
     span = theta.cutoff - theta.min_exponent
     expected = (theta if theta.is_zero else
                 theta * euler_inverse(span / step, Backend.FLOAT).dilate(step))
-    got = qseries._euler_kernel(pairs, 1, 1, cutoff, step, Backend.FLOAT)
+    got = qseries._euler_kernel(theta, step)
     assert got.backend is Backend.FLOAT
     assert got.terms == expected.terms
     assert [repr(t) for t in got.terms] == [repr(t) for t in expected.terms]
