@@ -9,6 +9,9 @@ The sum over all integer flux p already carries the null-state subtraction:
 the p <= -2 terms cancel the level-(p+1) null descendant of each p >= 0
 sector, so the same series can be written over p >= 0 as
 d_p (q^{h(p)} - q^{h(p)+p+1}).  Both forms are implemented and must agree.
+Wherever `_exact_ok` holds (registry coupling, rational n') the flux sum is
+exact in both backends, and a floating one is that exact sum rounded once
+per term; float exponent arithmetic is left to the other points.
 
 The un-subtracted first guess (coefficients cos((p - m0) chi') instead) is
 kept as `partition_naive` to exhibit how it fails.  Its leading crossed
@@ -97,20 +100,20 @@ def _exact_ok(
     )
 
 
-def _wrap_table(w: WrapWeight, parity: Optional[str], backend: Backend):
-    """d_p for p >= 0 as a lookup, exact where the backend demands it.
+def _wrap_table(w: WrapWeight, parity: Optional[str], exact: bool):
+    """d_p for p >= 0 as a lookup: exact where `_exact_ok` holds, else floats.
 
     Even-parity sums only ever touch even-index d_p, which close under the
     step-two recurrence d_{p+2} = (n'^2 - 2) d_p - d_{p-2}; that keeps e.g.
-    n' = sqrt(Q) points exact even though n' itself is irrational.  An exact
-    table is only asked for where `_exact_ok` holds.
-    """
-    if backend is Backend.FLOAT:
+    n' = sqrt(Q) points exact even though n' itself is irrational.  Where n'
+    (or n'^2) is an integer the exact table recurs on ints."""
+    if not exact:
         return _recurrence(w.n_prime, 1.0, float(w.n_prime))
+    x = w.n_prime_sq_exact if w.n_prime_exact is None else w.n_prime_exact
+    x = int(x) if x.denominator == 1 else x
     if w.n_prime_exact is not None:
-        return _recurrence(w.n_prime_exact, Fraction(1), Fraction(w.n_prime_exact))
-    sq = w.n_prime_sq_exact
-    return _recurrence(sq - 2, Fraction(1), sq - 1, 2)
+        return _recurrence(x, 1, x)
+    return _recurrence(x - 2, 1, x - 1, 2)
 
 
 def _flux_range(params: CGParams, cutoff, exponent) -> list:
@@ -124,20 +127,21 @@ def _flux_range(params: CGParams, cutoff, exponent) -> list:
 def _flux_theta(
     params: CGParams,
     weight,
-    bound,
-    exponent,
-    den,
+    cutoff,
+    exact: bool,
     form: str = "integer",
     parity: Optional[str] = None,
-) -> list:
-    """The flux sum with weight w_p = weight(p) on each sector p >= 0, as pairs
-    (x, w) for w q^{x/den}, over the sectors with exponent(p) < bound.
-
-    form="integer" sums w_p q^{exponent(p)} over all p in Z, reflecting the
-    table as w_{-1} = 0 and w_p = -w_{-p-2} for p <= -2 (the null-state
-    subtraction); form="null_pairs" sums w_p (q^{e_p} - q^{e_p+p+1}) over
-    p >= 0, whose partners may lie above the bound.  `flux_sum` and every
-    observable are this sum with their own weight table."""
+) -> GenSeries:
+    """The flux sum theta, weight w_p = weight(p) on each sector p >= 0, over
+    the sectors with h(p) - c/24 below cutoff: exact on its least lattice if
+    `exact` (int or Fraction weights), else floating, for where `_exact_ok`
+    fails.  form="integer" sums over all p in Z, reflecting the table as
+    w_{-1} = 0 and w_p = -w_{-p-2} for p <= -2 (the null-state subtraction);
+    form="null_pairs" sums w_p (q^{e_p} - q^{e_p+p+1}) over p >= 0, whose
+    partners may lie above the cutoff.  `flux_sum` and every observable are
+    this sum with their own weight table."""
+    exponent, den = _exponent(params, exact)
+    bound = math.ceil(Fraction(cutoff) * den) if exact else cutoff
     pairs = []
     for p, e in _flux_range(params, bound, exponent):
         if form == "null_pairs":
@@ -150,7 +154,10 @@ def _flux_theta(
             pairs.append((e, weight(p)))
         elif p <= -2:
             pairs.append((e, -weight(-p - 2)))
-    return pairs
+    if not exact:
+        return GenSeries.from_terms(pairs, cutoff, Backend.FLOAT)
+    C = math.lcm(*(c.denominator for _, c in pairs))
+    return _slot_series([(x, c.numerator * C // c.denominator) for x, c in pairs], den, C, cutoff)
 
 
 def flux_sum(
@@ -166,7 +173,8 @@ def flux_sum(
 
     form="integer" sums over all p in Z (optionally parity-restricted);
     form="null_pairs" builds the equivalent p >= 0 combination
-    d_p (q^{h(p)} - q^{h(p)+p+1})."""
+    d_p (q^{h(p)} - q^{h(p)+p+1}).  Where `_exact_ok` holds theta is built
+    exact in both backends, and the floating one rounds each term once."""
     if w is None:
         w = default_wrap(params)
     if parity not in (None, "even", "odd"):
@@ -175,28 +183,20 @@ def flux_sum(
         raise DomainError(f"unknown flux-sum form {form!r}")
     if form == "null_pairs" and parity is not None:
         raise DomainError("parity restriction applies to the integer-flux form only")
-    exact = backend is Backend.EXACT
-    if exact and not _exact_ok(params, w, parity):
+    exact = _exact_ok(params, w, parity)
+    if backend is Backend.EXACT and not exact:
         raise DomainError(
             "exact backend needs an exact-registry coupling and a rational wrap "
             "weight (or rational n'^2 for the even-parity sector); use the "
             "floating backend for this point"
         )
-    exponent, den = _exponent(params, exact)
     cutoff_c = _as_cutoff(cutoff, backend)
-    bound = math.ceil(cutoff_c * den) if exact else cutoff_c
-    if not exponent(0) < bound:
-        raise DomainError(
-            f"cutoff {cutoff} excludes the p=0 identity term at exponent "
-            f"{Fraction(exponent(0), den) if exact else exponent(0)}; increase it"
-        )
-    d = _wrap_table(w, parity, backend)
-    pairs = _flux_theta(params, d, bound, exponent, den, form, parity)
-    if not exact:
-        return GenSeries.from_terms(pairs, cutoff_c, backend)
-    C = math.lcm(*(c.denominator for _, c in pairs))
-    return _slot_series([(x, c.numerator * C // c.denominator) for x, c in pairs],
-                        den, C, cutoff_c)
+    lead = -params.c_exact / 24 if exact else leg_exponent(params, 0) - params.c / 24.0
+    if not lead < cutoff_c:
+        raise DomainError(f"cutoff {cutoff} excludes the p=0 identity term at exponent "
+                          f"{lead}; increase it")
+    theta = _flux_theta(params, _wrap_table(w, parity, exact), cutoff_c, exact, form, parity)
+    return theta._rounded() if exact and backend is Backend.FLOAT else theta
 
 
 def partition_direct(

@@ -34,11 +34,11 @@ where the constants are the exact chain-rule factors dg/dn = -+1/(2 pi)
 combined with dh/dg = p^2/4 + p/2, so the three-term decomposition equals
 the derivative without free normalization.
 
-Each series above is computed as the direct-channel flux sum of
-`loopgas.annulus` times prod(1-q^r)^{-1}: sum_p w_p q^{h(p) - c/24} over all
-p in Z, with w_{-1} = 0 and w_p = -w_{-p-2} for p <= -2.  An observable only
-picks the coupling and the weight table w_p for p >= 0 (d_p as in
-`loopgas.params`):
+Each series above is theta times prod(1-q^r)^{-1}, theta being the exact
+flux sum of `annulus._flux_theta`, rounded once per term if floating:
+sum_p w_p q^{h(p) - c/24} over all p in Z, with w_{-1} = 0 and w_p = -w_{-p-2}
+for p <= -2.  An observable only picks the coupling and the weight table w_p
+for p >= 0 (d_p as in `loopgas.params`):
 
     crossing_probability (n = 1 dense): d_p at n' = 0, i.e. cos(p pi/2)
     saw_loop_dilute, saw_loop_dense, saw_loop_derivative_series (n = 0):
@@ -55,9 +55,10 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable
 
-from .annulus import _exponent, _flux_theta, partition_direct
+from .annulus import _flux_theta, partition_direct
 from .errors import DomainError, IdentityError, TailBoundError
 from .params import CGParams, Phase, as_phase, params_from_n, wrap_weight
 from .qseries import (
@@ -66,7 +67,6 @@ from .qseries import (
     _as_cutoff,
     _euler_kernel,
     _expand_product,
-    _slot_series,
 )
 
 _PERCOLATION = params_from_n(1.0, Phase.DENSE)
@@ -92,10 +92,7 @@ def _log_weight(p: int) -> int:
 
 def _flux_series(params, weight, cutoff, backend: Backend, form="integer") -> GenSeries:
     """Euler-completed flux sum with integer weights; theta exact, rounded once if floating."""
-    exponent, den = _exponent(params, exact=True)
-    cutoff = Fraction(_as_cutoff(cutoff, backend))
-    pairs = _flux_theta(params, weight, math.ceil(cutoff * den), exponent, den, form)
-    theta = _slot_series(pairs, den, 1, cutoff)
+    theta = _flux_theta(params, weight, _as_cutoff(cutoff, backend), True, form)
     return _euler_kernel(theta if backend is Backend.EXACT else theta._rounded())
 
 
@@ -147,13 +144,12 @@ def saw_loop_dense(
     series = _flux_series(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, Backend.EXACT)
 
     length = math.ceil(2 * series.cutoff + Fraction(1, 12))
-    odd = range(1, length, 2)
-    coeffs = _expand_product([s for s in odd for _ in (0, 1)], length)
-    closed = _slot_series(((12 * j - 1, c) for j, c in enumerate(coeffs)), 24, 1,
-                          series.cutoff)
-
-    eff = min(series.cutoff, closed.cutoff)
-    if series.truncate(eff) != closed.truncate(eff):
+    coeffs = _expand_product([s for s in range(1, length, 2) for _ in (0, 1)], length)
+    # every t^j with j < length lies below the cutoff: slot 12 j - 1 over 24
+    closed = GenSeries._on_lattice(tuple(compress(range(-1, 12 * length, 12), coeffs)),
+                                   tuple(filter(None, coeffs)), 24, 1, series.cutoff,
+                                   Backend.EXACT)
+    if series != closed:
         raise IdentityError(
             "dense wrapping-loop forms disagree: Jacobi triple product "
             "instance failed"

@@ -547,7 +547,7 @@ def _expand_product(steps: Iterable[int], length: int) -> list[int]:
     r"""Coefficients of t^0 .. t^{length-1} in \prod_{s in steps}(1 - t^s).
 
     One pass a[i] -= a[i-s] per factor, all i at once from the old values."""
-    a = [1] + [0] * (length - 1)
+    a = [int(i == 0) for i in range(length)]
     for s in steps:
         a[s:] = [x - y for x, y in zip(a[s:], a)]
     return a

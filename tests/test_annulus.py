@@ -32,8 +32,10 @@ from loopgas import (
     partition_direct_parity,
     partition_naive,
     qseries,
+    wrap_count_generating,
     wrap_weight,
 )
+from loopgas.params import _EXACT_ANGLES
 
 ISING = params_from_n(1.0, "dilute")
 POTTS3 = params_from_n(math.sqrt(3.0), "dense")
@@ -171,6 +173,48 @@ class TestExactRule:
                         if annulus._exact_ok(params, w, parity) != built:
                             disagree.append((n, phase, n_prime, parity))
         assert not disagree
+
+    @pytest.mark.parametrize("cutoff", [8, 37.5, 64, 256])
+    def test_registry_float_is_the_exact_theta_rounded_once(self, cutoff):
+        """Wherever `_exact_ok` holds, the floating flux sum is the exact one
+        with each term rounded once, and the floating partition functions
+        are the float Euler completion of that rounded theta."""
+        def same(a, b):
+            return a == b and hash(a) == hash(b) and repr(a.terms) == repr(b.terms)
+
+        differ = []
+        for chi_over_pi, *_ in _EXACT_ANGLES:
+            n = 2.0 * math.cos(math.pi * float(chi_over_pi))
+            for phase in ("dilute", "dense"):
+                params = params_from_n(n, phase)
+                for n_prime in (None, 0.0, 0.5, -1.25, 2.0, -2.0):
+                    w = None if n_prime is None else wrap_weight(phase, n_prime)
+                    cases = [(p, "integer") for p in (None, "even", "odd")
+                             if annulus._exact_ok(params, w, p)]
+                    if annulus._exact_ok(params, w):
+                        cases.append((None, "null_pairs"))
+                    for parity, form in cases:
+                        args = (params, w, cutoff, parity)
+                        got = flux_sum(*args, Backend.FLOAT, form)
+                        want = flux_sum(*args, Backend.EXACT, form)._rounded()
+                        if not same(got, want):
+                            differ.append((n, phase, n_prime, parity, form))
+                        if form == "null_pairs":
+                            continue
+                        completed = qseries._euler_kernel(want)
+                        if parity is None:
+                            z = partition_direct(params, w, cutoff, Backend.FLOAT)
+                        else:
+                            z = partition_direct_parity(params, w, cutoff, parity,
+                                                        Backend.FLOAT)
+                        if not same(z, completed):
+                            differ.append(("Z", n, phase, n_prime, parity))
+                    if n_prime is not None and annulus._exact_ok(params, w):
+                        z = wrap_count_generating(params, n_prime, cutoff, Backend.FLOAT)
+                        want = flux_sum(params, w, cutoff, None, Backend.EXACT)._rounded()
+                        if not same(z, qseries._euler_kernel(want)):
+                            differ.append(("wrap_count", n, phase, n_prime))
+        assert not differ
 
     def test_duality_check_asks_the_rule(self, monkeypatch):
         backends = []

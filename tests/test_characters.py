@@ -267,20 +267,16 @@ class TestDecompose:
         assert out == {basis[0]: 1.0, basis[1]: 1.0}
         assert all(type(c) is float for c in out.values())
 
-    def test_float_potts_even_leaves_a_rounding_remainder(self):
-        """The floating peel-off keeps its series arithmetic, and with it a
-        known defect: the 3-state Potts even sector at order 40 leaves a
-        -4.4e-16 rounding remainder and raises.  This pins today's float
-        behaviour; it should change only with a float backend that rounds
-        the exact lattice series (ROADMAP item 1)."""
+    def test_float_potts_even_is_the_rounded_exact_decomposition(self):
+        """The floating 3-state Potts even sector is the exact theta rounded
+        once and then completed, so its peel-off leaves no rounding remainder
+        at order 40 and finds the exact multiplicities 1, 2, 1."""
         Z = partition_direct_parity(params_from_n(math.sqrt(3.0), "dense"),
                                     cutoff=40, parity="even", backend=Backend.FLOAT)
         basis = [CharacterSpec(5, 6, 1, s) for s in (1, 3, 5)]
-        with pytest.raises(DecompositionError) as err:
-            decompose(Z, basis)
-        lead = err.value.residual.terms[0]
-        assert lead.exponent == pytest.approx(F(109, 30))
-        assert lead.coefficient == -2.0**-51
+        out = decompose(Z, basis)
+        assert out == dict(zip(basis, (1.0, 2.0, 1.0)))
+        assert all(type(c) is float for c in out.values())
 
 
 # -- the lattice peel-off against series arithmetic ----------------------------

@@ -351,7 +351,7 @@ PINNED_STDOUT = [
     ("partition --n 1 --phase dilute --order 40 --backend exact",
      "f3f200e82845c37bc94f0867781d91a710befc5fd58df2a0ef61f656115bc2ba"),
     ("partition --n 1 --phase dense --backend floating --order 64",
-     "f7494faea3870154a34c5e4ef0160ef10946b7f3be1adab86f30bba9b034dff0"),
+     "faf7083afccfb20622c95b93fb628995c6b9d74d78b60f1f748a09f68096cadd"),
     ("crossed --n 1 --phase dense --order 64",
      "a02c9707cabd081bf9bc179446a0d92198266d9e4f006f15854590819b8f5f56"),
     ("duality --n 1 --phase dense --ratio 1 --order 64",
