@@ -38,9 +38,8 @@ cannot represent those, so they raise IdentityError when nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, IdentityError, TailBoundError
 from .params import CGParams, WrapWeight, _recurrence, default_wrap, leg_exponent
@@ -56,8 +55,7 @@ from .qseries import (
 _SIN_ZERO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ChannelEval:
+class ChannelEval(NamedTuple):
     """One numerical channel-duality evaluation at aspect ratio l/L."""
 
     ratio: float
@@ -69,7 +67,7 @@ class ChannelEval:
     tail_bounds: tuple[float, float]
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "tail_bounds": list(self.tail_bounds)}
+        return {**self._asdict(), "tail_bounds": list(self.tail_bounds)}
 
 
 # -- direct channel -----------------------------------------------------------

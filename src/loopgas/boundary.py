@@ -25,25 +25,39 @@ alpha_1 = -alpha_2, and real couplings only ever lower c below 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from numbers import Real
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, RegulatorFitError
 
 
-@dataclass(frozen=True)
-class BoundaryCoupling:
+class _Coupling(NamedTuple):
     g: float
     alpha1: float
     alpha2: float
     L: float = 1.0
 
-    def __post_init__(self):
-        if not 0 < self.g < math.inf:
+
+class BoundaryCoupling(_Coupling):
+    """Gaussian coupling g, boundary couplings alpha1, alpha2 and strip width L:
+    finite real numbers, g and L positive, kept as given."""
+
+    __slots__ = ()
+
+    def __new__(cls, g: float, alpha1: float, alpha2: float, L: float = 1.0):
+        self = super().__new__(cls, g, alpha1, alpha2, L)
+        if not all(isinstance(x, Real) and not isinstance(x, bool) for x in self):
+            raise DomainError(f"g, alpha1, alpha2 and L must be real numbers, got {self}")
+        if not 0 < g < math.inf:
             raise DomainError("coupling g must be positive and finite")
-        if not (math.isfinite(self.alpha1) and math.isfinite(self.alpha2)):
+        if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
             raise DomainError("boundary couplings alpha1, alpha2 must be finite")
-        _check_width(self.L)
+        _check_width(L)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through this, so it is checked too
+        return cls(*iterable)
 
 
 def _check_width(L: float) -> None:

@@ -20,9 +20,8 @@ integer slots, Z and the characters on one lattice as in `qseries`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DecompositionError, DomainError, IdentityError
 from .qseries import (
@@ -35,26 +34,35 @@ from .qseries import (
 )
 
 
-@dataclass(frozen=True)
-class CharacterSpec:
-    """Identifies one minimal-model character by (p_minor, p_major, r, s)."""
-
+class _Labels(NamedTuple):
     p_minor: int
     p_major: int
     r: int
     s: int
 
-    def __post_init__(self):
-        if not all(isinstance(x, int) for x in vars(self).values()):
+
+class CharacterSpec(_Labels):
+    """Identifies one minimal-model character by (p_minor, p_major, r, s)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p_minor: int, p_major: int, r: int, s: int):
+        self = super().__new__(cls, p_minor, p_major, r, s)
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in self):
             raise DomainError(f"p_minor, p_major, r and s must be int, got {self}")
-        if not (0 < self.p_minor < self.p_major):
+        if not (0 < p_minor < p_major):
             raise DomainError("need 0 < p_minor < p_major")
-        if math.gcd(self.p_minor, self.p_major) != 1:
+        if math.gcd(p_minor, p_major) != 1:
             raise DomainError("p_minor and p_major must be coprime")
-        if not (1 <= self.r < self.p_minor):
-            raise DomainError(f"invalid Kac label r={self.r} for p_minor={self.p_minor}")
-        if not (1 <= self.s < self.p_major):
-            raise DomainError(f"invalid Kac label s={self.s} for p_major={self.p_major}")
+        if not (1 <= r < p_minor):
+            raise DomainError(f"invalid Kac label r={r} for p_minor={p_minor}")
+        if not (1 <= s < p_major):
+            raise DomainError(f"invalid Kac label s={s} for p_major={p_major}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through this, so it is checked too
+        return cls(*iterable)
 
     @property
     def central_charge(self) -> Fraction:

@@ -29,7 +29,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import annulus, boundary, characters, observables
+# observables, characters and boundary are imported by the commands that run
+# them, so that a one-shot call loads only what it uses
+from . import annulus
 from .errors import DomainError, IdentityError, TailBoundError
 from .params import Phase, params_from_n, wrap_weight
 from .qseries import Backend, GenSeries, format_number
@@ -119,7 +121,9 @@ def _cmd_crossed(args) -> str:
     return _series_payload(series, args.format)
 
 
-def _minimal_model_basis(params) -> list[characters.CharacterSpec]:
+def _minimal_model_basis(params) -> list:
+    from .characters import CharacterSpec
+
     g = params.g_exact
     if g is None:
         raise DomainError(
@@ -134,12 +138,14 @@ def _minimal_model_basis(params) -> list[characters.CharacterSpec]:
             "no character basis exists"
         )
     return [
-        characters.CharacterSpec(p_minor, p_major, 1, s)
+        CharacterSpec(p_minor, p_major, 1, s)
         for s in range(1, p_major, 2)
     ]
 
 
 def _cmd_characters(args) -> str:
+    from . import characters
+
     params, w = _model(args)
     basis = _minimal_model_basis(params)
     Z = _direct(args, params, w, Backend.EXACT)
@@ -153,12 +159,16 @@ def _cmd_characters(args) -> str:
 
 
 def _cmd_logcft(args) -> str:
+    from . import observables
+
     return _series_payload(
         observables.log_partition(args.phase, args.order), args.format
     )
 
 
 def _cmd_boundary(args) -> str:
+    from . import boundary
+
     g, a1, a2, L = args.g, args.alpha1, args.alpha2, args.L
     b = boundary.BoundaryCoupling(g=g, alpha1=a1, alpha2=a2, L=L)
     finite, divergent = boundary.e1_cutoff(b, args.epsilons)
@@ -198,6 +208,8 @@ def _duality_rows(args):
 
 
 def _crossing_rows(args):
+    from . import observables
+
     P = observables.crossing_probability(args.order, Backend.EXACT)
 
     def row(q: float) -> dict:
@@ -210,6 +222,8 @@ def _crossing_rows(args):
 def _saw_rows(args):
     if args.phase is None:
         raise DomainError("saw sweep requires --phase")
+    from . import observables
+
     series = (
         observables.saw_loop_dilute(args.order)
         if args.phase == "dilute"

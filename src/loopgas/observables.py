@@ -52,11 +52,9 @@ The hand-written alternating sums live in the test suite as an oracle.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .annulus import _flux_theta, partition_direct
 from .errors import DomainError, IdentityError, TailBoundError
@@ -185,8 +183,7 @@ def log_partition(phase, cutoff=64) -> GenSeries:
 # -- asymptote fitting ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoteFit:
+class AsymptoteFit(NamedTuple):
     """Power-law fit value ~ prefactor * modulus^exponent over a window."""
 
     exponent_fit: float
@@ -222,6 +219,8 @@ def asymptote_fit(
                 f"modulus {x:.3e}; refusing to fit"
             )
         vals.append(v)
+    import statistics  # only the fit needs it, and no CLI command fits
+
     lx, ly = [math.log(x) for x in xs], [math.log(v) for v in vals]
     slope, intercept = statistics.linear_regression(lx, ly)
     resid = max(abs(y - (slope * x + intercept)) for x, y in zip(lx, ly))

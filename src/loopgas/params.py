@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import DomainError
 
@@ -74,8 +73,7 @@ def _match_exact_angle(n: float) -> Optional[_Angle]:
     return None
 
 
-@dataclass(frozen=True)
-class CGParams:
+class CGParams(NamedTuple):
     """Coulomb-gas parameter bundle for one critical point.
 
     The exact fields are populated when the point lies in the exact-angle
@@ -106,8 +104,7 @@ class CGParams:
         return (1 - self.g_exact) / self.g_exact
 
 
-@dataclass(frozen=True)
-class WrapWeight:
+class WrapWeight(NamedTuple):
     """Weight data n' = 2 cos(chi') for loops winding the annulus.
 
     chi' carries the sign convention of the host phase (negative for dilute),

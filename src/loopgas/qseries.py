@@ -47,7 +47,6 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter, lt, truediv
@@ -202,7 +201,7 @@ class GenSeries:
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
 

@@ -1,7 +1,15 @@
 """Package-wide source rules that no single module's tests can see."""
 
 import ast
+import hashlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
+
+import pytest
 
 import loopgas
 
@@ -18,3 +26,97 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in loopgas: {found}"
+
+
+def test_no_module_imports_dataclasses():
+    # `dataclasses` pulls `inspect`, `ast`, `dis` and `tokenize` into every
+    # process that imports it; the value classes are NamedTuples instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert not found, f"dataclasses imported in loopgas: {found}"
+
+
+def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, check=True, env=env)
+
+
+def test_cli_import_loads_only_what_partition_needs():
+    # subtract a bare interpreter's modules, so that what `site` imports does
+    # not count against the package
+    listing = "import sys; print('\\n'.join(sys.modules))"
+    bare = set(_python(listing).stdout.split())
+    added = set(_python("import loopgas.cli; " + listing).stdout.split()) - bare
+    assert "loopgas.annulus" in added and "loopgas.qseries" in added
+    unwanted = {"dataclasses", "inspect", "statistics", "numpy", "loopgas.observables",
+                "loopgas.characters", "loopgas.boundary"}
+    assert not added & unwanted
+
+
+def test_boundary_command_loads_numpy_itself():
+    code = ("import sys, loopgas.cli as cli; before = 'numpy' in sys.modules; "
+            "code = cli.main(sys.argv[1:]); "
+            "print(before, 'numpy' in sys.modules, code, file=sys.stderr)")
+    run = _python(code, "boundary", "--g", "1.5", "--alpha1", "0.3", "--alpha2", "0.1")
+    assert run.stderr.split() == ["False", "True", "0"]
+    # the bytes recorded for this command in test_cli.PINNED_STDOUT
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == (
+        "645e38b8da636f6477cbc54dca5ab87cd86bb6429cde656d1be3a097855cf5bf")
+
+
+PUBLIC_NAMES = [
+    "AsymptoteFit", "Backend", "BackendMismatchError", "BoundaryCoupling",
+    "CGParams", "ChannelEval", "CharacterSpec", "DecompositionError",
+    "DomainError", "GenSeries", "IdentityError", "LoopGasError", "Phase",
+    "RegulatorFitError", "SeriesTerm", "TailBoundError", "WrapWeight",
+    "annulus", "as_phase", "asymptote_fit", "boundary", "boundary_g_factor",
+    "c_effective", "central_charge_slope_at_zero", "characters",
+    "crossing_probability", "decompose", "decomposition_to_json",
+    "dedekind_eta_series", "default_wrap", "duality_check", "e0_zeta",
+    "e1_cutoff", "e1_zeta", "electric_dimension", "errors", "eta_modular_check",
+    "euler_inverse", "euler_product", "eval_at", "flux_sum", "leading_asymptote",
+    "leg_exponent", "log_chain_scale", "log_partition", "log_partition_exact_core",
+    "max_abs_coeff_diff", "observables", "params", "params_from_n",
+    "partition_crossed", "partition_direct", "partition_direct_parity",
+    "partition_naive", "pentagonal_series", "qseries", "rocha_caridi",
+    "saw_loop_dense", "saw_loop_derivative_series", "saw_loop_dilute",
+    "vortex_marginality_check", "wrap_coefficient", "wrap_count_generating",
+    "wrap_weight",
+]
+
+
+def test_public_names_are_pinned():
+    # in a fresh process, so that nothing has been resolved yet
+    code = textwrap.dedent("""
+        import json, loopgas
+        listed = [n for n in dir(loopgas) if not n.startswith("_")]
+        star = {}
+        exec("from loopgas import *", star)
+        kinds = {n: type(getattr(loopgas, n)).__name__ for n in loopgas.__all__}
+        try:
+            loopgas.no_such_name
+        except AttributeError:
+            unknown = "AttributeError"
+        print(json.dumps([loopgas.__all__, listed,
+                          sorted(n for n in star if not n.startswith("_")),
+                          kinds, unknown]))
+    """)
+    all_, listed, star, kinds, unknown = json.loads(_python(code).stdout)
+    assert len(PUBLIC_NAMES) == 64
+    assert all_ == listed == star == PUBLIC_NAMES
+    modules = {"annulus", "boundary", "characters", "errors", "observables", "params",
+               "qseries"}
+    assert {n for n, kind in kinds.items() if kind == "module"} == modules
+    assert unknown == "AttributeError"
+    # and in this process, whatever the other tests have imported by now
+    assert sorted(loopgas.__all__) == PUBLIC_NAMES
+    for name in set(PUBLIC_NAMES) - modules:
+        assert getattr(loopgas, name).__module__.startswith("loopgas."), name
+    with pytest.raises(AttributeError):
+        loopgas.no_such_name
