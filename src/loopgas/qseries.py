@@ -37,9 +37,12 @@ on its least lattice by `_slot_series`.  Exact slots are the B-byte fields of
 one integer; each theta term adds the packed partition table shifted to its
 field, and every field is read back biased by half a field, more than any
 |sum|, so no borrow crosses between fields.  Floating exponents have no
-lattice: each theta term adds one row over the same partition table, and one
-stable sort and `_float_terms`, the merge rule of `from_terms`, combine the
-rows.  No builder multiplies two series; that is for callers and tests.
+lattice: each theta term adds one row over the same partition table.  Rows
+are grouped by exponent mod step: at generic coupling a class is one term or
+a pair of null partners, added column by column, and the classes are read
+out column by column; any other class sends all rows to one stable sort and
+`_float_terms`, the merge rule of `from_terms`.  Both are the Cauchy product
+bit for bit.  No builder multiplies two series; that is for callers and tests.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ import enum
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
-from operator import itemgetter, lt, truediv
+from itertools import chain, compress, count, islice, repeat, zip_longest
+from operator import add, itemgetter, lt, sub, truediv
 from typing import Iterable, NamedTuple, Union
 
 from .errors import BackendMismatchError, DomainError, TailBoundError
@@ -130,9 +133,24 @@ def _float_terms(pairs, cutoff: float) -> "GenSeries":
     if total and lead < cutoff:
         es.append(lead)
         cs.append(total)
+    return _float_series(es, cs, cutoff)
+
+
+def _float_series(es, cs, cutoff: float) -> "GenSeries":
+    """The floating series of merged, increasing exponents es and coefficients
+    cs; a coefficient that is not finite is a DomainError."""
+    cs = tuple(cs)
     if not all(map(math.isfinite, cs)):
         raise DomainError("a merged floating coefficient is not finite")
-    return GenSeries._on_lattice(tuple(es), tuple(cs), 1, 1, cutoff, Backend.FLOAT)
+    return GenSeries._on_lattice(tuple(es), cs, 1, 1, cutoff, Backend.FLOAT)
+
+
+def _columns(runs, i):
+    """Field i of runs (first column, exponents, coefficients) over consecutive
+    columns, read column by column in the runs' order, 0.0 where a run has none."""
+    lo = min(run[0] for run in runs)
+    return chain.from_iterable(zip_longest(
+        *(chain(repeat(0.0, run[0] - lo), run[i]) for run in runs), fillvalue=0.0))
 
 
 def _float_exponents(n: tuple, cutoff: float, what: str) -> tuple:
@@ -576,23 +594,63 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     slot n + k step D, step R k fields on: it adds a times the table of p(k),
     packed one every step R fields, shifted to n's field, one big-integer
     multiply-add per term.  Floating: each theta term (e, a) adds the row
-    (e + k step, a p(k)) below the cutoff, and one stable sort and
-    `_float_terms` merge the rows.  These are the float operations, in the
-    order, of theta * euler_inverse(span/step).dilate(step), so the result is
-    that product bit for bit."""
+    (e + k step, a p(k)) below the cutoff, merged by classes of e mod step as
+    below.  Either way these are the float operations, in the order, of
+    theta * euler_inverse(span/step).dilate(step): that product bit for bit."""
     if theta.backend is Backend.FLOAT:
         if theta.is_zero:
             return theta
-        low = theta.min_exponent
+        low, tol = theta.min_exponent, FLOAT_EXPONENT_TOL
         span = (theta.cutoff - low) / step
         b = [k * step for k in map(float, range(math.ceil(span))) if k < span]
         p = list(map(float, _partition_numbers(len(b) - 1)))
         # The Cauchy product's cutoff bit for bit (its + 0.0 turns a -0.0 cutoff
         # into 0.0); each row stops where the rounded e + b first reaches it.
         top = min(theta.cutoff + 0.0, span * step + low)
+        rows = [(e, a, bisect_left(b, top, key=e.__add__)) for e, a in zip(theta._n, theta._a)]
+        # A class chains terms whose phases e mod step lie within 2 tol.  Below 2^16
+        # an ulp is far below tol, so rows of two classes stay more than tol apart:
+        # no merge group spans two classes, and in each column the classes' terms
+        # follow their phases.
+        phase = [e % step for e in theta._n]
+        order, phase = sorted(range(len(rows)), key=phase.__getitem__), sorted(phase)
+        cuts = [0, *compress(count(1), map((2 * tol).__le__, map(sub, phase[1:], phase))),
+                len(rows)]
+        classes = [sorted(order[i:j]) for i, j in zip(cuts, cuts[1:])]
+        if (max(abs(low), abs(top)) >= 2.0 ** 16 or phase[0] + step - phase[-1] < 2 * tol
+                or any(c[2:] for c in classes)):
+            classes = []  # past 2^16, wrapping round 0, or three in a class (rational g)
+        runs = []
+        for i, *j in classes:
+            e, a, n = rows[i]
+            es, cs = map(e.__add__, b[:n]), list(map(a.__mul__, p[:n]))
+            if j:
+                # Null partners: f's row lies d columns on, delta from e's exactly,
+                # and the pair is read column by column unless delta nears tol.
+                f, c, m = rows[j[0]]
+                d = int(f // step - e // step)
+                delta = math.fsum((f, -d * step, -e))
+                if abs(delta) >= tol / 2:
+                    break
+                # Rounding is monotone: the row that leads each merge group at
+                # delta's sign ends no earlier than the other, and gives its exponent.
+                # The sum of two floats is the same in either order.
+                if delta < 0:
+                    es = chain(map(e.__add__, b[:min(d, n)]), map(f.__add__, b[:m]))
+                    cs[d:] = map(add, cs[d:], map(c.__mul__, p[:m]))
+                    cs += map(c.__mul__, p[len(cs) - d:m])
+                else:
+                    cs[d:d + m] = map(add, cs[d:d + m], map(c.__mul__, p))
+            runs.append((int(e // step), es, cs))
+        else:
+            # Every class is one run of columns: read them column by column, in
+            # phase order, with 0.0 (dropped as a zero sum) where a run has none.
+            if runs:
+                cs = list(_columns(runs, 2))
+                return _float_series(compress(_columns(runs, 1), cs), filter(None, cs), top)
+        # Otherwise all rows are merged as the Cauchy product merges them.
         pairs = []
-        for e, a in zip(theta._n, theta._a):
-            n = bisect_left(b, top, key=e.__add__)
+        for e, a, n in rows:
             pairs += zip(map(e.__add__, b[:n]), map(a.__mul__, p[:n]))
         pairs.sort(key=itemgetter(0))
         return _float_terms(pairs, top)

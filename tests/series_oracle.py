@@ -9,14 +9,20 @@ the package's integer-lattice peel-off is checked.  `euler_rows` is the
 exact Euler completion done one column at a time, on one integer list per
 residue, against which the package's packed kernel is checked.  `normalised`
 merges exact terms in a dict of Fractions, against which the package's one
-exact normaliser on integer slots is checked.  Exact backend.
+exact normaliser on integer slots is checked.  `euler_float_rows` is the
+floating Euler completion as one row per theta term, merged by one stable
+sort and the floating merge rule, against which the package's completion by
+exponent class is checked bit for bit.  Exact backend, but for
+`euler_float_rows`.
 """
 import math
+from bisect import bisect_left
 from fractions import Fraction as F
 from itertools import chain, compress
+from operator import itemgetter
 
 from loopgas import Backend, GenSeries, euler_inverse, rocha_caridi
-from loopgas.qseries import _partition_numbers
+from loopgas.qseries import _float_terms, _partition_numbers
 
 
 def _series(terms, cutoff):
@@ -137,6 +143,26 @@ def euler_rows(slots, D, C, cutoff, step=1):
     values = list(chain.from_iterable(zip(*(rows[r] for r in residues))))
     terms = [(F(n, D), F(a, C)) for n, a in zip(compress(grid, values), filter(None, values))]
     return normalised(terms, cutoff)
+
+
+def euler_float_rows(theta, step=1):
+    """theta * prod(1 - q^{step r})^{-1} below theta's cutoff, for a nonzero
+    floating theta: each theta term (e, a) adds the row (e + k step, a p(k))
+    below the cutoff, and one stable sort and `_float_terms` merge the rows.
+    These are the float operations, in the order, of theta times
+    euler_inverse(span/step).dilate(step), so the result is that product bit
+    for bit."""
+    low = theta.min_exponent
+    span = (theta.cutoff - low) / step
+    b = [k * step for k in map(float, range(math.ceil(span))) if k < span]
+    p = list(map(float, _partition_numbers(len(b) - 1)))
+    top = min(theta.cutoff + 0.0, span * step + low)
+    pairs = []
+    for e, a in zip(theta._n, theta._a):
+        n = bisect_left(b, top, key=e.__add__)
+        pairs += zip(map(e.__add__, b[:n]), map(a.__mul__, p[:n]))
+    pairs.sort(key=itemgetter(0))
+    return _float_terms(pairs, top)
 
 
 def normalised(pairs, cutoff):

@@ -452,6 +452,19 @@ class TestCutoffGuards:
         with pytest.raises(DomainError):
             partition_crossed(DENSE0, cutoff=-1)
 
+    @pytest.mark.parametrize("n, order, cutoff", [
+        (0.3, 1024, 1023.9999999999999),
+        (1.0, 256, 255.99999999999997),
+        (0.7, 256, 256.0),
+    ])
+    def test_float_cutoff_drift_is_pinned(self, n, order, cutoff):
+        """Known defect, pinned: the float Euler completion's cutoff is the
+        Cauchy product's, span * step + low rounded, which can fall one ulp
+        short of the cutoff asked for.  The recorded CLI outputs carry these
+        bits, so the fix comes with their re-recording and flips this test."""
+        Z = partition_direct(params_from_n(n, "dilute"), None, order, Backend.FLOAT)
+        assert repr(Z.cutoff) == repr(cutoff)
+
     def test_non_finite_cutoff_in_float_builders(self):
         """partition_naive and partition_crossed refuse inf, -inf and NaN.
         A +inf cutoff once walked flux sectors without end, so the check runs

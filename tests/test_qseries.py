@@ -1,12 +1,15 @@
 """Series arithmetic, Euler/pentagonal/eta building blocks, serialization."""
 
+import gzip
 import json
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -662,19 +665,83 @@ def test_float_from_terms_merge_rule(case):
 @example(([(-0.5, 0.75), (1.5, -1.5), (3.5 + 3e-10, -1.0)], 11.0, 2))
 @example(([(0.0, 0.5), (1.0, 0.5), (2.0, -1e16)], 9.0, 1))     # rows summed in order
 @example(([(-1.0, 1.0)], -0.0, 1))                             # cutoff + 0.0
+@example(([(0.25, 1.0), (2.25 - 1e-10, 3.0), (0.5, 2.0)], 9.0, 1))  # the later partner leads
+@example(([(0.25, 1.0), (3.25, -2.0)], 9.0, 1))                # partners exactly d apart
+@example(([(0.5, 1.0), (1.5 - 1e-10, 2.0)], 5.5, 1))           # the later row outlasts
+@example(([(0.5, 1.0), (1.5 + 2e-10, -1.0), (3.5 - 1e-10, 2.0), (0.75, 1.0)], 9.0, 1))  # three
+@example(([(0.25, 1.0), (1.25 + 8e-10, 2.0)], 9.0, 1))        # a pair near tol: merged
+@example(([(0.1, 1.0), (1.100000000999999, 2.0)], 60.0, 1))    # rounding splits it at k = 7
+@example(([(0.9999999999, 1.0), (2.0000000001, 1.0)], 9.0, 1))  # phases wrap round 0
+@example(([(0.5, 1.0), (3.5 - 1e-10, 2.0), (1.75, -1.0)], 20.0, 3))  # step 3
+@example(([(70000.25, 1.0), (70001.25 - 1e-10, 2.0)], 70003.0, 1))  # above 2^16: merged
+@example(([(0.5, 1.5e308), (1.5, 1.5e308)], 4.0, 1))           # a pair's sum overflows
 def test_float_euler_kernel_is_the_cauchy_product_bit_for_bit(case):
     """The floating kernel's rows against theta times the partition series
-    in q^step: the same terms and cutoff, down to the last bit."""
+    in q^step: the same terms and cutoff, down to the last bit, or the same
+    DomainError where a sum is not finite."""
     pairs, cutoff, step = case
     theta = S(pairs, cutoff, Backend.FLOAT)
     span = theta.cutoff - theta.min_exponent
-    expected = (theta if theta.is_zero else
-                theta * euler_inverse(span / step, Backend.FLOAT).dilate(step))
+    try:
+        expected = (theta if theta.is_zero else
+                    theta * euler_inverse(span / step, Backend.FLOAT).dilate(step))
+    except DomainError:
+        with pytest.raises(DomainError, match="not finite"):
+            qseries._euler_kernel(theta, step)
+        return
     got = qseries._euler_kernel(theta, step)
     assert got.backend is Backend.FLOAT
     assert got.terms == expected.terms
     assert [repr(t) for t in got.terms] == [repr(t) for t in expected.terms]
     assert repr(got.cutoff) == repr(expected.cutoff)
+
+
+def float_pool_sample(per_kind=40):
+    """A seeded sample of `perfbench/data/float_pool.json.gz`, read only: per
+    kind, `per_kind` (kind, n, phase, order, ratio) at generic couplings."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "float_pool.json.gz"
+    with gzip.open(path, "rt") as fh:
+        pool = json.load(fh)
+    rng = random.Random("float-kernel-oracle")
+    return [(kind, e["n"], e["phase"], e["order"], e.get("ratio"))
+            for kind in sorted(pool) for e in rng.sample(pool[kind], per_kind)]
+
+
+REGISTRY_FLOAT_POINTS = [(1.0, "dense"), (0.0, "dilute"), (math.sqrt(2.0), "dilute"),
+                         (math.sqrt(3.0), "dense"), (2 * math.cos(math.pi / 5), "dense")]
+
+
+def test_float_euler_kernel_matches_the_row_oracle(monkeypatch):
+    """Every floating theta the partition functions complete, on a sample of
+    the float pool and at registry and rational-g points, against one row per
+    theta term merged by one stable sort (`series_oracle.euler_float_rows`):
+    every exponent, coefficient and the cutoff, bit for bit."""
+    from loopgas import annulus, params_from_n
+
+    kernel, seen = qseries._euler_kernel, []
+
+    def recorded(theta, step=1):
+        seen.append((theta, step))
+        return kernel(theta, step)
+
+    monkeypatch.setattr(annulus, "_euler_kernel", recorded)
+    for kind, n, phase, order, ratio in float_pool_sample():
+        p = params_from_n(n, phase)
+        if kind == "duality_check":
+            annulus.duality_check(p, None, ratio, order)
+        elif kind == "partition_direct":
+            annulus.partition_direct(p, None, order, Backend.FLOAT)
+        else:
+            getattr(annulus, kind)(p, None, order)
+    for n, phase in REGISTRY_FLOAT_POINTS:
+        for order in (64, 256, 400):
+            annulus.partition_direct(params_from_n(n, phase), None, order, Backend.FLOAT)
+            annulus.partition_naive(params_from_n(n, phase), None, order)
+    assert len(seen) >= 4 * 40 + 30
+    for theta, step in seen:
+        got, want = kernel(theta, step), oracle.euler_float_rows(theta, step)
+        assert (repr(got._n), repr(got._a), repr(got.cutoff)) == (
+            repr(want._n), repr(want._a), repr(want.cutoff))
 
 
 @settings(max_examples=120, deadline=None)
