@@ -39,10 +39,11 @@ field, and every field is read back biased by half a field, more than any
 |sum|, so no borrow crosses between fields.  Floating exponents have no
 lattice: each theta term adds one row over the same partition table.  Rows
 are grouped by exponent mod step: at generic coupling a class is one term or
-a pair of null partners, added column by column, and the classes are read
-out column by column; any other class sends all rows to one stable sort and
-`_float_terms`, the merge rule of `from_terms`.  Both are the Cauchy product
-bit for bit.  No builder multiplies two series; that is for callers and tests.
+a pair of null partners, added column by column; class r of R fills every
+R-th slot from r of one column-major buffer, in exponent order, unchecked for
+finiteness where 2 max|a| p(K) is finite.  Any other class sends all rows to
+one stable sort and `_float_terms`, the merge rule of `from_terms`.  Both are
+the Cauchy product bit for bit.  No builder multiplies two series.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ import enum
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, compress, count, islice, repeat, zip_longest
-from operator import add, itemgetter, lt, sub, truediv
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter, lt, neg, sub, truediv
 from typing import Iterable, NamedTuple, Union
 
 from .errors import BackendMismatchError, DomainError, TailBoundError
@@ -136,21 +137,14 @@ def _float_terms(pairs, cutoff: float) -> "GenSeries":
     return _float_series(es, cs, cutoff)
 
 
-def _float_series(es, cs, cutoff: float) -> "GenSeries":
+def _float_series(es, cs, cutoff: float, finite: bool = False) -> "GenSeries":
     """The floating series of merged, increasing exponents es and coefficients
-    cs; a coefficient that is not finite is a DomainError."""
+    cs; a coefficient that is not finite is a DomainError, checked one by one
+    unless a bound shows them all `finite`."""
     cs = tuple(cs)
-    if not all(map(math.isfinite, cs)):
+    if not (finite or all(map(math.isfinite, cs))):
         raise DomainError("a merged floating coefficient is not finite")
     return GenSeries._on_lattice(tuple(es), cs, 1, 1, cutoff, Backend.FLOAT)
-
-
-def _columns(runs, i):
-    """Field i of runs (first column, exponents, coefficients) over consecutive
-    columns, read column by column in the runs' order, 0.0 where a run has none."""
-    lo = min(run[0] for run in runs)
-    return chain.from_iterable(zip_longest(
-        *(chain(repeat(0.0, run[0] - lo), run[i]) for run in runs), fillvalue=0.0))
 
 
 def _float_exponents(n: tuple, cutoff: float, what: str) -> tuple:
@@ -207,9 +201,9 @@ class GenSeries:
         no zero a; an exact one on the least lattice that holds it."""
         if backend is Backend.EXACT:
             if (g := math.gcd(D, *n)) > 1:
-                D, n = D // g, tuple(x // g for x in n)
+                D, n = D // g, tuple([x // g for x in n])
             if (g := math.gcd(C, *a)) > 1:
-                C, a = C // g, tuple(x // g for x in a)
+                C, a = C // g, tuple([x // g for x in a])
         self = object.__new__(cls)
         self._fill(cutoff, backend, None, D, C, n, a)
         return self
@@ -366,7 +360,7 @@ class GenSeries:
         return _slot_series(self._slots(D, C) + other._slots(D, C), D, C, cutoff)
 
     def __neg__(self) -> "GenSeries":
-        return GenSeries._on_lattice(self._n, tuple(-x for x in self._a), self._D, self._C,
+        return GenSeries._on_lattice(self._n, tuple(map(neg, self._a)), self._D, self._C,
                                      self.cutoff, self.backend)
 
     def __sub__(self, other: "GenSeries") -> "GenSeries":
@@ -393,12 +387,12 @@ class GenSeries:
         if c == 0:
             return GenSeries.zero(self.cutoff, self.backend)
         if self.backend is Backend.EXACT:
-            a, C = tuple(x * c.numerator for x in self._a), self._C * c.denominator
+            a, C = tuple([x * c.numerator for x in self._a]), self._C * c.denominator
         else:
             # |c| times the largest |coefficient| is finite iff every product is
             _finite(c * max(map(abs, self._a), default=0.0),
                     "scalar times the largest coefficient")
-            a, C = tuple(x * c for x in self._a), 1
+            a, C = tuple([x * c for x in self._a]), 1
         return GenSeries._on_lattice(self._n, a, self._D, C, self.cutoff, self.backend)
 
     __rmul__ = __mul__
@@ -409,9 +403,9 @@ class GenSeries:
         if self.backend is Backend.EXACT:
             D = math.lcm(self._D, d.denominator)
             k, m = D // self._D, d.numerator * (D // d.denominator)
-            n = tuple(x * k + m for x in self._n)
+            n = tuple([x * k + m for x in self._n])
         else:
-            n, D = _float_exponents(tuple(x + d for x in self._n), self.cutoff + d, "shift"), 1
+            n, D = _float_exponents(tuple([x + d for x in self._n]), self.cutoff + d, "shift"), 1
         return GenSeries._on_lattice(n, self._a, D, self._C, self.cutoff + d, self.backend)
 
     def dilate(self, factor: Number) -> "GenSeries":
@@ -420,9 +414,9 @@ class GenSeries:
         if f <= 0:
             raise DomainError("dilate factor must be positive")
         if self.backend is Backend.EXACT:
-            n, D = tuple(x * f.numerator for x in self._n), self._D * f.denominator
+            n, D = tuple([x * f.numerator for x in self._n]), self._D * f.denominator
         else:
-            n, D = _float_exponents(tuple(x * f for x in self._n), self.cutoff * f, "dilate"), 1
+            n, D = _float_exponents(tuple([x * f for x in self._n]), self.cutoff * f, "dilate"), 1
         return GenSeries._on_lattice(n, self._a, D, self._C, self.cutoff * f, self.backend)
 
     def truncate(self, cutoff: Number) -> "GenSeries":
@@ -449,15 +443,22 @@ class GenSeries:
                 f"eval_at requires 0 < q < 1, got {q!r}; near q=1 the series "
                 "diverges -- evaluate in the crossed channel instead"
             )
-        lnq = math.log(q)
-        value = 0.0
-        # n/D and a/C are correctly rounded, as float(Fraction(n, D)) is, and
-        # a float divided by 1 is itself
-        D, C = self._D, self._C
-        for n, a in zip(self._n, self._a):
-            value += a / C * math.exp(n / D * lnq)
-        last = abs(self._a[-1] / C) if self._a else 1.0
-        tail = 4.0 * last * math.exp(float(self.cutoff) * lnq) / (1.0 - q)
+        lnq, exp, D, C, value = math.log(q), math.exp, self._D, self._C, 0.0
+        try:
+            # A loop, left to right: sum compensates from Python 3.12; reduce is slower
+            if self.backend is Backend.FLOAT:
+                for n, a in zip(self._n, self._a):  # D = C = 1
+                    value += a * exp(n * lnq)
+            else:
+                # n/D and a/C are correctly rounded, as float(Fraction(n, D)) is
+                for n, a in zip(self._n, self._a):
+                    value += a / C * exp(n / D * lnq)
+            last = abs(self._a[-1] / C) if self._a else 1.0
+            tail = 4.0 * last * exp(float(self.cutoff) * lnq) / (1.0 - q)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"the series' value at q={q!r} is not finite in double precision")
         return value, tail
 
     # -- serialization ---------------------------------------------------------
@@ -594,9 +595,9 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     slot n + k step D, step R k fields on: it adds a times the table of p(k),
     packed one every step R fields, shifted to n's field, one big-integer
     multiply-add per term.  Floating: each theta term (e, a) adds the row
-    (e + k step, a p(k)) below the cutoff, merged by classes of e mod step as
-    below.  Either way these are the float operations, in the order, of
-    theta * euler_inverse(span/step).dilate(step): that product bit for bit."""
+    (e + k step, a p(k)) below the cutoff, merged by classes of e mod step and
+    read out of one buffer as below.  Either way these are the float operations,
+    in the order, of theta * euler_inverse(span/step).dilate(step): bit for bit."""
     if theta.backend is Backend.FLOAT:
         if theta.is_zero:
             return theta
@@ -623,7 +624,7 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
         runs = []
         for i, *j in classes:
             e, a, n = rows[i]
-            es, cs = map(e.__add__, b[:n]), list(map(a.__mul__, p[:n]))
+            es, cs = [], [a * x for x in p[:n]]
             if j:
                 # Null partners: f's row lies d columns on, delta from e's exactly,
                 # and the pair is read column by column unless delta nears tol.
@@ -636,22 +637,31 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
                 # delta's sign ends no earlier than the other, and gives its exponent.
                 # The sum of two floats is the same in either order.
                 if delta < 0:
-                    es = chain(map(e.__add__, b[:min(d, n)]), map(f.__add__, b[:m]))
-                    cs[d:] = map(add, cs[d:], map(c.__mul__, p[:m]))
-                    cs += map(c.__mul__, p[len(cs) - d:m])
+                    n, es = min(d, n), [f + x for x in b[:m]]
+                    cs[d:] = [x + c * y for x, y in zip(cs[d:], p[:m])]
+                    cs += [c * y for y in p[len(cs) - d:m]]
                 else:
-                    cs[d:d + m] = map(add, cs[d:d + m], map(c.__mul__, p))
-            runs.append((int(e // step), es, cs))
+                    cs[d:d + m] = [x + c * y for x, y in zip(cs[d:d + m], p)]
+            runs.append((int(e // step), [e + x for x in b[:n]] + es, cs))
         else:
-            # Every class is one run of columns: read them column by column, in
-            # phase order, with 0.0 (dropped as a zero sum) where a run has none.
             if runs:
-                cs = list(_columns(runs, 2))
-                return _float_series(compress(_columns(runs, 1), cs), filter(None, cs), top)
+                # Every class is one run of columns: slot (column - lo) R + r of one
+                # column-major buffer holds class r's term, 0.0 (dropped as a zero
+                # sum) where it has none, so the slots are in exponent order.
+                lo, R = min(run[0] for run in runs), len(runs)
+                size = R * (max(k + len(cs) for k, _, cs in runs) - lo)
+                ebuf, cbuf = [0.0] * size, [0.0] * size
+                for r, (k, es, cs) in enumerate(runs):
+                    s = (k - lo) * R + r
+                    ebuf[s:s + len(cs) * R:R], cbuf[s:s + len(cs) * R:R] = es, cs
+                # Rounding is monotone, so no product exceeds M = max|a| p(K) and no
+                # pair sum 2M: where 2M is finite, every coefficient is.
+                finite = math.isfinite(2.0 * (max(map(abs, theta._a)) * p[-1]))
+                return _float_series(compress(ebuf, cbuf), filter(None, cbuf), top, finite)
         # Otherwise all rows are merged as the Cauchy product merges them.
         pairs = []
         for e, a, n in rows:
-            pairs += zip(map(e.__add__, b[:n]), map(a.__mul__, p[:n]))
+            pairs += zip([e + x for x in b[:n]], [a * x for x in p[:n]])
         pairs.sort(key=itemgetter(0))
         return _float_terms(pairs, top)
     D, cutoff, slots = theta._D, theta.cutoff, list(zip(theta._n, theta._a))

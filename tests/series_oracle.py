@@ -12,8 +12,9 @@ merges exact terms in a dict of Fractions, against which the package's one
 exact normaliser on integer slots is checked.  `euler_float_rows` is the
 floating Euler completion as one row per theta term, merged by one stable
 sort and the floating merge rule, against which the package's completion by
-exponent class is checked bit for bit.  Exact backend, but for
-`euler_float_rows`.
+exponent class is checked bit for bit.  `eval_sequential` is evaluation as
+one Python loop over the terms, against which `GenSeries.eval_at` is checked
+bit for bit.  Exact backend, but for `euler_float_rows` and `eval_sequential`.
 """
 import math
 from bisect import bisect_left
@@ -180,3 +181,17 @@ def normalised(pairs, cutoff):
     return GenSeries._on_lattice(tuple(e.numerator * D // e.denominator for e, _ in terms),
                                  tuple(c.numerator * C // c.denominator for _, c in terms),
                                  D, C, cutoff, Backend.EXACT)
+
+
+def eval_sequential(series, q):
+    """(value, tail bound) of `series` at 0 < q < 1, one term at a time: the
+    value adds a/C exp(n/D ln q) over the stored integers or floats, left to
+    right from 0.0, and the tail is 4 |last coefficient| q^cutoff / (1 - q)."""
+    lnq = math.log(q)
+    value = 0.0
+    D, C = series._D, series._C
+    for n, a in zip(series._n, series._a):
+        value += a / C * math.exp(n / D * lnq)
+    last = abs(series._a[-1] / C) if series._a else 1.0
+    tail = 4.0 * last * math.exp(float(series.cutoff) * lnq) / (1.0 - q)
+    return value, tail

@@ -105,6 +105,12 @@ ERROR_PATHS = [
     ("float scalar product overflows",
      lambda: qseries.euler_inverse(8, Backend.FLOAT) * 1e308 * 10.0,
      DomainError, "scalar times the largest coefficient must be finite, got inf"),
+    ("exact eval_at overflows a term",
+     lambda: GenSeries.from_terms([(-1000, 1)], 10).eval_at(0.1),
+     DomainError, "value at q=0.1 is not finite in double precision"),
+    ("float eval_at overflows the sum",
+     lambda: GenSeries.from_terms([(0.0, 1e308), (1.0, 1e308)], 10.0, Backend.FLOAT).eval_at(0.99),
+     DomainError, "value at q=0.99 is not finite in double precision"),
     ("eta tau_imag NaN", lambda: qseries.eta_modular_check(math.nan),
      DomainError, "tau_imag must be positive, got nan"),
     ("eta tau_imag inf", lambda: qseries.eta_modular_check(math.inf),

@@ -264,6 +264,24 @@ class TestEvalAt:
             with pytest.raises(DomainError):
                 s.eval_at(q)
 
+    def test_is_the_sequential_sum_bit_for_bit(self):
+        """eval_at against one Python loop over the terms (`eval_sequential`):
+        exact series on lattices with D, C > 1, and floating ones at generic
+        and registry couplings, value and tail down to the last bit."""
+        from loopgas import annulus, observables, params_from_n
+
+        exact = [observables.crossing_probability(96) * F(1, 3),
+                 observables.saw_loop_dilute(96) * F(-2, 7)]
+        assert all(s._D > 1 and s._C > 1 for s in exact)
+        floats = [annulus.partition_direct(params_from_n(n, phase), None, 128, Backend.FLOAT)
+                  for n, phase in [(1.3, "dense"), (0.7, "dilute"), (1.0, "dilute"),
+                                   (math.sqrt(2.0), "dilute")]]
+        floats.append(annulus.partition_crossed(params_from_n(-1.07, "dense"), None, 140))
+        assert all(s.backend is Backend.FLOAT and len(s) > 50 for s in floats)
+        for s in exact + floats:
+            for q in (0.01, 0.3, 0.6, 0.9):
+                assert repr(s.eval_at(q)) == repr(oracle.eval_sequential(s, q))
+
     def test_monotone_in_truncation_order(self):
         # increasing the cutoff moves the value by less than the old tail bound
         for q in (0.2, 0.4, 0.6):
@@ -675,6 +693,9 @@ def test_float_from_terms_merge_rule(case):
 @example(([(0.5, 1.0), (3.5 - 1e-10, 2.0), (1.75, -1.0)], 20.0, 3))  # step 3
 @example(([(70000.25, 1.0), (70001.25 - 1e-10, 2.0)], 70003.0, 1))  # above 2^16: merged
 @example(([(0.5, 1.5e308), (1.5, 1.5e308)], 4.0, 1))           # a pair's sum overflows
+@example(([(0.5, 1e308), (1.5, -5e307)], 2.0, 1))   # 2 max|a| p(K) overflows, no coefficient
+@example(([(0.5, 1e308)], 4.0, 1))                  # a product overflows: 2 p(2) = 2e308
+@example(([(0.5, 1.5e308), (1.5, 1.5e308)], 2.0, 1))  # every product finite, a pair sum not
 def test_float_euler_kernel_is_the_cauchy_product_bit_for_bit(case):
     """The floating kernel's rows against theta times the partition series
     in q^step: the same terms and cutoff, down to the last bit, or the same
@@ -711,11 +732,9 @@ REGISTRY_FLOAT_POINTS = [(1.0, "dense"), (0.0, "dilute"), (math.sqrt(2.0), "dilu
                          (math.sqrt(3.0), "dense"), (2 * math.cos(math.pi / 5), "dense")]
 
 
-def test_float_euler_kernel_matches_the_row_oracle(monkeypatch):
-    """Every floating theta the partition functions complete, on a sample of
-    the float pool and at registry and rational-g points, against one row per
-    theta term merged by one stable sort (`series_oracle.euler_float_rows`):
-    every exponent, coefficient and the cutoff, bit for bit."""
+def recorded_kernel_calls(monkeypatch, entries, points=()):
+    """Every (theta, step) the partition functions hand to the kernel for the
+    float pool `entries` and the registry `points` (n, phase, order)."""
     from loopgas import annulus, params_from_n
 
     kernel, seen = qseries._euler_kernel, []
@@ -725,7 +744,7 @@ def test_float_euler_kernel_matches_the_row_oracle(monkeypatch):
         return kernel(theta, step)
 
     monkeypatch.setattr(annulus, "_euler_kernel", recorded)
-    for kind, n, phase, order, ratio in float_pool_sample():
+    for kind, n, phase, order, ratio in entries:
         p = params_from_n(n, phase)
         if kind == "duality_check":
             annulus.duality_check(p, None, ratio, order)
@@ -733,15 +752,43 @@ def test_float_euler_kernel_matches_the_row_oracle(monkeypatch):
             annulus.partition_direct(p, None, order, Backend.FLOAT)
         else:
             getattr(annulus, kind)(p, None, order)
-    for n, phase in REGISTRY_FLOAT_POINTS:
-        for order in (64, 256, 400):
-            annulus.partition_direct(params_from_n(n, phase), None, order, Backend.FLOAT)
-            annulus.partition_naive(params_from_n(n, phase), None, order)
+    for n, phase, order in points:
+        annulus.partition_direct(params_from_n(n, phase), None, order, Backend.FLOAT)
+        annulus.partition_naive(params_from_n(n, phase), None, order)
+    monkeypatch.undo()
+    return seen
+
+
+def test_float_euler_kernel_matches_the_row_oracle(monkeypatch):
+    """Every floating theta the partition functions complete, on a sample of
+    the float pool and at registry and rational-g points, against one row per
+    theta term merged by one stable sort (`series_oracle.euler_float_rows`):
+    every exponent, coefficient and the cutoff, bit for bit."""
+    points = [(n, phase, order) for n, phase in REGISTRY_FLOAT_POINTS for order in (64, 256, 400)]
+    seen = recorded_kernel_calls(monkeypatch, float_pool_sample(), points)
     assert len(seen) >= 4 * 40 + 30
     for theta, step in seen:
-        got, want = kernel(theta, step), oracle.euler_float_rows(theta, step)
+        got, want = qseries._euler_kernel(theta, step), oracle.euler_float_rows(theta, step)
         assert (repr(got._n), repr(got._a), repr(got.cutoff)) == (
             repr(want._n), repr(want._a), repr(want.cutoff))
+
+
+def test_generic_float_kernel_never_merges_by_sort(monkeypatch):
+    """At generic coupling every class is one term or a pair of null partners:
+    on a sample of the float pool, no floating kernel call falls back to the
+    stable sort and `_float_terms`, which costs about 1.6 times as much."""
+    seen = recorded_kernel_calls(monkeypatch, float_pool_sample())
+    assert len(seen) >= 4 * 40 and all(t.backend is Backend.FLOAT for t, _ in seen)
+    merge, merges = qseries._float_terms, []
+
+    def counted(pairs, cutoff):
+        merges.append(cutoff)
+        return merge(pairs, cutoff)
+
+    monkeypatch.setattr(qseries, "_float_terms", counted)
+    for theta, step in seen:
+        qseries._euler_kernel(theta, step)
+    assert merges == []
 
 
 @settings(max_examples=120, deadline=None)
