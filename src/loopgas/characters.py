@@ -13,8 +13,8 @@ h_{r,s} = ((p' r - p s)^2 - (p'-p)^2)/(4 p p').
 
 `decompose` peels a partition function into a non-negative combination of
 characters by ascending leading exponent; with exact-rational series the
-peel-off is unambiguous and a nonzero remainder is a hard error; it runs on
-integer slots, Z and the characters on one lattice as in `qseries`.
+peel-off is unambiguous and a nonzero remainder is a hard error; it reads the
+coefficients c_i off the numerators theta_i and completes sum c_i theta_i once.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .qseries import (
     GenSeries,
     _as_cutoff,
     _euler_kernel,
+    _partition_numbers,
     _quadratic_support,
     _slot_series,
 )
@@ -80,17 +81,16 @@ class CharacterSpec(_Labels):
         return self.h - self.central_charge / 24
 
 
-def rocha_caridi(
-    spec: CharacterSpec, cutoff=64, backend: Backend = Backend.EXACT
-) -> GenSeries:
-    """Irreducible Virasoro character of `spec`, q^{-c/24} included."""
+def _character_theta(spec: CharacterSpec, cutoff) -> GenSeries:
+    """The alternating sum over k that is the exact numerator of `spec`'s
+    character below `cutoff`, the character times prod(1-q^r), which must
+    start at h - c/24 as the character does."""
     N = spec.p_minor * spec.p_major
     a = spec.p_major * spec.r - spec.p_minor * spec.s
     b = spec.p_major * spec.r + spec.p_minor * spec.s
-    cutoff_c = _as_cutoff(cutoff, backend)
     # (2Nk + offset)^2/4N - 1/24 = (6 (2Nk + offset)^2 - N) / D
     D = 24 * N
-    top = math.ceil(Fraction(cutoff_c) * D)
+    top = math.ceil(Fraction(cutoff) * D)
 
     def family(offset: int, sign: int):
         support = _quadratic_support(
@@ -101,15 +101,17 @@ def rocha_caridi(
     slots = family(a, 1) + family(b, -1)
     if not slots:
         raise DomainError("cutoff excludes every character term; increase it")
-    theta = _slot_series(slots, D, 1, cutoff_c)
-    out = _euler_kernel(theta if backend is Backend.EXACT else theta._rounded())
-    leading = spec.leading_exponent
-    if out.min_exponent != (leading if backend is Backend.EXACT else float(leading)):
-        raise IdentityError(
-            f"character {spec} starts at q^{out.min_exponent}, "
-            f"not at h - c/24 = {leading}"
-        )
-    return out
+    theta, leading = _slot_series(slots, D, 1, cutoff), spec.leading_exponent
+    if theta.min_exponent != leading:
+        raise IdentityError(f"character {spec} starts at q^{theta.min_exponent}, "
+                            f"not at h - c/24 = {leading}")
+    return theta
+
+
+def rocha_caridi(spec: CharacterSpec, cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:
+    """Irreducible Virasoro character of `spec`, q^{-c/24} included."""
+    theta = _character_theta(spec, _as_cutoff(cutoff, backend))
+    return _euler_kernel(theta if backend is Backend.EXACT else theta._rounded())
 
 
 def decompose(
@@ -129,30 +131,37 @@ def decompose(
     order = sorted(range(len(basis)), key=lambda i: leadings[i])
 
     eff = Z.cutoff if cutoff is None else min(Z.cutoff, _as_cutoff(cutoff, Z.backend))
-    chars = {basis[i]: rocha_caridi(basis[i], eff, Z.backend) for i in order}
     coeffs: dict[CharacterSpec, object] = {}
     if Z.backend is Backend.FLOAT:
+        chars = {basis[i]: rocha_caridi(basis[i], eff, Z.backend) for i in order}
         remainder = Z.truncate(eff)
         for spec, ch in chars.items():
             coeffs[spec] = coeff = remainder.coefficient(spec.leading_exponent)
             if coeff != 0:
                 remainder = remainder - ch * coeff
     else:
-        # Slot n holds C times the coefficient of q^{n/D}, on the lattice of
-        # Z and every character.  A character's slots are C times integers
-        # and its first is its leading term, so taking a/C of it is integer
-        # subtraction.
-        series = [Z, *chars.values()]
-        D = math.lcm(*(s._D for s in series))
-        C = math.lcm(*(s._C for s in series))
-        z, *rows = (s._slots(D, C) for s in series)
-        top = math.ceil(eff * D)
-        rem = {n: a for n, a in z if n < top}
-        for spec, row in zip(chars, rows):
-            coeffs[spec] = Fraction(a := rem.get(row[0][0], 0), C)
-            for n, x in row if a else ():
-                rem[n] = rem.get(n, 0) - x // C * a
-        remainder = _slot_series([i for i in rem.items() if i[1]], D, C, eff)
+        # A character is its numerator theta over the one Euler product, so at
+        # slot H of the lattice (1/D)Z it is sum a p((H - n)/D) over theta's
+        # slots n <= H on H's residue mod D.  The greedy coefficient at a
+        # character's first slot is Z's there less what the characters before
+        # it put there; then Z must be sum c_i theta_i completed once.
+        thetas = [_character_theta(basis[i], eff) for i in order]
+        D = math.lcm(*(theta._D for theta in thetas))
+        rows = {basis[i]: theta._slots(D, 1) for i, theta in zip(order, thetas)}
+        p = _partition_numbers(math.floor(eff - leadings[order[0]]))
+        for spec, ((H, _), *_) in rows.items():
+            coeffs[spec] = Z.coefficient(spec.leading_exponent) - sum(
+                c * sum(a * p[(H - n) // D] for n, a in rows[prior]
+                        if n <= H and (H - n) % D == 0)
+                for prior, c in coeffs.items())
+        C = math.lcm(*(c.denominator for c in coeffs.values()))
+        total = _euler_kernel(_slot_series([(n, a * c.numerator * (C // c.denominator))
+                                            for spec, c in coeffs.items()
+                                            for n, a in rows[spec]], D, C, eff))
+        remainder = Z.truncate(eff)
+        if total == remainder:
+            return coeffs
+        remainder = remainder - total
     if not remainder.is_zero:
         raise DecompositionError(
             f"decomposition leaves a nonzero remainder with leading term "

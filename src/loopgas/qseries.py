@@ -33,10 +33,10 @@ scalar multiples, evaluation and serialisation read the tuples.
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde, and every builder hands
 theta to the one kernel, `_euler_kernel`, as a series, an exact one normalised
-on its least lattice by `_slot_series`.  Exact slots are the B-byte fields of
-one integer; each theta term adds the packed partition table shifted to its
-field, and every field is read back biased by half a field, more than any
-|sum|, so no borrow crosses between fields.  Floating exponents have no
+on its least lattice by `_slot_series`.  Exact slots of one residue mod D are
+the B-byte fields of one integer, a field per column; each theta term adds the
+partition table shifted to its field, read back biased by half a field, more
+than any |sum|, so no borrow crosses fields.  Floating exponents have no
 lattice: each theta term adds one row over the same partition table.  Rows
 are grouped by exponent mod step: at generic coupling a class is one term or
 a pair of null partners, added column by column; class r of R fills every
@@ -50,10 +50,11 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter, lt, neg, sub, truediv
+from operator import add, itemgetter, lshift, lt, neg, sub, truediv
 from typing import Iterable, NamedTuple, Union
 
 from .errors import BackendMismatchError, DomainError, TailBoundError
@@ -435,7 +436,8 @@ class GenSeries:
         The tail bound 4 |last coefficient| q^cutoff / (1-q) is a crude
         geometric heuristic; the factor 4 absorbs the sub-exponential growth
         of partition-type coefficients, which the bare geometric estimate
-        undercounts.  The value is only meaningful when the bound is small.
+        undercounts; it is taken through logarithms where 4 |last| or q^cutoff
+        leaves the doubles.  The value is only meaningful when it is small.
         """
         q = float(q)
         if not (0.0 < q < 1.0):
@@ -453,12 +455,18 @@ class GenSeries:
                 # n/D and a/C are correctly rounded, as float(Fraction(n, D)) is
                 for n, a in zip(self._n, self._a):
                     value += a / C * exp(n / D * lnq)
-            last = abs(self._a[-1] / C) if self._a else 1.0
-            tail = 4.0 * last * exp(float(self.cutoff) * lnq) / (1.0 - q)
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
             raise DomainError(f"the series' value at q={q!r} is not finite in double precision")
+        a, x = abs(self._a[-1]) if self._a else C, float(self.cutoff) * lnq
+        try:
+            tail = 4.0 * (a / C) * exp(x) / (1.0 - q)
+            # 4 |last| overflows or q^cutoff underflows: the bound through logarithms
+            tail = tail if math.isfinite(tail) else exp(
+                math.log(4.0) + math.log(a) - math.log(C) + x - math.log(1.0 - q))
+        except OverflowError:  # exp(x) overflows only for a zero series; so does its bound
+            tail = math.inf
         return value, tail
 
     # -- serialization ---------------------------------------------------------
@@ -589,18 +597,17 @@ def _slot_series(slots, D: int, C: int, cutoff) -> GenSeries:
 def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1} below theta's cutoff, in its backend.
 
-    Exact: the slots of theta, sum a/C q^{n/D} on its lattice, are the B-byte
-    fields of one integer, column by column (column n // D) and in a column
-    over the R residues of n mod D in theta.  A term at slot n adds a p(k) to
-    slot n + k step D, step R k fields on: it adds a times the table of p(k),
-    packed one every step R fields, shifted to n's field, one big-integer
-    multiply-add per term.  Floating: each theta term (e, a) adds the row
+    Exact: each residue of n mod D in theta, sum a/C q^{n/D}, has one integer
+    whose 8W-byte fields are its slots, one per column n // D.  A term at slot n
+    adds a p(k) to slot n + k step D, k step fields on: a times the table of
+    p(k), packed one every step fields, shifted to n's field, one multiply-add
+    over its residue's columns only.  Floating: each theta term (e, a) adds the row
     (e + k step, a p(k)) below the cutoff, merged by classes of e mod step and
     read out of one buffer as below.  Either way these are the float operations,
     in the order, of theta * euler_inverse(span/step).dilate(step): bit for bit."""
+    if theta.is_zero:
+        return theta
     if theta.backend is Backend.FLOAT:
-        if theta.is_zero:
-            return theta
         low, tol = theta.min_exponent, FLOAT_EXPONENT_TOL
         span = (theta.cutoff - low) / step
         b = [k * step for k in map(float, range(math.ceil(span))) if k < span]
@@ -664,35 +671,42 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
             pairs += zip([e + x for x in b[:n]], [a * x for x in p[:n]])
         pairs.sort(key=itemgetter(0))
         return _float_terms(pairs, top)
-    D, cutoff, slots = theta._D, theta.cutoff, list(zip(theta._n, theta._a))
-    top = math.ceil(cutoff * D)
-    least = slots[0][0] if slots else top  # no slots: no fields
-    # Field (n // D - base) R + (rank of n % D) holds slot n: the slots below
-    # top come first, in ascending order, and the last column's slots at or
-    # above top after them.
-    base = least // D
-    index = {r: i for i, r in enumerate(sorted({n % D for n, _ in slots}))}
-    end = ((top - 1) // D + 1) * D
-    grid = list(chain.from_iterable(zip(*(range(base * D + r, end, D) for r in index))))
-    fields = bisect_left(grid, top)
+    D, least = theta._D, theta._n[0]
+    top = math.ceil(theta.cutoff * D)
+    base, end = least // D, (top - 1) // D + 1  # the columns that hold slots below top
+    # Slot n is field n // D - base of the accumulator of its residue n % D.
+    classes: dict[int, list] = {}
+    for n, a in zip(theta._n, theta._a):
+        classes.setdefault(n % D, []).append((n // D - base, a))
     p = _partition_numbers((top - 1 - least) // (step * D))
-    B = (sum(abs(a) for _, a in slots) * max(p, default=0)).bit_length() // 8 + 1
-    half, every = 1 << 8 * B - 1, step * len(index)
-    # Big-endian: field f sits at bit 8 B (fields - 1 - f), and the table holds
-    # p(k) at field (len(p) - k) every, so one right shift moves a term's row
+    W = (sum(map(abs, theta._a)) * p[-1]).bit_length() // 64 + 1
+    B, half, residues = 8 * W, 1 << 64 * W - 1, sorted(classes)
+    # Big-endian: field f of F sits at bit 8 B (F - 1 - f), and the table holds
+    # p(k) at field (len(p) - k) step, so one right shift moves a term's row
     # to its own field and drops what would land at or above top.
-    table = int.from_bytes((bytes(B) * (every - 1)).join(
-        map(int.to_bytes, p, repeat(B), repeat("big"))) + bytes(B * every), "big")
-    drop = len(p) * every + 1 - fields
-    # Every field's sum v has |v| <= sum |a| p(K) < half, so with half added
-    # to each field, v + half is that field's B-byte digit of acc.
-    acc = int.from_bytes(half.to_bytes(B, "big") * fields, "big")
-    for n, a in slots:
-        acc += a * (table >> 8 * B * ((n // D - base) * len(index) + index[n % D] + drop))
-    data = acc.to_bytes(B * fields, "big")
-    values = [int.from_bytes(data[i:i + B], "big") - half for i in range(0, B * fields, B)]
-    return GenSeries._on_lattice(tuple(compress(grid, values)), tuple(filter(None, values)),
-                                 D, theta._C, cutoff, Backend.EXACT)
+    table = int.from_bytes((bytes(B) * (step - 1)).join(
+        map(int.to_bytes, p, repeat(B), repeat("big"))) + bytes(B * step), "big")
+    # Residue r of R fills every R-th slot from r of one column-major buffer,
+    # 0 where a column's slot lies at or above top, so the slots ascend.
+    R = len(residues)
+    buf = [0] * ((end - base) * R)
+    for i, r in enumerate(residues):
+        fields = (top - 1 - r) // D - base + 1
+        drop = len(p) * step + 1 - fields
+        # Every field's sum v has |v| <= sum |a| p(K) < half, so with half added
+        # to each field, v + half is that field's B-byte digit of acc: W
+        # big-endian 64-bit words, one struct code for all of them.
+        acc = int.from_bytes(half.to_bytes(B, "big") * fields, "big")
+        for f, a in classes[r]:
+            acc += a * (table >> 8 * B * (f + drop))
+        words = struct.unpack(f">{W * fields}Q", acc.to_bytes(B * fields, "big"))
+        vals = words[::W]
+        for j in range(1, W):
+            vals = map(add, map(lshift, vals, repeat(64)), words[j::W])
+        buf[i:i + fields * R:R] = map(sub, vals, repeat(half))
+    grid = chain.from_iterable(zip(*(range(base * D + r, end * D, D) for r in residues)))
+    return GenSeries._on_lattice(tuple(compress(grid, buf)), tuple(filter(None, buf)),
+                                 D, theta._C, theta.cutoff, Backend.EXACT)
 
 
 def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:

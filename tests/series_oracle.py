@@ -5,16 +5,17 @@ here instead sum the closed-form brackets of the `loopgas.observables` module
 docstring over k in Z directly, then multiply by prod(1-q^r)^{-1}, so that
 equality with the package is a check rather than a tautology.  `peel_off` is
 the character decomposition done with GenSeries subtraction, against which
-the package's integer-lattice peel-off is checked.  `euler_rows` is the
-exact Euler completion done one column at a time, on one integer list per
-residue, against which the package's packed kernel is checked.  `normalised`
-merges exact terms in a dict of Fractions, against which the package's one
-exact normaliser on integer slots is checked.  `euler_float_rows` is the
-floating Euler completion as one row per theta term, merged by one stable
-sort and the floating merge rule, against which the package's completion by
-exponent class is checked bit for bit.  `eval_sequential` is evaluation as
-one Python loop over the terms, against which `GenSeries.eval_at` is checked
-bit for bit.  Exact backend, but for `euler_float_rows` and `eval_sequential`.
+the package's peel-off on the character numerators is checked.  `euler_rows`
+is the exact Euler completion done one column at a time, on one integer list
+per residue, against which the package's packed kernel, one integer per
+residue, is checked.  `normalised` merges exact terms in a dict of Fractions,
+against which the package's one exact normaliser on integer slots is
+checked.  `euler_float_rows` is the floating Euler completion as one row per
+theta term, merged by one stable sort and the floating merge rule, against
+which the package's completion by exponent class is checked bit for bit.
+`eval_sequential` is evaluation as one Python loop over the terms, against
+which `GenSeries.eval_at` is checked bit for bit.  Exact backend, but for
+`euler_float_rows` and `eval_sequential`.
 """
 import math
 from bisect import bisect_left

@@ -16,6 +16,7 @@ from loopgas import (
     DomainError,
     GenSeries,
     IdentityError,
+    characters,
     crossing_probability,
     decompose,
     decomposition_to_json,
@@ -337,3 +338,70 @@ def test_lattice_decompose_matches_series_peel_off(case, perturbation):
         Z = Z + GenSeries.from_terms([perturbation], Z.cutoff)
     expected = _outcome(*oracle.peel_off(Z, basis, cutoff))
     assert _lattice_outcome(Z, basis, cutoff) == expected
+
+
+# -- exact decompose: one completion, on the numerators ------------------------
+
+
+def _potts_even(cutoff):
+    return partition_direct_parity(params_from_n(math.sqrt(3.0), "dense"), cutoff=cutoff,
+                                   parity="even")
+
+
+def _fractional_sum(cutoff):
+    """sum m_i chi_i over the M(4, 5) Kac table, with multiplicities on 1/42."""
+    Z = GenSeries.zero(cutoff)
+    for spec, m in zip(_kac_basis(4, 5), (F(1, 2), F(3, 7), 0, F(5, 3), 2, F(1, 6))):
+        Z = Z + rocha_caridi(spec, cutoff) * m
+    return Z
+
+
+DECOMPOSE_CASES = {
+    "ising": lambda: (partition_direct(params_from_n(1.0, "dilute"), cutoff=40),
+                      [CharacterSpec(3, 4, 1, 3), CharacterSpec(3, 4, 1, 1)], None),
+    "zero Z": lambda: (GenSeries.zero(30), _kac_basis(4, 5), None),
+    "fraction multiplicities": lambda: (_fractional_sum(30), _kac_basis(4, 5), None),
+    "cutoff below Z's": lambda: (_potts_even(60), [CharacterSpec(5, 6, 1, s) for s in (1, 3, 5)],
+                                 F(45, 2)),
+    "residual": lambda: (_potts_even(30), [CharacterSpec(5, 6, 1, 1), CharacterSpec(5, 6, 1, 3)],
+                         20),
+}
+
+
+@pytest.mark.parametrize("case", list(DECOMPOSE_CASES))
+def test_exact_decompose_completes_once(monkeypatch, case):
+    """Exact decompose calls the Euler kernel once, on sum c_i theta_i, and
+    never builds a character; its coefficients, or its DecompositionError and
+    residual, are the series peel-off's (`series_oracle.peel_off`)."""
+    Z, basis, cutoff = DECOMPOSE_CASES[case]()
+    expected = _outcome(*oracle.peel_off(Z, basis, cutoff))
+    kernel, calls = characters._euler_kernel, []
+
+    def counted(theta, step=1):
+        calls.append(theta)
+        return kernel(theta, step)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact decompose built a character")
+
+    monkeypatch.setattr(characters, "_euler_kernel", counted)
+    monkeypatch.setattr(characters, "rocha_caridi", refuse)
+    assert _lattice_outcome(Z, basis, cutoff) == expected
+    assert len(calls) == 1
+    if case == "zero Z":
+        assert expected == ("coefficients", dict.fromkeys(basis, 0))
+    if case == "fraction multiplicities":
+        assert expected[1][_kac_basis(4, 5)[1]] == F(3, 7) and calls[0]._C == 42
+    assert expected[0] == ("residual" if case == "residual" else "coefficients")
+
+
+def test_exact_decompose_checks_each_leading_exponent(monkeypatch):
+    """A character numerator that does not start at h - c/24 is an
+    IdentityError in exact decompose too, as in rocha_caridi."""
+    Z = partition_direct(params_from_n(1.0, "dilute"), cutoff=40)
+    basis = [CharacterSpec(3, 4, 1, 1), CharacterSpec(3, 4, 1, 3)]
+    true = CharacterSpec.leading_exponent.fget
+    monkeypatch.setattr(CharacterSpec, "leading_exponent",
+                        property(lambda spec: true(spec) + F(1, 2)))
+    with pytest.raises(IdentityError, match="not at h - c/24"):
+        decompose(Z, basis)

@@ -282,6 +282,24 @@ class TestEvalAt:
             for q in (0.01, 0.3, 0.6, 0.9):
                 assert repr(s.eval_at(q)) == repr(oracle.eval_sequential(s, q))
 
+    @pytest.mark.parametrize("cutoff, q, tail", [
+        (2000.0, 0.5, 4 * math.exp(math.log(1e308) - 2000 * math.log(2)) / 0.5),  # inf * 0.0
+        (20.0, 0.5, 1e308 / 2**20 * 4 / 0.5),                                       # inf * 2^-20
+    ])
+    def test_tail_is_never_nan(self, cutoff, q, tail):
+        """Where 4 |last| overflows, whether q^cutoff underflows or not, the tail
+        bound is taken through logarithms instead of reading nan or inf."""
+        value, got = GenSeries.from_terms([(0.0, 1e308)], cutoff, Backend.FLOAT).eval_at(q)
+        assert value == 1e308 and math.isfinite(got)
+        assert got == pytest.approx(tail, rel=1e-12)
+
+    def test_tail_overflows_only_where_the_bound_does(self):
+        """inf only where the bound itself leaves the doubles; a zero series
+        whose q^cutoff overflows has a value of 0.0 and an infinite bound."""
+        assert GenSeries.from_terms([(0.0, 1e308)], 1e-4, Backend.FLOAT).eval_at(0.01) == (
+            1e308, math.inf)
+        assert GenSeries.zero(-2000).eval_at(0.5) == (0.0, math.inf)
+
     def test_monotone_in_truncation_order(self):
         # increasing the cutoff moves the value by less than the old tail bound
         for q in (0.2, 0.4, 0.6):
@@ -395,8 +413,22 @@ def kernel_slots(draw):
     return draw(st.permutations(slots)), D, draw(st.sampled_from([1, 12])), cutoff, step
 
 
-@settings(max_examples=150, deadline=None)
-@given(kernel_slots())
+@st.composite
+def residue_slots(draw):
+    """(slots, D, C, cutoff, step) for the exact kernel: any D <= 60, one to
+    five residues, slots below zero, coefficients +-1 or past 2^64, C > 1,
+    steps 1 and 2 and a cutoff on (1/3D)Z, so residues may end a column apart."""
+    D = draw(st.integers(1, 60))
+    residues = draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=5, unique=True))
+    size = st.sampled_from([1, -1]) | st.integers(2**64, 2**70) | st.integers(-2**70, -2**64)
+    slots = [(draw(st.integers(-4, 10)) * D + draw(st.sampled_from(residues)), draw(size))
+             for _ in range(draw(st.integers(1, 10)))]
+    cutoff = draw(st.fractions(min_value=-2, max_value=14, max_denominator=3 * D))
+    return slots, D, draw(st.sampled_from([1, 2, 6])), cutoff, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_slots() | residue_slots())
 @example(([(0, 127)], 1, 1, F(2), 1))          # sum |a| p(K) = 2^7 - 1: one byte
 @example(([(0, -128)], 1, 1, F(2), 1))         # 2^7: two bytes
 @example(([(0, 4681)], 1, 1, F(6), 1))         # 4681 p(5) = 2^15 - 1 at slot 5
@@ -404,9 +436,15 @@ def kernel_slots(draw):
 @example(([(0, 1 - 2**199)], 1, 1, F(2), 1))   # 2^199 - 1: 25 bytes
 @example(([(0, 2**199)], 1, 1, F(2), 1))       # 2^199: 26 bytes
 @example(([(2, 5), (0, 3), (2, -5), (0, -3)], 1, 1, F(9), 2))  # theta cancels to zero
+@example(([], 5, 1, F(7, 2), 1))                                    # empty theta
+@example(([(3, -1)], 5, 1, F(4), 1))                                # one slot
+@example(([(-7, 2**65), (3, 1)], 4, 3, F(21, 8), 2))  # slot 11 of residue 3 is at top = 11
+@example(([(1, 1), (2, -1), (4, 1), (13, 2**64 + 1)], 6, 2, F(9), 1))      # R = 3
+@example(([(0, 1), (7, -1), (15, 1), (22, -1), (29, 1)], 10, 1, F(5), 2))  # R = 5
 def test_packed_euler_kernel_matches_the_row_oracle(case):
-    """The packed kernel against one multiply-add per theta term and column
-    (`series_oracle.euler_rows`): the same series, hash and terms."""
+    """The packed kernel, one integer per residue, against one multiply-add
+    per theta term and column (`series_oracle.euler_rows`): the same series,
+    hash and terms."""
     slots, D, C, cutoff, step = case
     got = qseries._euler_kernel(qseries._slot_series(slots, D, C, cutoff), step)
     want = oracle.euler_rows(slots, D, C, cutoff, step)
