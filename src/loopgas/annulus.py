@@ -48,6 +48,7 @@ from .qseries import (
     GenSeries,
     _as_cutoff,
     _euler_kernel,
+    _integer_support,
     _quadratic_support,
     _slot_series,
 )
@@ -74,14 +75,12 @@ class ChannelEval(NamedTuple):
 
 
 def _exponent(params: CGParams, exact: bool):
-    """(x, den) with h(p) - c/24 = x(p)/den: one integer quadratic over a common
-    denominator if `exact`, else the exponent in float arithmetic and den = 1."""
+    """(x, den) with h(p) - c/24 = x(p)/den: if `exact`, x = (a, b, c) of
+    (6u^2 p^2 + 12u(u - v) p + 6(v - u)^2 - uv) / 24uv at g = u/v, else the
+    exponent in float arithmetic and den = 1."""
     if exact:
-        g = params.g_exact
-        coeffs = (g / 4, (g - 1) / 2, -params.c_exact / 24)
-        den = math.lcm(*(x.denominator for x in coeffs))
-        a, b, c = (int(x * den) for x in coeffs)
-        return (lambda p: a * p * p + b * p + c), den
+        u, v = params.g_exact.numerator, params.g_exact.denominator
+        return (6 * u * u, 12 * u * (u - v), 6 * (v - u) ** 2 - u * v), 24 * u * v
     return (lambda p: leg_exponent(params, p) - params.c / 24.0), 1
 
 
@@ -115,10 +114,14 @@ def _wrap_table(w: WrapWeight, parity: Optional[str], exact: bool):
 
 
 def _flux_range(params: CGParams, cutoff, exponent) -> list:
-    """(p, exponent(p)) for every flux p with exponent below cutoff, ascending.
+    """(p, exponent(p)) for every flux p with exponent below cutoff, ascending,
+    in closed form for an exact (a, b, c) and an integer cutoff.
 
     A module-level name called through the module global: perfbench's tracer
     patches it to count the flux sectors of each `flux_sum`."""
+    if isinstance(exponent, tuple):
+        a, b, c = exponent
+        return [(p, (a * p + b) * p + c) for p in _integer_support(a, b, c, cutoff)]
     return _quadratic_support(exponent, cutoff, params.m0)
 
 
@@ -139,23 +142,21 @@ def _flux_theta(
     partners may lie above the cutoff.  `flux_sum` and every observable are
     this sum with their own weight table."""
     exponent, den = _exponent(params, exact)
-    bound = math.ceil(Fraction(cutoff) * den) if exact else cutoff
-    pairs = []
-    for p, e in _flux_range(params, bound, exponent):
-        if form == "null_pairs":
-            if p >= 0:
-                wp = weight(p)
-                pairs += [(e, wp), (e + p * den + den, -wp)]
-        elif parity == "even" and p % 2 or parity == "odd" and not p % 2:
-            continue
-        elif p >= 0:
-            pairs.append((e, weight(p)))
-        elif p <= -2:
-            pairs.append((e, -weight(-p - 2)))
+    sectors = _flux_range(params, math.ceil(Fraction(cutoff) * den) if exact else cutoff, exponent)
+    # sectors ascend in p, so w_0 .. w_hi covers both p and -p - 2
+    hi = max(sectors[-1][0], -2 - sectors[0][0]) if sectors else -1
+    w = list(map(weight, range(hi + 1)))
+    if exact:  # on (1/C)Z
+        C = math.lcm(*(x.denominator for x in w))
+        w = [x.numerator * C // x.denominator for x in w]
+    if form == "null_pairs":
+        pairs = [t for p, e in sectors if p >= 0 for t in ((e, w[p]), (e + p * den + den, -w[p]))]
+    else:
+        pairs = [(e, w[p]) if p >= 0 else (e, -w[-p - 2]) for p, e in sectors
+                 if p != -1 and (parity is None or p % 2 == (parity == "odd"))]
     if not exact:
         return GenSeries.from_terms(pairs, cutoff, Backend.FLOAT)
-    C = math.lcm(*(c.denominator for _, c in pairs))
-    return _slot_series([(x, c.numerator * C // c.denominator) for x, c in pairs], den, C, cutoff)
+    return _slot_series(pairs, den, C, cutoff)
 
 
 def flux_sum(
@@ -189,7 +190,8 @@ def flux_sum(
             "floating backend for this point"
         )
     cutoff_c = _as_cutoff(cutoff, backend)
-    lead = -params.c_exact / 24 if exact else leg_exponent(params, 0) - params.c / 24.0
+    x, den = _exponent(params, exact)
+    lead = Fraction(x[2], den) if exact else x(0)
     if not lead < cutoff_c:
         raise DomainError(f"cutoff {cutoff} excludes the p=0 identity term at exponent "
                           f"{lead}; increase it")

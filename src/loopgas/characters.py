@@ -29,8 +29,8 @@ from .qseries import (
     GenSeries,
     _as_cutoff,
     _euler_kernel,
+    _integer_support,
     _partition_numbers,
-    _quadratic_support,
     _slot_series,
 )
 
@@ -81,27 +81,21 @@ class CharacterSpec(_Labels):
         return self.h - self.central_charge / 24
 
 
-def _character_theta(spec: CharacterSpec, cutoff) -> GenSeries:
+def _character_theta(spec: CharacterSpec, cutoff, leading: Fraction) -> GenSeries:
     """The alternating sum over k that is the exact numerator of `spec`'s
     character below `cutoff`, the character times prod(1-q^r), which must
-    start at h - c/24 as the character does."""
+    start at `leading`, spec's h - c/24, as the character does."""
     N = spec.p_minor * spec.p_major
     a = spec.p_major * spec.r - spec.p_minor * spec.s
     b = spec.p_major * spec.r + spec.p_minor * spec.s
     # (2Nk + offset)^2/4N - 1/24 = (6 (2Nk + offset)^2 - N) / D
     D = 24 * N
     top = math.ceil(Fraction(cutoff) * D)
-
-    def family(offset: int, sign: int):
-        support = _quadratic_support(
-            lambda k: 6 * (2 * N * k + offset) ** 2 - N, top, Fraction(-offset, 2 * N)
-        )
-        return [(x, sign) for _, x in support]
-
-    slots = family(a, 1) + family(b, -1)
+    slots = [(6 * (2 * N * k + offset) ** 2 - N, sign) for offset, sign in ((a, 1), (b, -1))
+             for k in _integer_support(24 * N * N, 24 * N * offset, 6 * offset * offset - N, top)]
     if not slots:
         raise DomainError("cutoff excludes every character term; increase it")
-    theta, leading = _slot_series(slots, D, 1, cutoff), spec.leading_exponent
+    theta = _slot_series(slots, D, 1, cutoff)
     if theta.min_exponent != leading:
         raise IdentityError(f"character {spec} starts at q^{theta.min_exponent}, "
                             f"not at h - c/24 = {leading}")
@@ -110,7 +104,7 @@ def _character_theta(spec: CharacterSpec, cutoff) -> GenSeries:
 
 def rocha_caridi(spec: CharacterSpec, cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:
     """Irreducible Virasoro character of `spec`, q^{-c/24} included."""
-    theta = _character_theta(spec, _as_cutoff(cutoff, backend))
+    theta = _character_theta(spec, _as_cutoff(cutoff, backend), spec.leading_exponent)
     return _euler_kernel(theta if backend is Backend.EXACT else theta._rounded())
 
 
@@ -128,15 +122,15 @@ def decompose(
     leadings = [spec.leading_exponent for spec in basis]
     if len(set(leadings)) != len(leadings):
         raise DomainError("basis characters must have distinct leading exponents")
-    order = sorted(range(len(basis)), key=lambda i: leadings[i])
+    order = sorted(range(len(basis)), key=leadings.__getitem__)
 
     eff = Z.cutoff if cutoff is None else min(Z.cutoff, _as_cutoff(cutoff, Z.backend))
     coeffs: dict[CharacterSpec, object] = {}
     if Z.backend is Backend.FLOAT:
-        chars = {basis[i]: rocha_caridi(basis[i], eff, Z.backend) for i in order}
+        chars = [(i, rocha_caridi(basis[i], eff, Z.backend)) for i in order]
         remainder = Z.truncate(eff)
-        for spec, ch in chars.items():
-            coeffs[spec] = coeff = remainder.coefficient(spec.leading_exponent)
+        for i, ch in chars:
+            coeffs[basis[i]] = coeff = remainder.coefficient(leadings[i])
             if coeff != 0:
                 remainder = remainder - ch * coeff
     else:
@@ -145,12 +139,12 @@ def decompose(
         # slots n <= H on H's residue mod D.  The greedy coefficient at a
         # character's first slot is Z's there less what the characters before
         # it put there; then Z must be sum c_i theta_i completed once.
-        thetas = [_character_theta(basis[i], eff) for i in order]
+        thetas = [_character_theta(basis[i], eff, leadings[i]) for i in order]
         D = math.lcm(*(theta._D for theta in thetas))
         rows = {basis[i]: theta._slots(D, 1) for i, theta in zip(order, thetas)}
         p = _partition_numbers(math.floor(eff - leadings[order[0]]))
-        for spec, ((H, _), *_) in rows.items():
-            coeffs[spec] = Z.coefficient(spec.leading_exponent) - sum(
+        for i, (spec, ((H, _), *_)) in zip(order, rows.items()):
+            coeffs[spec] = Z.coefficient(leadings[i]) - sum(
                 c * sum(a * p[(H - n) // D] for n, a in rows[prior]
                         if n <= H and (H - n) % D == 0)
                 for prior, c in coeffs.items())

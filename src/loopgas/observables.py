@@ -64,7 +64,7 @@ from .qseries import (
     GenSeries,
     _as_cutoff,
     _euler_kernel,
-    _expand_product,
+    _odd_product_squared,
 )
 
 _PERCOLATION = params_from_n(1.0, Phase.DENSE)
@@ -132,17 +132,17 @@ def saw_loop_dense(
 ) -> tuple[GenSeries, GenSeries]:
     """Single wrapping loop in the dense phase (g = 1/2); leading q^{-1/24}.
 
-    Returns (alternating-sum form, half-odd-integer product form); the two
-    are compared term by term and a mismatch raises IdentityError.  The
-    product q^{-1/24} prod_{m>=1}(1 - q^{m-1/2})^2 is expanded directly on
-    the q^{1/2} grid: in t = q^{1/2} it is prod over odd s of (1 - t^s)^2,
-    and its t^j term sits at exponent j/2 - 1/24.  Both forms are built and
-    compared exactly; the floating backend converts each term once."""
+    Returns (alternating-sum form, half-odd-integer product form), compared
+    term by term; a mismatch raises IdentityError.  In t = q^{1/2} the product
+    q^{-1/24} prod_{m>=1}(1 - q^{m-1/2})^2 is prod over odd s of (1 - t^s)^2,
+    its t^j term at exponent j/2 - 1/24.  The odd product is prod(1 - t^r) /
+    prod(1 - t^{2r}): Euler's pentagonal series, completed by the step-2 Euler
+    kernel, then squared once.  The floating backend converts each term once."""
     _as_cutoff(cutoff, backend)
     series = _flux_series(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, Backend.EXACT)
 
-    length = math.ceil(2 * series.cutoff + Fraction(1, 12))
-    coeffs = _expand_product([s for s in range(1, length, 2) for _ in (0, 1)], length)
+    length = max(0, math.ceil(2 * series.cutoff + Fraction(1, 12)))
+    coeffs = _odd_product_squared(length)
     # every t^j with j < length lies below the cutoff: slot 12 j - 1 over 24
     closed = GenSeries._on_lattice(tuple(compress(range(-1, 12 * length, 12), coeffs)),
                                    tuple(filter(None, coeffs)), 24, 1, series.cutoff,

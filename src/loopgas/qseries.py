@@ -36,14 +36,15 @@ theta to the one kernel, `_euler_kernel`, as a series, an exact one normalised
 on its least lattice by `_slot_series`.  Exact slots of one residue mod D are
 the B-byte fields of one integer, a field per column; each theta term adds the
 partition table shifted to its field, read back biased by half a field, more
-than any |sum|, so no borrow crosses fields.  Floating exponents have no
-lattice: each theta term adds one row over the same partition table.  Rows
-are grouped by exponent mod step: at generic coupling a class is one term or
-a pair of null partners, added column by column; class r of R fills every
-R-th slot from r of one column-major buffer, in exponent order, unchecked for
-finiteness where 2 max|a| p(K) is finite.  Any other class sends all rows to
-one stable sort and `_float_terms`, the merge rule of `from_terms`.  Both are
-the Cauchy product bit for bit.  No builder multiplies two series.
+than any |sum|, so no borrow crosses fields; the packed table is cached per
+width and step.  Floating exponents have no lattice: each theta term adds one
+row over the same partition table.  Rows are grouped by exponent mod step: at
+generic coupling a class is one term or a pair of null partners, added column
+by column; class r of R fills every R-th slot from r of one column-major
+buffer, in exponent order, unchecked for finiteness where 2 max|a| p(K) is
+finite.  Any other class sends all rows to one stable sort and `_float_terms`,
+the merge rule of `from_terms`.  Both are the Cauchy product bit for bit.  No
+builder multiplies two series.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ import math
 import struct
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, compress, count, islice, repeat
-from operator import add, itemgetter, lshift, lt, neg, sub, truediv
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, itemgetter, lshift, lt, mul, neg, sub, truediv
 from typing import Iterable, NamedTuple, Union
 
 from .errors import BackendMismatchError, DomainError, TailBoundError
@@ -553,6 +554,18 @@ def _partition_numbers(kmax: int) -> list[int]:
     return p[: kmax + 1]
 
 
+def _integer_support(a: int, b: int, c: int, top: int) -> range:
+    """Every integer k with a k^2 + b k + c < top (integers, a > 0), ascending."""
+    # Between the roots (-b -+ sqrt(d))/2a, d = b^2 - 4a(c - top): with r = isqrt(d),
+    # ceil((-b - r)/2a) and floor((r - b)/2a) move one step in where they are
+    # roots, so not below top
+    r, a2 = math.isqrt(max(b * b - 4 * a * (c - top), 0)), 2 * a
+    lo, hi = -((b + r) // a2), (r - b) // a2
+    lo += (a * lo + b) * lo + c >= top
+    hi -= (a * hi + b) * hi + c >= top
+    return range(lo, hi + 1)
+
+
 def _quadratic_support(f, cutoff: Number, vertex: Number) -> list:
     """(k, f(k)) for every integer k with f(k) < cutoff, ascending in k.
 
@@ -567,6 +580,21 @@ def _quadratic_support(f, cutoff: Number, vertex: Number) -> list:
             out.append((k, e))
             k += step
     return below[::-1] + above
+
+
+#: (W, step) -> (L, table): p(0) .. p(L - 1) packed for `_euler_kernel` in fields
+#: of W 64-bit words, one every `step` fields.  The kernel replaces an entry with
+#: a longer one when a call needs it, and never changes one in place.
+_TABLES: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def _fields(acc: int, W: int, count: int):
+    """Values v of acc's `count` fields of W words holding v + 2^(64 W - 1), high first."""
+    words = struct.unpack(f">{W * count}Q", acc.to_bytes(8 * W * count, "big"))
+    vals = words[::W]
+    for j in range(1, W):
+        vals = map(add, map(lshift, vals, repeat(64)), words[j::W])
+    return map(sub, vals, repeat(1 << 64 * W - 1))
 
 
 def _expand_product(steps: Iterable[int], length: int) -> list[int]:
@@ -678,35 +706,51 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     classes: dict[int, list] = {}
     for n, a in zip(theta._n, theta._a):
         classes.setdefault(n % D, []).append((n // D - base, a))
-    p = _partition_numbers((top - 1 - least) // (step * D))
-    W = (sum(map(abs, theta._a)) * p[-1]).bit_length() // 64 + 1
+    K = (top - 1 - least) // (step * D)
+    W = (sum(map(abs, theta._a)) * _partition_numbers(K)[-1]).bit_length() // 64 + 1
     B, half, residues = 8 * W, 1 << 64 * W - 1, sorted(classes)
     # Big-endian: field f of F sits at bit 8 B (F - 1 - f), and the table holds
-    # p(k) at field (len(p) - k) step, so one right shift moves a term's row
-    # to its own field and drops what would land at or above top.
-    table = int.from_bytes((bytes(B) * (step - 1)).join(
-        map(int.to_bytes, p, repeat(B), repeat("big"))) + bytes(B * step), "big")
+    # p(k) at field (L - k) step, so one right shift moves a term's row to its
+    # own field and drops what would land at or above top, k > K included.
+    L, table = _TABLES.get((W, step), (0, 0))
+    if L <= K:
+        L, table = K + 1, int.from_bytes((bytes(B) * (step - 1)).join(
+            map(int.to_bytes, _partition_numbers(K), repeat(B), repeat("big")))
+            + bytes(B * step), "big")
+        _TABLES[(W, step)] = L, table
     # Residue r of R fills every R-th slot from r of one column-major buffer,
     # 0 where a column's slot lies at or above top, so the slots ascend.
     R = len(residues)
     buf = [0] * ((end - base) * R)
     for i, r in enumerate(residues):
         fields = (top - 1 - r) // D - base + 1
-        drop = len(p) * step + 1 - fields
+        drop = L * step + 1 - fields
         # Every field's sum v has |v| <= sum |a| p(K) < half, so with half added
-        # to each field, v + half is that field's B-byte digit of acc: W
-        # big-endian 64-bit words, one struct code for all of them.
+        # to each field, v + half is that field's B-byte digit of acc.
         acc = int.from_bytes(half.to_bytes(B, "big") * fields, "big")
         for f, a in classes[r]:
             acc += a * (table >> 8 * B * (f + drop))
-        words = struct.unpack(f">{W * fields}Q", acc.to_bytes(B * fields, "big"))
-        vals = words[::W]
-        for j in range(1, W):
-            vals = map(add, map(lshift, vals, repeat(64)), words[j::W])
-        buf[i:i + fields * R:R] = map(sub, vals, repeat(half))
+        buf[i:i + fields * R:R] = _fields(acc, W, fields)
     grid = chain.from_iterable(zip(*(range(base * D + r, end * D, D) for r in residues)))
     return GenSeries._on_lattice(tuple(compress(grid, buf)), tuple(filter(None, buf)),
                                  D, theta._C, theta.cutoff, Backend.EXACT)
+
+
+def _odd_product_squared(length: int) -> list[int]:
+    r"""t^0 .. t^{length-1} of \prod_{odd s}(1 - t^s)^2: the pentagonal series completed
+    by the step-2 Euler kernel, packed as x = sum o_i 2^{64 W i}, squared once."""
+    # the pentagonal series needs a positive cutoff; length 0 reads none of it
+    completed = _euler_kernel(pentagonal_series(max(length, 1)), 2)
+    odd = list(map(dict(zip(completed._n, completed._a)).get, range(length), repeat(0)))
+    # |s_j| <= sum_i |o_i| |o_{j-i}| <= sum_i P_i P_{length-1-i} < half, where
+    # P_i = max |o_0| .. |o_i|, so no field of x^2 plus the bias borrows
+    P = list(accumulate(map(abs, odd), max))
+    W = sum(map(mul, P, reversed(P))).bit_length() // 64 + 1
+    B, half = 8 * W, 1 << 64 * W - 1
+    bias = int.from_bytes(half.to_bytes(B, "little") * length, "little")
+    x = int.from_bytes(b"".join(map(int.to_bytes, map(add, odd, repeat(half)), repeat(B),
+                                    repeat("little"))), "little") - bias
+    return list(_fields((x * x + bias) & ((1 << 8 * B * length) - 1), W, length))[::-1]
 
 
 def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:
@@ -714,10 +758,11 @@ def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSe
     cutoff = _as_cutoff(cutoff, backend)
     if cutoff <= 0:
         raise DomainError("pentagonal_series requires cutoff > 0")
-    support = _quadratic_support(lambda k: k * (3 * k - 1) // 2, cutoff, 0)
-    return GenSeries.from_terms(
-        [(e, (-1) ** (k % 2)) for k, e in support], cutoff, backend
-    )
+    # k(3k - 1)/2 < cutoff iff 3k^2 - k < ceil(2 cutoff)
+    theta = _slot_series([(k * (3 * k - 1) // 2, 1 - 2 * (k & 1))
+                          for k in _integer_support(3, -1, 0, math.ceil(2 * cutoff))],
+                         1, 1, cutoff)
+    return theta if backend is Backend.EXACT else theta._rounded()
 
 
 def euler_product(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:

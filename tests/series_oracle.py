@@ -14,8 +14,10 @@ checked.  `euler_float_rows` is the floating Euler completion as one row per
 theta term, merged by one stable sort and the floating merge rule, against
 which the package's completion by exponent class is checked bit for bit.
 `eval_sequential` is evaluation as one Python loop over the terms, against
-which `GenSeries.eval_at` is checked bit for bit.  Exact backend, but for
-`euler_float_rows` and `eval_sequential`.
+which `GenSeries.eval_at` is checked bit for bit.  `saw_dense_closed` expands
+the Jacobi product of the dense wrapping loop one factor at a time, against
+which the package's pentagonal series, Euler-completed and squared once, is
+checked.  Exact backend, but for `euler_float_rows` and `eval_sequential`.
 """
 import math
 from bisect import bisect_left
@@ -24,7 +26,7 @@ from itertools import chain, compress
 from operator import itemgetter
 
 from loopgas import Backend, GenSeries, euler_inverse, rocha_caridi
-from loopgas.qseries import _float_terms, _partition_numbers
+from loopgas.qseries import _expand_product, _float_terms, _partition_numbers
 
 
 def _series(terms, cutoff):
@@ -95,6 +97,16 @@ def log_core(phase, cutoff, regrouped):
         return [(quad(k, a), k * (2 * k + 1)), (quad(k, c), -k * (2 * k - 1))]
 
     return _series(terms, cutoff)
+
+
+def saw_dense_closed(cutoff):
+    """q^{-1/24} prod_{m>=1} (1 - q^{m-1/2})^2 below `cutoff`: in t = q^{1/2}
+    the product over odd s of (1 - t^s)^2, one pass a[i] -= a[i-s] per factor,
+    whose t^j term sits at exponent j/2 - 1/24."""
+    cutoff = F(cutoff)
+    length = max(0, math.ceil(2 * cutoff + F(1, 12)))
+    coeffs = _expand_product([s for s in range(1, length, 2) for _ in (0, 1)], length)
+    return normalised([(F(12 * j - 1, 24), c) for j, c in enumerate(coeffs)], cutoff)
 
 
 def peel_off(Z, basis, cutoff=None):

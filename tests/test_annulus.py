@@ -216,6 +216,19 @@ class TestExactRule:
                             differ.append(("wrap_count", n, phase, n_prime))
         assert not differ
 
+    @pytest.mark.parametrize("p", [0, 4, 7])
+    def test_float_cutoff_on_a_slot_is_taken_exactly(self, p):
+        """A floating cutoff bounds exponents at its exact binary value.  At
+        Ising dilute the double nearest sector p's exponent lies above it, so
+        sector p is kept, though cutoff * den rounds onto p's slot."""
+        (a, b, c), den = annulus._exponent(ISING, True)
+        slot = (a * p + b) * p + c
+        cutoff = slot / den
+        assert F(cutoff) * den > slot == cutoff * den
+        got = flux_sum(ISING, None, cutoff, None, Backend.FLOAT)
+        assert got == flux_sum(ISING, None, F(cutoff), None, Backend.EXACT)._rounded()
+        assert got.terms[-1].exponent == cutoff
+
     def test_duality_check_asks_the_rule(self, monkeypatch):
         backends = []
         real = annulus.partition_direct

@@ -233,16 +233,21 @@ class TestSawDense:
 
     @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
     def test_perturbed_closed_form_fails_the_check(self, monkeypatch, backend):
-        real = observables._expand_product
+        real = observables._odd_product_squared
 
-        def perturbed(steps, length):
-            coeffs = real(steps, length)
+        def perturbed(length):
+            coeffs = real(length)
             coeffs[-1] += 1
             return coeffs
 
-        monkeypatch.setattr(observables, "_expand_product", perturbed)
+        monkeypatch.setattr(observables, "_odd_product_squared", perturbed)
         with pytest.raises(IdentityError):
             saw_loop_dense(64, backend)
+
+    def test_closed_form_is_the_expanded_product(self):
+        # at order 1500 the square's coefficients pass 2^127: fields of three words
+        for order in [*range(5, 257), 1024, 1500]:
+            assert saw_loop_dense(order)[1] == oracle.saw_dense_closed(order), order
 
     def test_leading_and_second_closed_terms(self):
         _, closed = saw_loop_dense(5)

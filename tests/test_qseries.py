@@ -452,6 +452,94 @@ def test_packed_euler_kernel_matches_the_row_oracle(case):
     assert repr(got.terms) == repr(want.terms)
 
 
+# -- the cached packed partition table ------------------------------------------
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_kernel_output_does_not_depend_on_the_cached_tables(monkeypatch, step):
+    """From an empty cache, orders 1024, 64, 64 and 1024 with fields of W = 2,
+    1, 2 and 2 words: the second order-64 call is served by the order-1024
+    table by a longer shift, and every call matches `series_oracle.euler_rows`."""
+    monkeypatch.setattr(qseries, "_TABLES", {})
+    for order, size, W in [(1024, 1, 2), (64, 1, 1), (64, 2**70, 2), (1024, 1, 2)]:
+        slots, D, C, cutoff = [(0, size), (4, -1), (8, 3 * size)], 3, 1, F(order)
+        got = qseries._euler_kernel(qseries._slot_series(slots, D, C, cutoff), step)
+        assert got == oracle.euler_rows(slots, D, C, cutoff, step), (order, size)
+        assert (W, step) in qseries._TABLES
+    long, short = (3 * 1024 - 1) // (3 * step) + 1, (3 * 64 - 1) // (3 * step) + 1
+    assert qseries._TABLES[(2, step)][0] == long and qseries._TABLES[(1, step)][0] == short
+
+
+def test_a_published_table_is_never_changed(monkeypatch):
+    """A call within the cached length reuses the published (L, table) pair; a
+    longer one publishes a new pair, and the old one keeps its layout: p(k) at
+    bit 64 W step (L - k)."""
+    monkeypatch.setattr(qseries, "_TABLES", {})
+
+    def layout(L, W, step):
+        return sum(p << 64 * W * step * (L - k)
+                   for k, p in enumerate(qseries._partition_numbers(L - 1)))
+
+    theta = S([(0, 1)], 64)
+    qseries._euler_kernel(theta, 2)
+    published = qseries._TABLES[(1, 2)]
+    qseries._euler_kernel(theta.truncate(20), 2)
+    assert qseries._TABLES[(1, 2)] is published
+    qseries._euler_kernel(S([(0, 1)], 300), 2)
+    assert qseries._TABLES[(1, 2)][0] == 150 > published[0] == 32
+    assert published[1] == layout(32, 1, 2)
+    assert qseries._TABLES[(1, 2)][1] == layout(150, 1, 2)
+
+
+# -- the integer enumerator ---------------------------------------------------------
+
+
+def support_by_scan(a, b, c, top):
+    """Every k with a k^2 + b k + c < top, scanned over a window that holds
+    them all: for |k| >= |b| + sqrt(top - c) + 1, a k^2 + b k >= |k|(|k| - |b|)
+    reaches top - c."""
+    reach = abs(b) + math.isqrt(max(top - c, 0)) + 2
+    return [k for k in range(-reach, reach + 1) if a * k * k + b * k + c < top]
+
+
+def _registry_examples():
+    """(a, b, c, top) of h(p) - c/24 at every registry coupling, at cutoffs on
+    (1/den)Z: on the p = 0 and p = 3 slots, one step above p = -5's and at 64."""
+    from loopgas import annulus, params_from_n
+
+    cases = []
+    for n in [2.0, math.sqrt(3), math.sqrt(2), 1.0, 0.0, -1.0, -math.sqrt(2), -math.sqrt(3)]:
+        for phase in ("dilute", "dense"):
+            (a, b, c), den = annulus._exponent(params_from_n(n, phase), True)
+            x = lambda p: (a * p + b) * p + c  # noqa: E731
+            cases += [(a, b, c, top) for top in (x(0), x(3), x(-5) + 1, 64 * den)]
+    return cases
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 60), st.integers(-300, 300), st.integers(-500, 500),
+       st.integers(-500, 3000))
+@example(1, 0, 5, 5)      # discriminant 0: k^2 < 0 has no solution
+@example(2, 1, 3, 2)      # negative discriminant
+@example(1, -1, 0, 0)     # discriminant 1: roots 0 and 1, both on integers
+@example(1, 0, -9, 0)     # roots -3 and 3, on integers
+@example(6, -5, 1, 0)     # roots 1/3 and 1/2: no integer between
+@example(3, -1, 0, 14)    # cutoff on the pentagonal slot k = -2 (3k^2 - k = 14)
+@_with_examples(_registry_examples())
+def test_integer_support_is_the_brute_force_scan(a, b, c, top):
+    got = qseries._integer_support(a, b, c, top)
+    assert isinstance(got, range) and got.step == 1
+    assert list(got) == support_by_scan(a, b, c, top)
+
+
 class TestLatticeEulerMultiply:
     def test_pentagonal_theta_collapses_to_one_term(self):
         theta = pentagonal_series(F(101, 3)).shift(F(-5, 24))
