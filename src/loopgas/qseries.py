@@ -38,13 +38,14 @@ the B-byte fields of one integer, a field per column; each theta term adds the
 partition table shifted to its field, read back biased by half a field, more
 than any |sum|, so no borrow crosses fields; the packed table is cached per
 width and step.  Floating exponents have no lattice: each theta term adds one
-row over the same partition table.  Rows are grouped by exponent mod step: at
-generic coupling a class is one term or a pair of null partners, added column
-by column; class r of R fills every R-th slot from r of one column-major
-buffer, in exponent order, unchecked for finiteness where 2 max|a| p(K) is
-finite.  Any other class sends all rows to one stable sort and `_float_terms`,
-the merge rule of `from_terms`.  Both are the Cauchy product bit for bit.  No
-builder multiplies two series.
+row over the ladder k step and the floats p(k), both cached per step.  Rows are
+grouped by exponent mod step: at generic coupling a class is one term or a pair
+of null partners, summed column by column and written straight into every R-th
+slot from r of one column-major buffer, in exponent order, unchecked for
+finiteness where M = 2 max|a| p(K) is finite.  Any other class sends all rows
+to one stable sort and `_float_terms`.  Both are the Cauchy product bit for bit
+and hand M >= every |coefficient| on, so that `eval_at` can stop where no later
+term changes a bit.  No builder multiplies two series.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _as_float(x: Number, what: str) -> float:
     return _finite(x, what)
 
 
-def _float_terms(pairs, cutoff: float) -> "GenSeries":
+def _float_terms(pairs, cutoff: float, M=None) -> "GenSeries":
     """The floating series of (e, c) pairs sorted stably by e, by the floating
     backend's one merge rule.
 
@@ -117,7 +118,7 @@ def _float_terms(pairs, cutoff: float) -> "GenSeries":
     within FLOAT_EXPONENT_TOL of a group's first exponent then join that group,
     which keeps the first exponent even where that exponent's own sum is zero.
     Zero sums and groups at or above the cutoff are dropped last, and a sum
-    that is not finite is a DomainError."""
+    that is not finite is a DomainError; M as in `_float_series`."""
     es, cs = [], []
     lead = key = -math.inf
     total = part = 0.0
@@ -136,17 +137,41 @@ def _float_terms(pairs, cutoff: float) -> "GenSeries":
     if total and lead < cutoff:
         es.append(lead)
         cs.append(total)
-    return _float_series(es, cs, cutoff)
+    return _float_series(es, cs, cutoff, M)
 
 
-def _float_series(es, cs, cutoff: float, finite: bool = False) -> "GenSeries":
+def _float_series(es, cs, cutoff: float, M=None) -> "GenSeries":
     """The floating series of merged, increasing exponents es and coefficients
     cs; a coefficient that is not finite is a DomainError, checked one by one
-    unless a bound shows them all `finite`."""
+    unless M, a majorant of every |coefficient| kept for `eval_at`, is finite."""
     cs = tuple(cs)
-    if not (finite or all(map(math.isfinite, cs))):
+    if not (M is not None and M < math.inf or all(map(math.isfinite, cs))):
         raise DomainError("a merged floating coefficient is not finite")
-    return GenSeries._on_lattice(tuple(es), cs, 1, 1, cutoff, Backend.FLOAT)
+    return GenSeries._on_lattice(tuple(es), cs, 1, 1, cutoff, Backend.FLOAT, M)
+
+
+def _float_bound(x: Number, C: int = 1, rounding: float = 2.0 ** -50) -> float:
+    """x / C (1 + rounding) in floats, >= x / C for rounding >= 2^-50, or inf."""
+    try:
+        return x / C * (1.0 + rounding)
+    except OverflowError:
+        return math.inf
+
+
+def _float_pairs(pairs: list) -> list:
+    """(e, c) pairs as floats, checked finite all at once; else the DomainError
+    of the first bad pair, found again one pair at a time."""
+    try:
+        floats = [(float(e), float(c)) for e, c in pairs]
+        if all(map(math.isfinite, chain.from_iterable(floats))):
+            return floats
+    except (OverflowError, TypeError, ValueError):
+        pass
+    try:
+        for e, c in pairs:
+            _finite(float(e), "exponent"), _finite(float(c), "coefficient")
+    except OverflowError:
+        raise DomainError("exponent or coefficient is too large for a float") from None
 
 
 def _float_exponents(n: tuple, cutoff: float, what: str) -> tuple:
@@ -189,7 +214,7 @@ class GenSeries:
     kept; every operation below reads the tuples, except the product of two
     series."""
 
-    __slots__ = ("cutoff", "backend", "_terms", "_D", "_C", "_n", "_a")
+    __slots__ = ("cutoff", "backend", "_terms", "_D", "_C", "_n", "_a", "_M")
 
     def __new__(cls, terms, cutoff: Number, backend: Backend) -> "GenSeries":
         """`from_terms(terms, cutoff, backend)`: any (exponent, coefficient)
@@ -198,7 +223,7 @@ class GenSeries:
 
     @classmethod
     def _on_lattice(cls, n: tuple, a: tuple, D: int, C: int, cutoff,
-                    backend: Backend) -> "GenSeries":
+                    backend: Backend, M=None) -> "GenSeries":
         """The series sum (a/C) q^{n/D} over tuples n, a, ascending in n with
         no zero a; an exact one on the least lattice that holds it."""
         if backend is Backend.EXACT:
@@ -207,7 +232,7 @@ class GenSeries:
             if (g := math.gcd(C, *a)) > 1:
                 C, a = C // g, tuple([x // g for x in a])
         self = object.__new__(cls)
-        self._fill(cutoff, backend, None, D, C, n, a)
+        self._fill(cutoff, backend, None, D, C, n, a, M)
         return self
 
     def _fill(self, *values) -> None:
@@ -282,11 +307,7 @@ class GenSeries:
         """
         cutoff = _as_cutoff(cutoff, backend)
         if backend is Backend.FLOAT:
-            try:
-                pairs = [(_finite(float(e), "exponent"), _finite(float(c), "coefficient"))
-                         for e, c in pairs]
-            except OverflowError:
-                raise DomainError("exponent or coefficient is too large for a float") from None
+            pairs = _float_pairs(list(pairs))
             pairs.sort(key=itemgetter(0))
             return _float_terms(pairs, cutoff)
         terms = [(_as_exact(e), _as_exact(c)) for e, c in pairs]
@@ -434,6 +455,13 @@ class GenSeries:
     def eval_at(self, q: float) -> tuple[float, float]:
         """Evaluate at 0 < q < 1; returns (value, tail_bound).
 
+        The value adds a/C exp(n/D ln q) left to right from 0.0.  It stops
+        before a block of 64 terms once M q^{n/D} (1 + 2^-50) < ulp(value)/4 at
+        the block's first n, for a float M >= max |a/C|: n ascends, so no later
+        term moves a nonzero sum by a bit, even at a binade edge.  M is the one
+        `_euler_kernel` hands on, else max |a/C| is found once and kept (`_M`);
+        it is no part of the series' value, equality, hash or pickle.
+
         The tail bound 4 |last coefficient| q^cutoff / (1-q) is a crude
         geometric heuristic; the factor 4 absorbs the sub-exponential growth
         of partition-type coefficients, which the bare geometric estimate
@@ -447,14 +475,18 @@ class GenSeries:
                 "diverges -- evaluate in the crossed channel instead"
             )
         lnq, exp, D, C, value = math.log(q), math.exp, self._D, self._C, 0.0
+        if self._M is None and len(self._n) > 64:
+            object.__setattr__(self, "_M", _float_bound(max(map(abs, self._a)), C))
         try:
-            # A loop, left to right: sum compensates from Python 3.12; reduce is slower
-            if self.backend is Backend.FLOAT:
-                for n, a in zip(self._n, self._a):  # D = C = 1
-                    value += a * exp(n * lnq)
-            else:
-                # n/D and a/C are correctly rounded, as float(Fraction(n, D)) is
-                for n, a in zip(self._n, self._a):
+            # A loop, left to right: sum compensates from Python 3.12; reduce is slower.
+            # n/D and a/C are correctly rounded, as float(Fraction(n, D)) is, and exact
+            # at D = C = 1.  The factor covers the roundings of M and of the terms; an
+            # infinite sum stops too, and is refused below all the same.
+            for i in range(0, len(self._n), 64):
+                if value and (self._M * exp(self._n[i] / D * lnq) * (1.0 + 2.0 ** -50)
+                              < math.ulp(value) / 4):
+                    break
+                for n, a in zip(self._n[i:i + 64], self._a[i:i + 64]):
                     value += a / C * exp(n / D * lnq)
         except OverflowError:
             value = math.inf
@@ -587,6 +619,11 @@ def _quadratic_support(f, cutoff: Number, vertex: Number) -> list:
 #: a longer one when a call needs it, and never changes one in place.
 _TABLES: dict[tuple[int, int], tuple[int, int]] = {}
 
+#: step -> (b, p): the ladder b_k = float(k) step and float(p(k)) for the floating
+#: `_euler_kernel`, each call reading a prefix; replaced by longer lists when a
+#: call needs them, like _TABLES, and never changed in place.
+_FLOAT_TABLES: dict[int, tuple[list, list]] = {}
+
 
 def _fields(acc: int, W: int, count: int):
     """Values v of acc's `count` fields of W words holding v + 2^(64 W - 1), high first."""
@@ -638,12 +675,16 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     if theta.backend is Backend.FLOAT:
         low, tol = theta.min_exponent, FLOAT_EXPONENT_TOL
         span = (theta.cutoff - low) / step
-        b = [k * step for k in map(float, range(math.ceil(span))) if k < span]
-        p = list(map(float, _partition_numbers(len(b) - 1)))
+        # b_k = float(k) step and float(p(k)) for k < L = ceil(span), the k with k < span
+        L, (b, p) = math.ceil(span), _FLOAT_TABLES.get(step, ((), ()))
+        if len(b) < L:
+            b, p = _FLOAT_TABLES[step] = ([k * step for k in map(float, range(L))],
+                                          list(map(float, _partition_numbers(L - 1))))
         # The Cauchy product's cutoff bit for bit (its + 0.0 turns a -0.0 cutoff
         # into 0.0); each row stops where the rounded e + b first reaches it.
         top = min(theta.cutoff + 0.0, span * step + low)
-        rows = [(e, a, bisect_left(b, top, key=e.__add__)) for e, a in zip(theta._n, theta._a)]
+        rows = [(e, a, bisect_left(b, top, 0, L, key=e.__add__))
+                for e, a in zip(theta._n, theta._a)]
         # A class chains terms whose phases e mod step lie within 2 tol.  Below 2^16
         # an ulp is far below tol, so rows of two classes stay more than tol apart:
         # no merge group spans two classes, and in each column the classes' terms
@@ -656,49 +697,52 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
         if (max(abs(low), abs(top)) >= 2.0 ** 16 or phase[0] + step - phase[-1] < 2 * tol
                 or any(c[2:] for c in classes)):
             classes = []  # past 2^16, wrapping round 0, or three in a class (rational g)
-        runs = []
-        for i, *j in classes:
-            e, a, n = rows[i]
-            es, cs = [], [a * x for x in p[:n]]
-            if j:
-                # Null partners: f's row lies d columns on, delta from e's exactly,
-                # and the pair is read column by column unless delta nears tol.
-                f, c, m = rows[j[0]]
-                d = int(f // step - e // step)
-                delta = math.fsum((f, -d * step, -e))
-                if abs(delta) >= tol / 2:
-                    break
-                # Rounding is monotone: the row that leads each merge group at
-                # delta's sign ends no earlier than the other, and gives its exponent.
-                # The sum of two floats is the same in either order.
-                if delta < 0:
-                    n, es = min(d, n), [f + x for x in b[:m]]
-                    cs[d:] = [x + c * y for x, y in zip(cs[d:], p[:m])]
-                    cs += [c * y for y in p[len(cs) - d:m]]
+        if classes:
+            # Class r of R fills every R-th slot from r of one column-major buffer, from
+            # the column of its first term on; 0.0 (dropped as a zero sum) where it has
+            # no term, so the slots are in exponent order.
+            lo, R = int(low // step), len(classes)
+            size = R * (max(int(e // step) + n for e, _, n in rows) - lo)
+            ebuf, cbuf = [0.0] * size, [0.0] * size
+            for r, (i, *j) in enumerate(classes):
+                e, a, n = rows[i]
+                s = (int(e // step) - lo) * R + r
+                if j:
+                    # Null partners: f's row lies d columns on, delta from e's exactly,
+                    # and the pair is read column by column unless delta nears tol.
+                    f, c, m = rows[j[0]]
+                    d = int(f // step - e // step)
+                    delta = math.fsum((f, -d * step, -e))
+                    if abs(delta) >= tol / 2:
+                        break
+                    # Columns d .. t - 1 hold both rows, summed (the same in either
+                    # order), and the longer row runs on alone.  Rounding is monotone: the
+                    # row that leads each merge group at delta's sign ends no earlier than
+                    # the other, and gives its exponent.
+                    t = min(n, d + m)
+                    cs = ([a * x for x in p[:d]] + [a * x + c * y for x, y in zip(p[d:t], p)]
+                          + ([a * x for x in p[t:n]] if t < n else [c * y for y in p[t - d:m]]))
+                    if delta < 0:
+                        n = min(d, n)
+                        ebuf[s + d * R:s + (d + m) * R:R] = [f + x for x in b[:m]]
                 else:
-                    cs[d:d + m] = [x + c * y for x, y in zip(cs[d:d + m], p)]
-            runs.append((int(e // step), [e + x for x in b[:n]] + es, cs))
-        else:
-            if runs:
-                # Every class is one run of columns: slot (column - lo) R + r of one
-                # column-major buffer holds class r's term, 0.0 (dropped as a zero
-                # sum) where it has none, so the slots are in exponent order.
-                lo, R = min(run[0] for run in runs), len(runs)
-                size = R * (max(k + len(cs) for k, _, cs in runs) - lo)
-                ebuf, cbuf = [0.0] * size, [0.0] * size
-                for r, (k, es, cs) in enumerate(runs):
-                    s = (k - lo) * R + r
-                    ebuf[s:s + len(cs) * R:R], cbuf[s:s + len(cs) * R:R] = es, cs
-                # Rounding is monotone, so no product exceeds M = max|a| p(K) and no
-                # pair sum 2M: where 2M is finite, every coefficient is.
-                finite = math.isfinite(2.0 * (max(map(abs, theta._a)) * p[-1]))
-                return _float_series(compress(ebuf, cbuf), filter(None, cbuf), top, finite)
+                    cs = [a * x for x in p[:n]]
+                ebuf[s:s + n * R:R] = [e + x for x in b[:n]]
+                cbuf[s:s + len(cs) * R:R] = cs
+            else:
+                # Rounding is monotone, so no product exceeds max|a| p(K) and no pair
+                # sum M = 2 max|a| p(K), rounded: M is a majorant as it stands.
+                return _float_series(compress(ebuf, cbuf), filter(None, cbuf), top,
+                                     2.0 * (max(map(abs, theta._a)) * p[L - 1]))
         # Otherwise all rows are merged as the Cauchy product merges them.
         pairs = []
         for e, a, n in rows:
             pairs += zip([e + x for x in b[:n]], [a * x for x in p[:n]])
         pairs.sort(key=itemgetter(0))
-        return _float_terms(pairs, top)
+        # A coefficient sums at most one rounded product per row, each at most
+        # max|a| p(K) (1 + 2^-53): 1 + (rows) 2^-50 covers them and the bound's own.
+        return _float_terms(pairs, top, _float_bound(
+            math.fsum(map(abs, theta._a)) * p[L - 1], 1, len(rows) * 2.0 ** -50))
     D, least = theta._D, theta._n[0]
     top = math.ceil(theta.cutoff * D)
     base, end = least // D, (top - 1) // D + 1  # the columns that hold slots below top
@@ -707,7 +751,7 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     for n, a in zip(theta._n, theta._a):
         classes.setdefault(n % D, []).append((n // D - base, a))
     K = (top - 1 - least) // (step * D)
-    W = (sum(map(abs, theta._a)) * _partition_numbers(K)[-1]).bit_length() // 64 + 1
+    W = (bound := sum(map(abs, theta._a)) * _partition_numbers(K)[-1]).bit_length() // 64 + 1
     B, half, residues = 8 * W, 1 << 64 * W - 1, sorted(classes)
     # Big-endian: field f of F sits at bit 8 B (F - 1 - f), and the table holds
     # p(k) at field (L - k) step, so one right shift moves a term's row to its
@@ -733,7 +777,8 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
         buf[i:i + fields * R:R] = _fields(acc, W, fields)
     grid = chain.from_iterable(zip(*(range(base * D + r, end * D, D) for r in residues)))
     return GenSeries._on_lattice(tuple(compress(grid, buf)), tuple(filter(None, buf)),
-                                 D, theta._C, theta.cutoff, Backend.EXACT)
+                                 D, theta._C, theta.cutoff, Backend.EXACT,
+                                 _float_bound(bound, theta._C))
 
 
 def _odd_product_squared(length: int) -> list[int]:

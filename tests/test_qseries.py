@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -907,14 +908,230 @@ def test_generic_float_kernel_never_merges_by_sort(monkeypatch):
     assert len(seen) >= 4 * 40 and all(t.backend is Backend.FLOAT for t, _ in seen)
     merge, merges = qseries._float_terms, []
 
-    def counted(pairs, cutoff):
+    def counted(pairs, cutoff, *majorant):
         merges.append(cutoff)
-        return merge(pairs, cutoff)
+        return merge(pairs, cutoff, *majorant)
 
     monkeypatch.setattr(qseries, "_float_terms", counted)
     for theta, step in seen:
         qseries._euler_kernel(theta, step)
     assert merges == []
+
+
+# -- the floating kernel's cached tables and handed-on majorant ------------------
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_float_kernel_output_does_not_depend_on_the_cached_tables(monkeypatch, step):
+    """From an empty cache, orders 1024, 64 and 1024: the order-64 call reads a
+    prefix of the order-1024 lists, and every call matches one row per theta
+    term merged by one stable sort (`series_oracle.euler_float_rows`)."""
+    monkeypatch.setattr(qseries, "_FLOAT_TABLES", {})
+    pairs = [(0.1, 1.0), (1.1 + 3e-13, -1.0), (0.35, 2.5), (0.6, -0.75)]
+    for order in (1024, 64, 1024):
+        theta = S(pairs, order, Backend.FLOAT)
+        got, want = qseries._euler_kernel(theta, step), oracle.euler_float_rows(theta, step)
+        assert (repr(got._n), repr(got._a), repr(got.cutoff)) == (
+            repr(want._n), repr(want._a), repr(want.cutoff)), order
+        b, p = qseries._FLOAT_TABLES[step]
+        assert len(b) == len(p) == math.ceil((1024 - 0.1) / step)
+
+
+def test_a_published_float_table_is_never_changed(monkeypatch):
+    """A call within the cached length reads the published lists; a longer one
+    publishes longer lists, and the old ones stay the same objects, unchanged."""
+    monkeypatch.setattr(qseries, "_FLOAT_TABLES", {})
+    theta = S([(0.5, 1.0)], 64.5, Backend.FLOAT)
+    qseries._euler_kernel(theta, 2)
+    published = qseries._FLOAT_TABLES[2]
+    b, p = published
+    saved = (list(b), list(p))
+    qseries._euler_kernel(theta.truncate(20), 2)
+    assert qseries._FLOAT_TABLES[2] is published
+    qseries._euler_kernel(S([(0.5, 1.0)], 300.5, Backend.FLOAT), 2)
+    longer = qseries._FLOAT_TABLES[2]
+    assert longer is not published and len(longer[0]) == 150 > len(b) == 32
+    assert published[0] is b and published[1] is p and (b, p) == saved
+    assert longer[0][:32] == b and longer[1][:32] == p
+    assert b == [k * 2.0 for k in range(32)]
+    assert p == [float(x) for x in qseries._partition_numbers(31)]
+
+
+def exact_kernel_calls():
+    """(exact theta, step) at registry couplings, for both steps; a zero theta
+    (n' = 0) is returned as it is, and left out."""
+    from loopgas import annulus, params_from_n
+
+    thetas = [annulus.flux_sum(params_from_n(n, phase), None, order)
+              for n, phase in [(1.0, "dense"), (0.0, "dilute"), (1.0, "dilute"), (0.0, "dense")]
+              for order in (64, 400)]
+    thetas += [annulus.flux_sum(params_from_n(math.sqrt(3.0), "dense"), None, 400, "even")]
+    thetas += [pentagonal_series(300), S([(F(-1, 24), 3), (F(5, 8), F(-7, 2))], 200)]
+    return [(t, step) for t in thetas if not t.is_zero for step in (1, 2)]
+
+
+def test_every_kernel_output_carries_a_majorant(monkeypatch):
+    """Exact and floating kernel outputs, on the class and the sort path, at
+    steps 1 and 2, carry a float M >= max |a/C| (compared exactly), handed on
+    for `eval_at`, without computing it from the output."""
+    points = [(n, phase, order) for n, phase in REGISTRY_FLOAT_POINTS for order in (64, 256, 400)]
+    calls = recorded_kernel_calls(monkeypatch, float_pool_sample(), points)
+    merge, sorted_calls = qseries._float_terms, []
+
+    def counted(pairs, cutoff, *majorant):
+        sorted_calls.append(majorant)
+        return merge(pairs, cutoff, *majorant)
+
+    monkeypatch.setattr(qseries, "_float_terms", counted)
+    calls += exact_kernel_calls()
+    assert {step for _, step in calls} == {1, 2}
+    for theta, step in calls:
+        got = qseries._euler_kernel(theta, step)
+        assert got._M is not None and not got.is_zero
+        assert F(got._M) >= F(max(map(abs, got._a))) / got._C
+    # both float paths ran, and the sort path handed its bound to the merge
+    assert len(sorted_calls) >= 10 and all(len(m) == 1 for m in sorted_calls)
+    assert sum(t.backend is Backend.FLOAT for t, _ in calls) > len(sorted_calls)
+
+
+def test_majorant_takes_no_part_in_equality_hash_or_pickle():
+    """A series is equal to, hashes as and pickles to the same bytes as the same
+    series rebuilt from its terms, before and after `eval_at` keeps M; and
+    `from_terms` series find M lazily, on the first evaluation."""
+    from loopgas import annulus, params_from_n
+
+    kernel = annulus.partition_direct(params_from_n(1.3, "dense"), None, 160, Backend.FLOAT)
+    lazy = S([(e, c) for e, c in kernel.terms], kernel.cutoff, Backend.FLOAT)
+    exact = qseries._euler_kernel(pentagonal_series(300).truncate(F(401, 2)), 2) * F(2, 3)
+    for s in (kernel, lazy, exact):
+        before, rebuilt = pickle.dumps(s), GenSeries(s.terms, s.cutoff, s.backend)
+        assert rebuilt._M is None
+        assert s == rebuilt and hash(s) == hash(rebuilt)
+        s.eval_at(0.3)
+        assert s._M is not None and rebuilt._M is None
+        assert s == rebuilt and hash(s) == hash(rebuilt)
+        assert pickle.dumps(s) == before == pickle.dumps(rebuilt)
+        assert pickle.loads(before) == s and pickle.loads(before)._M is None
+    assert kernel._M > F(max(map(abs, kernel._a)))  # the kernel's, not the output's max
+    assert lazy._M == max(map(abs, lazy._a)) * (1.0 + 2.0 ** -50)
+
+
+# -- evaluation that stops at the last bit it can change -------------------------
+
+mantissas = st.floats(-1, 1, allow_subnormal=False).filter(bool)
+float_scaled = st.builds(math.ldexp, mantissas, st.integers(-60, 60))
+
+
+@st.composite
+def eval_cases(draw):
+    """(series, q): up to 300 terms, floating or exact on lattices with D, C > 1,
+    coefficients spread over 2^-60 .. 2^60 in either sign."""
+    k, q = draw(st.integers(0, 300)), draw(st.floats(0.001, 0.999))
+    if draw(st.booleans()):
+        D, C = draw(st.integers(1, 48)), draw(st.integers(1, 10**6))
+        start = draw(st.integers(-2 * D, 4 * D))
+        steps = draw(st.lists(st.integers(1, 3 * D), min_size=k, max_size=k))
+        slots = list(zip(accumulate(steps, initial=start),
+                         draw(st.lists(st.integers(-2**64, 2**64).filter(bool),
+                                       min_size=k, max_size=k))))
+        return qseries._slot_series(slots, D, C, F(start + sum(steps) + 1, D)), q
+    start = draw(st.floats(-3, 3))
+    steps = draw(st.lists(st.floats(1e-3, 3), min_size=k, max_size=k))
+    exps = list(accumulate(steps, initial=start))
+    pairs = list(zip(exps, draw(st.lists(float_scaled, min_size=k, max_size=k))))
+    return S(pairs, exps[-1] + 1, Backend.FLOAT), q
+
+
+def _power_of_two_sum():
+    """1.0 after 64 terms, then a term between a quarter and a half ulp(1) below
+    it: 1 - 1.5 * 2^-54 rounds to 1 - 2^-53, so a half-ulp rule would stop."""
+    pairs = [(0.0, 1.0)] + [(float(k), 1e-300) for k in range(1, 64)] + [(64.0, -1536.0)]
+    pairs += [(float(k), 1e-3) for k in range(65, 200)]
+    return S(pairs, 200, Backend.FLOAT), 0.5
+
+
+def _cancelling_sum():
+    """Pairs x q^{2k} - 2x q^{2k+1} at q = 1/2 cancel exactly: 0.0 after 64 terms."""
+    pairs = [t for k in range(32) for t in ((2.0 * k, 3.0 + k), (2.0 * k + 1, -6.0 - 2 * k))]
+    return S(pairs + [(64.0 + k, 0.25) for k in range(100)], 170, Backend.FLOAT), 0.5
+
+
+def _eval_examples():
+    from loopgas import annulus, observables, params_from_n
+
+    kernel = annulus.partition_direct(params_from_n(1.3, "dense"), None, 256, Backend.FLOAT)
+    crossed = annulus.partition_crossed(params_from_n(-1.07, "dense"), None, 140)
+    return [
+        _power_of_two_sum(), _cancelling_sum(),
+        (-kernel, 0.2),                                                     # negative
+        (S([(k / 3, -(k % 7) - 1.0) for k in range(200)], 70, Backend.FLOAT), 0.4),
+        (S([(k * 8.0, 1.0) for k in range(150)], 1300, Backend.FLOAT), 0.5),  # underflow
+        (S([(1000.0 + k, 1.0) for k in range(150)], 1200, Backend.FLOAT), 0.5),  # subnormal
+        (observables.crossing_probability(160) * F(1, 3), 0.3),             # exact, C > 1
+        (observables.saw_loop_dilute(160) * F(-2, 7), 0.6),
+        (kernel, 0.1), (kernel, 0.53), (crossed, 0.28),                     # M handed on
+        (S(kernel.terms, kernel.cutoff, Backend.FLOAT), 0.3),               # M found lazily
+    ]
+
+
+def _with_eval_examples(test):
+    for case in _eval_examples():
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(eval_cases())
+@_with_eval_examples
+def test_eval_at_is_the_sequential_sum_bit_for_bit(case):
+    """eval_at, which stops before a block of terms that cannot change a bit,
+    against all terms added one at a time (`series_oracle.eval_sequential`):
+    value and tail the same down to the last bit, by repr."""
+    series, q = case
+    assert repr(series.eval_at(q)) == repr(oracle.eval_sequential(series, q))
+
+
+def test_eval_at_stops_early(monkeypatch):
+    """Float Z(n = 1.3 dense) at order 1024 evaluates under 5% of its terms at
+    q = 0.1, counted by its calls to exp, and gives the full sum's value."""
+    from loopgas import annulus, params_from_n
+
+    series = annulus.partition_direct(params_from_n(1.3, "dense"), None, 1024, Backend.FLOAT)
+    want = oracle.eval_sequential(series, 0.1)
+    exp, calls = math.exp, []
+
+    def counted(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counted)
+    got = series.eval_at(0.1)
+    monkeypatch.undo()
+    assert len(series) > 50_000 and 0 < len(calls) < 0.05 * len(series)
+    assert repr(got) == repr(want)
+
+
+# -- floating from_terms: one finiteness check, the first bad pair's error ---------
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0.0, 1.0), (math.nan, 2.0)], "exponent must be finite, got nan"),
+    ([(0.0, 1.0), (1.0, math.inf)], "coefficient must be finite, got inf"),
+    ([(0.0, 1.0), (1.0, -math.inf)], "coefficient must be finite, got -inf"),
+    ([(0.0, 10**400)], "exponent or coefficient is too large for a float"),
+    ([(F(10**400, 3), 1.0)], "exponent or coefficient is too large for a float"),
+    ([(0.0, 1.0), (math.nan, 1.0), (2.0, 10**400)], "exponent must be finite, got nan"),
+    ([(2.0, 10**400), (math.nan, 1.0)], "exponent or coefficient is too large for a float"),
+    ([(1.0, math.inf), (math.inf, 1.0)], "coefficient must be finite, got inf"),
+])
+@pytest.mark.parametrize("container", [list, iter])
+def test_float_from_terms_reports_the_first_bad_pair(pairs, message, container):
+    """Finiteness is checked once over all pairs; a bad input is then found
+    again one pair at a time, so the first bad pair's DomainError is raised,
+    word for word, from a list or a one-shot iterator alike."""
+    with pytest.raises(DomainError) as err:
+        GenSeries.from_terms(container(pairs), 4, Backend.FLOAT)
+    assert str(err.value) == message
 
 
 @settings(max_examples=120, deadline=None)
