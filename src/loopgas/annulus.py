@@ -49,7 +49,6 @@ from .qseries import (
     _as_cutoff,
     _euler_kernel,
     _integer_support,
-    _quadratic_support,
     _slot_series,
 )
 
@@ -115,14 +114,17 @@ def _wrap_table(w: WrapWeight, parity: Optional[str], exact: bool):
 
 def _flux_range(params: CGParams, cutoff, exponent) -> list:
     """(p, exponent(p)) for every flux p with exponent below cutoff, ascending,
-    in closed form for an exact (a, b, c) and an integer cutoff.
+    from `_integer_support`: on an exact (a, b, c) with an integer cutoff, or on
+    the float exponent g/4 (p - m0)^2 + const, whose own values decide the ends.
 
     A module-level name called through the module global: perfbench's tracer
     patches it to count the flux sectors of each `flux_sum`."""
     if isinstance(exponent, tuple):
         a, b, c = exponent
         return [(p, (a * p + b) * p + c) for p in _integer_support(a, b, c, cutoff)]
-    return _quadratic_support(exponent, cutoff, params.m0)
+    a = params.g / 4.0
+    support = _integer_support(a, -2.0 * a * params.m0, exponent(0), cutoff, exponent)
+    return [(p, exponent(p)) for p in support]
 
 
 def _flux_theta(
@@ -306,10 +308,10 @@ def partition_crossed(
         w = default_wrap(params)
     u, vertex, weight = _crossed_table(params, w)
     cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
-    support = _quadratic_support(
-        lambda m: -params.c / 12.0 + _crossed_gap(params, u(m)), cutoff_f, vertex
-    )
-    pairs = [(e, c) for m, e in support if (c := weight(m)) is not None]
+    f = lambda m: -params.c / 12.0 + _crossed_gap(params, u(m))
+    a = 2.0 / params.g
+    pairs = [(f(m), c) for m in _integer_support(a, -2.0 * a * vertex, f(0), cutoff_f, f)
+             if (c := weight(m)) is not None]
     if not pairs:
         raise DomainError("cutoff excludes the leading crossed-channel term")
     return _euler_kernel(GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT), 2)

@@ -586,32 +586,26 @@ def _partition_numbers(kmax: int) -> list[int]:
     return p[: kmax + 1]
 
 
-def _integer_support(a: int, b: int, c: int, top: int) -> range:
-    """Every integer k with a k^2 + b k + c < top (integers, a > 0), ascending."""
-    # Between the roots (-b -+ sqrt(d))/2a, d = b^2 - 4a(c - top): with r = isqrt(d),
-    # ceil((-b - r)/2a) and floor((r - b)/2a) move one step in where they are
-    # roots, so not below top
-    r, a2 = math.isqrt(max(b * b - 4 * a * (c - top), 0)), 2 * a
-    lo, hi = -((b + r) // a2), (r - b) // a2
-    lo += (a * lo + b) * lo + c >= top
-    hi -= (a * hi + b) * hi + c >= top
+def _integer_support(a: Number, b: Number, c: Number, top: Number, f=None) -> range:
+    """Every integer k with f(k) < top, ascending, for a convex quadratic
+    f(k) = a k^2 + b k + c (a > 0): (a k + b) k + c on integers by default, or
+    a caller's float exponent function, whose own values then decide each end."""
+    # Start between the roots (-b -+ sqrt(d))/2a, d = b^2 - 4a(c - top), from isqrt
+    # (integers: each end moves at most one step in, where it is a root) or sqrt
+    # (floats), then move until f(lo - 1) >= top > f(lo) and f(hi) < top <= f(hi + 1)
+    d = max(b * b - 4 * a * (c - top), 0)
+    r = math.isqrt(d) if f is None else math.sqrt(d)
+    lo, hi = int(-((b + r) // (2 * a))), int((r - b) // (2 * a))
+    f = f or (lambda k: (a * k + b) * k + c)
+    while f(lo - 1) < top:
+        lo -= 1
+    while lo <= hi and f(lo) >= top:
+        lo += 1
+    while f(hi + 1) < top:
+        hi += 1
+    while hi >= lo and f(hi) >= top:
+        hi -= 1
     return range(lo, hi + 1)
-
-
-def _quadratic_support(f, cutoff: Number, vertex: Number) -> list:
-    """(k, f(k)) for every integer k with f(k) < cutoff, ascending in k.
-
-    f must be a convex quadratic in k with its minimum at `vertex`: the set
-    is then one run of integers, found by walking outward from the vertex
-    until f first reaches the cutoff on each side."""
-    split = math.floor(vertex)
-    below, above = [], []
-    for start, step, out in ((split, -1, below), (split + 1, 1, above)):
-        k = start
-        while (e := f(k)) < cutoff:
-            out.append((k, e))
-            k += step
-    return below[::-1] + above
 
 
 #: (W, step) -> (L, table): p(0) .. p(L - 1) packed for `_euler_kernel` in fields

@@ -17,7 +17,10 @@ which the package's completion by exponent class is checked bit for bit.
 which `GenSeries.eval_at` is checked bit for bit.  `saw_dense_closed` expands
 the Jacobi product of the dense wrapping loop one factor at a time, against
 which the package's pentagonal series, Euler-completed and squared once, is
-checked.  Exact backend, but for `euler_float_rows` and `eval_sequential`.
+checked.  `quadratic_support` finds the k with a convex quadratic below a
+cutoff by walking out from its vertex, against which the package's one
+closed-form support finder is checked in both backends.  Exact backend, but
+for `euler_float_rows`, `eval_sequential` and `quadratic_support`.
 """
 import math
 from bisect import bisect_left
@@ -208,3 +211,19 @@ def eval_sequential(series, q):
     last = abs(series._a[-1] / C) if series._a else 1.0
     tail = 4.0 * last * math.exp(float(series.cutoff) * lnq) / (1.0 - q)
     return value, tail
+
+
+def quadratic_support(f, cutoff, vertex):
+    """(k, f(k)) for every integer k with f(k) < cutoff, ascending in k.
+
+    f must be a convex quadratic in k with its minimum at `vertex`: the set
+    is then one run of integers, found by walking outward from the vertex
+    until f first reaches the cutoff on each side."""
+    split = math.floor(vertex)
+    below, above = [], []
+    for start, step, out in ((split, -1, below), (split + 1, 1, above)):
+        k = start
+        while (e := f(k)) < cutoff:
+            out.append((k, e))
+            k += step
+    return below[::-1] + above

@@ -332,6 +332,34 @@ def test_float_series_build_no_terms_until_read(monkeypatch):
         assert all(s._terms is None for s in results)
 
 
+def test_flux_range_is_the_tracers_sector_count(monkeypatch):
+    """perfbench's tracer reads `annulus._flux_range` when it installs, sets a
+    counting wrapper in its place and adds the length of each result to
+    `annulus.flux_sum.sectors`.  That needs one call per `flux_sum`, in both
+    backends, and per `partition_naive`, made through the module global, and a
+    list as long as the number of sectors below the cutoff."""
+    flux_range, seen = annulus._flux_range, []
+
+    def counted(*args, **kwargs):
+        seen.append(flux_range(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(annulus, "_flux_range", counted)
+    generic = params_from_n(1.3, "dense")
+    builds = [(ISING, lambda: flux_sum(ISING, None, 40)),
+              (ISING, lambda: flux_sum(ISING, None, 40, None, Backend.FLOAT)),
+              (generic, lambda: flux_sum(generic, None, 40, None, Backend.FLOAT)),
+              (generic, lambda: partition_naive(generic, None, 40)),
+              (ISING, lambda: partition_naive(ISING, None, 40))]
+    for k, (params, build) in enumerate(builds):
+        build()
+        assert len(seen) == k + 1 and isinstance(seen[-1], list)
+        g = params.g_exact if params is ISING else params.g
+        below = [p for p in range(-100, 101)
+                 if g * p * p / 4 - (1 - g) * p / 2 < 40 + (1 - 6 * (1 - g) ** 2 / g) / 24]
+        assert len(seen[-1]) == len(below) > 5
+
+
 class TestDuality:
     @pytest.mark.parametrize("params", EXACT_POINTS)
     @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])

@@ -1,5 +1,6 @@
 """Series arithmetic, Euler/pentagonal/eta building blocks, serialization."""
 
+import contextlib
 import gzip
 import json
 import math
@@ -22,6 +23,7 @@ from loopgas import (
     Backend,
     DomainError,
     GenSeries,
+    IdentityError,
     TailBoundError,
     dedekind_eta_series,
     eta_modular_check,
@@ -33,6 +35,7 @@ from loopgas import (
     qseries,
 )
 from loopgas.errors import BackendMismatchError
+from loopgas.params import _EXACT_ANGLES
 
 
 def S(pairs, cutoff, backend=Backend.EXACT):
@@ -495,12 +498,12 @@ def test_a_published_table_is_never_changed(monkeypatch):
 # -- the integer enumerator ---------------------------------------------------------
 
 
-def support_by_scan(a, b, c, top):
-    """Every k with a k^2 + b k + c < top, scanned over a window that holds
-    them all: for |k| >= |b| + sqrt(top - c) + 1, a k^2 + b k >= |k|(|k| - |b|)
-    reaches top - c."""
-    reach = abs(b) + math.isqrt(max(top - c, 0)) + 2
-    return [k for k in range(-reach, reach + 1) if a * k * k + b * k + c < top]
+def scan_support(f, cutoff, vertex, a):
+    """(k, f(k)) for every k with f(k) < cutoff in a window round `vertex` wide
+    enough for any convex quadratic f with leading coefficient a."""
+    reach = math.sqrt(max(cutoff - f(round(vertex)), 0) / a) + 3
+    return [(k, e) for k in range(math.floor(vertex - reach), math.ceil(vertex + reach) + 1)
+            if (e := f(k)) < cutoff]
 
 
 def _registry_examples():
@@ -538,7 +541,9 @@ def _with_examples(cases):
 def test_integer_support_is_the_brute_force_scan(a, b, c, top):
     got = qseries._integer_support(a, b, c, top)
     assert isinstance(got, range) and got.step == 1
-    assert list(got) == support_by_scan(a, b, c, top)
+    f, vertex = (lambda k: (a * k + b) * k + c), F(-b, 2 * a)
+    want = scan_support(f, top, vertex, a)
+    assert [(k, f(k)) for k in got] == want == oracle.quadratic_support(f, top, vertex)
 
 
 class TestLatticeEulerMultiply:
@@ -1014,6 +1019,131 @@ def test_majorant_takes_no_part_in_equality_hash_or_pickle():
         assert pickle.loads(before) == s and pickle.loads(before)._M is None
     assert kernel._M > F(max(map(abs, kernel._a)))  # the kernel's, not the output's max
     assert lazy._M == max(map(abs, lazy._a)) * (1.0 + 2.0 ** -50)
+
+
+# -- one support finder for every theta, exact and floating ----------------------
+
+REGISTRY_N = [2.0 * math.cos(math.pi * float(angle[0])) for angle in _EXACT_ANGLES]
+# Below n = -1.999 the dense g falls towards 0 and the sector count grows as
+# g^(-1/2) without bound, which is a resource question, not the finder's.
+finder_n = st.one_of(st.floats(-1.999, 2.0), st.sampled_from(REGISTRY_N))
+finder_n_prime = st.one_of(st.none(), st.floats(-2.0, 2.0), st.sampled_from([2.0, -2.0]))
+
+
+@contextlib.contextmanager
+def recorded_calls(module, name):
+    """Every (args, result) of `module.name`, called through the module global,
+    while the block runs."""
+    fn, calls = getattr(module, name), []
+
+    def recording(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    setattr(module, name, recording)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, fn)
+
+
+def _wrap(params, phase, n_prime):
+    from loopgas import default_wrap, wrap_weight
+
+    return default_wrap(params) if n_prime is None else wrap_weight(phase, n_prime)
+
+
+def _crossed_exponent(params, w):
+    """The crossed summand's exponent and vertex, as `partition_crossed` forms them."""
+    from loopgas import annulus
+
+    u, vertex, _ = annulus._crossed_table(params, w)
+    return (lambda m: -params.c / 12.0 + annulus._crossed_gap(params, u(m))), vertex
+
+
+def _finder_examples(exponent_and_vertex):
+    """(n, phase, n_prime, cutoff): a cutoff on a sector's exponent and one ulp
+    either side, one ulp above the lead (a single sector), one below the
+    parabola's least value (negative discriminant), at a generic coupling, at a
+    registry coupling with n' rational and with n' generic, at n' = +-2; and
+    every coupling of `float_pool_sample()` at its own order."""
+    from loopgas import params_from_n
+
+    cases = []
+    for n, phase, n_prime in [(1.3, "dense", None), (-0.7, "dilute", None),
+                              (1.0, "dilute", 2.0), (1.0, "dilute", None),
+                              (math.sqrt(2.0), "dense", 0.7), (0.45, "dense", 2.0),
+                              (0.45, "dense", -2.0), (-1.2, "dilute", -2.0)]:
+        params = params_from_n(n, phase)
+        f, vertex = exponent_and_vertex(params, _wrap(params, phase, n_prime))
+        lead, sector = f(round(vertex)), f(round(vertex) + 3)
+        cases += [(n, phase, n_prime, top) for top in (
+            sector, math.nextafter(sector, -math.inf), math.nextafter(sector, math.inf),
+            math.nextafter(lead, math.inf), lead - 1.0)]
+    seen = {(n, phase, order) for _, n, phase, order, _ in float_pool_sample()}
+    return cases + [(n, phase, None, float(order)) for n, phase, order in sorted(seen)]
+
+
+def _flux_exponent(params, w):
+    from loopgas import annulus
+
+    return annulus._exponent(params, False)[0], params.m0
+
+
+@settings(max_examples=200, deadline=None)
+@given(finder_n, st.sampled_from(["dilute", "dense"]), finder_n_prime, st.floats(-1.0, 200.0))
+@_with_examples(_finder_examples(_flux_exponent))
+# float roots rounded one step inside the support: the low, then the high end moves out
+@example(-0.006392093163644974, "dense", None, 12.443075383159382)
+@example(-0.00020289070301693357, "dense", None, 1.9580750069521098)
+def test_flux_range_is_the_walk_and_the_scan(n, phase, n_prime, cutoff):
+    """`_flux_range` on both branches, reached from `flux_sum` in both backends
+    (the exact branch wherever `_exact_ok` holds, which n' decides at registry
+    couplings) and called on the float exponent directly, gives the walk
+    oracle's and a scan's (p, exponent) list."""
+    from loopgas import annulus, flux_sum, params_from_n
+
+    params = params_from_n(n, phase)
+    w = _wrap(params, phase, n_prime)
+    exact = annulus._exact_ok(params, w)
+    with recorded_calls(annulus, "_flux_range") as calls:
+        annulus._flux_range(params, cutoff, _flux_exponent(params, w)[0])
+        for backend in (Backend.FLOAT, Backend.EXACT) if exact else (Backend.FLOAT,):
+            with contextlib.suppress(DomainError):  # the cutoff is below the lead
+                flux_sum(params, w, cutoff, None, backend)
+    assert all(isinstance(args[2], tuple) is exact for args, _ in calls[1:])
+    for (_, top, exponent), got in calls:
+        if isinstance(exponent, tuple):
+            a, b, c = exponent
+            f, vertex = (lambda k: (a * k + b) * k + c), F(-b, 2 * a)
+        else:
+            f, vertex, a = exponent, params.m0, params.g / 4.0
+        assert got == oracle.quadratic_support(f, top, vertex) == scan_support(f, top, vertex, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(finder_n, st.sampled_from(["dilute", "dense"]), finder_n_prime, st.floats(-1.0, 200.0))
+@_with_examples(_finder_examples(_crossed_exponent))
+# float roots rounded one step inside the support: the low, then the high end moves out
+@example(-1.4116609536830027, "dilute", 2.0, 1.0598988037401347)
+@example(0.9626143567839494, "dilute", None, 0.9445503525916733)
+def test_crossed_support_is_the_walk_and_the_scan(n, phase, n_prime, cutoff):
+    """`partition_crossed` finds its charges by one `_integer_support` call on
+    its own exponent, in each u-form (generic chi', chi' = 0 at n' = 2 and
+    chi' = +-pi at n' = -2), and they are the walk oracle's and a scan's."""
+    from loopgas import annulus, params_from_n
+
+    params = params_from_n(n, phase)
+    w = _wrap(params, phase, n_prime)
+    with recorded_calls(annulus, "_integer_support") as calls:
+        # below the lead, or a ln(qtilde) term in a paired form at n' = +-2
+        with contextlib.suppress(DomainError, IdentityError):
+            annulus.partition_crossed(params, w, cutoff)
+    [((_, _, _, top, f), got)] = calls
+    vertex = _crossed_exponent(params, w)[1]
+    want = oracle.quadratic_support(f, top, vertex)
+    assert [(m, f(m)) for m in got] == want == scan_support(f, top, vertex, 2.0 / params.g)
+    assert want == oracle.quadratic_support(_crossed_exponent(params, w)[0], cutoff, vertex)
 
 
 # -- evaluation that stops at the last bit it can change -------------------------
