@@ -107,6 +107,9 @@ def _direct(args, params, w, backend: Backend):
 
 
 def _cmd_partition(args) -> str:
+    if args.naive and (args.parity is not None or args.backend == "exact"):
+        flag = "--parity" if args.parity is not None else "--backend exact"
+        raise DomainError(f"--naive is the unrestricted floating series; it takes no {flag}")
     params, w = _model(args)
     if args.naive:
         series = annulus.partition_naive(params, w, args.order)

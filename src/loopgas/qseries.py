@@ -42,10 +42,11 @@ row over the ladder k step and the floats p(k), both cached per step.  Rows are
 grouped by exponent mod step: at generic coupling a class is one term or a pair
 of null partners, summed column by column and written straight into every R-th
 slot from r of one column-major buffer, in exponent order, unchecked for
-finiteness where M = 2 max|a| p(K) is finite.  Any other class sends all rows
-to one stable sort and `_float_terms`.  Both are the Cauchy product bit for bit
-and hand M >= every |coefficient| on, so that `eval_at` can stop where no later
-term changes a bit.  No builder multiplies two series.
+finiteness where M = 2 max|a| p(K) is finite, and M >= every |coefficient| is
+handed on to `eval_at`.  Any other class sends all rows to one stable sort and
+`_float_terms`.  Both are the Cauchy product bit for bit.  Every other series,
+exact kernel outputs included, finds M on its first evaluation.  No builder
+multiplies two series.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _as_float(x: Number, what: str) -> float:
     return _finite(x, what)
 
 
-def _float_terms(pairs, cutoff: float, M=None) -> "GenSeries":
+def _float_terms(pairs, cutoff: float) -> "GenSeries":
     """The floating series of (e, c) pairs sorted stably by e, by the floating
     backend's one merge rule.
 
@@ -118,7 +119,7 @@ def _float_terms(pairs, cutoff: float, M=None) -> "GenSeries":
     within FLOAT_EXPONENT_TOL of a group's first exponent then join that group,
     which keeps the first exponent even where that exponent's own sum is zero.
     Zero sums and groups at or above the cutoff are dropped last, and a sum
-    that is not finite is a DomainError; M as in `_float_series`."""
+    that is not finite is a DomainError."""
     es, cs = [], []
     lead = key = -math.inf
     total = part = 0.0
@@ -137,41 +138,18 @@ def _float_terms(pairs, cutoff: float, M=None) -> "GenSeries":
     if total and lead < cutoff:
         es.append(lead)
         cs.append(total)
-    return _float_series(es, cs, cutoff, M)
+    return _float_series(es, cs, cutoff)
 
 
 def _float_series(es, cs, cutoff: float, M=None) -> "GenSeries":
     """The floating series of merged, increasing exponents es and coefficients
     cs; a coefficient that is not finite is a DomainError, checked one by one
-    unless M, a majorant of every |coefficient| kept for `eval_at`, is finite."""
+    unless M, the float kernel's majorant of every |coefficient|, is finite, in
+    which case the series keeps M for `eval_at`."""
     cs = tuple(cs)
     if not (M is not None and M < math.inf or all(map(math.isfinite, cs))):
         raise DomainError("a merged floating coefficient is not finite")
     return GenSeries._on_lattice(tuple(es), cs, 1, 1, cutoff, Backend.FLOAT, M)
-
-
-def _float_bound(x: Number, C: int = 1, rounding: float = 2.0 ** -50) -> float:
-    """x / C (1 + rounding) in floats, >= x / C for rounding >= 2^-50, or inf."""
-    try:
-        return x / C * (1.0 + rounding)
-    except OverflowError:
-        return math.inf
-
-
-def _float_pairs(pairs: list) -> list:
-    """(e, c) pairs as floats, checked finite all at once; else the DomainError
-    of the first bad pair, found again one pair at a time."""
-    try:
-        floats = [(float(e), float(c)) for e, c in pairs]
-        if all(map(math.isfinite, chain.from_iterable(floats))):
-            return floats
-    except (OverflowError, TypeError, ValueError):
-        pass
-    try:
-        for e, c in pairs:
-            _finite(float(e), "exponent"), _finite(float(c), "coefficient")
-    except OverflowError:
-        raise DomainError("exponent or coefficient is too large for a float") from None
 
 
 def _float_exponents(n: tuple, cutoff: float, what: str) -> tuple:
@@ -307,7 +285,11 @@ class GenSeries:
         """
         cutoff = _as_cutoff(cutoff, backend)
         if backend is Backend.FLOAT:
-            pairs = _float_pairs(list(pairs))
+            try:
+                pairs = [(_finite(float(e), "exponent"), _finite(float(c), "coefficient"))
+                         for e, c in pairs]
+            except OverflowError:
+                raise DomainError("exponent or coefficient is too large for a float") from None
             pairs.sort(key=itemgetter(0))
             return _float_terms(pairs, cutoff)
         terms = [(_as_exact(e), _as_exact(c)) for e, c in pairs]
@@ -458,9 +440,10 @@ class GenSeries:
         The value adds a/C exp(n/D ln q) left to right from 0.0.  It stops
         before a block of 64 terms once M q^{n/D} (1 + 2^-50) < ulp(value)/4 at
         the block's first n, for a float M >= max |a/C|: n ascends, so no later
-        term moves a nonzero sum by a bit, even at a binade edge.  M is the one
-        `_euler_kernel` hands on, else max |a/C| is found once and kept (`_M`);
-        it is no part of the series' value, equality, hash or pickle.
+        term moves a nonzero sum by a bit, even at a binade edge.  M is max |a/C|
+        (1 + 2^-50), found on the first evaluation and kept (`_M`), except where
+        the float kernel's class path handed on its 2 max|a| p(K); it is no part
+        of the series' value, equality, hash or pickle.
 
         The tail bound 4 |last coefficient| q^cutoff / (1-q) is a crude
         geometric heuristic; the factor 4 absorbs the sub-exponential growth
@@ -475,9 +458,10 @@ class GenSeries:
                 "diverges -- evaluate in the crossed channel instead"
             )
         lnq, exp, D, C, value = math.log(q), math.exp, self._D, self._C, 0.0
-        if self._M is None and len(self._n) > 64:
-            object.__setattr__(self, "_M", _float_bound(max(map(abs, self._a)), C))
         try:
+            if self._M is None and len(self._n) > 64:
+                # an M past the doubles is an a/C that the full loop overflows on too
+                object.__setattr__(self, "_M", max(map(abs, self._a)) / C * (1.0 + 2.0 ** -50))
             # A loop, left to right: sum compensates from Python 3.12; reduce is slower.
             # n/D and a/C are correctly rounded, as float(Fraction(n, D)) is, and exact
             # at D = C = 1.  The factor covers the roundings of M and of the terms; an
@@ -595,6 +579,8 @@ def _integer_support(a: Number, b: Number, c: Number, top: Number, f=None) -> ra
     # (floats), then move until f(lo - 1) >= top > f(lo) and f(hi) < top <= f(hi + 1)
     d = max(b * b - 4 * a * (c - top), 0)
     r = math.isqrt(d) if f is None else math.sqrt(d)
+    if f is not None and not math.isfinite(r):
+        raise DomainError(f"cutoff {top!r} puts the support's ends past the doubles")
     lo, hi = int(-((b + r) // (2 * a))), int((r - b) // (2 * a))
     f = f or (lambda k: (a * k + b) * k + c)
     while f(lo - 1) < top:
@@ -733,10 +719,7 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
         for e, a, n in rows:
             pairs += zip([e + x for x in b[:n]], [a * x for x in p[:n]])
         pairs.sort(key=itemgetter(0))
-        # A coefficient sums at most one rounded product per row, each at most
-        # max|a| p(K) (1 + 2^-53): 1 + (rows) 2^-50 covers them and the bound's own.
-        return _float_terms(pairs, top, _float_bound(
-            math.fsum(map(abs, theta._a)) * p[L - 1], 1, len(rows) * 2.0 ** -50))
+        return _float_terms(pairs, top)
     D, least = theta._D, theta._n[0]
     top = math.ceil(theta.cutoff * D)
     base, end = least // D, (top - 1) // D + 1  # the columns that hold slots below top
@@ -745,7 +728,7 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     for n, a in zip(theta._n, theta._a):
         classes.setdefault(n % D, []).append((n // D - base, a))
     K = (top - 1 - least) // (step * D)
-    W = (bound := sum(map(abs, theta._a)) * _partition_numbers(K)[-1]).bit_length() // 64 + 1
+    W = (sum(map(abs, theta._a)) * _partition_numbers(K)[-1]).bit_length() // 64 + 1
     B, half, residues = 8 * W, 1 << 64 * W - 1, sorted(classes)
     # Big-endian: field f of F sits at bit 8 B (F - 1 - f), and the table holds
     # p(k) at field (L - k) step, so one right shift moves a term's row to its
@@ -771,8 +754,7 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
         buf[i:i + fields * R:R] = _fields(acc, W, fields)
     grid = chain.from_iterable(zip(*(range(base * D + r, end * D, D) for r in residues)))
     return GenSeries._on_lattice(tuple(compress(grid, buf)), tuple(filter(None, buf)),
-                                 D, theta._C, theta.cutoff, Backend.EXACT,
-                                 _float_bound(bound, theta._C))
+                                 D, theta._C, theta.cutoff, Backend.EXACT)
 
 
 def _odd_product_squared(length: int) -> list[int]:

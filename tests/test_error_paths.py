@@ -111,6 +111,13 @@ ERROR_PATHS = [
     ("float eval_at overflows the sum",
      lambda: GenSeries.from_terms([(0.0, 1e308), (1.0, 1e308)], 10.0, Backend.FLOAT).eval_at(0.99),
      DomainError, "value at q=0.99 is not finite in double precision"),
+    # the discriminant overflows; no support of ~1e154 sectors is built
+    ("float support past the doubles",
+     lambda: qseries._integer_support(1e300, 0.0, 0.0, 1e308, lambda k: 1e300 * k * k),
+     DomainError, "cutoff 1e\\+308 puts the support's ends past the doubles"),
+    ("crossed support past the doubles",
+     lambda: annulus.partition_crossed(params_from_n(1.3, "dense"), None, 1e308),
+     DomainError, "cutoff 1e\\+308 puts the support's ends past the doubles"),
     ("eta tau_imag NaN", lambda: qseries.eta_modular_check(math.nan),
      DomainError, "tau_imag must be positive, got nan"),
     ("eta tau_imag inf", lambda: qseries.eta_modular_check(math.inf),
@@ -141,10 +148,17 @@ def test_empty_decomposition_serialises_without_a_model():
     (["characters", "--n", "0.7", "--phase", "dilute"], "rational coupling"),
     (["characters", "--n", "2", "--phase", "dense"], "no Kac labels"),
     (["sweep", "--target", "duality", "--values", "1.0"], "requires --n"),
+    (["crossed", "--n", "1.3", "--phase", "dense", "--order", "1" + "0" * 308],
+     "past the doubles"),
+    (["partition", "--n", "1", "--phase", "dilute", "--naive", "--parity", "even"],
+     "takes no --parity"),
+    (["partition", "--n", "1", "--phase", "dilute", "--naive", "--backend", "exact"],
+     "takes no --backend exact"),
 ])
 def test_cli_domain_exit(capsys, argv, fragment):
     assert main(argv) == 3
-    assert fragment in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and fragment in err
 
 
 # -- inputs the entry points refuse -------------------------------------------

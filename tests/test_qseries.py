@@ -913,9 +913,9 @@ def test_generic_float_kernel_never_merges_by_sort(monkeypatch):
     assert len(seen) >= 4 * 40 and all(t.backend is Backend.FLOAT for t, _ in seen)
     merge, merges = qseries._float_terms, []
 
-    def counted(pairs, cutoff, *majorant):
+    def counted(pairs, cutoff):
         merges.append(cutoff)
-        return merge(pairs, cutoff, *majorant)
+        return merge(pairs, cutoff)
 
     monkeypatch.setattr(qseries, "_float_terms", counted)
     for theta, step in seen:
@@ -923,7 +923,7 @@ def test_generic_float_kernel_never_merges_by_sort(monkeypatch):
     assert merges == []
 
 
-# -- the floating kernel's cached tables and handed-on majorant ------------------
+# -- the floating kernel's cached tables, and the majorant of eval_at -------------
 
 
 @pytest.mark.parametrize("step", [1, 2])
@@ -975,28 +975,41 @@ def exact_kernel_calls():
     return [(t, step) for t in thetas if not t.is_zero for step in (1, 2)]
 
 
-def test_every_kernel_output_carries_a_majorant(monkeypatch):
-    """Exact and floating kernel outputs, on the class and the sort path, at
-    steps 1 and 2, carry a float M >= max |a/C| (compared exactly), handed on
-    for `eval_at`, without computing it from the output."""
+def test_only_the_float_class_path_hands_a_majorant_on(monkeypatch):
+    """Float kernel outputs of the class path carry the 2 max|a| p(K) that
+    decided their finiteness.  Exact and sort-path outputs, at steps 1 and 2,
+    carry none until their first evaluation, and then max |a/C| (1 + 2^-50).
+    Every M is >= max |a/C|, compared exactly."""
     points = [(n, phase, order) for n, phase in REGISTRY_FLOAT_POINTS for order in (64, 256, 400)]
     calls = recorded_kernel_calls(monkeypatch, float_pool_sample(), points)
-    merge, sorted_calls = qseries._float_terms, []
+    merge, merged = qseries._float_terms, []
 
-    def counted(pairs, cutoff, *majorant):
-        sorted_calls.append(majorant)
-        return merge(pairs, cutoff, *majorant)
+    def counted(pairs, cutoff):
+        merged.append(merge(pairs, cutoff))
+        return merged[-1]
 
     monkeypatch.setattr(qseries, "_float_terms", counted)
     calls += exact_kernel_calls()
     assert {step for _, step in calls} == {1, 2}
+    handed = 0
     for theta, step in calls:
         got = qseries._euler_kernel(theta, step)
-        assert got._M is not None and not got.is_zero
-        assert F(got._M) >= F(max(map(abs, got._a))) / got._C
-    # both float paths ran, and the sort path handed its bound to the merge
-    assert len(sorted_calls) >= 10 and all(len(m) == 1 for m in sorted_calls)
-    assert sum(t.backend is Backend.FLOAT for t, _ in calls) > len(sorted_calls)
+        assert not got.is_zero
+        if theta.backend is Backend.FLOAT and not (merged and got is merged[-1]):
+            K = math.ceil((theta.cutoff - theta.min_exponent) / step) - 1
+            p_K = float(qseries._partition_numbers(K)[-1])
+            assert got._M == 2.0 * (max(map(abs, theta._a)) * p_K)
+            handed += 1
+        else:
+            assert got._M is None
+            got.eval_at(0.5)
+            if len(got) > 64:
+                assert got._M == max(map(abs, got._a)) / got._C * (1.0 + 2.0 ** -50)
+        if got._M is not None:
+            assert F(got._M) >= F(max(map(abs, got._a))) / got._C
+    # both float paths and the exact kernel ran
+    assert len(merged) >= 10 and handed >= 10
+    assert sum(t.backend is Backend.EXACT for t, _ in calls) >= 10
 
 
 def test_majorant_takes_no_part_in_equality_hash_or_pickle():
@@ -1017,7 +1030,7 @@ def test_majorant_takes_no_part_in_equality_hash_or_pickle():
         assert s == rebuilt and hash(s) == hash(rebuilt)
         assert pickle.dumps(s) == before == pickle.dumps(rebuilt)
         assert pickle.loads(before) == s and pickle.loads(before)._M is None
-    assert kernel._M > F(max(map(abs, kernel._a)))  # the kernel's, not the output's max
+    assert kernel._M > F(max(map(abs, kernel._a)))  # the class path's, not the output's max
     assert lazy._M == max(map(abs, lazy._a)) * (1.0 + 2.0 ** -50)
 
 
@@ -1241,7 +1254,7 @@ def test_eval_at_stops_early(monkeypatch):
     assert repr(got) == repr(want)
 
 
-# -- floating from_terms: one finiteness check, the first bad pair's error ---------
+# -- floating from_terms: one pass over the pairs, the first bad pair's error ------
 
 
 @pytest.mark.parametrize("pairs, message", [
@@ -1256,12 +1269,54 @@ def test_eval_at_stops_early(monkeypatch):
 ])
 @pytest.mark.parametrize("container", [list, iter])
 def test_float_from_terms_reports_the_first_bad_pair(pairs, message, container):
-    """Finiteness is checked once over all pairs; a bad input is then found
-    again one pair at a time, so the first bad pair's DomainError is raised,
-    word for word, from a list or a one-shot iterator alike."""
+    """Each pair is converted and checked in one pass, exponent first, so the
+    first bad pair's DomainError is raised, word for word, from a list or a
+    one-shot iterator alike."""
     with pytest.raises(DomainError) as err:
         GenSeries.from_terms(container(pairs), 4, Backend.FLOAT)
     assert str(err.value) == message
+
+
+bad_values = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400, F(10**400, 3)])
+
+
+@st.composite
+def pairs_with_bad_values(draw):
+    """Finite float pairs with nan, an infinity, a huge int or a huge Fraction
+    put at one to three random positions, in exponents or in coefficients."""
+    pairs = draw(st.lists(st.lists(st.one_of(dyadic, float_coefficients), min_size=2,
+                                   max_size=2), min_size=1, max_size=12))
+    for _ in range(draw(st.integers(1, 3))):
+        pair = draw(st.sampled_from(pairs))
+        pair[draw(st.integers(0, 1))] = draw(bad_values)
+    return [tuple(pair) for pair in pairs]
+
+
+def first_bad_pair_message(pairs):
+    """The DomainError message of the first bad value, found by walking the
+    pairs one at a time, exponent before coefficient."""
+    for pair in pairs:
+        for x, what in zip(pair, ("exponent", "coefficient")):
+            try:
+                x = float(x)
+            except OverflowError:
+                return "exponent or coefficient is too large for a float"
+            if not math.isfinite(x):
+                return f"{what} must be finite, got {x!r}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs_with_bad_values(), st.sampled_from([list, iter]))
+def test_float_from_terms_raises_the_first_bad_values_error(pairs, container):
+    """Float `from_terms` on pairs holding nan, an infinity or a value past the
+    doubles raises the DomainError of the first bad value, as a walk over the
+    pairs one at a time finds it."""
+    want = first_bad_pair_message(pairs)
+    assert want is not None
+    with pytest.raises(DomainError) as err:
+        GenSeries.from_terms(container(pairs), 4, Backend.FLOAT)
+    assert str(err.value) == want
 
 
 @settings(max_examples=120, deadline=None)
