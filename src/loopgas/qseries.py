@@ -34,9 +34,11 @@ Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde, and every builder hands
 theta to the one kernel, `_euler_kernel`, as a series, an exact one normalised
 on its least lattice by `_slot_series`.  Exact slots of one residue mod D are
-the B-byte fields of one integer, a field per column; each theta term adds the
-partition table shifted to its field, read back biased by half a field, more
-than any |sum|, so no borrow crosses fields; the packed table is cached per
+the B-byte fields of one integer, a field per column, each starting at half a
+field, more than any |sum|, so no borrow crosses fields; each theta term adds
+the partition table shifted to its field (a = +-1 with no multiply), and XOR
+with the start flips each field's top bit, leaving its sum in two's complement
+to be read by one `struct.unpack`; the packed table is cached per
 width and step.  Floating exponents have no lattice: each theta term adds one
 row over the ladder k step and the floats p(k), both cached per step.  Rows are
 grouped by exponent mod step: at generic coupling a class is one term or a pair
@@ -329,7 +331,7 @@ class GenSeries:
             i = bisect_left(self._n, x)
             found = i < len(self._n) and self._n[i] == x
             return Fraction(self._a[i] if found else 0, self._C)
-        e = float(exponent)
+        e = _as_float(exponent, "exponent")
         for te, tc in zip(self._n, self._a):
             if abs(te - e) < FLOAT_EXPONENT_TOL:
                 return tc
@@ -451,8 +453,11 @@ class GenSeries:
         undercounts; it is taken through logarithms where 4 |last| or q^cutoff
         leaves the doubles.  The value is only meaningful when it is small.
         """
-        q = float(q)
-        if not (0.0 < q < 1.0):
+        try:
+            q = float(q)
+        except (TypeError, ValueError, OverflowError):
+            pass  # refused below as the q it was given
+        if not (isinstance(q, float) and 0.0 < q < 1.0):
             raise DomainError(
                 f"eval_at requires 0 < q < 1, got {q!r}; near q=1 the series "
                 "diverges -- evaluate in the crossed channel instead"
@@ -606,12 +611,14 @@ _FLOAT_TABLES: dict[int, tuple[list, list]] = {}
 
 
 def _fields(acc: int, W: int, count: int):
-    """Values v of acc's `count` fields of W words holding v + 2^(64 W - 1), high first."""
-    words = struct.unpack(f">{W * count}Q", acc.to_bytes(8 * W * count, "big"))
-    vals = words[::W]
+    """Values v of acc's `count` fields of W words holding v in two's complement, high first."""
+    # each field's top word is read signed and its lower words unsigned
+    code = f">{count}q" if W == 1 else ">" + ("q" + "Q" * (W - 1)) * count
+    words = struct.unpack(code, acc.to_bytes(8 * W * count, "big"))
+    vals = words if W == 1 else words[::W]
     for j in range(1, W):
         vals = map(add, map(lshift, vals, repeat(64)), words[j::W])
-    return map(sub, vals, repeat(1 << 64 * W - 1))
+    return vals
 
 
 def _expand_product(steps: Iterable[int], length: int) -> list[int]:
@@ -646,10 +653,11 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     whose 8W-byte fields are its slots, one per column n // D.  A term at slot n
     adds a p(k) to slot n + k step D, k step fields on: a times the table of
     p(k), packed one every step fields, shifted to n's field, one multiply-add
-    over its residue's columns only.  Floating: each theta term (e, a) adds the row
-    (e + k step, a p(k)) below the cutoff, merged by classes of e mod step and
-    read out of one buffer as below.  Either way these are the float operations,
-    in the order, of theta * euler_inverse(span/step).dilate(step): bit for bit."""
+    (an add or subtract at a = +-1) over its residue's columns only.  Floating:
+    each theta term (e, a) adds the row (e + k step, a p(k)) below the cutoff,
+    merged by classes of e mod step and read out of one buffer as below.  Either
+    way these are the float operations, in the order, of
+    theta * euler_inverse(span/step).dilate(step): bit for bit."""
     if theta.is_zero:
         return theta
     if theta.backend is Backend.FLOAT:
@@ -747,11 +755,14 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
         fields = (top - 1 - r) // D - base + 1
         drop = L * step + 1 - fields
         # Every field's sum v has |v| <= sum |a| p(K) < half, so with half added
-        # to each field, v + half is that field's B-byte digit of acc.
-        acc = int.from_bytes(half.to_bytes(B, "big") * fields, "big")
+        # to each field, v + half is that field's B-byte digit of acc, and acc ^ bias,
+        # each field's top bit flipped, holds v in two's complement.
+        acc = bias = int.from_bytes(half.to_bytes(B, "big") * fields, "big")
         for f, a in classes[r]:
-            acc += a * (table >> 8 * B * (f + drop))
-        buf[i:i + fields * R:R] = _fields(acc, W, fields)
+            # a = +-1, most theta terms, adds or subtracts the row with no multiply
+            row = table >> 8 * B * (f + drop)
+            acc = acc + row if a == 1 else acc - row if a == -1 else acc + a * row
+        buf[i:i + fields * R:R] = _fields(acc ^ bias, W, fields)
     grid = chain.from_iterable(zip(*(range(base * D + r, end * D, D) for r in residues)))
     return GenSeries._on_lattice(tuple(compress(grid, buf)), tuple(filter(None, buf)),
                                  D, theta._C, theta.cutoff, Backend.EXACT)
@@ -764,14 +775,15 @@ def _odd_product_squared(length: int) -> list[int]:
     completed = _euler_kernel(pentagonal_series(max(length, 1)), 2)
     odd = list(map(dict(zip(completed._n, completed._a)).get, range(length), repeat(0)))
     # |s_j| <= sum_i |o_i| |o_{j-i}| <= sum_i P_i P_{length-1-i} < half, where
-    # P_i = max |o_0| .. |o_i|, so no field of x^2 plus the bias borrows
+    # P_i = max |o_0| .. |o_i|, so no field of x^2 plus the bias borrows, and the
+    # bias XORed off again leaves each s_j in two's complement
     P = list(accumulate(map(abs, odd), max))
     W = sum(map(mul, P, reversed(P))).bit_length() // 64 + 1
     B, half = 8 * W, 1 << 64 * W - 1
     bias = int.from_bytes(half.to_bytes(B, "little") * length, "little")
     x = int.from_bytes(b"".join(map(int.to_bytes, map(add, odd, repeat(half)), repeat(B),
                                     repeat("little"))), "little") - bias
-    return list(_fields((x * x + bias) & ((1 << 8 * B * length) - 1), W, length))[::-1]
+    return list(_fields(((x * x + bias) & ((1 << 8 * B * length) - 1)) ^ bias, W, length))[::-1]
 
 
 def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:

@@ -111,6 +111,24 @@ ERROR_PATHS = [
     ("float eval_at overflows the sum",
      lambda: GenSeries.from_terms([(0.0, 1e308), (1.0, 1e308)], 10.0, Backend.FLOAT).eval_at(0.99),
      DomainError, "value at q=0.99 is not finite in double precision"),
+    ("float lookup at a NaN exponent",
+     lambda: qseries.euler_inverse(8, Backend.FLOAT).coefficient(math.nan),
+     DomainError, "exponent must be finite, got nan"),
+    ("float lookup at an inf exponent",
+     lambda: qseries.euler_inverse(8, Backend.FLOAT).coefficient(math.inf),
+     DomainError, "exponent must be finite, got inf"),
+    ("float lookup at a -inf exponent",
+     lambda: qseries.euler_inverse(8, Backend.FLOAT).coefficient(-math.inf),
+     DomainError, "exponent must be finite, got -inf"),
+    ("float lookup past the largest double",
+     lambda: qseries.euler_inverse(8, Backend.FLOAT).coefficient(10**400),
+     DomainError, "exponent is too large for a float"),
+    ("eval_at of None", lambda: qseries.euler_inverse(8).eval_at(None),
+     DomainError, "eval_at requires 0 < q < 1, got None"),
+    ("eval_at of a str that is no number", lambda: qseries.euler_inverse(8).eval_at("x"),
+     DomainError, "eval_at requires 0 < q < 1, got 'x'"),
+    ("eval_at of a list", lambda: qseries.euler_inverse(8, Backend.FLOAT).eval_at([0.5]),
+     DomainError, "eval_at requires 0 < q < 1, got \\[0.5\\]"),
     # the discriminant overflows; no support of ~1e154 sectors is built
     ("float support past the doubles",
      lambda: qseries._integer_support(1e300, 0.0, 0.0, 1e308, lambda k: 1e300 * k * k),
@@ -138,6 +156,12 @@ ERROR_PATHS = [
 def test_error_path(call, exc, fragment):
     with pytest.raises(exc, match=fragment):
         call()
+
+
+def test_eval_at_takes_q_as_float_does():
+    """A q that float() reads, such as the str "0.5", is that float."""
+    series = qseries.euler_inverse(8)
+    assert series.eval_at("0.5") == series.eval_at(0.5)
 
 
 def test_empty_decomposition_serialises_without_a_model():

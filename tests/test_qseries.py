@@ -2,6 +2,7 @@
 
 import contextlib
 import gzip
+import itertools
 import json
 import math
 import os
@@ -433,12 +434,21 @@ def residue_slots(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_slots() | residue_slots())
-@example(([(0, 127)], 1, 1, F(2), 1))          # sum |a| p(K) = 2^7 - 1: one byte
-@example(([(0, -128)], 1, 1, F(2), 1))         # 2^7: two bytes
-@example(([(0, 4681)], 1, 1, F(6), 1))         # 4681 p(5) = 2^15 - 1 at slot 5
-@example(([(0, -16384)], 1, 1, F(3), 1))       # -16384 p(2) = -2^15 at slot 2
-@example(([(0, 1 - 2**199)], 1, 1, F(2), 1))   # 2^199 - 1: 25 bytes
-@example(([(0, 2**199)], 1, 1, F(2), 1))       # 2^199: 26 bytes
+@example(([(0, 127)], 1, 1, F(2), 1))          # sum |a| p(K) = 2^7 - 1: one word
+@example(([(0, -128)], 1, 1, F(2), 1))         # 2^7: one word
+@example(([(0, 4681)], 1, 1, F(6), 1))         # 4681 p(5) = 2^15 - 1 at slot 5: one word
+@example(([(0, -16384)], 1, 1, F(3), 1))       # -16384 p(2) = -2^15 at slot 2: one word
+@example(([(0, 1 - 2**199)], 1, 1, F(2), 1))   # 2^199 - 1: four words
+@example(([(0, 2**199)], 1, 1, F(2), 1))       # 2^199: four words
+@example(([(0, 2**63 - 1)], 1, 1, F(2), 1))    # 2^63 - 1: one word, its top bit used
+@example(([(0, 1 - 2**63)], 1, 1, F(2), 1))    # -(2^63 - 1): one word, its top bit used
+@example(([(0, 2**63)], 1, 1, F(2), 1))        # 2^63: two words
+@example(([(0, 2**127 - 1)], 1, 1, F(2), 1))   # 2^127 - 1: two words
+@example(([(0, 1 - 2**127)], 1, 1, F(2), 1))   # -(2^127 - 1): two words
+# +-1 terms only, added and subtracted with no multiply, in two residues: 4 p(K) at
+# K = 799 (step 1) and 399 (step 2) lies in [2^63, 2^127), so fields of two words
+@example(([(0, 1), (1, -1), (2, -1), (5, 1)], 2, 1, F(800), 1))
+@example(([(0, 1), (1, -1), (2, -1), (5, 1)], 2, 1, F(800), 2))
 @example(([(2, 5), (0, 3), (2, -5), (0, -3)], 1, 1, F(9), 2))  # theta cancels to zero
 @example(([], 5, 1, F(7, 2), 1))                                    # empty theta
 @example(([(3, -1)], 5, 1, F(4), 1))                                # one slot
@@ -454,6 +464,19 @@ def test_packed_euler_kernel_matches_the_row_oracle(case):
     want = oracle.euler_rows(slots, D, C, cutoff, step)
     assert got == want and hash(got) == hash(want)
     assert repr(got.terms) == repr(want.terms)
+
+
+@pytest.mark.parametrize("W", [1, 2, 3])
+def test_fields_reads_each_field_in_twos_complement(W):
+    """Fields v at the edges -(half - 1), -1, 0, 1 and half - 1, in every order,
+    packed as bias + sum v_j 2^(64 W j) with half in every field of the bias and
+    XORed with it: `_fields` returns each v, high field first."""
+    half = 1 << 64 * W - 1
+    edges = [-(half - 1), -1, 0, 1, half - 1]
+    bias = sum(half << 64 * W * j for j in range(len(edges)))
+    for vs in itertools.permutations(edges):
+        acc = bias + sum(v << 64 * W * j for j, v in enumerate(vs))
+        assert list(qseries._fields(acc ^ bias, W, len(vs))) == list(vs[::-1])
 
 
 # -- the cached packed partition table ------------------------------------------
