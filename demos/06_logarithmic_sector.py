@@ -17,8 +17,7 @@ from loopgas import (
     log_partition_exact_core,
     params_from_n,
     partition_direct,
-    saw_loop_dense,
-    saw_loop_dilute,
+    saw_loop_derivative_series,
 )
 
 for phase in ("dilute", "dense"):
@@ -28,7 +27,7 @@ for phase in ("dilute", "dense"):
     print(f"  chain-rule scale: {log_chain_scale(phase):+.10f}  (= -+1/pi)")
     print(f"  c'(0) = {central_charge_slope_at_zero(phase):.10f}")
 
-    z1 = saw_loop_dilute(64) if phase == "dilute" else saw_loop_dense(64)[0]
+    z1 = saw_loop_derivative_series(phase, 64)
     z0 = partition_direct(params_from_n(0.0, phase), cutoff=64)
     logs = log_partition(phase, 64)
     cp = central_charge_slope_at_zero(phase)

@@ -11,10 +11,11 @@ c = 1 - 6 (p'-p)^2 / (p p'), the irreducible character of the Kac field
 whose leading exponent is h_{r,s} - c/24 with
 h_{r,s} = ((p' r - p s)^2 - (p'-p)^2)/(4 p p').
 
-`decompose` peels a partition function into a non-negative combination of
-characters by ascending leading exponent; with exact-rational series the
-peel-off is unambiguous and a nonzero remainder is a hard error; it reads the
-coefficients c_i off the numerators theta_i and completes sum c_i theta_i once.
+`decompose` peels a partition function into a combination of characters by
+ascending leading exponent, one peel-off for both backends: it reads the
+coefficients c_i, as exact Fractions, off the numerators theta_i and completes
+sum c_i theta_i once, rounded first where Z is floating, as Z's own theta is.
+A nonzero remainder below the cutoff is a hard error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .qseries import (
     Backend,
     GenSeries,
     _as_cutoff,
+    _coerce,
     _euler_kernel,
     _integer_support,
     _partition_numbers,
@@ -115,8 +117,9 @@ def decompose(
 ) -> dict[CharacterSpec, object]:
     """Express Z as a combination of basis characters by greedy peel-off.
 
-    Returns {spec: coefficient}; raises DecompositionError (carrying the
-    residual series) if a nonzero remainder survives below the cutoff."""
+    Returns {spec: coefficient}, each in Z's number type; raises
+    DecompositionError (carrying the residual series) if a nonzero
+    remainder survives below the cutoff."""
     if not basis:
         raise DomainError("empty character basis")
     leadings = [spec.leading_exponent for spec in basis]
@@ -125,44 +128,36 @@ def decompose(
     order = sorted(range(len(basis)), key=leadings.__getitem__)
 
     eff = Z.cutoff if cutoff is None else min(Z.cutoff, _as_cutoff(cutoff, Z.backend))
-    coeffs: dict[CharacterSpec, object] = {}
-    if Z.backend is Backend.FLOAT:
-        chars = [(i, rocha_caridi(basis[i], eff, Z.backend)) for i in order]
-        remainder = Z.truncate(eff)
-        for i, ch in chars:
-            coeffs[basis[i]] = coeff = remainder.coefficient(leadings[i])
-            if coeff != 0:
-                remainder = remainder - ch * coeff
-    else:
-        # A character is its numerator theta over the one Euler product, so at
-        # slot H of the lattice (1/D)Z it is sum a p((H - n)/D) over theta's
-        # slots n <= H on H's residue mod D.  The greedy coefficient at a
-        # character's first slot is Z's there less what the characters before
-        # it put there; then Z must be sum c_i theta_i completed once.
-        thetas = [_character_theta(basis[i], eff, leadings[i]) for i in order]
-        D = math.lcm(*(theta._D for theta in thetas))
-        rows = {basis[i]: theta._slots(D, 1) for i, theta in zip(order, thetas)}
-        p = _partition_numbers(math.floor(eff - leadings[order[0]]))
-        for i, (spec, ((H, _), *_)) in zip(order, rows.items()):
-            coeffs[spec] = Z.coefficient(leadings[i]) - sum(
-                c * sum(a * p[(H - n) // D] for n, a in rows[prior]
-                        if n <= H and (H - n) % D == 0)
-                for prior, c in coeffs.items())
-        C = math.lcm(*(c.denominator for c in coeffs.values()))
-        total = _euler_kernel(_slot_series([(n, a * c.numerator * (C // c.denominator))
-                                            for spec, c in coeffs.items()
-                                            for n, a in rows[spec]], D, C, eff))
-        remainder = Z.truncate(eff)
-        if total == remainder:
-            return coeffs
+    # A character is its numerator theta over the one Euler product, so at
+    # slot H of the lattice (1/D)Z it is sum a p((H - n)/D) over theta's
+    # slots n <= H on H's residue mod D.  The greedy coefficient at a
+    # character's first slot is Z's there less what the characters before
+    # it put there, an exact Fraction in either backend; then Z must be
+    # sum c_i theta_i completed once, by the rule Z's own theta follows.
+    thetas = [_character_theta(basis[i], eff, leadings[i]) for i in order]
+    D = math.lcm(*(theta._D for theta in thetas))
+    rows = {basis[i]: theta._slots(D, 1) for i, theta in zip(order, thetas)}
+    p = _partition_numbers(math.floor(eff - leadings[order[0]]))
+    coeffs: dict[CharacterSpec, Fraction] = {}
+    for i, (spec, ((H, _), *_)) in zip(order, rows.items()):
+        coeffs[spec] = Fraction(Z.coefficient(leadings[i])) - sum(
+            c * sum(a * p[(H - n) // D] for n, a in rows[prior]
+                    if n <= H and (H - n) % D == 0)
+            for prior, c in coeffs.items())
+    C = math.lcm(*(c.denominator for c in coeffs.values()))
+    theta = _slot_series([(n, a * c.numerator * (C // c.denominator))
+                          for spec, c in coeffs.items() for n, a in rows[spec]], D, C, eff)
+    total = _euler_kernel(theta if Z.backend is Backend.EXACT else theta._rounded())
+    remainder = Z.truncate(eff)
+    if total != remainder:
         remainder = remainder - total
-    if not remainder.is_zero:
-        raise DecompositionError(
-            f"decomposition leaves a nonzero remainder with leading term "
-            f"{remainder.terms[0]}",
-            residual=remainder,
-        )
-    return coeffs
+        if not remainder.is_zero:
+            raise DecompositionError(
+                f"decomposition leaves a nonzero remainder with leading term "
+                f"{remainder.terms[0]}",
+                residual=remainder,
+            )
+    return {spec: _coerce(c, Z.backend, "coefficient") for spec, c in coeffs.items()}
 
 
 def decomposition_to_json(coeffs: dict[CharacterSpec, object]) -> dict:

@@ -227,11 +227,7 @@ def _saw_rows(args):
         raise DomainError("saw sweep requires --phase")
     from . import observables
 
-    series = (
-        observables.saw_loop_dilute(args.order)
-        if args.phase == "dilute"
-        else observables.saw_loop_dense(args.order)[0]
-    )
+    series = observables.saw_loop_derivative_series(args.phase, args.order)
     crossed = getattr(args, "crossed", False)
 
     def row(x: float) -> dict:

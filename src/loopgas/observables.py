@@ -19,8 +19,8 @@ function at n = 0:
                             sum_k ( q^{2k^2 - 1/8} - q^{2k^2 - 2k + 3/8} )
                           = q^{-1/24} prod_{m>=1} (1 - q^{m-1/2})^2,
 
-the last equality being a Jacobi-triple-product instance that is verified
-term by term on construction.
+the last equality being a Jacobi-triple-product instance that
+saw_loop_dense verifies term by term.
 
 The n -> 0 limit is logarithmic: d/dn of the full partition function at
 n = 0 splits into the wrapping term Z1, a -(c'(0)/24) ln(q) Z(0) piece, and
@@ -41,12 +41,14 @@ for p <= -2.  An observable only picks the coupling and the weight table w_p
 for p >= 0 (d_p as in `loopgas.params`):
 
     crossing_probability (n = 1 dense): d_p at n' = 0, i.e. cos(p pi/2)
-    saw_loop_dilute, saw_loop_dense, saw_loop_derivative_series (n = 0):
-        d/dn' d_p at n' = 0, i.e. (-1)^k (k+1) at p = 2k+1 and 0 at even p
+    saw_loop_derivative_series (n = 0, either phase): d/dn' d_p at n' = 0,
+        i.e. (-1)^k (k+1) at p = 2k+1 and 0 at even p
     log_partition_exact_core (n = 0): p(p+2)/8 d_p at n' = 0, which is
         dh/dg d_p / 2; regrouped=True is the null-pair form
 
-The hand-written alternating sums live in the test suite as an oracle.
+Z1 has that one builder: saw_loop_dilute is its dilute phase, and
+saw_loop_dense pairs its dense phase with the Jacobi product.  The
+hand-written alternating sums live in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -112,19 +114,20 @@ def wrap_count_generating(
     )
 
 
-def saw_loop_dilute(cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:
-    """Single wrapping self-avoiding loop, dilute point (g = 3/2); ~ q^{5/8}."""
-    return _flux_series(_N0[Phase.DILUTE], _d_slope_at_zero, cutoff, backend)
-
-
 def saw_loop_derivative_series(
     phase, cutoff=64, backend: Backend = Backend.EXACT
 ) -> GenSeries:
-    """Termwise d/dn' of the n = 0 partition function at n' = 0.
+    """Single wrapping self-avoiding loop Z1 = termwise d/dn' of the n = 0
+    partition function at n' = 0, in either phase.
 
     d/dn' [sin((p+1)chi')/sin chi'] at chi' = -+pi/2 equals
     -(p+1) cos((p+1) pi/2) / 2 on both branches, so only odd p contribute."""
     return _flux_series(_N0[as_phase(phase)], _d_slope_at_zero, cutoff, backend)
+
+
+def saw_loop_dilute(cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:
+    """Single wrapping self-avoiding loop, dilute point (g = 3/2); ~ q^{5/8}."""
+    return saw_loop_derivative_series(Phase.DILUTE, cutoff, backend)
 
 
 def saw_loop_dense(
@@ -139,7 +142,7 @@ def saw_loop_dense(
     prod(1 - t^{2r}): Euler's pentagonal series, completed by the step-2 Euler
     kernel, then squared once.  The floating backend converts each term once."""
     _as_cutoff(cutoff, backend)
-    series = _flux_series(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, Backend.EXACT)
+    series = saw_loop_derivative_series(Phase.DENSE, cutoff, Backend.EXACT)
 
     length = max(0, math.ceil(2 * series.cutoff + Fraction(1, 12)))
     coeffs = _odd_product_squared(length)

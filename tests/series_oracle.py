@@ -14,12 +14,15 @@ checked.  `euler_float_rows` is the floating Euler completion as one row per
 theta term, merged by one stable sort and the floating merge rule, against
 which the package's completion by exponent class is checked bit for bit.
 `eval_sequential` is evaluation as one Python loop over the terms, against
-which `GenSeries.eval_at` is checked bit for bit.  `saw_dense_closed` expands
-the Jacobi product of the dense wrapping loop one factor at a time, against
-which the package's pentagonal series, Euler-completed and squared once, is
-checked.  `quadratic_support` finds the k with a convex quadratic below a
-cutoff by walking out from its vertex, against which the package's one
-closed-form support finder is checked in both backends.  Exact backend, but
+which `GenSeries.eval_at` is checked bit for bit.  `_expand_product` multiplies
+out a product of factors (1 - t^s) one factor at a time.  Through
+`euler_product_expanded`, prod(1-q^r), it checks the package's
+`pentagonal_series`, which `euler_product` returns; through
+`saw_dense_closed`, the Jacobi product of the dense wrapping loop, it checks
+the package's pentagonal series, Euler-completed and squared once.
+`quadratic_support` finds the k with a convex quadratic below a cutoff by
+walking out from its vertex, against which the package's one closed-form
+support finder is checked in both backends.  Exact backend, but
 for `euler_float_rows`, `eval_sequential` and `quadratic_support`.
 """
 import math
@@ -29,7 +32,7 @@ from itertools import chain, compress
 from operator import itemgetter
 
 from loopgas import Backend, GenSeries, euler_inverse, rocha_caridi
-from loopgas.qseries import _expand_product, _float_terms, _partition_numbers
+from loopgas.qseries import _float_terms, _partition_numbers
 
 
 def _series(terms, cutoff):
@@ -100,6 +103,23 @@ def log_core(phase, cutoff, regrouped):
         return [(quad(k, a), k * (2 * k + 1)), (quad(k, c), -k * (2 * k - 1))]
 
     return _series(terms, cutoff)
+
+
+def _expand_product(steps, length):
+    """Coefficients of t^0 .. t^{length-1} in prod_{s in steps}(1 - t^s).
+
+    One pass a[i] -= a[i-s] per factor, all i at once from the old values."""
+    a = [int(i == 0) for i in range(length)]
+    for s in steps:
+        a[s:] = [x - y for x, y in zip(a[s:], a)]
+    return a
+
+
+def euler_product_expanded(cutoff):
+    """prod_{r>=1}(1 - q^r) below `cutoff`, one factor at a time."""
+    cutoff = F(cutoff)
+    length = math.ceil(cutoff)
+    return normalised(enumerate(_expand_product(range(1, length), length)), cutoff)
 
 
 def saw_dense_closed(cutoff):

@@ -279,6 +279,29 @@ class TestDecompose:
         assert out == dict(zip(basis, (1.0, 2.0, 1.0)))
         assert all(type(c) is float for c in out.values())
 
+    @pytest.mark.parametrize("order", [40, 400, 1024])
+    @pytest.mark.parametrize("model", ["ising", "potts even"])
+    def test_float_decompose_adds_no_series(self, monkeypatch, model, order):
+        """Float decompose reads the coefficients off the numerators, as exact
+        decompose does, and completes sum c_i theta_i rounded once, the rule
+        the floating Z's own theta follows: the completion is Z bit for bit,
+        so no rounding residue is left at any order and no series is added."""
+        if model == "ising":
+            Z = partition_direct(params_from_n(1.0, "dilute"), None, order, Backend.FLOAT)
+            basis, mults = [CharacterSpec(3, 4, 1, 1), CharacterSpec(3, 4, 1, 3)], (1, 1)
+        else:
+            Z = partition_direct_parity(params_from_n(math.sqrt(3.0), "dense"), None, order,
+                                        "even", Backend.FLOAT)
+            basis, mults = [CharacterSpec(5, 6, 1, s) for s in (1, 3, 5)], (1, 2, 1)
+
+        def refuse(*args):
+            raise AssertionError("float decompose added two series")
+
+        monkeypatch.setattr(GenSeries, "__add__", refuse)
+        out = decompose(Z, basis)
+        assert out == dict(zip(basis, mults))
+        assert all(type(c) is float for c in out.values())
+
 
 # -- the lattice peel-off against series arithmetic ----------------------------
 

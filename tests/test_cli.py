@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import loopgas
-from loopgas import CharacterSpec, GenSeries, annulus, cli, decompose
+from loopgas import CharacterSpec, GenSeries, annulus, cli, decompose, observables
 from loopgas.cli import main
 
 
@@ -309,6 +309,21 @@ class TestSweep:
             capsys, "sweep", "--target", "saw", "--values", "0.1",
         )
         assert code == 3 and "phase" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("saw", "--phase", "dense", "--q", "0.5"),
+        ("sweep", "--target", "saw", "--phase", "dense", "--values", "0.1,0.5"),
+    ], ids=["saw", "sweep"])
+    def test_dense_saw_builds_only_the_derivative_series(self, capsys, monkeypatch, argv):
+        """Both phases' saw rows come from saw_loop_derivative_series alone:
+        the dense phase's Jacobi product side is not built."""
+        want = run(capsys, *argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the saw rows built saw_loop_dense")
+
+        monkeypatch.setattr(observables, "saw_loop_dense", refuse)
+        assert run(capsys, *argv) == want and want[0] == 0
 
 
 class TestOutputHandling:

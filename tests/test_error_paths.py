@@ -150,6 +150,32 @@ ERROR_PATHS = [
      DomainError, "tau_imag=1e\\+300 rounds q or qtilde"),
 ]
 
+# Both backends take only int, float and Fraction, and refuse anything else,
+# a str that float() would read included, with a DomainError naming its type.
+NOT_NUMBERS = [
+    ("lookup at a str", lambda b: qseries.euler_inverse(8, b).coefficient("x"),
+     "unsupported exponent type str"),
+    ("from_terms of a str exponent", lambda b: GenSeries.from_terms([("x", 1.0)], 4, b),
+     "unsupported exponent type str"),
+    ("scalar str", lambda b: qseries.euler_inverse(8, b) * "x",
+     "unsupported scalar type str"),
+    ("shift by None", lambda b: qseries.euler_inverse(8, b).shift(None),
+     "unsupported shift type NoneType"),
+    ("dilate by a str", lambda b: qseries.euler_inverse(8, b).dilate("x"),
+     "unsupported dilate factor type str"),
+    ("truncate at a str", lambda b: qseries.euler_inverse(8, b).truncate("x"),
+     "unsupported cutoff type str"),
+    ("euler_inverse at a str", lambda b: qseries.euler_inverse("x", b),
+     "unsupported cutoff type str"),
+    ("euler_inverse at None", lambda b: qseries.euler_inverse(None, b),
+     "unsupported cutoff type NoneType"),
+    ("euler_inverse at a numeric str", lambda b: qseries.euler_inverse("8", b),
+     "unsupported cutoff type str"),
+]
+ERROR_PATHS += [(f"{backend.name.lower()} {name}", lambda call=call, b=backend: call(b),
+                 DomainError, fragment)
+                for name, call, fragment in NOT_NUMBERS for backend in Backend]
+
 
 @pytest.mark.parametrize("call,exc,fragment", [p[1:] for p in ERROR_PATHS],
                          ids=[p[0] for p in ERROR_PATHS])
