@@ -47,8 +47,10 @@ from .qseries import (
     Backend,
     GenSeries,
     _as_cutoff,
+    _euler_evaluator,
     _euler_kernel,
     _integer_support,
+    _number,
     _slot_series,
 )
 
@@ -296,6 +298,20 @@ def _crossed_table(params: CGParams, w: WrapWeight):
     return u, 0 if at_zero else -0.5, weight
 
 
+def _crossed_theta(params: CGParams, w: WrapWeight, cutoff) -> GenSeries:
+    """The crossed channel's theta in qtilde, including qtilde^{-c/12}: the sum
+    that `partition_crossed` completes by the step-2 Euler kernel."""
+    u, vertex, weight = _crossed_table(params, w)
+    cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
+    f = lambda m: -params.c / 12.0 + _crossed_gap(params, u(m))
+    a = 2.0 / params.g
+    pairs = [(f(m), c) for m in _integer_support(a, -2.0 * a * vertex, f(0), cutoff_f, f)
+             if (c := weight(m)) is not None]
+    if not pairs:
+        raise DomainError("cutoff excludes the leading crossed-channel term")
+    return GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT)
+
+
 def partition_crossed(
     params: CGParams, w: Optional[WrapWeight] = None, cutoff=64
 ) -> GenSeries:
@@ -306,15 +322,7 @@ def partition_crossed(
     m = 0 coefficient is the boundary-entropy factor b_0^2."""
     if w is None:
         w = default_wrap(params)
-    u, vertex, weight = _crossed_table(params, w)
-    cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
-    f = lambda m: -params.c / 12.0 + _crossed_gap(params, u(m))
-    a = 2.0 / params.g
-    pairs = [(f(m), c) for m in _integer_support(a, -2.0 * a * vertex, f(0), cutoff_f, f)
-             if (c := weight(m)) is not None]
-    if not pairs:
-        raise DomainError("cutoff excludes the leading crossed-channel term")
-    return _euler_kernel(GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT), 2)
+    return _euler_kernel(_crossed_theta(params, w, cutoff), 2)
 
 
 def duality_check(
@@ -327,31 +335,36 @@ def duality_check(
     """Evaluate both channels at aspect ratio l/L and return the residual.
 
     Agreement validates the whole Poisson-resummation derivation; disagreement
-    beyond tolerance would mean an inconsistent pair of series."""
+    beyond tolerance would mean an inconsistent pair of series.  The values
+    and tails are eval_at's of the full series, bit for bit, though a
+    floating channel is built only as far as its sum reads."""
     return _duality_evaluator(params, w, cutoff, tol)(ratio)
 
 
 def _duality_evaluator(params: CGParams, w: Optional[WrapWeight], cutoff, tol: float):
-    """ratio -> ChannelEval for one model.  Both channels are built once, at
-    the first ratio that passes the range check, and reused for the rest."""
-    if not tol > 0:
+    """ratio -> ChannelEval for one model.  Both channels are set up once, at
+    the first ratio that passes the range check: an exact direct channel in
+    full, a floating one and the crossed one as `qseries._euler_evaluator`,
+    which builds each column once, and only those that a sum reaches."""
+    if not _number(tol, "tol") > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if w is None:
         w = default_wrap(params)
     channels = []
 
     def evaluate(ratio: float) -> ChannelEval:
-        if not (0.2 <= ratio <= 5.0):
+        if not (0.2 <= _number(ratio, "ratio") <= 5.0):
             raise DomainError("ratio must lie in [0.2, 5] for both channels to converge")
-        if not channels:
-            backend = Backend.EXACT if _exact_ok(params, w) else Backend.FLOAT
-            channels.extend([partition_direct(params, w, cutoff, backend),
-                             partition_crossed(params, w, cutoff)])
+        if not channels:  # the direct channel first, then the crossed one
+            channels[:] = (
+                partition_direct(params, w, cutoff, Backend.EXACT).eval_at if _exact_ok(params, w)
+                else _euler_evaluator(flux_sum(params, w, cutoff, None, Backend.FLOAT)),
+                _euler_evaluator(_crossed_theta(params, w, cutoff), 2))
         direct, crossed = channels
         q = math.exp(-math.pi * ratio)
         qt = math.exp(-2.0 * math.pi / ratio)
-        dv, dt = direct.eval_at(q)
-        cv, ct = crossed.eval_at(qt)
+        dv, dt = direct(q)
+        cv, ct = crossed(qt)
         if dt > tol or ct > tol:
             raise TailBoundError(
                 f"tail bounds ({dt:.2e}, {ct:.2e}) exceed {tol:.1e} at order "

@@ -29,6 +29,7 @@ from numbers import Real
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, RegulatorFitError
+from .qseries import _as_float, _number
 
 
 class _Coupling(NamedTuple):
@@ -67,7 +68,7 @@ def _check_width(L: float) -> None:
 
 def e0_zeta(L: float) -> float:
     """Zeta-regularized free ground-state energy -pi/(24 L)."""
-    _check_width(L)
+    _check_width(_number(L, "strip width L"))
     return -math.pi / (24.0 * L)
 
 
@@ -85,13 +86,13 @@ def e1_cutoff(
     E1(eps) = A/eps + B + C eps over the given eps values.  The finite part B
     must reproduce e1_zeta; A is the non-universal divergence
     -(pi/gL)[(alpha1-alpha2)^2 + (alpha1+alpha2)^2]."""
-    if not fit_tol > 0:
+    if not _number(fit_tol, "fit_tol") > 0:
         raise DomainError(f"fit_tol must be positive, got {fit_tol!r}")
     # imported here so that importing loopgas does not load numpy; lstsq
     # (not an exact 3x3 solve) fixes the rounding of the recorded outputs
     import numpy as np
 
-    eps = [float(e) for e in epsilon_list]
+    eps = [_as_float(e, "epsilon") for e in epsilon_list]
     if len(eps) < 3 or len(set(eps)) != len(eps):
         raise DomainError("need at least 3 distinct epsilon values")
     if any(not (0.0 < e <= 0.1) for e in eps):

@@ -44,15 +44,17 @@ the partition table shifted to its field (a = +-1 with no multiply), and XOR
 with the start flips each field's top bit, leaving its sum in two's complement
 to be read by one `struct.unpack`; the packed table is cached per
 width and step.  Floating exponents have no lattice: each theta term adds one
-row over the ladder k step and the floats p(k), both cached per step.  Rows are
-grouped by exponent mod step: at generic coupling a class is one term or a pair
-of null partners, summed column by column and written straight into every R-th
-slot from r of one column-major buffer, in exponent order, unchecked for
-finiteness where M = 2 max|a| p(K) is finite, and M >= every |coefficient| is
-handed on to `eval_at`.  Any other class sends all rows to one stable sort and
-`_float_terms`.  Both are the Cauchy product bit for bit.  Every other series,
-exact kernel outputs included, finds M on its first evaluation.  No builder
-multiplies two series.
+row over the ladder k step and the floats p(k), both cached per step.  One
+set-up groups rows by exponent mod step: at generic coupling a class is one
+term or a pair of null partners, and where M = 2 max|a| p(K) is finite one
+fill writes any window of columns, summed column by column, straight into every
+R-th slot from r of one column-major buffer, in exponent order, unchecked for
+finiteness.  The kernel fills every column and hands M >= every |coefficient|
+on to `eval_at`; `_euler_evaluator` fills only the columns that eval_at's sum
+reads.  Any other class sends all rows to one stable sort and `_float_terms`.
+Both are the Cauchy product bit for bit.  Every other series, exact kernel
+outputs included, finds M on its first evaluation.  No builder multiplies two
+series.
 """
 
 from __future__ import annotations
@@ -158,10 +160,10 @@ def _float_terms(pairs, cutoff: float) -> "GenSeries":
 def _float_series(es, cs, cutoff: float, M=None) -> "GenSeries":
     """The floating series of merged, increasing exponents es and coefficients
     cs; a coefficient that is not finite is a DomainError, checked one by one
-    unless M, the float kernel's majorant of every |coefficient|, is finite, in
-    which case the series keeps M for `eval_at`."""
+    unless the float kernel hands on M, its finite majorant of every
+    |coefficient|, which the series keeps for `eval_at`."""
     cs = tuple(cs)
-    if not (M is not None and M < math.inf or all(map(math.isfinite, cs))):
+    if M is None and not all(map(math.isfinite, cs)):
         raise DomainError("a merged floating coefficient is not finite")
     return GenSeries._on_lattice(tuple(es), cs, 1, 1, cutoff, Backend.FLOAT, M)
 
@@ -193,6 +195,42 @@ def _ratio_text(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0, without building the Fraction."""
     g = math.gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _settled(value: float, M, e, lnq: float):
+    """Whether no term at exponent e or above, |coefficient| <= M, moves a
+    nonzero sum `value` by a bit: `eval_at`'s stop rule."""
+    return value and M * math.exp(e * lnq) * (1.0 + 2.0 ** -50) < math.ulp(value) / 4
+
+
+def _partial_sum(value: float, n, a, D: int, C: int, lnq: float, M) -> float:
+    """`eval_at`'s sum: value plus a/C q^{n/D} over ascending n, left to right,
+    stopped before a block of 64 terms whose first term is `_settled`."""
+    # A loop, left to right: sum compensates from Python 3.12; reduce is slower.
+    # n/D and a/C are correctly rounded, as float(Fraction(n, D)) is, and exact
+    # at D = C = 1.  The factor covers the roundings of M and of the terms; an
+    # infinite sum stops too, and is refused by `_evaluated` all the same.
+    exp = math.exp
+    for i in range(0, len(n), 64):
+        if _settled(value, M, n[i] / D, lnq):
+            break
+        for x, y in zip(n[i:i + 64], a[i:i + 64]):
+            value += y / C * exp(x / D * lnq)
+    return value
+
+
+def _evaluated(value: float, q: float, lnq: float, last, C: int, cutoff) -> tuple[float, float]:
+    """`eval_at`'s (value, tail bound) from its sum and last coefficient last/C."""
+    if not math.isfinite(value):
+        raise DomainError(f"the series' value at q={q!r} is not finite in double precision")
+    a, x = abs(last), float(cutoff) * lnq
+    try:
+        tail = 4.0 * (a / C) * math.exp(x) / (1.0 - q)
+        # 4 |last| overflows or q^cutoff underflows: the bound through logarithms
+        return value, tail if math.isfinite(tail) else math.exp(
+            math.log(4.0) + math.log(a) - math.log(C) + x - math.log(1.0 - q))
+    except OverflowError:  # exp(x) overflows only for a zero series; so does its bound
+        return value, math.inf
 
 
 class GenSeries:
@@ -450,19 +488,16 @@ class GenSeries:
     def eval_at(self, q: float) -> tuple[float, float]:
         """Evaluate at 0 < q < 1; returns (value, tail_bound).
 
-        The value adds a/C exp(n/D ln q) left to right from 0.0.  It stops
+        The value adds a/C exp(n/D ln q) left to right from 0.0, and stops
         before a block of 64 terms once M q^{n/D} (1 + 2^-50) < ulp(value)/4 at
-        the block's first n, for a float M >= max |a/C|: n ascends, so no later
-        term moves a nonzero sum by a bit, even at a binade edge.  M is max |a/C|
-        (1 + 2^-50), found on the first evaluation and kept (`_M`), except where
-        the float kernel's class path handed on its 2 max|a| p(K); it is no part
-        of the series' value, equality, hash or pickle.
-
-        The tail bound 4 |last coefficient| q^cutoff / (1-q) is a crude
-        geometric heuristic; the factor 4 absorbs the sub-exponential growth
-        of partition-type coefficients, which the bare geometric estimate
-        undercounts; it is taken through logarithms where 4 |last| or q^cutoff
-        leaves the doubles.  The value is only meaningful when it is small.
+        its first n, for a float M >= max |a/C|: n ascends, so no later term
+        moves a nonzero sum by a bit, even at a binade edge.  M is max |a/C|
+        (1 + 2^-50), found on the first evaluation and kept (`_M`), unless the
+        float kernel's class path handed on its 2 max|a| p(K); it is no part of
+        the series' value, equality, hash or pickle.  The tail bound
+        4 |last coefficient| q^cutoff / (1-q) is a crude geometric heuristic, 4
+        absorbing the sub-exponential growth of partition-type coefficients,
+        taken through logarithms where 4 |last| or q^cutoff leaves the doubles.
         """
         try:
             q = float(q)
@@ -473,34 +508,15 @@ class GenSeries:
                 f"eval_at requires 0 < q < 1, got {q!r}; near q=1 the series "
                 "diverges -- evaluate in the crossed channel instead"
             )
-        lnq, exp, D, C, value = math.log(q), math.exp, self._D, self._C, 0.0
+        lnq, D, C = math.log(q), self._D, self._C
         try:
             if self._M is None and len(self._n) > 64:
                 # an M past the doubles is an a/C that the full loop overflows on too
                 object.__setattr__(self, "_M", max(map(abs, self._a)) / C * (1.0 + 2.0 ** -50))
-            # A loop, left to right: sum compensates from Python 3.12; reduce is slower.
-            # n/D and a/C are correctly rounded, as float(Fraction(n, D)) is, and exact
-            # at D = C = 1.  The factor covers the roundings of M and of the terms; an
-            # infinite sum stops too, and is refused below all the same.
-            for i in range(0, len(self._n), 64):
-                if value and (self._M * exp(self._n[i] / D * lnq) * (1.0 + 2.0 ** -50)
-                              < math.ulp(value) / 4):
-                    break
-                for n, a in zip(self._n[i:i + 64], self._a[i:i + 64]):
-                    value += a / C * exp(n / D * lnq)
+            value = _partial_sum(0.0, self._n, self._a, D, C, lnq, self._M)
         except OverflowError:
             value = math.inf
-        if not math.isfinite(value):
-            raise DomainError(f"the series' value at q={q!r} is not finite in double precision")
-        a, x = abs(self._a[-1]) if self._a else C, float(self.cutoff) * lnq
-        try:
-            tail = 4.0 * (a / C) * exp(x) / (1.0 - q)
-            # 4 |last| overflows or q^cutoff underflows: the bound through logarithms
-            tail = tail if math.isfinite(tail) else exp(
-                math.log(4.0) + math.log(a) - math.log(C) + x - math.log(1.0 - q))
-        except OverflowError:  # exp(x) overflows only for a zero series; so does its bound
-            tail = math.inf
-        return value, tail
+        return _evaluated(value, q, lnq, self._a[-1] if self._a else C, C, self.cutoff)
 
     # -- serialization ---------------------------------------------------------
 
@@ -647,6 +663,133 @@ def _slot_series(slots, D: int, C: int, cutoff) -> GenSeries:
     return GenSeries._on_lattice(n, a, D, C, cutoff, Backend.EXACT)
 
 
+def _float_setup(theta: GenSeries, step):
+    """(top, b, p, rows, cols) of the floating `_euler_kernel`: the cutoff, the
+    ladder b_k = k step and floats p(k), each term's row (e, a, n) over k < n,
+    and the class path's (width, lo, R, M, fill), or None where it has none."""
+    low, tol = theta.min_exponent, FLOAT_EXPONENT_TOL
+    span = (theta.cutoff - low) / step
+    # b_k and p(k) for k < L = ceil(span), the k with k < span
+    L, (b, p) = math.ceil(span), _FLOAT_TABLES.get(step, ((), ()))
+    if len(b) < L:
+        b, p = _FLOAT_TABLES[step] = ([k * step for k in map(float, range(L))],
+                                      list(map(float, _partition_numbers(L - 1))))
+    # The Cauchy product's cutoff bit for bit (its + 0.0 turns a -0.0 cutoff
+    # into 0.0); each row stops where the rounded e + b first reaches it, found
+    # from ceil((top - e)/step) by compares.
+    top, rows, ceil = min(theta.cutoff + 0.0, span * step + low), [], math.ceil
+    for e, a in zip(theta._n, theta._a):
+        n = ceil((top - e) / step)
+        n = 0 if n < 0 else L if n > L else n
+        while n and e + b[n - 1] >= top:
+            n -= 1
+        while n < L and e + b[n] < top:
+            n += 1
+        rows.append((e, a, n))
+    # A class chains terms whose phases e mod step lie within 2 tol.  Below 2^16
+    # an ulp is far below tol, so rows of two classes stay more than tol apart:
+    # no merge group spans two classes, and in each column the classes' terms
+    # follow their phases.
+    phase = [e % step for e in theta._n]
+    order, phase = sorted(range(len(rows)), key=phase.__getitem__), sorted(phase)
+    cuts = [0, *compress(count(1), map((2 * tol).__le__, map(sub, phase[1:], phase))),
+            len(rows)]
+    classes = [sorted(order[i:j]) for i, j in zip(cuts, cuts[1:])]
+    # Rounding is monotone, so no product exceeds max|a| p(K) and no pair sum
+    # M = 2 max|a| p(K), rounded: M is a majorant as it stands.
+    lo, M = int(low // step), 2.0 * (max(map(abs, theta._a)) * p[L - 1])
+    if (max(abs(low), abs(top)) >= 2.0 ** 16 or phase[0] + step - phase[-1] < 2 * tol
+            or any(c[2:] for c in classes) or not M < math.inf):
+        return top, b, p, rows, None  # past 2^16, wrapping round 0, rational g, or M
+    plan = []
+    for i, *j in classes:
+        e, a, n = rows[i]
+        f, c, m, d = e, 0.0, 0, n  # a lone term: one row, e's
+        if j:
+            # Null partners: f's row lies d columns on, delta from e's exactly,
+            # and the pair is read column by column unless delta nears tol.
+            f, c, m = rows[j[0]]
+            d = int(f // step - e // step)
+            delta = math.fsum((f, -d * step, -e))
+            if abs(delta) >= tol / 2:
+                return top, b, p, rows, None
+        # Columns d .. t - 1 hold both rows, summed (the same in either order),
+        # and the longer row runs on alone.  Rounding is monotone: the row that
+        # leads each merge group at delta's sign ends no earlier than the other,
+        # and gives its exponent: f's from column d on where delta < 0.
+        plan.append((int(e // step) - lo, max(n, d + m), e, a, f, c, d, min(n, d + m),
+                     bool(j) and delta < 0))
+    R = len(plan)
+
+    def fill(k0: int, k1: int, r0: int = 0):
+        """The nonzero (exponents, coefficients) of columns k0 .. k1 - 1, classes
+        r0 on, in exponent order; tiles of 0 .. width - 1 join to the whole."""
+        # Class r of R fills every R-th slot from r of one column-major buffer, from
+        # the column of its first term on; 0.0 (dropped as a zero sum) where it has
+        # no term, so the slots are in exponent order.
+        ebuf, cbuf = [0.0] * ((k1 - k0) * R), [0.0] * ((k1 - k0) * R)
+        for r, (col, length, e, a, f, c, d, t, late) in enumerate(plan[r0:], r0):
+            j0, j1 = k0 - col if k0 > col else 0, k1 - col if k1 - col < length else length
+            if j0 >= j1:
+                continue
+            s = (col + j0 - k0) * R + r
+            if d >= j1:  # e's row alone
+                cs = [a * u for u in p[j0:j1]]
+            else:
+                x = d if d > j0 else j0
+                y = max(x, t if t < j1 else j1)
+                cs = ([a * u for u in p[j0:x]]
+                      + [a * u + c * v for u, v in zip(p[x:y], p[x - d:y - d])]
+                      + ([c * v for v in p[y - d:j1 - d]] if late else [a * u for u in p[y:j1]]))
+                if late:  # f's row gives the exponents from column d on
+                    ebuf[s + (x - j0) * R:s + (j1 - j0) * R:R] = [f + u for u in b[x - d:j1 - d]]
+                    j1 = x
+            ebuf[s:s + (j1 - j0) * R:R] = [e + u for u in b[j0:j1]]
+            cbuf[s:s + len(cs) * R:R] = cs
+        return compress(ebuf, cbuf), filter(None, cbuf)
+
+    return top, b, p, rows, (max(col + length for col, length, *_ in plan), lo, R, M, fill)
+
+
+def _euler_evaluator(theta: GenSeries, step=1):
+    """q -> `_euler_kernel(theta, step).eval_at(q)` for a nonzero floating theta
+    and 0 < q < 1, bit for bit, building only the columns that the sum reaches,
+    in windows that it keeps: with any majorant, any stop where `_settled`
+    holds gives the full loop's value."""
+    top, *_, cols = _float_setup(theta, step)
+    if cols:
+        width, lo, R, M, fill = cols
+        # |last| of the tail bound: the top column's highest nonzero slot, that of
+        # the last class in phase order that reaches it, or the next one down
+        last = next(filter(None, (tuple(fill(width - 1, width, r)[1])
+                                  for r in range(R - 1, -1, -1))), ())
+    if not (cols and last):  # no class path, or the top column's sums are all zero
+        return _euler_kernel(theta, step).eval_at
+    windows = []  # (end column, exponents, coefficients), from column 0 on
+    cap = math.log(M) + math.log(4.0 * (1.0 + 2.0 ** -50))  # ln of 4 M (1 + 2^-50)
+
+    def evaluate(q: float) -> tuple[float, float]:
+        lnq, value, k, i = math.log(q), 0.0, 0, 0
+        try:
+            # Rounding is monotone, so no exponent from column k on undercuts (k + lo)
+            # step, and none before it exceeds it: a window's own stop holds here too.
+            while k < width and not _settled(value, M, (k + lo) * step, lnq):
+                if i == len(windows):
+                    # About 64 terms first; then up to the column where the rule would
+                    # hold at this value, or one column on.
+                    k1 = k + -(-64 // R) if not windows or not math.isfinite(value) else max(
+                        k + 1, math.floor((math.log(math.ulp(value)) - cap) / lnq / step) - lo + 1)
+                    windows.append((min(k1, width), *map(tuple, fill(k, min(k1, width)))))
+                k, es, cs = windows[i]
+                value = _partial_sum(value, es, cs, 1, 1, lnq, M)
+                i += 1
+        except OverflowError:
+            value = math.inf
+        return _evaluated(value, q, lnq, last[-1], 1, top)
+
+    return evaluate
+
+
 def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1} below theta's cutoff, in its backend.
 
@@ -656,79 +799,21 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     p(k), packed one every step fields, shifted to n's field, one multiply-add
     (an add or subtract at a = +-1) over its residue's columns only.  Floating:
     each theta term (e, a) adds the row (e + k step, a p(k)) below the cutoff,
-    merged by classes of e mod step and read out of one buffer as below.  Either
+    merged by classes of e mod step and read out of one buffer by the fill of
+    `_float_setup` over every column.  Either
     way these are the float operations, in the order, of
     theta * euler_inverse(span/step).dilate(step): bit for bit."""
     if theta.is_zero:
         return theta
     if theta.backend is Backend.FLOAT:
-        low, tol = theta.min_exponent, FLOAT_EXPONENT_TOL
-        span = (theta.cutoff - low) / step
-        # b_k = float(k) step and float(p(k)) for k < L = ceil(span), the k with k < span
-        L, (b, p) = math.ceil(span), _FLOAT_TABLES.get(step, ((), ()))
-        if len(b) < L:
-            b, p = _FLOAT_TABLES[step] = ([k * step for k in map(float, range(L))],
-                                          list(map(float, _partition_numbers(L - 1))))
-        # The Cauchy product's cutoff bit for bit (its + 0.0 turns a -0.0 cutoff
-        # into 0.0); each row stops where the rounded e + b first reaches it.
-        top = min(theta.cutoff + 0.0, span * step + low)
-        rows = [(e, a, bisect_left(b, top, 0, L, key=e.__add__))
-                for e, a in zip(theta._n, theta._a)]
-        # A class chains terms whose phases e mod step lie within 2 tol.  Below 2^16
-        # an ulp is far below tol, so rows of two classes stay more than tol apart:
-        # no merge group spans two classes, and in each column the classes' terms
-        # follow their phases.
-        phase = [e % step for e in theta._n]
-        order, phase = sorted(range(len(rows)), key=phase.__getitem__), sorted(phase)
-        cuts = [0, *compress(count(1), map((2 * tol).__le__, map(sub, phase[1:], phase))),
-                len(rows)]
-        classes = [sorted(order[i:j]) for i, j in zip(cuts, cuts[1:])]
-        if (max(abs(low), abs(top)) >= 2.0 ** 16 or phase[0] + step - phase[-1] < 2 * tol
-                or any(c[2:] for c in classes)):
-            classes = []  # past 2^16, wrapping round 0, or three in a class (rational g)
-        if classes:
-            # Class r of R fills every R-th slot from r of one column-major buffer, from
-            # the column of its first term on; 0.0 (dropped as a zero sum) where it has
-            # no term, so the slots are in exponent order.
-            lo, R = int(low // step), len(classes)
-            size = R * (max(int(e // step) + n for e, _, n in rows) - lo)
-            ebuf, cbuf = [0.0] * size, [0.0] * size
-            for r, (i, *j) in enumerate(classes):
-                e, a, n = rows[i]
-                s = (int(e // step) - lo) * R + r
-                if j:
-                    # Null partners: f's row lies d columns on, delta from e's exactly,
-                    # and the pair is read column by column unless delta nears tol.
-                    f, c, m = rows[j[0]]
-                    d = int(f // step - e // step)
-                    delta = math.fsum((f, -d * step, -e))
-                    if abs(delta) >= tol / 2:
-                        break
-                    # Columns d .. t - 1 hold both rows, summed (the same in either
-                    # order), and the longer row runs on alone.  Rounding is monotone: the
-                    # row that leads each merge group at delta's sign ends no earlier than
-                    # the other, and gives its exponent.
-                    t = min(n, d + m)
-                    cs = ([a * x for x in p[:d]] + [a * x + c * y for x, y in zip(p[d:t], p)]
-                          + ([a * x for x in p[t:n]] if t < n else [c * y for y in p[t - d:m]]))
-                    if delta < 0:
-                        n = min(d, n)
-                        ebuf[s + d * R:s + (d + m) * R:R] = [f + x for x in b[:m]]
-                else:
-                    cs = [a * x for x in p[:n]]
-                ebuf[s:s + n * R:R] = [e + x for x in b[:n]]
-                cbuf[s:s + len(cs) * R:R] = cs
-            else:
-                # Rounding is monotone, so no product exceeds max|a| p(K) and no pair
-                # sum M = 2 max|a| p(K), rounded: M is a majorant as it stands.
-                return _float_series(compress(ebuf, cbuf), filter(None, cbuf), top,
-                                     2.0 * (max(map(abs, theta._a)) * p[L - 1]))
+        top, b, p, rows, cols = _float_setup(theta, step)
+        if cols:
+            width, _, _, M, fill = cols
+            return _float_series(*fill(0, width), top, M)
         # Otherwise all rows are merged as the Cauchy product merges them.
-        pairs = []
-        for e, a, n in rows:
-            pairs += zip([e + x for x in b[:n]], [a * x for x in p[:n]])
-        pairs.sort(key=itemgetter(0))
-        return _float_terms(pairs, top)
+        return _float_terms(sorted(chain.from_iterable(
+            zip([e + x for x in b[:n]], [a * x for x in p[:n]]) for e, a, n in rows),
+            key=itemgetter(0)), top)
     D, least = theta._D, theta._n[0]
     top = math.ceil(theta.cutoff * D)
     base, end = least // D, (top - 1) // D + 1  # the columns that hold slots below top
@@ -830,10 +915,10 @@ def eta_modular_check(
         Z0(q) = q^{-1/24} prod (1-q^r)^{-1}
               = (delta/2 pi)^{1/2} qtilde^{-1/12} prod (1-qtilde^{2r})^{-1}.
     """
-    if not tau_imag > 0:
+    if not _number(tau_imag, "tau_imag") > 0:
         raise DomainError(f"tau_imag must be positive, got {tau_imag!r}")
     _finite(tau_imag, "tau_imag")
-    if not tol > 0:
+    if not _number(tol, "tol") > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     delta = math.pi * float(tau_imag)
     q = math.exp(-delta)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -230,14 +231,16 @@ class TestExactRule:
         assert got.terms[-1].exponent == cutoff
 
     def test_duality_check_asks_the_rule(self, monkeypatch):
+        """The direct channel's theta is exact where the rule holds (built by
+        partition_direct, which completes it) and floating elsewhere."""
         backends = []
-        real = annulus.partition_direct
+        real = annulus.flux_sum
 
-        def recording(params, w, cutoff, backend):
+        def recording(params, w, cutoff, parity, backend):
             backends.append(backend)
-            return real(params, w, cutoff, backend)
+            return real(params, w, cutoff, parity, backend)
 
-        monkeypatch.setattr(annulus, "partition_direct", recording)
+        monkeypatch.setattr(annulus, "flux_sum", recording)
         duality_check(params_from_n(1.5, "dilute"), ratio=0.7)
         duality_check(POTTS3, ratio=1.0)  # registry coupling, irrational n'
         duality_check(ISING, wrap_weight("dilute", 0.3), ratio=1.0)
@@ -389,6 +392,40 @@ class TestDuality:
     def test_tolerance_must_be_positive(self, tol):
         with pytest.raises(DomainError):
             duality_check(ISING, ratio=0.2, cutoff=8, tol=tol)
+
+    @pytest.mark.parametrize("n,phase,order", [
+        (1.3, "dense", 1024), (0.7, "dilute", 256), (-1.1, "dense", 512)])
+    def test_one_evaluator_builds_each_column_once(self, monkeypatch, n, phase, order):
+        """One evaluator fed ratios in shuffled order returns what separate
+        duality_check calls return.  Per channel, the tail reads the top
+        column's last class first; the sum's windows then run on from column
+        0, each from where the last one ended, and stop short of the top."""
+        params = params_from_n(n, phase)
+        ratios = [0.2, 0.3, 0.5, 0.8, 1.0, 1.7, 2.5, 4.0, 5.0]
+        random.Random(f"{n} {phase}").shuffle(ratios)
+        want = [duality_check(params, None, r, order) for r in ratios]
+        setup, channels = qseries._float_setup, []
+
+        def recorded(theta, step):
+            *head, (width, lo, R, M, fill) = setup(theta, step)
+            calls = []
+            channels.append((width, R, calls))
+
+            def counted(k0, k1, r0=0):
+                calls.append((k0, k1, r0))
+                return fill(k0, k1, r0)
+
+            return (*head, (width, lo, R, M, counted))
+
+        monkeypatch.setattr(qseries, "_float_setup", recorded)
+        evaluate = annulus._duality_evaluator(params, None, order, 1e-8)
+        assert [repr(evaluate(r)) for r in ratios] == [repr(ev) for ev in want]
+        assert len(channels) == 2
+        for width, R, calls in channels:
+            assert calls[0] == (width - 1, width, R - 1)
+            ends = [0] + [k1 for _, k1, _ in calls[1:]]
+            assert calls[1:] == [(k0, k1, 0) for k0, k1 in zip(ends, ends[1:])]
+            assert ends[-1] < width - 1
 
 
 class TestBoundaryGFactor:

@@ -249,7 +249,10 @@ class TestSweep:
     ], ids=["exact-direct", "floating-direct"])
     def test_duality_sweep_builds_each_channel_once(self, capsys, monkeypatch,
                                                     n, digest):
-        calls = {"partition_direct": 0, "partition_crossed": 0}
+        """Each channel's theta is built once for the whole sweep: the direct
+        one by flux_sum (through partition_direct where it is exact), the
+        crossed one by _crossed_theta."""
+        calls = {"flux_sum": 0, "_crossed_theta": 0}
         for name in calls:
             def counted(*args, _real=getattr(annulus, name), _name=name):
                 calls[_name] += 1
@@ -261,14 +264,15 @@ class TestSweep:
             "--order", "64",
         )
         assert code == 0
-        assert calls == {"partition_direct": 1, "partition_crossed": 1}
+        assert calls == {"flux_sum": 1, "_crossed_theta": 1}
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_duality_sweep_checks_ratio_before_building(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("built a channel for an out-of-range ratio")
 
-        monkeypatch.setattr(annulus, "partition_crossed", refuse)
+        for name in ("flux_sum", "_crossed_theta"):
+            monkeypatch.setattr(annulus, name, refuse)
         code, _, err = run(
             capsys, "sweep", "--target", "duality", "--n", "1", "--phase",
             "dilute", "--values", "7,1", "--order", "64",
@@ -324,6 +328,32 @@ class TestSweep:
 
         monkeypatch.setattr(observables, "saw_loop_dense", refuse)
         assert run(capsys, *argv) == want and want[0] == 0
+
+
+    def test_duality_reads_the_channels_without_completing_them(self, capsys, monkeypatch):
+        """At generic coupling both duality channels are summed from the class
+        path's windows: with the full floating completion refused, the check
+        and the CLI still give the bytes recorded when both channels were
+        completed in full."""
+        from loopgas import params_from_n, qseries
+
+        def completion(kernel):
+            def refuse(theta, step=1):
+                if theta.backend is qseries.Backend.FLOAT:
+                    raise AssertionError("a duality channel was completed in full")
+                return kernel(theta, step)
+            return refuse
+
+        for module in (annulus, qseries):
+            monkeypatch.setattr(module, "_euler_kernel", completion(module._euler_kernel))
+        ev = annulus.duality_check(params_from_n(1.3, "dense"), None, 1.0, 1024)
+        assert repr(tuple(ev)) == (
+            "(1.0, 0.04321391826377226, 0.0018674427317079893, 2.4696082743787744, "
+            "2.469608274378774, 4.440892098500626e-16, (0.0, 0.0))")
+        code, out, _ = run(capsys, "duality", "--n", "1.3", "--phase", "dense",
+                           "--ratio", "1", "--order", "1024")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "0d3fc401782dd6dfa7d8c42fee35d8faccc8e316765b33e62246d0c1bf3d4f23")
 
 
 class TestOutputHandling:

@@ -148,6 +148,26 @@ ERROR_PATHS = [
      DomainError, "tau_imag=1e-300 rounds q or qtilde"),
     ("eta tau_imag q rounds to 0", lambda: qseries.eta_modular_check(1e300),
      DomainError, "tau_imag=1e\\+300 rounds q or qtilde"),
+    # the evaluation entry points take numbers as the series do
+    ("duality ratio str", lambda: annulus.duality_check(ISING, None, "1"),
+     DomainError, "unsupported ratio type str"),
+    ("duality ratio None", lambda: annulus.duality_check(ISING, None, None),
+     DomainError, "unsupported ratio type NoneType"),
+    ("duality tol str", lambda: annulus.duality_check(ISING, tol="x"),
+     DomainError, "unsupported tol type str"),
+    ("eta tau_imag str", lambda: qseries.eta_modular_check("1"),
+     DomainError, "unsupported tau_imag type str"),
+    ("eta tol str", lambda: qseries.eta_modular_check(1.0, tol="x"),
+     DomainError, "unsupported tol type str"),
+    ("e0_zeta width str", lambda: boundary.e0_zeta("1"),
+     DomainError, "unsupported strip width L type str"),
+    ("e1_cutoff epsilon str",
+     lambda: boundary.e1_cutoff(boundary.BoundaryCoupling(1.0, 0.1, 0.2), ["a", "b", "c"]),
+     DomainError, "unsupported epsilon type str"),
+    ("e1_cutoff fit_tol str",
+     lambda: boundary.e1_cutoff(boundary.BoundaryCoupling(1.0, 0.1, 0.2),
+                                [0.01, 0.02, 0.03], fit_tol="x"),
+     DomainError, "unsupported fit_tol type str"),
 ]
 
 # Both backends take only int, float and Fraction, and refuse anything else,

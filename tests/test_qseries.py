@@ -15,7 +15,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import loopgas
@@ -852,10 +852,12 @@ def test_float_from_terms_merge_rule(case):
 @example(([(0.5, 1e308), (1.5, -5e307)], 2.0, 1))   # 2 max|a| p(K) overflows, no coefficient
 @example(([(0.5, 1e308)], 4.0, 1))                  # a product overflows: 2 p(2) = 2e308
 @example(([(0.5, 1.5e308), (1.5, 1.5e308)], 2.0, 1))  # every product finite, a pair sum not
+@example(([(-60.0, 1.0), (-58.5, -1.0)], 4.0, 1))   # q^e overflows at q = 1e-6
 def test_float_euler_kernel_is_the_cauchy_product_bit_for_bit(case):
     """The floating kernel's rows against theta times the partition series
     in q^step: the same terms and cutoff, down to the last bit, or the same
-    DomainError where a sum is not finite."""
+    DomainError where a sum is not finite.  The channel evaluator gives what
+    eval_at of the kernel output gives, value, tail or DomainError."""
     pairs, cutoff, step = case
     theta = S(pairs, cutoff, Backend.FLOAT)
     span = theta.cutoff - theta.min_exponent
@@ -863,14 +865,25 @@ def test_float_euler_kernel_is_the_cauchy_product_bit_for_bit(case):
         expected = (theta if theta.is_zero else
                     theta * euler_inverse(span / step, Backend.FLOAT).dilate(step))
     except DomainError:
-        with pytest.raises(DomainError, match="not finite"):
-            qseries._euler_kernel(theta, step)
+        for build in (qseries._euler_kernel, qseries._euler_evaluator):
+            with pytest.raises(DomainError, match="not finite"):
+                build(theta, step)
         return
     got = qseries._euler_kernel(theta, step)
     assert got.backend is Backend.FLOAT
     assert got.terms == expected.terms
     assert [repr(t) for t in got.terms] == [repr(t) for t in expected.terms]
     assert repr(got.cutoff) == repr(expected.cutoff)
+    if not theta.is_zero:
+        evaluate = qseries._euler_evaluator(theta, step)
+        for q in (1e-6, 0.53, 0.99):
+            outcomes = []
+            for f in (evaluate, got.eval_at):
+                try:
+                    outcomes.append(repr(f(q)))
+                except DomainError as e:
+                    outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1], q
 
 
 def float_pool_sample(per_kind=40):
@@ -890,16 +903,19 @@ REGISTRY_FLOAT_POINTS = [(1.0, "dense"), (0.0, "dilute"), (math.sqrt(2.0), "dilu
 
 def recorded_kernel_calls(monkeypatch, entries, points=()):
     """Every (theta, step) the partition functions hand to the kernel for the
-    float pool `entries` and the registry `points` (n, phase, order)."""
+    float pool `entries` and the registry `points` (n, phase, order).  A
+    duality check hands its floating channels' theta, from flux_sum and
+    _crossed_theta, to the channel evaluator, which completes only what its
+    sum reads: those are recorded from that call site."""
     from loopgas import annulus, params_from_n
 
-    kernel, seen = qseries._euler_kernel, []
+    seen = []
+    for name in ("_euler_kernel", "_euler_evaluator"):
+        def recorded(theta, step=1, _real=getattr(qseries, name)):
+            seen.append((theta, step))
+            return _real(theta, step)
 
-    def recorded(theta, step=1):
-        seen.append((theta, step))
-        return kernel(theta, step)
-
-    monkeypatch.setattr(annulus, "_euler_kernel", recorded)
+        monkeypatch.setattr(annulus, name, recorded)
     for kind, n, phase, order, ratio in entries:
         p = params_from_n(n, phase)
         if kind == "duality_check":
@@ -945,6 +961,82 @@ def test_generic_float_kernel_never_merges_by_sort(monkeypatch):
     for theta, step in seen:
         qseries._euler_kernel(theta, step)
     assert merges == []
+
+
+# -- the windowed floating fill and the channel evaluator -------------------------
+
+
+@st.composite
+def channel_thetas(draw):
+    """(theta, step) of a floating channel at generic coupling: the direct
+    flux sum (step 1) or the crossed theta (step 2), at n in (-2, 2) in either
+    phase, with the default or a generic wrap weight n', below cutoffs 8-1024."""
+    from loopgas import annulus, params_from_n, wrap_weight
+
+    phase = draw(st.sampled_from(["dilute", "dense"]))
+    n = draw(st.floats(-1.99, 1.99).filter(
+        lambda x: params_from_n(x, phase).g_exact is None))
+    params = params_from_n(n, phase)
+    nprime = draw(st.one_of(st.none(), st.floats(-1.99, 1.99)))
+    w = annulus.default_wrap(params) if nprime is None else wrap_weight(phase, nprime)
+    cutoff = draw(st.one_of(st.integers(8, 64), st.integers(65, 1024)))
+    if draw(st.booleans()):
+        return annulus.flux_sum(params, w, cutoff, None, Backend.FLOAT), 1
+    gap = annulus._crossed_gap(params, w.chi_prime) - params.c / 12.0
+    assume(gap < cutoff)  # else the cutoff excludes the leading crossed term
+    return annulus._crossed_theta(params, w, cutoff), 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(channel_thetas(), st.lists(st.one_of(st.sampled_from([1e-6, 0.53, 0.9, 0.99]),
+                                            st.floats(1e-6, 0.99)), min_size=1, max_size=4))
+def test_channel_evaluator_is_eval_at_of_the_full_kernel(channel, qs):
+    """One evaluator, at q in any order, gives what eval_at of the full
+    kernel output gives: value, tail bound and the sign of zero, bit for bit,
+    from the class path's windows (a coupling within rounding of a rational g
+    has no class path, and is built in full)."""
+    theta, step = channel
+    assume(qseries._float_setup(theta, step)[4] is not None)
+    full, evaluate = qseries._euler_kernel(theta, step), qseries._euler_evaluator(theta, step)
+    for q in qs:
+        assert repr(evaluate(q)) == repr(full.eval_at(q)), q
+
+
+@pytest.mark.parametrize("n,phase", REGISTRY_FLOAT_POINTS)
+def test_channel_evaluator_builds_in_full_without_a_class_path(n, phase):
+    """At a registry coupling, rounded, a class holds three or more terms, so
+    both channels have no class path: the evaluator is eval_at of the full
+    kernel output."""
+    from loopgas import annulus, params_from_n
+
+    params = params_from_n(n, phase)
+    for theta, step in [(annulus.flux_sum(params, None, 200, None, Backend.FLOAT), 1),
+                        (annulus._crossed_theta(params, annulus.default_wrap(params), 200), 2)]:
+        assert qseries._float_setup(theta, step)[4] is None
+        full, evaluate = qseries._euler_kernel(theta, step), qseries._euler_evaluator(theta, step)
+        for q in (1e-6, 0.53, 0.99):
+            assert repr(evaluate(q)) == repr(full.eval_at(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(channel_thetas(), st.data())
+def test_any_tiling_of_the_columns_is_the_full_kernel(channel, data):
+    """The class path's fill over any tiling of its columns into windows joins
+    to the full kernel output, which is the row oracle's bit for bit."""
+    theta, step = channel
+    cols = qseries._float_setup(theta, step)[4]
+    assume(cols is not None)
+    width, *_, fill = cols
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(width - 1, 1)), max_size=8)) - {width})
+    es, cs = [], []
+    for k0, k1 in zip([0, *cuts], [*cuts, width]):
+        x, y = fill(k0, k1)
+        es += x
+        cs += y
+    full, want = qseries._euler_kernel(theta, step), oracle.euler_float_rows(theta, step)
+    assert (repr(tuple(es)), repr(tuple(cs))) == (repr(full._n), repr(full._a))
+    assert (repr(full._n), repr(full._a), repr(full.cutoff)) == (
+        repr(want._n), repr(want._a), repr(want.cutoff))
 
 
 # -- the floating kernel's cached tables, and the majorant of eval_at -------------
