@@ -129,22 +129,17 @@ def _flux_range(params: CGParams, cutoff, exponent) -> list:
     return [(p, exponent(p)) for p in support]
 
 
-def _flux_theta(
-    params: CGParams,
-    weight,
-    cutoff,
-    exact: bool,
-    form: str = "integer",
-    parity: Optional[str] = None,
-) -> GenSeries:
+def _flux_theta(params: CGParams, weight, cutoff, exact: bool, form: str = "integer",
+                parity: Optional[str] = None):
     """The flux sum theta, weight w_p = weight(p) on each sector p >= 0, over
     the sectors with h(p) - c/24 below cutoff: exact on its least lattice if
-    `exact` (int or Fraction weights), else floating, for where `_exact_ok`
-    fails.  form="integer" sums over all p in Z, reflecting the table as
-    w_{-1} = 0 and w_p = -w_{-p-2} for p <= -2 (the null-state subtraction);
-    form="null_pairs" sums w_p (q^{e_p} - q^{e_p+p+1}) over p >= 0, whose
-    partners may lie above the cutoff.  `flux_sum` and every observable are
-    this sum with their own weight table."""
+    `exact` (int or Fraction weights), else the raw floating (pairs, cutoff)
+    for where `_exact_ok` fails.  form="integer" sums over all p in Z,
+    reflecting the table as w_{-1} = 0 and w_p = -w_{-p-2} for p <= -2 (the
+    null-state subtraction, p + 1 columns on); form="null_pairs" sums w_p
+    (q^{e_p} - q^{e_p+p+1}) over p >= 0, whose partners may lie above the
+    cutoff.  `flux_sum` and every observable are this sum with their own
+    weight table."""
     exponent, den = _exponent(params, exact)
     sectors = _flux_range(params, math.ceil(Fraction(cutoff) * den) if exact else cutoff, exponent)
     # sectors ascend in p, so w_0 .. w_hi covers both p and -p - 2
@@ -158,9 +153,7 @@ def _flux_theta(
     else:
         pairs = [(e, w[p]) if p >= 0 else (e, -w[-p - 2]) for p, e in sectors
                  if p != -1 and (parity is None or p % 2 == (parity == "odd"))]
-    if not exact:
-        return GenSeries.from_terms(pairs, cutoff, Backend.FLOAT)
-    return _slot_series(pairs, den, C, cutoff)
+    return _slot_series(pairs, den, C, cutoff) if exact else (pairs, cutoff)
 
 
 def flux_sum(
@@ -171,15 +164,21 @@ def flux_sum(
     backend: Backend = Backend.EXACT,
     form: str = "integer",
 ) -> GenSeries:
-    """The direct channel's theta, including q^{-c/24}: the flux sum that the
-    partition functions hand to `_euler_kernel`, which is *not* applied here.
+    """The direct channel's theta with q^{-c/24}, as a series: the flux sum that the
+    partition functions complete (as raw pairs at generic g), not applied here.
 
     form="integer" sums over all p in Z (optionally parity-restricted);
     form="null_pairs" builds the equivalent p >= 0 combination
     d_p (q^{h(p)} - q^{h(p)+p+1}).  Where `_exact_ok` holds theta is built
     exact in both backends, and the floating one rounds each term once."""
-    if w is None:
-        w = default_wrap(params)
+    theta = _direct_terms(params, w, cutoff, parity, backend, form)
+    return theta if isinstance(theta, GenSeries) else GenSeries.from_terms(*theta, Backend.FLOAT)
+
+
+def _direct_terms(params, w, cutoff, parity, backend, form="integer"):
+    """`flux_sum`'s checks and theta, as the raw floating (pairs, cutoff) that
+    the kernel takes where `_exact_ok` fails."""
+    w = default_wrap(params) if w is None else w
     if parity not in (None, "even", "odd"):
         raise DomainError(f"parity must be 'even', 'odd' or None, got {parity!r}")
     if form not in ("integer", "null_pairs"):
@@ -188,11 +187,9 @@ def flux_sum(
         raise DomainError("parity restriction applies to the integer-flux form only")
     exact = _exact_ok(params, w, parity)
     if backend is Backend.EXACT and not exact:
-        raise DomainError(
-            "exact backend needs an exact-registry coupling and a rational wrap "
-            "weight (or rational n'^2 for the even-parity sector); use the "
-            "floating backend for this point"
-        )
+        raise DomainError("exact backend needs an exact-registry coupling and a rational wrap "
+                          "weight (or rational n'^2 for the even-parity sector); use the "
+                          "floating backend for this point")
     cutoff_c = _as_cutoff(cutoff, backend)
     x, den = _exponent(params, exact)
     lead = Fraction(x[2], den) if exact else x(0)
@@ -212,7 +209,7 @@ def partition_direct(
     """Annulus partition function, direct channel, null states subtracted.
 
     The p = 0 sector is normalized to coefficient 1 (identity operator)."""
-    return _euler_kernel(flux_sum(params, w, cutoff, None, backend))
+    return _euler_kernel(_direct_terms(params, w, cutoff, None, backend))
 
 
 def partition_direct_parity(
@@ -228,7 +225,7 @@ def partition_direct_parity(
     sector free/fixed-type boundary conditions."""
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    return _euler_kernel(flux_sum(params, w, cutoff, parity, backend))
+    return _euler_kernel(_direct_terms(params, w, cutoff, parity, backend))
 
 
 def partition_naive(
@@ -243,8 +240,7 @@ def partition_naive(
     chi^2)/(2 pi^2 g) as in `partition_crossed`, but its prefactor is
     (2/g)^{1/2}, without the factor sin(chi'/g)/sin(chi') that makes it b_0^2
     at chi' = chi."""
-    if w is None:
-        w = default_wrap(params)
+    w = default_wrap(params) if w is None else w
     cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
     exponent, _ = _exponent(params, exact=False)
     if not exponent(0) < cutoff_f:
@@ -253,7 +249,7 @@ def partition_naive(
         (e, math.cos((p - params.m0) * w.chi_prime))
         for p, e in _flux_range(params, cutoff_f, exponent)
     ]
-    return _euler_kernel(GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT))
+    return _euler_kernel((pairs, cutoff_f))
 
 
 # -- crossed channel ----------------------------------------------------------
@@ -299,8 +295,14 @@ def _crossed_table(params: CGParams, w: WrapWeight):
 
 
 def _crossed_theta(params: CGParams, w: WrapWeight, cutoff) -> GenSeries:
-    """The crossed channel's theta in qtilde, including qtilde^{-c/12}: the sum
-    that `partition_crossed` completes by the step-2 Euler kernel."""
+    """The crossed channel's theta itself, as `flux_sum` is the direct one's."""
+    return GenSeries.from_terms(*_crossed_terms(params, w, cutoff), Backend.FLOAT)
+
+
+def _crossed_terms(params: CGParams, w: WrapWeight, cutoff):
+    """The crossed channel's theta in qtilde, including qtilde^{-c/12}, as the
+    raw (pairs, cutoff) that `partition_crossed` completes by the step-2 Euler
+    kernel; at n' = n, m and -1-m are null partners 2(2m+1) columns apart."""
     u, vertex, weight = _crossed_table(params, w)
     cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
     f = lambda m: -params.c / 12.0 + _crossed_gap(params, u(m))
@@ -309,7 +311,7 @@ def _crossed_theta(params: CGParams, w: WrapWeight, cutoff) -> GenSeries:
              if (c := weight(m)) is not None]
     if not pairs:
         raise DomainError("cutoff excludes the leading crossed-channel term")
-    return GenSeries.from_terms(pairs, cutoff_f, Backend.FLOAT)
+    return pairs, cutoff_f
 
 
 def partition_crossed(
@@ -320,9 +322,8 @@ def partition_crossed(
     Stored exponents include the qtilde^{-c/12} prefactor; with chi' = chi
     the exponent ladder is -c/12 + x_{2m} (even electric charges) and the
     m = 0 coefficient is the boundary-entropy factor b_0^2."""
-    if w is None:
-        w = default_wrap(params)
-    return _euler_kernel(_crossed_theta(params, w, cutoff), 2)
+    w = default_wrap(params) if w is None else w
+    return _euler_kernel(_crossed_terms(params, w, cutoff), 2)
 
 
 def duality_check(
@@ -348,8 +349,7 @@ def _duality_evaluator(params: CGParams, w: Optional[WrapWeight], cutoff, tol: f
     which builds each column once, and only those that a sum reaches."""
     if not _number(tol, "tol") > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    if w is None:
-        w = default_wrap(params)
+    w = default_wrap(params) if w is None else w
     channels = []
 
     def evaluate(ratio: float) -> ChannelEval:
@@ -358,8 +358,8 @@ def _duality_evaluator(params: CGParams, w: Optional[WrapWeight], cutoff, tol: f
         if not channels:  # the direct channel first, then the crossed one
             channels[:] = (
                 partition_direct(params, w, cutoff, Backend.EXACT).eval_at if _exact_ok(params, w)
-                else _euler_evaluator(flux_sum(params, w, cutoff, None, Backend.FLOAT)),
-                _euler_evaluator(_crossed_theta(params, w, cutoff), 2))
+                else _euler_evaluator(_direct_terms(params, w, cutoff, None, Backend.FLOAT)),
+                _euler_evaluator(_crossed_terms(params, w, cutoff), 2))
         direct, crossed = channels
         q = math.exp(-math.pi * ratio)
         qt = math.exp(-2.0 * math.pi / ratio)

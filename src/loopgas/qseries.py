@@ -36,17 +36,18 @@ scalar multiples, evaluation and serialisation read the tuples.
 
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde, and every builder hands
-theta to the one kernel, `_euler_kernel`, as a series, an exact one normalised
-on its least lattice by `_slot_series`.  Exact slots of one residue mod D are
-the B-byte fields of one integer, a field per column, each starting at half a
-field, more than any |sum|, so no borrow crosses fields; each theta term adds
-the partition table shifted to its field (a = +-1 with no multiply), and XOR
-with the start flips each field's top bit, leaving its sum in two's complement
-to be read by one `struct.unpack`; the packed table is cached per
-width and step.  Floating exponents have no lattice: each theta term adds one
-row over the ladder k step and the floats p(k), both cached per step.  One
-set-up groups rows by exponent mod step: at generic coupling a class is one
-term or a pair of null partners, and where M = 2 max|a| p(K) is finite one
+theta to the one kernel, `_euler_kernel`: an exact one normalised on its least
+lattice by `_slot_series`, a floating one as its raw pairs.  Exact slots of one
+residue mod D are the B-byte fields of one integer, a field per column, each
+starting at half a field, more than any |sum|, so no borrow crosses fields;
+each theta term adds the partition table shifted to its field (a = +-1 with
+no multiply), and XOR with the start flips each field's top bit, leaving its
+sum in two's complement to be read by one `struct.unpack`; the packed table is
+cached per width and step.  Floating exponents have no lattice: each theta
+term adds one row over the ladder k step and the floats p(k), both cached per
+step.  One set-up, one sort by exponent mod step and one pass, groups rows:
+at generic coupling a class is one term or a pair of null partners, and where
+M = 2 max|a| p(K) is finite one
 fill writes any window of columns, summed column by column, straight into every
 R-th slot from r of one column-major buffer, in exponent order, unchecked for
 finiteness.  The kernel fills every column and hands M >= every |coefficient|
@@ -64,8 +65,8 @@ import math
 import struct
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, itemgetter, lshift, lt, mul, neg, sub, truediv
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, itemgetter, lshift, lt, mul, neg, truediv
 from typing import Iterable, NamedTuple, Union
 
 from .errors import BackendMismatchError, DomainError, TailBoundError
@@ -663,62 +664,79 @@ def _slot_series(slots, D: int, C: int, cutoff) -> GenSeries:
     return GenSeries._on_lattice(n, a, D, C, cutoff, Backend.EXACT)
 
 
-def _float_setup(theta: GenSeries, step):
-    """(top, b, p, rows, cols) of the floating `_euler_kernel`: the cutoff, the
-    ladder b_k = k step and floats p(k), each term's row (e, a, n) over k < n,
-    and the class path's (width, lo, R, M, fill), or None where it has none."""
-    low, tol = theta.min_exponent, FLOAT_EXPONENT_TOL
-    span = (theta.cutoff - low) / step
+def _float_setup(theta, step):
+    """(top, b, p, theta, cols) of the floating `_euler_kernel` of theta, a series or
+    a builder's raw (pairs, cutoff), pairs a list, read as `from_terms` of them (or its
+    DomainError) where that would change them: the cutoff, the ladder b_k = k step and
+    floats p(k), theta as read, and the class path's (width, lo, R, M, fill) or None."""
+    pairs, cutoff = (None, theta.cutoff) if isinstance(theta, GenSeries) else theta
+    es, cs = (theta._n, theta._a) if pairs is None else tuple(zip(*pairs)) or ((), ())
+    # Raw pairs: a sum is finite only where each term is; the pass below finds
+    # the merges, where two pairs are one class at d = 0.
+    if pairs is not None and not (
+            es and math.isfinite(sum(es) + sum(cs)) and all(cs) and max(es) < cutoff):
+        return _float_setup(GenSeries.from_terms(pairs, cutoff, Backend.FLOAT), step)
+    if not es:
+        return cutoff, (), (), theta, None
+    low, tol = min(es), FLOAT_EXPONENT_TOL
+    span = (cutoff - low) / step
     # b_k and p(k) for k < L = ceil(span), the k with k < span
     L, (b, p) = math.ceil(span), _FLOAT_TABLES.get(step, ((), ()))
     if len(b) < L:
         b, p = _FLOAT_TABLES[step] = ([k * step for k in map(float, range(L))],
                                       list(map(float, _partition_numbers(L - 1))))
     # The Cauchy product's cutoff bit for bit (its + 0.0 turns a -0.0 cutoff
-    # into 0.0); each row stops where the rounded e + b first reaches it, found
-    # from ceil((top - e)/step) by compares.
-    top, rows, ceil = min(theta.cutoff + 0.0, span * step + low), [], math.ceil
-    for e, a in zip(theta._n, theta._a):
+    # into 0.0).  Rounding is monotone, so no product exceeds max|a| p(K) and
+    # no pair sum M = 2 max|a| p(K), rounded: M is a majorant as it stands.
+    top, lo = min(cutoff + 0.0, span * step + low), int(low // step)
+    M, ceil = 2.0 * (max(map(abs, cs)) * p[L - 1]), math.ceil
+
+    def end(e):
+        # The length of e's row: it stops where the rounded e + b first reaches
+        # top, found from ceil((top - e)/step) by compares.
         n = ceil((top - e) / step)
         n = 0 if n < 0 else L if n > L else n
         while n and e + b[n - 1] >= top:
             n -= 1
         while n < L and e + b[n] < top:
             n += 1
-        rows.append((e, a, n))
+        return n
+
     # A class chains terms whose phases e mod step lie within 2 tol.  Below 2^16
     # an ulp is far below tol, so rows of two classes stay more than tol apart:
     # no merge group spans two classes, and in each column the classes' terms
-    # follow their phases.
-    phase = [e % step for e in theta._n]
-    order, phase = sorted(range(len(rows)), key=phase.__getitem__), sorted(phase)
-    cuts = [0, *compress(count(1), map((2 * tol).__le__, map(sub, phase[1:], phase))),
-            len(rows)]
-    classes = [sorted(order[i:j]) for i, j in zip(cuts, cuts[1:])]
-    # Rounding is monotone, so no product exceeds max|a| p(K) and no pair sum
-    # M = 2 max|a| p(K), rounded: M is a majorant as it stands.
-    lo, M = int(low // step), 2.0 * (max(map(abs, theta._a)) * p[L - 1])
-    if (max(abs(low), abs(top)) >= 2.0 ** 16 or phase[0] + step - phase[-1] < 2 * tol
-            or any(c[2:] for c in classes) or not M < math.inf):
-        return top, b, p, rows, None  # past 2^16, wrapping round 0, rational g, or M
-    plan = []
-    for i, *j in classes:
-        e, a, n = rows[i]
-        f, c, m, d = e, 0.0, 0, n  # a lone term: one row, e's
-        if j:
+    # follow their phases.  One sort puts the classes in phase order, and one
+    # pass plans each, unless one holds three terms (rational g), wraps round
+    # 0, nears tol or merges two raw pairs, or the exponents or M are too large.
+    terms = sorted(zip([e % step for e in es], es, cs))
+    near, N, plan, k = 2 * tol, len(terms), [], 0
+    ok = (max(abs(low), abs(top)) < 2.0 ** 16 and M < math.inf
+          and terms[0][0] + step - terms[-1][0] >= near)
+    while ok and k < N:
+        (x, e, a), k = terms[k], k + 1
+        if k < N and terms[k][0] - x < near:
             # Null partners: f's row lies d columns on, delta from e's exactly,
             # and the pair is read column by column unless delta nears tol.
-            f, c, m = rows[j[0]]
-            d = int(f // step - e // step)
+            (y, f, c), k = terms[k], k + 1
+            ok = not (k < N and terms[k][0] - y < near)
+            e, a, f, c = (f, c, e, a) if f < e else (e, a, f, c)
+            col = int(e // step)
+            d = int(f // step) - col
             delta = math.fsum((f, -d * step, -e))
-            if abs(delta) >= tol / 2:
-                return top, b, p, rows, None
-        # Columns d .. t - 1 hold both rows, summed (the same in either order),
-        # and the longer row runs on alone.  Rounding is monotone: the row that
-        # leads each merge group at delta's sign ends no earlier than the other,
-        # and gives its exponent: f's from column d on where delta < 0.
-        plan.append((int(e // step) - lo, max(n, d + m), e, a, f, c, d, min(n, d + m),
-                     bool(j) and delta < 0))
+            ok = ok and d > 0 and abs(delta) < tol / 2
+            n, m = end(e), end(f) + d
+            # Columns d .. t - 1 hold both rows, summed (the same in either order),
+            # and the longer row runs on alone.  Rounding is monotone: the row that
+            # leads each merge group at delta's sign ends no earlier than the other,
+            # and gives its exponent: f's from column d on where delta < 0.
+            plan.append((col - lo, n if n > m else m, e, a, f, c, d, m if n > m else n,
+                         delta < 0))
+        else:  # a lone term: one row, e's
+            n = end(e)
+            plan.append((int(e // step) - lo, n, e, a, e, 0.0, n, n, False))
+    if not ok:
+        return ((top, b, p, theta, None) if pairs is None
+                else _float_setup(GenSeries.from_terms(pairs, cutoff, Backend.FLOAT), step))
     R = len(plan)
 
     def fill(k0: int, k1: int, r0: int = 0):
@@ -748,15 +766,15 @@ def _float_setup(theta: GenSeries, step):
             cbuf[s:s + len(cs) * R:R] = cs
         return compress(ebuf, cbuf), filter(None, cbuf)
 
-    return top, b, p, rows, (max(col + length for col, length, *_ in plan), lo, R, M, fill)
+    return top, b, p, theta, (max(col + length for col, length, *_ in plan), lo, R, M, fill)
 
 
-def _euler_evaluator(theta: GenSeries, step=1):
-    """q -> `_euler_kernel(theta, step).eval_at(q)` for a nonzero floating theta
-    and 0 < q < 1, bit for bit, building only the columns that the sum reaches,
-    in windows that it keeps: with any majorant, any stop where `_settled`
-    holds gives the full loop's value."""
-    top, *_, cols = _float_setup(theta, step)
+def _euler_evaluator(theta, step=1):
+    """q -> `_euler_kernel(theta, step).eval_at(q)` for a nonzero floating theta,
+    or a builder's raw (pairs, cutoff), and 0 < q < 1, bit for bit, building
+    only the columns that the sum reaches, in windows that it keeps: with any
+    majorant, any stop where `_settled` holds gives the full loop's value."""
+    top, _, _, theta, cols = _float_setup(theta, step)
     if cols:
         width, lo, R, M, fill = cols
         # |last| of the tail bound: the top column's highest nonzero slot, that of
@@ -790,30 +808,33 @@ def _euler_evaluator(theta: GenSeries, step=1):
     return evaluate
 
 
-def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
+def _euler_kernel(theta, step=1) -> GenSeries:
     r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1} below theta's cutoff, in its backend.
 
     Exact: each residue of n mod D in theta, sum a/C q^{n/D}, has one integer
     whose 8W-byte fields are its slots, one per column n // D.  A term at slot n
     adds a p(k) to slot n + k step D, k step fields on: a times the table of
     p(k), packed one every step fields, shifted to n's field, one multiply-add
-    (an add or subtract at a = +-1) over its residue's columns only.  Floating:
-    each theta term (e, a) adds the row (e + k step, a p(k)) below the cutoff,
-    merged by classes of e mod step and read out of one buffer by the fill of
-    `_float_setup` over every column.  Either
-    way these are the float operations, in the order, of
-    theta * euler_inverse(span/step).dilate(step): bit for bit."""
-    if theta.is_zero:
+    (an add or subtract at a = +-1) over its residue's columns only.  Floating
+    (theta may be a builder's raw pairs, see `_float_setup`): each theta term
+    (e, a) adds the row (e + k step, a p(k)) below the cutoff, merged by
+    classes of e mod step and read out of one buffer by the fill of
+    `_float_setup` over every column.  Either way these are the float
+    operations, in the order, of theta * euler_inverse(span/step).dilate(step):
+    bit for bit."""
+    if isinstance(theta, GenSeries) and theta.is_zero:
         return theta
-    if theta.backend is Backend.FLOAT:
-        top, b, p, rows, cols = _float_setup(theta, step)
+    if not isinstance(theta, GenSeries) or theta.backend is Backend.FLOAT:
+        top, b, p, theta, cols = _float_setup(theta, step)
         if cols:
             width, _, _, M, fill = cols
             return _float_series(*fill(0, width), top, M)
-        # Otherwise all rows are merged as the Cauchy product merges them.
+        # Otherwise all rows, each ending at its first e + b_k at or past top
+        # (rounding is monotone), are merged as the Cauchy product merges them.
+        ends = [bisect_left(b, top, key=e.__add__) for e in theta._n]
         return _float_terms(sorted(chain.from_iterable(
-            zip([e + x for x in b[:n]], [a * x for x in p[:n]]) for e, a, n in rows),
-            key=itemgetter(0)), top)
+            zip([e + x for x in b[:n]], [a * x for x in p[:n]])
+            for e, a, n in zip(theta._n, theta._a, ends)), key=itemgetter(0)), top)
     D, least = theta._D, theta._n[0]
     top = math.ceil(theta.cutoff * D)
     base, end = least // D, (top - 1) // D + 1  # the columns that hold slots below top

@@ -234,13 +234,13 @@ class TestExactRule:
         """The direct channel's theta is exact where the rule holds (built by
         partition_direct, which completes it) and floating elsewhere."""
         backends = []
-        real = annulus.flux_sum
+        real = annulus._direct_terms
 
         def recording(params, w, cutoff, parity, backend):
             backends.append(backend)
             return real(params, w, cutoff, parity, backend)
 
-        monkeypatch.setattr(annulus, "flux_sum", recording)
+        monkeypatch.setattr(annulus, "_direct_terms", recording)
         duality_check(params_from_n(1.5, "dilute"), ratio=0.7)
         duality_check(POTTS3, ratio=1.0)  # registry coupling, irrational n'
         duality_check(ISING, wrap_weight("dilute", 0.3), ratio=1.0)

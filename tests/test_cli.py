@@ -250,9 +250,9 @@ class TestSweep:
     def test_duality_sweep_builds_each_channel_once(self, capsys, monkeypatch,
                                                     n, digest):
         """Each channel's theta is built once for the whole sweep: the direct
-        one by flux_sum (through partition_direct where it is exact), the
-        crossed one by _crossed_theta."""
-        calls = {"flux_sum": 0, "_crossed_theta": 0}
+        one by _direct_terms (through partition_direct where it is exact), the
+        crossed one by _crossed_terms."""
+        calls = {"_direct_terms": 0, "_crossed_terms": 0}
         for name in calls:
             def counted(*args, _real=getattr(annulus, name), _name=name):
                 calls[_name] += 1
@@ -264,14 +264,14 @@ class TestSweep:
             "--order", "64",
         )
         assert code == 0
-        assert calls == {"flux_sum": 1, "_crossed_theta": 1}
+        assert calls == {"_direct_terms": 1, "_crossed_terms": 1}
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_duality_sweep_checks_ratio_before_building(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("built a channel for an out-of-range ratio")
 
-        for name in ("flux_sum", "_crossed_theta"):
+        for name in ("_direct_terms", "_crossed_terms"):
             monkeypatch.setattr(annulus, name, refuse)
         code, _, err = run(
             capsys, "sweep", "--target", "duality", "--n", "1", "--phase",
@@ -354,6 +354,35 @@ class TestSweep:
                            "--ratio", "1", "--order", "1024")
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
             "0d3fc401782dd6dfa7d8c42fee35d8faccc8e316765b33e62246d0c1bf3d4f23")
+
+
+    def test_generic_floats_never_normalise_theta(self, capsys, monkeypatch):
+        """At generic coupling every builder hands its theta to the kernel as
+        raw pairs that the class path takes: with `GenSeries.from_terms`
+        refused, the series, the duality check and the CLI give the reprs and
+        bytes recorded when every theta went through it."""
+        from loopgas import Backend, params_from_n
+
+        def refuse(*args):
+            raise AssertionError("a generic theta was normalised by from_terms")
+
+        monkeypatch.setattr(GenSeries, "from_terms", staticmethod(refuse))
+        params = params_from_n(1.3, "dense")
+        digests = [hashlib.sha256(repr((Z._n, Z._a, Z.cutoff)).encode()).hexdigest() for Z in (
+            annulus.partition_direct(params, None, 1024, Backend.FLOAT),
+            annulus.partition_naive(params, None, 1024),
+            annulus.partition_crossed(params, None, 1024))]
+        assert digests == [
+            "75b2e9203beac3d57ebf55d3cc7a2e67f6a2c44ac6203968ef378b8bebb50e75",
+            "dd424607d4fe06ca110f214a419cc1e0c819decd418883e025d73631ee1e1544",
+            "ce5f5408f6a67fd48c6624045279ed32dbf1f0a121d307119796458aca2fd7de"]
+        assert repr(tuple(annulus.duality_check(params, None, 1.0, 1024))) == (
+            "(1.0, 0.04321391826377226, 0.0018674427317079893, 2.4696082743787744, "
+            "2.469608274378774, 4.440892098500626e-16, (0.0, 0.0))")
+        code, out, _ = run(capsys, "partition", "--n", "1.3", "--phase", "dense",
+                           "--order", "256")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "fdce60e3f127e7967068efdbbe3650de04bf932cfce0ccd13a980dc9c1659c1e")
 
 
 class TestOutputHandling:

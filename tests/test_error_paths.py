@@ -18,6 +18,7 @@ from loopgas import (
     observables,
     params_from_n,
     qseries,
+    wrap_weight,
 )
 from loopgas.cli import main
 
@@ -164,6 +165,20 @@ ERROR_PATHS = [
     ("e1_cutoff epsilon str",
      lambda: boundary.e1_cutoff(boundary.BoundaryCoupling(1.0, 0.1, 0.2), ["a", "b", "c"]),
      DomainError, "unsupported epsilon type str"),
+    ("loop weight str", lambda: params_from_n("x", "dense"),
+     DomainError, "unsupported loop weight type str"),
+    ("loop weight None", lambda: params_from_n(None, "dense"),
+     DomainError, "unsupported loop weight type NoneType"),
+    ("loop weight list", lambda: params_from_n([1], "dense"),
+     DomainError, "unsupported loop weight type list"),
+    ("loop weight past the largest double", lambda: params_from_n(10**400, "dilute"),
+     DomainError, "loop weight is too large for a float"),
+    ("wrap weight numeric str", lambda: wrap_weight("dense", "1.5"),
+     DomainError, "unsupported wrap weight type str"),
+    ("wrap weight None", lambda: wrap_weight("dense", None),
+     DomainError, "unsupported wrap weight type NoneType"),
+    ("wrap weight past the largest double", lambda: wrap_weight("dilute", -10**400),
+     DomainError, "wrap weight is too large for a float"),
     ("e1_cutoff fit_tol str",
      lambda: boundary.e1_cutoff(boundary.BoundaryCoupling(1.0, 0.1, 0.2),
                                 [0.01, 0.02, 0.03], fit_tol="x"),

@@ -903,9 +903,10 @@ REGISTRY_FLOAT_POINTS = [(1.0, "dense"), (0.0, "dilute"), (math.sqrt(2.0), "dilu
 
 def recorded_kernel_calls(monkeypatch, entries, points=()):
     """Every (theta, step) the partition functions hand to the kernel for the
-    float pool `entries` and the registry `points` (n, phase, order).  A
-    duality check hands its floating channels' theta, from flux_sum and
-    _crossed_theta, to the channel evaluator, which completes only what its
+    float pool `entries` and the registry `points` (n, phase, order): a
+    series, or at generic coupling the builder's raw (pairs, cutoff), which
+    stand for `handed_series` of them.  A duality check hands its floating
+    channels' theta to the channel evaluator, which completes only what its
     sum reads: those are recorded from that call site."""
     from loopgas import annulus, params_from_n
 
@@ -931,6 +932,12 @@ def recorded_kernel_calls(monkeypatch, entries, points=()):
     return seen
 
 
+def handed_series(theta):
+    """The series that a theta handed to the kernel stands for: raw builder
+    (pairs, cutoff) are `GenSeries.from_terms` of them."""
+    return theta if isinstance(theta, GenSeries) else GenSeries.from_terms(*theta, Backend.FLOAT)
+
+
 def test_float_euler_kernel_matches_the_row_oracle(monkeypatch):
     """Every floating theta the partition functions complete, on a sample of
     the float pool and at registry and rational-g points, against one row per
@@ -940,7 +947,8 @@ def test_float_euler_kernel_matches_the_row_oracle(monkeypatch):
     seen = recorded_kernel_calls(monkeypatch, float_pool_sample(), points)
     assert len(seen) >= 4 * 40 + 30
     for theta, step in seen:
-        got, want = qseries._euler_kernel(theta, step), oracle.euler_float_rows(theta, step)
+        got = qseries._euler_kernel(theta, step)
+        want = oracle.euler_float_rows(handed_series(theta), step)
         assert (repr(got._n), repr(got._a), repr(got.cutoff)) == (
             repr(want._n), repr(want._a), repr(want.cutoff))
 
@@ -948,9 +956,11 @@ def test_float_euler_kernel_matches_the_row_oracle(monkeypatch):
 def test_generic_float_kernel_never_merges_by_sort(monkeypatch):
     """At generic coupling every class is one term or a pair of null partners:
     on a sample of the float pool, no floating kernel call falls back to the
-    stable sort and `_float_terms`, which costs about 1.6 times as much."""
+    stable sort and `_float_terms`, which costs about 1.6 times as much, nor
+    normalises the builder's raw pairs by `from_terms`, which merges by it."""
     seen = recorded_kernel_calls(monkeypatch, float_pool_sample())
-    assert len(seen) >= 4 * 40 and all(t.backend is Backend.FLOAT for t, _ in seen)
+    assert len(seen) >= 4 * 40
+    assert all(handed_series(t).backend is Backend.FLOAT for t, _ in seen)
     merge, merges = qseries._float_terms, []
 
     def counted(pairs, cutoff):
@@ -1000,6 +1010,115 @@ def test_channel_evaluator_is_eval_at_of_the_full_kernel(channel, qs):
     full, evaluate = qseries._euler_kernel(theta, step), qseries._euler_evaluator(theta, step)
     for q in qs:
         assert repr(evaluate(q)) == repr(full.eval_at(q)), q
+
+
+# -- builders hand theta to the kernel as raw pairs ----------------------------
+
+# (name, step, pairs): raw pairs below a cutoff of 64 that `from_terms` would
+# not return as they are, only sorted, or that leave no class path at that step;
+# the set-up must read them as that series: the same outputs, the same DomainError.
+RAW_FALLBACKS = [
+    *[(name, step, pairs) for step in (1, 2) for name, pairs in [
+        ("repeated exponent, d = 0", [(0.1, 1.0), (0.35, 2.5), (0.1, -0.25)]),
+        ("zero weight", [(0.1, 1.0), (1.1, -1.0), (0.35, 0.0)]),
+        ("two terms 1.5 tol apart in phase, one column", [(0.1, 1.0), (0.1 + 1.5e-9, 2.0)]),
+        ("a partner at the cutoff", [(0.1, 1.0), (64.0, -1.0)]),
+        ("NaN exponent", [(0.1, 1.0), (math.nan, 1.0)]),
+        ("-inf exponent", [(0.1, 1.0), (-math.inf, 1.0)]),
+        ("inf coefficient", [(0.1, 1.0), (1.1, -math.inf)])]],
+    *[(name, step, pairs) for step in (1, 2) for name, pairs in [
+        ("a pair 1.5 tol from null partners", [(0.1, 1.0), (0.1 + step + 1.5e-9, -1.0),
+                                               (0.6, 0.5)]),
+        ("phases wrapping round 0", [(step - 5e-10, 1.0), (2 * step + 5e-10, -1.0), (0.5, 0.5)]),
+        ("a class of three", [(0.1, 1.0), (0.1 + step, -1.0), (0.1 + 2 * step, 0.5)])]],
+]
+
+
+def outcome(build, *args):
+    """repr of what build(*args) returns, or its DomainError's type and text."""
+    try:
+        return repr(build(*args))
+    except DomainError as e:
+        return f"DomainError: {e}"
+
+
+def completed(theta, step):
+    """The kernel's output (exponents, coefficients, cutoff and handed-on M)
+    and the channel evaluator's (value, tail) at four q, each as `outcome`."""
+    Z = qseries._euler_kernel(theta, step)
+    evaluate = qseries._euler_evaluator(theta, step)
+    return (repr((Z._n, Z._a, Z.cutoff, Z._M)),
+            *[outcome(evaluate, q) for q in (1e-6, 0.53, 0.9, 0.99)])
+
+
+@st.composite
+def builder_terms(draw):
+    """(raw theta, step) as the builders hand it to the kernel at generic n in
+    (-2, 2), either phase, n' default, generic, 0 or +-2: the direct flux sum
+    in both forms and every parity (step 1), or the crossed theta (step 2),
+    below cutoffs 8-1024."""
+    from loopgas import annulus, params_from_n, wrap_weight
+
+    phase = draw(st.sampled_from(["dilute", "dense"]))
+    n = draw(st.floats(-1.99, 1.99).filter(
+        lambda x: params_from_n(x, phase).g_exact is None))
+    params = params_from_n(n, phase)
+    nprime = draw(st.one_of(st.none(), st.floats(-1.99, 1.99), st.sampled_from([0.0, 2.0, -2.0])))
+    w = annulus.default_wrap(params) if nprime is None else wrap_weight(phase, nprime)
+    cutoff = draw(st.one_of(st.integers(8, 64), st.integers(65, 1024)))
+    if draw(st.booleans()):
+        assume(annulus._crossed_gap(params, w.chi_prime) - params.c / 12.0 < cutoff)
+        try:
+            return annulus._crossed_terms(params, w, cutoff), 2
+        except IdentityError:  # n' = +-2 away from g = 1 has no power series
+            assume(False)
+    form = draw(st.sampled_from(["integer", "null_pairs"]))
+    parity = draw(st.sampled_from([None, "even", "odd"])) if form == "integer" else None
+    return annulus._direct_terms(params, w, cutoff, parity, Backend.FLOAT, form), 1
+
+
+def fallback_examples(test):
+    """`test` with every RAW_FALLBACKS case as an @example."""
+    for _, step, pairs in RAW_FALLBACKS:
+        test = example(((pairs, 64.0), step))(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@given(builder_terms())
+@fallback_examples
+def test_builder_pairs_complete_as_their_from_terms_series(case):
+    """A builder's raw (pairs, cutoff) through the kernel and the channel
+    evaluator give exactly what `from_terms` of them gives through both:
+    exponents, coefficients, cutoff, handed-on M, value and tail by repr, or
+    the same DomainError."""
+    raw, step = case
+    theta = outcome(GenSeries.from_terms, *raw, Backend.FLOAT)
+    if theta.startswith("DomainError"):
+        assert [outcome(qseries._euler_kernel, raw, step),
+                outcome(qseries._euler_evaluator, raw, step)] == [theta] * 2
+        return
+    theta = GenSeries.from_terms(*raw, Backend.FLOAT)
+    assume(not theta.is_zero)  # n' = 0 zeroes every odd d_p
+    assert completed(raw, step) == completed(theta, step)
+
+
+@pytest.mark.parametrize("step,pairs", [case[1:] for case in RAW_FALLBACKS],
+                         ids=[f"{name}, step {step}" for name, step, _ in RAW_FALLBACKS])
+def test_raw_pairs_that_from_terms_would_change_are_normalised(monkeypatch, step, pairs):
+    """Each such set-up normalises the pairs by `from_terms` once, then reads
+    that series: the kernel's output, or its DomainError, is the series'."""
+    want = outcome(lambda: qseries._euler_kernel(S(pairs, 64.0, Backend.FLOAT), step))
+    calls = []
+    real = GenSeries.__dict__["from_terms"].__func__
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(GenSeries, "from_terms", staticmethod(counted))
+    assert outcome(qseries._euler_kernel, (pairs, 64.0), step) == want
+    assert calls == [(pairs, 64.0, Backend.FLOAT)]
 
 
 @pytest.mark.parametrize("n,phase", REGISTRY_FLOAT_POINTS)
@@ -1097,7 +1216,8 @@ def test_only_the_float_class_path_hands_a_majorant_on(monkeypatch):
     carry none until their first evaluation, and then max |a/C| (1 + 2^-50).
     Every M is >= max |a/C|, compared exactly."""
     points = [(n, phase, order) for n, phase in REGISTRY_FLOAT_POINTS for order in (64, 256, 400)]
-    calls = recorded_kernel_calls(monkeypatch, float_pool_sample(), points)
+    calls = [(theta, handed_series(theta), step)
+             for theta, step in recorded_kernel_calls(monkeypatch, float_pool_sample(), points)]
     merge, merged = qseries._float_terms, []
 
     def counted(pairs, cutoff):
@@ -1105,11 +1225,11 @@ def test_only_the_float_class_path_hands_a_majorant_on(monkeypatch):
         return merged[-1]
 
     monkeypatch.setattr(qseries, "_float_terms", counted)
-    calls += exact_kernel_calls()
-    assert {step for _, step in calls} == {1, 2}
+    calls += [(theta, theta, step) for theta, step in exact_kernel_calls()]
+    assert {step for *_, step in calls} == {1, 2}
     handed = 0
-    for theta, step in calls:
-        got = qseries._euler_kernel(theta, step)
+    for raw, theta, step in calls:
+        got = qseries._euler_kernel(raw, step)
         assert not got.is_zero
         if theta.backend is Backend.FLOAT and not (merged and got is merged[-1]):
             K = math.ceil((theta.cutoff - theta.min_exponent) / step) - 1
@@ -1125,7 +1245,7 @@ def test_only_the_float_class_path_hands_a_majorant_on(monkeypatch):
             assert F(got._M) >= F(max(map(abs, got._a))) / got._C
     # both float paths and the exact kernel ran
     assert len(merged) >= 10 and handed >= 10
-    assert sum(t.backend is Backend.EXACT for t, _ in calls) >= 10
+    assert sum(t.backend is Backend.EXACT for _, t, _ in calls) >= 10
 
 
 def test_majorant_takes_no_part_in_equality_hash_or_pickle():
