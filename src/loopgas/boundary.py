@@ -25,6 +25,7 @@ alpha_1 = -alpha_2, and real couplings only ever lower c below 1.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from numbers import Real
 from typing import NamedTuple, Sequence
 
@@ -49,6 +50,9 @@ class BoundaryCoupling(_Coupling):
         self = super().__new__(cls, g, alpha1, alpha2, L)
         if not all(isinstance(x, Real) and not isinstance(x, bool) for x in self):
             raise DomainError(f"g, alpha1, alpha2 and L must be real numbers, got {self}")
+        for name, x in zip(self._fields, self):
+            if isinstance(x, (int, Fraction)):  # the fields whose float() can overflow
+                _as_float(x, name, False)
         if not 0 < g < math.inf:
             raise DomainError("coupling g must be positive and finite")
         if not (math.isfinite(alpha1) and math.isfinite(alpha2)):
@@ -68,7 +72,7 @@ def _check_width(L: float) -> None:
 
 def e0_zeta(L: float) -> float:
     """Zeta-regularized free ground-state energy -pi/(24 L)."""
-    _check_width(_number(L, "strip width L"))
+    _check_width(_as_float(L, "strip width L", False))
     return -math.pi / (24.0 * L)
 
 

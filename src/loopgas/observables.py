@@ -19,8 +19,8 @@ function at n = 0:
                             sum_k ( q^{2k^2 - 1/8} - q^{2k^2 - 2k + 3/8} )
                           = q^{-1/24} prod_{m>=1} (1 - q^{m-1/2})^2,
 
-the last equality being a Jacobi-triple-product instance that
-saw_loop_dense verifies term by term.
+the last equality being Gauss's identity, prod(1-q^m)(1-q^{m-1/2})^2 =
+sum_k (-1)^k q^{k^2/2}, whose sum saw_loop_dense completes by the kernel.
 
 The n -> 0 limit is logarithmic: d/dn of the full partition function at
 n = 0 splits into the wrapping term Z1, a -(c'(0)/24) ln(q) Z(0) piece, and
@@ -47,15 +47,13 @@ for p >= 0 (d_p as in `loopgas.params`):
         dh/dg d_p / 2; regrouped=True is the null-pair form
 
 Z1 has that one builder: saw_loop_dilute is its dilute phase, and
-saw_loop_dense pairs its dense phase with the Jacobi product.  The
-hand-written alternating sums live in the test suite as an oracle.
+saw_loop_dense pairs its dense phase with Gauss's sum, which is its flux sum
+term by term; the product and the alternating sums are test-suite oracles.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import compress
 from typing import Callable, NamedTuple
 
 from .annulus import _flux_theta, partition_direct
@@ -65,8 +63,10 @@ from .qseries import (
     Backend,
     GenSeries,
     _as_cutoff,
+    _as_float,
     _euler_kernel,
-    _odd_product_squared,
+    _integer_support,
+    _slot_series,
 )
 
 _PERCOLATION = params_from_n(1.0, Phase.DENSE)
@@ -136,20 +136,17 @@ def saw_loop_dense(
     """Single wrapping loop in the dense phase (g = 1/2); leading q^{-1/24}.
 
     Returns (alternating-sum form, half-odd-integer product form), compared
-    term by term; a mismatch raises IdentityError.  In t = q^{1/2} the product
-    q^{-1/24} prod_{m>=1}(1 - q^{m-1/2})^2 is prod over odd s of (1 - t^s)^2,
-    its t^j term at exponent j/2 - 1/24.  The odd product is prod(1 - t^r) /
-    prod(1 - t^{2r}): Euler's pentagonal series, completed by the step-2 Euler
-    kernel, then squared once.  The floating backend converts each term once."""
+    term by term; a mismatch raises IdentityError.  By Gauss's identity the
+    product q^{-1/24} prod_{m>=1}(1 - q^{m-1/2})^2 is sum_{k in Z} (-1)^k
+    q^{k^2/2 - 1/24} / prod(1 - q^m), Gauss's sum completed by the Euler kernel;
+    that sum is the flux sum term by term, and the test suite expands the
+    product.  The floating backend converts each term once."""
     _as_cutoff(cutoff, backend)
     series = saw_loop_derivative_series(Phase.DENSE, cutoff, Backend.EXACT)
-
-    length = max(0, math.ceil(2 * series.cutoff + Fraction(1, 12)))
-    coeffs = _odd_product_squared(length)
-    # every t^j with j < length lies below the cutoff: slot 12 j - 1 over 24
-    closed = GenSeries._on_lattice(tuple(compress(range(-1, 12 * length, 12), coeffs)),
-                                   tuple(filter(None, coeffs)), 24, 1, series.cutoff,
-                                   Backend.EXACT)
+    # k^2/2 - 1/24 is slot 12 k^2 - 1 over 24, below the cutoff iff below ceil(24 cutoff)
+    gauss = [(12 * k * k - 1, 1 - 2 * (k & 1))
+             for k in _integer_support(12, 0, -1, math.ceil(24 * series.cutoff))]
+    closed = _euler_kernel(_slot_series(gauss, 24, 1, series.cutoff))
     if series != closed:
         raise IdentityError(
             "dense wrapping-loop forms disagree: Jacobi triple product "
@@ -204,7 +201,7 @@ def asymptote_fit(
 
     `evaluator` maps a modulus in (0,1) to (value, tail_bound); the fit is
     refused if any tail bound exceeds 1% of the value."""
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = (_as_float(window[i], "fit window", False) for i in (0, 1))
     if not (0.0 < lo < hi < 1.0):
         raise DomainError("fit window must satisfy 0 < lo < hi < 1")
     if not isinstance(npoints, int) or npoints < 8:

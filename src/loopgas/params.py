@@ -203,9 +203,9 @@ def wrap_coefficient(p: int, n_prime: Number) -> Number:
     d_{p+1} = n' d_p - d_{p-1}; a degree-p polynomial in n', regular at
     n' = +-2 (d_p = p+1 and (p+1)(-1)^p respectively).
     """
-    if p < 0:
-        raise DomainError("wrap_coefficient requires p >= 0")
-    return _recurrence(n_prime, n_prime * 0 + 1, n_prime)(p)
+    if not isinstance(p, int) or p < 0:
+        raise DomainError(f"wrap_coefficient requires an int p >= 0, got {p!r}")
+    return _recurrence(n_prime, _number(n_prime, "wrap weight") * 0 + 1, n_prime)(p)
 
 
 def vortex_marginality_check(params: CGParams) -> float:

@@ -65,8 +65,8 @@ import math
 import struct
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, itemgetter, lshift, lt, mul, neg, truediv
+from itertools import chain, compress, islice, repeat
+from operator import add, itemgetter, lshift, lt, neg, truediv
 from typing import Iterable, NamedTuple, Union
 
 from .errors import BackendMismatchError, DomainError, TailBoundError
@@ -120,10 +120,10 @@ def _real(x: Number, what: str) -> float:
     return x if math.isfinite(x) else _finite(x, what)
 
 
-def _as_float(x: Number, what: str) -> float:
-    """x as a finite float; a value past the largest double is a DomainError."""
+def _as_float(x: Number, what: str, finite: bool = True) -> float:
+    """x as a float, finite unless `finite` is false; past the largest double, a DomainError."""
     try:
-        return _real(x, what)
+        return _real(x, what) if finite else float(_number(x, what))
     except OverflowError:
         raise DomainError(f"{what} is too large for a float") from None
 
@@ -296,10 +296,10 @@ class GenSeries:
         return list(zip([x * dn for x in self._n], [x * ca for x in self._a]))
 
     def _rounded(self) -> "GenSeries":
-        """The floating series of an exact one, each term rounded once."""
+        """The floating series of an exact one, each term rounded once, below its float cutoff."""
         return GenSeries._on_lattice(tuple(map(truediv, self._n, repeat(self._D))),
                                      tuple(map(truediv, self._a, repeat(self._C))),
-                                     1, 1, float(self.cutoff), Backend.FLOAT)
+                                     1, 1, float(self.cutoff), Backend.FLOAT).truncate(self.cutoff)
 
     def _texts(self, fmt=str):
         """(exponent, coefficient) for printing, lazily: an exact series' as
@@ -585,20 +585,12 @@ def _partition_numbers(kmax: int) -> list[int]:
     p = _PARTITIONS
     if kmax >= len(p):
         p = p[:]
+        # Euler's generalized pentagonal numbers j(3j - 1)/2 <= kmax, j != 0, with
+        # sign (-1)^(j+1): 3j^2 - j is even, so <= 2 kmax iff < 2 kmax + 2
+        pent = [(j * (3 * j - 1) // 2, 2 * (j & 1) - 1)
+                for j in _integer_support(3, -1, 0, 2 * kmax + 2) if j]
         for k in range(len(p), kmax + 1):
-            total = 0
-            j = 1
-            while True:
-                g1 = j * (3 * j - 1) // 2
-                g2 = j * (3 * j + 1) // 2
-                if g1 > k:
-                    break
-                sign = 1 if j % 2 == 1 else -1
-                total += sign * p[k - g1]
-                if g2 <= k:
-                    total += sign * p[k - g2]
-                j += 1
-            p.append(total)
+            p.append(sum([s * p[k - g] for g, s in pent if g <= k]))
         _PARTITIONS = p
     return p[: kmax + 1]
 
@@ -873,24 +865,6 @@ def _euler_kernel(theta, step=1) -> GenSeries:
     grid = chain.from_iterable(zip(*(range(base * D + r, end * D, D) for r in residues)))
     return GenSeries._on_lattice(tuple(compress(grid, buf)), tuple(filter(None, buf)),
                                  D, theta._C, theta.cutoff, Backend.EXACT)
-
-
-def _odd_product_squared(length: int) -> list[int]:
-    r"""t^0 .. t^{length-1} of \prod_{odd s}(1 - t^s)^2: the pentagonal series completed
-    by the step-2 Euler kernel, packed as x = sum o_i 2^{64 W i}, squared once."""
-    # the pentagonal series needs a positive cutoff; length 0 reads none of it
-    completed = _euler_kernel(pentagonal_series(max(length, 1)), 2)
-    odd = list(map(dict(zip(completed._n, completed._a)).get, range(length), repeat(0)))
-    # |s_j| <= sum_i |o_i| |o_{j-i}| <= sum_i P_i P_{length-1-i} < half, where
-    # P_i = max |o_0| .. |o_i|, so no field of x^2 plus the bias borrows, and the
-    # bias XORed off again leaves each s_j in two's complement
-    P = list(accumulate(map(abs, odd), max))
-    W = sum(map(mul, P, reversed(P))).bit_length() // 64 + 1
-    B, half = 8 * W, 1 << 64 * W - 1
-    bias = int.from_bytes(half.to_bytes(B, "little") * length, "little")
-    x = int.from_bytes(b"".join(map(int.to_bytes, map(add, odd, repeat(half)), repeat(B),
-                                    repeat("little"))), "little") - bias
-    return list(_fields(((x * x + bias) & ((1 << 8 * B * length) - 1)) ^ bias, W, length))[::-1]
 
 
 def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:

@@ -19,7 +19,9 @@ out a product of factors (1 - t^s) one factor at a time.  Through
 `euler_product_expanded`, prod(1-q^r), it checks the package's
 `pentagonal_series`, which `euler_product` returns; through
 `saw_dense_closed`, the Jacobi product of the dense wrapping loop, it checks
-the package's pentagonal series, Euler-completed and squared once.
+the package's Gauss sum completed by the Euler kernel.  `partition_counts`
+counts partitions part by part, against which the package's pentagonal
+recurrence for p(k) is checked.
 `quadratic_support` finds the k with a convex quadratic below a cutoff by
 walking out from its vertex, against which the package's one closed-form
 support finder is checked in both backends.  Exact backend, but
@@ -120,6 +122,17 @@ def euler_product_expanded(cutoff):
     cutoff = F(cutoff)
     length = math.ceil(cutoff)
     return normalised(enumerate(_expand_product(range(1, length), length)), cutoff)
+
+
+def partition_counts(K):
+    """p(0) .. p(K) by counting partitions by their parts: one pass
+    a[k] += a[k - r] per part r, ascending, the product of the geometric
+    series 1/(1 - q^r) taken one factor at a time."""
+    a = [1] + [0] * K
+    for r in range(1, K + 1):
+        for k in range(r, K + 1):
+            a[k] += a[k - r]
+    return a
 
 
 def saw_dense_closed(cutoff):

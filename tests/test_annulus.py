@@ -221,14 +221,33 @@ class TestExactRule:
     def test_float_cutoff_on_a_slot_is_taken_exactly(self, p):
         """A floating cutoff bounds exponents at its exact binary value.  At
         Ising dilute the double nearest sector p's exponent lies above it, so
-        sector p is kept, though cutoff * den rounds onto p's slot."""
+        the exact theta keeps sector p, though cutoff * den rounds onto p's
+        slot.  Rounded once, that term sits on the float cutoff itself, so the
+        floating theta, whose terms lie below its cutoff, leaves it out."""
         (a, b, c), den = annulus._exponent(ISING, True)
         slot = (a * p + b) * p + c
         cutoff = slot / den
         assert F(cutoff) * den > slot == cutoff * den
+        exact = flux_sum(ISING, None, F(cutoff), None, Backend.EXACT)
+        assert exact.terms[-1].exponent == F(slot, den)
         got = flux_sum(ISING, None, cutoff, None, Backend.FLOAT)
-        assert got == flux_sum(ISING, None, F(cutoff), None, Backend.EXACT)._rounded()
-        assert got.terms[-1].exponent == cutoff
+        assert got == exact._rounded()
+        assert got.terms == tuple((float(e), float(c)) for e, c in exact.terms[:-1])
+
+    @pytest.mark.parametrize("call", [
+        lambda: flux_sum(params_from_n(1.0, "dilute"), None, 0.4791666666666667, None,
+                         Backend.FLOAT),
+        lambda: flux_sum(params_from_n(2.0, "dense"), None, 0.20833333333333334, None,
+                         Backend.FLOAT),
+        lambda: flux_sum(params_from_n(-1.0, "dilute"), None, 0.775, None, Backend.FLOAT),
+        lambda: loopgas.saw_loop_dense(0.9583333333333334, Backend.FLOAT),
+    ], ids=["ising dilute", "n=2 dense", "n=-1 dilute", "saw dense"])
+    def test_a_term_rounded_onto_the_cutoff_is_dropped(self, call):
+        """An exact term just below a float cutoff can round onto it; the
+        floating series keeps only terms below its cutoff, as from_terms does."""
+        got = call()
+        for series in got if isinstance(got, tuple) else (got,):
+            assert series._n and all(e < series.cutoff for e in series._n)
 
     def test_duality_check_asks_the_rule(self, monkeypatch):
         """The direct channel's theta is exact where the rule holds (built by

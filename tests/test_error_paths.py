@@ -18,6 +18,7 @@ from loopgas import (
     observables,
     params_from_n,
     qseries,
+    wrap_coefficient,
     wrap_weight,
 )
 from loopgas.cli import main
@@ -183,6 +184,28 @@ ERROR_PATHS = [
      lambda: boundary.e1_cutoff(boundary.BoundaryCoupling(1.0, 0.1, 0.2),
                                 [0.01, 0.02, 0.03], fit_tol="x"),
      DomainError, "unsupported fit_tol type str"),
+    ("fit window numeric str",
+     lambda: observables.asymptote_fit(lambda x: (1.0, 0.0), ("0.1", "0.5")),
+     DomainError, "unsupported fit window type str"),
+    ("fit window None", lambda: observables.asymptote_fit(lambda x: (1.0, 0.0), (None, 0.5)),
+     DomainError, "unsupported fit window type NoneType"),
+    ("fit window past the largest double",
+     lambda: observables.asymptote_fit(lambda x: (1.0, 0.0), (10**400, 0.5)),
+     DomainError, "fit window is too large for a float"),
+    ("wrap_coefficient float p", lambda: wrap_coefficient(2.5, 1.0),
+     DomainError, "wrap_coefficient requires an int p >= 0, got 2.5"),
+    ("wrap_coefficient str weight", lambda: wrap_coefficient(2, "x"),
+     DomainError, "unsupported wrap weight type str"),
+    ("boundary g past the largest double", lambda: boundary.BoundaryCoupling(10**400, 0.1, 0.2),
+     DomainError, "g is too large for a float"),
+    ("boundary alpha1 past the largest double",
+     lambda: boundary.BoundaryCoupling(1.0, 10**400, 0.2),
+     DomainError, "alpha1 is too large for a float"),
+    ("boundary L past the largest double",
+     lambda: boundary.BoundaryCoupling(1.0, 0.1, 0.2, 10**400),
+     DomainError, "^L is too large for a float"),
+    ("e0_zeta width past the largest double", lambda: boundary.e0_zeta(10**400),
+     DomainError, "strip width L is too large for a float"),
 ]
 
 # Both backends take only int, float and Fraction, and refuse anything else,

@@ -8,6 +8,7 @@ import pytest
 from loopgas import (
     Backend,
     DomainError,
+    GenSeries,
     IdentityError,
     TailBoundError,
     asymptote_fit,
@@ -208,11 +209,16 @@ class TestSawDilute:
         assert abs(fd - expected) < 1e-4
 
 
+#: cutoffs at and around the edges of the dense loop's support: none or one term,
+#: a cutoff on a slot, a float whose exact value lies just above a slot
+SAW_DENSE_EDGES = (-1, 0, F(-1, 24), F(1, 48), F(7, 3), 0.9583333333333334, 12.25)
+
+
 class TestSawDense:
     def test_two_forms_agree_exactly(self):
-        for k in ORACLE_ORDERS + (1024,):
+        for k in ORACLE_ORDERS + (1024,) + SAW_DENSE_EDGES:
             series, closed = saw_loop_dense(k)
-            assert series == closed == oracle.saw_dense(k)
+            assert series == closed == oracle.saw_dense(k), k
 
     def test_float_backend_matches_exact(self):
         exact = saw_loop_dense(64)
@@ -233,20 +239,22 @@ class TestSawDense:
 
     @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
     def test_perturbed_closed_form_fails_the_check(self, monkeypatch, backend):
-        real = observables._odd_product_squared
+        # the closed side is Gauss's sum, built by `_slot_series` and completed by
+        # the Euler kernel: its last coefficient moved by one must fail the check
+        real = observables._slot_series
 
-        def perturbed(length):
-            coeffs = real(length)
-            coeffs[-1] += 1
-            return coeffs
+        def perturbed(slots, D, C, cutoff):
+            theta = real(slots, D, C, cutoff)
+            *head, (e, c) = theta.terms
+            return GenSeries.from_terms([*head, (e, c + 1)], theta.cutoff)
 
-        monkeypatch.setattr(observables, "_odd_product_squared", perturbed)
+        monkeypatch.setattr(observables, "_slot_series", perturbed)
         with pytest.raises(IdentityError):
             saw_loop_dense(64, backend)
 
     def test_closed_form_is_the_expanded_product(self):
-        # at order 1500 the square's coefficients pass 2^127: fields of three words
-        for order in [*range(5, 257), 1024, 1500]:
+        # at order 1500 the product's coefficients pass 2^127
+        for order in [*range(5, 257), 1024, 1500, *SAW_DENSE_EDGES]:
             assert saw_loop_dense(order)[1] == oracle.saw_dense_closed(order), order
 
     def test_leading_and_second_closed_terms(self):
@@ -340,3 +348,8 @@ class TestAsymptoteFit:
             asymptote_fit(lambda q: s.eval_at(q), (0.2, 0.1))
         with pytest.raises(DomainError):
             asymptote_fit(lambda q: s.eval_at(q), (1e-4, 1e-2), npoints=5)
+
+    @pytest.mark.parametrize("window", [(math.nan, 0.5), (0.1, math.inf), (F(1, 2), 0.1)])
+    def test_a_float_window_out_of_range_keeps_the_range_message(self, window):
+        with pytest.raises(DomainError, match="must satisfy 0 < lo < hi < 1"):
+            asymptote_fit(lambda x: (1.0, 0.0), window)

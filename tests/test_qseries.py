@@ -157,6 +157,14 @@ class TestPartitionTable:
                                                       101, 135, 176, 231, 297, 385,
                                                       490, 627, 792]
 
+    @pytest.mark.parametrize("orders", [(1500,), (300, 1500), (5, 100, 1457)])
+    def test_the_recurrence_counts_partitions(self, monkeypatch, orders):
+        # from the table at import, grown in one call or extended from 300; 5, 100
+        # and 1457 are pentagonal, so each extension's last k reads p(0)
+        monkeypatch.setattr(qseries, "_PARTITIONS", [1])
+        for K in orders:
+            assert qseries._partition_numbers(K) == oracle.partition_counts(K)
+
     def test_nothing_computed_at_import(self):
         code = "import loopgas, loopgas.cli; print(len(loopgas.qseries._PARTITIONS))"
         src = os.path.dirname(os.path.dirname(loopgas.__file__))

@@ -28,6 +28,21 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in loopgas: {found}"
 
 
+def test_packed_integers_stay_in_the_one_kernel():
+    # one series engine: series packed into big-integer fields are built by the
+    # exact Euler kernel and read by its `_fields`, and by nothing else
+    home = {"_euler_kernel", "_fields"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef)
+                  and path.name == "qseries.py" and f.name in home for node in ast.walk(f)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and id(node) not in inside
+                  and node.attr in {"from_bytes", "to_bytes", "unpack"}]
+    assert not found, f"packed big-integer code outside the Euler kernel: {found}"
+
+
 def test_no_module_imports_dataclasses():
     # `dataclasses` pulls `inspect`, `ast`, `dis` and `tokenize` into every
     # process that imports it; the value classes are NamedTuples instead
