@@ -47,8 +47,8 @@ from .qseries import (
     Backend,
     GenSeries,
     _as_cutoff,
+    _complete,
     _euler_evaluator,
-    _euler_kernel,
     _integer_support,
     _number,
     _slot_series,
@@ -172,12 +172,14 @@ def flux_sum(
     d_p (q^{h(p)} - q^{h(p)+p+1}).  Where `_exact_ok` holds theta is built
     exact in both backends, and the floating one rounds each term once."""
     theta = _direct_terms(params, w, cutoff, parity, backend, form)
-    return theta if isinstance(theta, GenSeries) else GenSeries.from_terms(*theta, Backend.FLOAT)
+    if not isinstance(theta, GenSeries):
+        return GenSeries.from_terms(*theta, Backend.FLOAT)
+    return theta._rounded() if backend is Backend.FLOAT else theta
 
 
 def _direct_terms(params, w, cutoff, parity, backend, form="integer"):
-    """`flux_sum`'s checks and theta, as the raw floating (pairs, cutoff) that
-    the kernel takes where `_exact_ok` fails."""
+    """`flux_sum`'s checks and theta: exact wherever `_exact_ok` holds, in both
+    backends, else the raw floating (pairs, cutoff) that the kernel takes."""
     w = default_wrap(params) if w is None else w
     if parity not in (None, "even", "odd"):
         raise DomainError(f"parity must be 'even', 'odd' or None, got {parity!r}")
@@ -196,8 +198,7 @@ def _direct_terms(params, w, cutoff, parity, backend, form="integer"):
     if not lead < cutoff_c:
         raise DomainError(f"cutoff {cutoff} excludes the p=0 identity term at exponent "
                           f"{lead}; increase it")
-    theta = _flux_theta(params, _wrap_table(w, parity, exact), cutoff_c, exact, form, parity)
-    return theta._rounded() if exact and backend is Backend.FLOAT else theta
+    return _flux_theta(params, _wrap_table(w, parity, exact), cutoff_c, exact, form, parity)
 
 
 def partition_direct(
@@ -209,7 +210,7 @@ def partition_direct(
     """Annulus partition function, direct channel, null states subtracted.
 
     The p = 0 sector is normalized to coefficient 1 (identity operator)."""
-    return _euler_kernel(_direct_terms(params, w, cutoff, None, backend))
+    return _complete(_direct_terms(params, w, cutoff, None, backend), backend)
 
 
 def partition_direct_parity(
@@ -225,7 +226,7 @@ def partition_direct_parity(
     sector free/fixed-type boundary conditions."""
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    return _euler_kernel(_direct_terms(params, w, cutoff, parity, backend))
+    return _complete(_direct_terms(params, w, cutoff, parity, backend), backend)
 
 
 def partition_naive(
@@ -249,7 +250,7 @@ def partition_naive(
         (e, math.cos((p - params.m0) * w.chi_prime))
         for p, e in _flux_range(params, cutoff_f, exponent)
     ]
-    return _euler_kernel((pairs, cutoff_f))
+    return _complete((pairs, cutoff_f), Backend.FLOAT)
 
 
 # -- crossed channel ----------------------------------------------------------
@@ -323,7 +324,7 @@ def partition_crossed(
     the exponent ladder is -c/12 + x_{2m} (even electric charges) and the
     m = 0 coefficient is the boundary-entropy factor b_0^2."""
     w = default_wrap(params) if w is None else w
-    return _euler_kernel(_crossed_terms(params, w, cutoff), 2)
+    return _complete(_crossed_terms(params, w, cutoff), Backend.FLOAT, 2)
 
 
 def duality_check(

@@ -65,15 +65,19 @@ class BoundaryCoupling(_Coupling):
         return cls(*iterable)
 
 
-def _check_width(L: float) -> None:
-    if not 0 < L < math.inf:
+def _check_width(L: float) -> float:
+    """float(L) for a strip width: a real number, not a bool, finite and positive."""
+    if not isinstance(L, Real) or isinstance(L, bool):
+        raise DomainError(f"unsupported strip width L type {type(L).__name__}")
+    x = _as_float(L, "strip width L", False) if isinstance(L, (int, Fraction)) else float(L)
+    if not 0 < x < math.inf:
         raise DomainError("strip width L must be positive and finite")
+    return x
 
 
 def e0_zeta(L: float) -> float:
     """Zeta-regularized free ground-state energy -pi/(24 L)."""
-    _check_width(_as_float(L, "strip width L", False))
-    return -math.pi / (24.0 * L)
+    return -math.pi / (24.0 * _check_width(L))
 
 
 def e1_zeta(b: BoundaryCoupling) -> float:

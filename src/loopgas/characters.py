@@ -30,7 +30,7 @@ from .qseries import (
     GenSeries,
     _as_cutoff,
     _coerce,
-    _euler_kernel,
+    _complete,
     _integer_support,
     _partition_numbers,
     _slot_series,
@@ -107,7 +107,7 @@ def _character_theta(spec: CharacterSpec, cutoff, leading: Fraction) -> GenSerie
 def rocha_caridi(spec: CharacterSpec, cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:
     """Irreducible Virasoro character of `spec`, q^{-c/24} included."""
     theta = _character_theta(spec, _as_cutoff(cutoff, backend), spec.leading_exponent)
-    return _euler_kernel(theta if backend is Backend.EXACT else theta._rounded())
+    return _complete(theta, backend)
 
 
 def decompose(
@@ -147,7 +147,7 @@ def decompose(
     C = math.lcm(*(c.denominator for c in coeffs.values()))
     theta = _slot_series([(n, a * c.numerator * (C // c.denominator))
                           for spec, c in coeffs.items() for n, a in rows[spec]], D, C, eff)
-    total = _euler_kernel(theta if Z.backend is Backend.EXACT else theta._rounded())
+    total = _complete(theta, Z.backend)
     remainder = Z.truncate(eff)
     if total != remainder:
         remainder = remainder - total

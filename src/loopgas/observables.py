@@ -20,7 +20,7 @@ function at n = 0:
                           = q^{-1/24} prod_{m>=1} (1 - q^{m-1/2})^2,
 
 the last equality being Gauss's identity, prod(1-q^m)(1-q^{m-1/2})^2 =
-sum_k (-1)^k q^{k^2/2}, whose sum saw_loop_dense completes by the kernel.
+sum_k (-1)^k q^{k^2/2}, whose sum saw_loop_dense compares with the flux theta.
 
 The n -> 0 limit is logarithmic: d/dn of the full partition function at
 n = 0 splits into the wrapping term Z1, a -(c'(0)/24) ln(q) Z(0) piece, and
@@ -64,7 +64,7 @@ from .qseries import (
     GenSeries,
     _as_cutoff,
     _as_float,
-    _euler_kernel,
+    _complete,
     _integer_support,
     _slot_series,
 )
@@ -92,8 +92,7 @@ def _log_weight(p: int) -> int:
 
 def _flux_series(params, weight, cutoff, backend: Backend, form="integer") -> GenSeries:
     """Euler-completed flux sum with integer weights; theta exact, rounded once if floating."""
-    theta = _flux_theta(params, weight, _as_cutoff(cutoff, backend), True, form)
-    return _euler_kernel(theta if backend is Backend.EXACT else theta._rounded())
+    return _complete(_flux_theta(params, weight, _as_cutoff(cutoff, backend), True, form), backend)
 
 
 def crossing_probability(cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:
@@ -135,26 +134,25 @@ def saw_loop_dense(
 ) -> tuple[GenSeries, GenSeries]:
     """Single wrapping loop in the dense phase (g = 1/2); leading q^{-1/24}.
 
-    Returns (alternating-sum form, half-odd-integer product form), compared
-    term by term; a mismatch raises IdentityError.  By Gauss's identity the
-    product q^{-1/24} prod_{m>=1}(1 - q^{m-1/2})^2 is sum_{k in Z} (-1)^k
-    q^{k^2/2 - 1/24} / prod(1 - q^m), Gauss's sum completed by the Euler kernel;
-    that sum is the flux sum term by term, and the test suite expands the
-    product.  The floating backend converts each term once."""
+    Returns (alternating-sum form, half-odd-integer product form), one series:
+    by Gauss's identity the product q^{-1/24} prod_{m>=1}(1 - q^{m-1/2})^2 is
+    sum_{k in Z} (-1)^k q^{k^2/2 - 1/24} / prod(1 - q^m), so the flux theta of
+    `saw_loop_derivative_series` is compared with Gauss's sum, a mismatch raising
+    IdentityError, and completed once.  The test suite expands the product.
+    The floating backend converts each term of the exact series once."""
     _as_cutoff(cutoff, backend)
-    series = saw_loop_derivative_series(Phase.DENSE, cutoff, Backend.EXACT)
+    cutoff = _as_cutoff(cutoff, Backend.EXACT)
+    theta = _flux_theta(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, True)
     # k^2/2 - 1/24 is slot 12 k^2 - 1 over 24, below the cutoff iff below ceil(24 cutoff)
     gauss = [(12 * k * k - 1, 1 - 2 * (k & 1))
-             for k in _integer_support(12, 0, -1, math.ceil(24 * series.cutoff))]
-    closed = _euler_kernel(_slot_series(gauss, 24, 1, series.cutoff))
-    if series != closed:
+             for k in _integer_support(12, 0, -1, math.ceil(24 * theta.cutoff))]
+    if theta != _slot_series(gauss, 24, 1, theta.cutoff):
         raise IdentityError(
             "dense wrapping-loop forms disagree: Jacobi triple product "
             "instance failed"
         )
-    if backend is Backend.FLOAT:
-        series, closed = series._rounded(), closed._rounded()
-    return series, closed
+    series = _complete(theta, Backend.EXACT)
+    return (series, series) if backend is Backend.EXACT else (series._rounded(),) * 2
 
 
 def log_partition_exact_core(

@@ -35,9 +35,10 @@ built as SeriesTerms on first read; comparison, hashing, truncation, shifts,
 scalar multiples, evaluation and serialisation read the tuples.
 
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
-\prod(1-q^{2r})^{-1} in the crossed channel's qtilde, and every builder hands
-theta to the one kernel, `_euler_kernel`: an exact one normalised on its least
-lattice by `_slot_series`, a floating one as its raw pairs.  Exact slots of one
+\prod(1-q^{2r})^{-1} in the crossed channel's qtilde.  Every builder hands
+theta and its backend to `_complete`, which rounds an exact theta asked for in
+floating once and calls the one kernel, `_euler_kernel`: an exact theta on its
+least lattice (`_slot_series`), a floating one as raw pairs.  Exact slots of one
 residue mod D are the B-byte fields of one integer, a field per column, each
 starting at half a field, more than any |sum|, so no borrow crosses fields;
 each theta term adds the partition table shifted to its field (a = +-1 with
@@ -595,10 +596,18 @@ def _partition_numbers(kmax: int) -> list[int]:
     return p[: kmax + 1]
 
 
+#: The longest support `_integer_support` enumerates.  Recorded commands, benchmark
+#: jobs and demos need at most 382 integers, a flux sum at |n| <= 1.99 and cutoff
+#: 1024 at most 718; at n = 1.3 dense the cap is a cutoff of ~1.9e8, far beyond
+#: what the kernel can complete (see README).
+_SUPPORT_CAP = 1 << 16
+
+
 def _integer_support(a: Number, b: Number, c: Number, top: Number, f=None) -> range:
     """Every integer k with f(k) < top, ascending, for a convex quadratic
     f(k) = a k^2 + b k + c (a > 0): (a k + b) k + c on integers by default, or
-    a caller's float exponent function, whose own values then decide each end."""
+    a caller's float exponent function, whose own values then decide each end.
+    A support longer than `_SUPPORT_CAP` is refused before it is enumerated."""
     # Start between the roots (-b -+ sqrt(d))/2a, d = b^2 - 4a(c - top), from isqrt
     # (integers: each end moves at most one step in, where it is a root) or sqrt
     # (floats), then move until f(lo - 1) >= top > f(lo) and f(hi) < top <= f(hi + 1)
@@ -607,6 +616,8 @@ def _integer_support(a: Number, b: Number, c: Number, top: Number, f=None) -> ra
     if f is not None and not math.isfinite(r):
         raise DomainError(f"cutoff {top!r} puts the support's ends past the doubles")
     lo, hi = int(-((b + r) // (2 * a))), int((r - b) // (2 * a))
+    if hi - lo + 1 > _SUPPORT_CAP:
+        raise DomainError(f"the cutoff asks for a support of more than {_SUPPORT_CAP} integers")
     f = f or (lambda k: (a * k + b) * k + c)
     while f(lo - 1) < top:
         lo -= 1
@@ -865,6 +876,13 @@ def _euler_kernel(theta, step=1) -> GenSeries:
     grid = chain.from_iterable(zip(*(range(base * D + r, end * D, D) for r in residues)))
     return GenSeries._on_lattice(tuple(compress(grid, buf)), tuple(filter(None, buf)),
                                  D, theta._C, theta.cutoff, Backend.EXACT)
+
+
+def _complete(theta, backend: Backend, step=1) -> GenSeries:
+    """`_euler_kernel(theta, step)` in `backend`: an exact theta in floating is rounded first."""
+    if backend is Backend.FLOAT and getattr(theta, "backend", None) is Backend.EXACT:
+        theta = theta._rounded()
+    return _euler_kernel(theta, step)
 
 
 def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,20 @@ class TestE0:
     def test_non_finite_width_rejected(self, L):
         with pytest.raises(DomainError):
             e0_zeta(L)
+
+    def test_takes_every_width_a_coupling_takes(self):
+        # one width rule for both: a numpy int L builds a coupling, and e0_zeta
+        # evaluates it as the int it equals
+        b = BoundaryCoupling(1.0, 0.1, 0.2, np.int64(2))
+        assert e0_zeta(b.L) == e0_zeta(2) == -math.pi / 48.0
+        assert e1_zeta(b) == e1_zeta(BoundaryCoupling(1.0, 0.1, 0.2, 2))
+
+    def test_refuses_every_width_a_coupling_refuses(self):
+        # a bool is no width: refused as L by both
+        with pytest.raises(DomainError, match="unsupported strip width L type bool"):
+            e0_zeta(True)
+        with pytest.raises(DomainError, match="must be real numbers"):
+            BoundaryCoupling(1.0, 0.1, 0.2, True)
 
 
 class TestE1Zeta:

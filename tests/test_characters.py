@@ -398,7 +398,7 @@ def test_exact_decompose_completes_once(monkeypatch, case):
     residual, are the series peel-off's (`series_oracle.peel_off`)."""
     Z, basis, cutoff = DECOMPOSE_CASES[case]()
     expected = _outcome(*oracle.peel_off(Z, basis, cutoff))
-    kernel, calls = characters._euler_kernel, []
+    kernel, calls = qseries._euler_kernel, []
 
     def counted(theta, step=1):
         calls.append(theta)
@@ -407,7 +407,7 @@ def test_exact_decompose_completes_once(monkeypatch, case):
     def refuse(*args, **kwargs):
         raise AssertionError("exact decompose built a character")
 
-    monkeypatch.setattr(characters, "_euler_kernel", counted)
+    monkeypatch.setattr(qseries, "_euler_kernel", counted)  # looked up by `_complete`
     monkeypatch.setattr(characters, "rocha_caridi", refuse)
     assert _lattice_outcome(Z, basis, cutoff) == expected
     assert len(calls) == 1

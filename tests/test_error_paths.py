@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -138,6 +139,18 @@ ERROR_PATHS = [
     ("crossed support past the doubles",
      lambda: annulus.partition_crossed(params_from_n(1.3, "dense"), None, 1e308),
      DomainError, "cutoff 1e\\+308 puts the support's ends past the doubles"),
+    # the support's estimated length is refused before any of it is enumerated
+    ("naive support past the cap",
+     lambda: annulus.partition_naive(params_from_n(1.3, "dense"), None, 1e308),
+     DomainError, "the cutoff asks for a support of more than 65536 integers"),
+    ("float flux support past the cap",
+     lambda: annulus.flux_sum(params_from_n(1.3, "dense"), None, 1e12, None, Backend.FLOAT),
+     DomainError, "the cutoff asks for a support of more than 65536 integers"),
+    ("exact flux support past the cap", lambda: annulus.flux_sum(ISING, None, 10**12),
+     DomainError, "the cutoff asks for a support of more than 65536 integers"),
+    ("crossed support past the cap",
+     lambda: annulus.partition_crossed(params_from_n(1.3, "dense"), None, 1e12),
+     DomainError, "the cutoff asks for a support of more than 65536 integers"),
     ("eta tau_imag NaN", lambda: qseries.eta_modular_check(math.nan),
      DomainError, "tau_imag must be positive, got nan"),
     ("eta tau_imag inf", lambda: qseries.eta_modular_check(math.inf),
@@ -206,6 +219,9 @@ ERROR_PATHS = [
      DomainError, "^L is too large for a float"),
     ("e0_zeta width past the largest double", lambda: boundary.e0_zeta(10**400),
      DomainError, "strip width L is too large for a float"),
+    *((f"e0_zeta width {L!r}", lambda L=L: boundary.e0_zeta(L),
+       DomainError, "strip width L must be positive and finite")
+      for L in (math.nan, math.inf, 0, -1)),
 ]
 
 # Both backends take only int, float and Fraction, and refuse anything else,
@@ -242,6 +258,19 @@ def test_error_path(call, exc, fragment):
         call()
 
 
+@pytest.mark.parametrize("name", ["naive support past the cap", "float flux support past the cap",
+                                  "crossed support past the cap"])
+def test_an_oversized_support_is_refused_at_once(name):
+    """At 1e308 naive would step through ~4.7e154 sectors one at a time; at
+    1e12 the float flux sum would build 4.7 million, and the crossed channel
+    run out of memory: each is refused from the support's estimated length."""
+    call = {p[0]: p[1] for p in ERROR_PATHS}[name]
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="more than 65536 integers"):
+        call()
+    assert time.perf_counter() - start < 0.5
+
+
 def test_eval_at_takes_q_as_float_does():
     """A q that float() reads, such as the str "0.5", is that float."""
     series = qseries.euler_inverse(8)
@@ -258,6 +287,10 @@ def test_empty_decomposition_serialises_without_a_model():
     (["sweep", "--target", "duality", "--values", "1.0"], "requires --n"),
     (["crossed", "--n", "1.3", "--phase", "dense", "--order", "1" + "0" * 308],
      "past the doubles"),
+    (["crossed", "--n", "1.3", "--phase", "dense", "--order", "1" + "0" * 12],
+     "more than 65536 integers"),
+    (["partition", "--n", "1.3", "--phase", "dense", "--naive", "--order", "1" + "0" * 308],
+     "more than 65536 integers"),
     (["partition", "--n", "1", "--phase", "dilute", "--naive", "--parity", "even"],
      "takes no --parity"),
     (["partition", "--n", "1", "--phase", "dilute", "--naive", "--backend", "exact"],

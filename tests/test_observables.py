@@ -27,7 +27,7 @@ from loopgas import (
     wrap_count_generating,
     wrap_weight,
 )
-from loopgas import observables
+from loopgas import observables, qseries
 from loopgas.annulus import partition_crossed
 
 import series_oracle as oracle
@@ -251,6 +251,20 @@ class TestSawDense:
         monkeypatch.setattr(observables, "_slot_series", perturbed)
         with pytest.raises(IdentityError):
             saw_loop_dense(64, backend)
+
+    @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
+    def test_completes_once(self, monkeypatch, backend):
+        # the flux theta and Gauss's sum are one theta: it is compared as a
+        # series and completed once, for both halves
+        kernel, calls = qseries._euler_kernel, []
+
+        def counted(theta, step=1):
+            calls.append(step)
+            return kernel(theta, step)
+
+        monkeypatch.setattr(qseries, "_euler_kernel", counted)  # looked up by `_complete`
+        series, closed = saw_loop_dense(64, backend)
+        assert calls == [1] and series == closed and series.backend is backend
 
     def test_closed_form_is_the_expanded_product(self):
         # at order 1500 the product's coefficients pass 2^127

@@ -915,16 +915,26 @@ def recorded_kernel_calls(monkeypatch, entries, points=()):
     series, or at generic coupling the builder's raw (pairs, cutoff), which
     stand for `handed_series` of them.  A duality check hands its floating
     channels' theta to the channel evaluator, which completes only what its
-    sum reads: those are recorded from that call site."""
+    sum reads: those are recorded from that call site, and its fallback to
+    the full kernel is not recorded again."""
     from loopgas import annulus, params_from_n
 
     seen = []
-    for name in ("_euler_kernel", "_euler_evaluator"):
-        def recorded(theta, step=1, _real=getattr(qseries, name)):
-            seen.append((theta, step))
-            return _real(theta, step)
+    kernel, evaluator = qseries._euler_kernel, qseries._euler_evaluator
 
-        monkeypatch.setattr(annulus, name, recorded)
+    def recorded(theta, step=1):
+        seen.append((theta, step))
+        return kernel(theta, step)
+
+    def recorded_evaluator(theta, step=1):
+        seen.append((theta, step))
+        with monkeypatch.context() as inner:
+            inner.setattr(qseries, "_euler_kernel", kernel)
+            return evaluator(theta, step)
+
+    # every builder completes through `qseries._complete`, which looks the kernel up here
+    monkeypatch.setattr(qseries, "_euler_kernel", recorded)
+    monkeypatch.setattr(annulus, "_euler_evaluator", recorded_evaluator)
     for kind, n, phase, order, ratio in entries:
         p = params_from_n(n, phase)
         if kind == "duality_check":

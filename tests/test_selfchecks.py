@@ -43,6 +43,23 @@ def test_packed_integers_stay_in_the_one_kernel():
     assert not found, f"packed big-integer code outside the Euler kernel: {found}"
 
 
+def test_every_builder_completes_through_one_entry_point():
+    # one completion: builders hand theta and their backend to `qseries._complete`,
+    # and the Euler kernel is named by it, the channel evaluator's fallback and
+    # its own definition, and nowhere else
+    home = {"_complete", "_euler_evaluator", "_euler_kernel"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef)
+                  and path.name == "qseries.py" and f.name in home for node in ast.walk(f)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in inside and "_euler_kernel" in (
+                      getattr(node, "id", None), getattr(node, "attr", None),
+                      getattr(node, "name", None))]
+    assert not found, f"the Euler kernel named outside `_complete`: {found}"
+
+
 def test_no_module_imports_dataclasses():
     # `dataclasses` pulls `inspect`, `ast`, `dis` and `tokenize` into every
     # process that imports it; the value classes are NamedTuples instead
