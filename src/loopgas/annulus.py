@@ -295,11 +295,6 @@ def _crossed_table(params: CGParams, w: WrapWeight):
     return u, 0 if at_zero else -0.5, weight
 
 
-def _crossed_theta(params: CGParams, w: WrapWeight, cutoff) -> GenSeries:
-    """The crossed channel's theta itself, as `flux_sum` is the direct one's."""
-    return GenSeries.from_terms(*_crossed_terms(params, w, cutoff), Backend.FLOAT)
-
-
 def _crossed_terms(params: CGParams, w: WrapWeight, cutoff):
     """The crossed channel's theta in qtilde, including qtilde^{-c/12}, as the
     raw (pairs, cutoff) that `partition_crossed` completes by the step-2 Euler

@@ -29,6 +29,7 @@ from .qseries import (
     Backend,
     GenSeries,
     _as_cutoff,
+    _check_work,
     _coerce,
     _complete,
     _integer_support,
@@ -137,6 +138,7 @@ def decompose(
     thetas = [_character_theta(basis[i], eff, leadings[i]) for i in order]
     D = math.lcm(*(theta._D for theta in thetas))
     rows = {basis[i]: theta._slots(D, 1) for i, theta in zip(order, thetas)}
+    _check_work(1, eff - leadings[order[0]])  # the p(k) of theta = 1 completed
     p = _partition_numbers(math.floor(eff - leadings[order[0]]))
     coeffs: dict[CharacterSpec, Fraction] = {}
     for i, (spec, ((H, _), *_)) in zip(order, rows.items()):

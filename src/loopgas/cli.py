@@ -14,8 +14,8 @@ sweep       one output row per grid point for crossing / duality / saw
 
 Output is JSON (default) or CSV, to stdout or --output PATH; a relative
 --output is resolved against $LOOPGAS_OUTDIR when that is set.  Exit codes:
-0 success, 2 usage error, 3 domain error, 4 identity/duality failure,
-5 tail-bound failure.
+0 success, 2 usage error (an --output that cannot be written included),
+3 domain error, 4 identity/duality failure, 5 tail-bound failure.
 """
 
 from __future__ import annotations
@@ -377,8 +377,7 @@ def main(argv=None) -> int:
     try:
         if args.order < 8:
             raise DomainError("truncation order must be at least 8")
-        _write(_COMMANDS[args.command](args), args)
-        return EXIT_OK
+        payload = _COMMANDS[args.command](args)
     except TailBoundError as exc:
         print(f"tail-bound failure: {exc}", file=sys.stderr)
         return EXIT_TAIL
@@ -388,6 +387,16 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    try:
+        _write(payload, args)
+    except OSError as exc:
+        if args.output is None:
+            raise
+        # a missing directory or a directory as the path: the user's to fix
+        print(f"output error: cannot write {exc.filename or args.output}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .errors import DomainError
-from .qseries import _number
+from .qseries import _as_float, _number
 
 Number = Union[int, float, Fraction]
 
@@ -74,14 +74,6 @@ _EXACT_NS = [2.0 * math.cos(math.pi * float(angle[0])) for angle in _EXACT_ANGLE
 def _match_exact_angle(n: float) -> Optional[_Angle]:
     return next((angle for angle, x in zip(_EXACT_ANGLES, _EXACT_NS)
                  if abs(n - x) < _MATCH_TOL), None)
-
-
-def _weight(x, what: str) -> float:
-    """x, a number `qseries._number` takes, as a float that may be NaN or inf."""
-    try:
-        return float(_number(x, what))
-    except OverflowError:
-        raise DomainError(f"{what} is too large for a float") from None
 
 
 class CGParams(NamedTuple):
@@ -131,7 +123,7 @@ class WrapWeight(NamedTuple):
 def params_from_n(n: float, phase: Union[Phase, str]) -> CGParams:
     """Map loop weight and phase to the full Coulomb-gas parameter bundle."""
     phase = as_phase(phase)
-    n = _weight(n, "loop weight")
+    n = _as_float(n, "loop weight", False)
     if not (-2.0 < n <= 2.0):
         raise DomainError(f"loop weight must satisfy -2 < n <= 2, got {n!r}")
     acos = math.acos(n / 2.0)
@@ -150,7 +142,7 @@ def params_from_n(n: float, phase: Union[Phase, str]) -> CGParams:
 def wrap_weight(phase: Union[Phase, str], n_prime: float) -> WrapWeight:
     """Build the wrap-weight record; chi' sign follows the host phase."""
     phase = as_phase(phase)
-    n_prime = _weight(n_prime, "wrap weight")
+    n_prime = _as_float(n_prime, "wrap weight", False)
     if not (-2.0 <= n_prime <= 2.0):
         raise DomainError(f"wrap weight must satisfy -2 <= n' <= 2, got {n_prime!r}")
     acos = math.acos(n_prime / 2.0)

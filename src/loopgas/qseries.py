@@ -36,9 +36,10 @@ scalar multiples, evaluation and serialisation read the tuples.
 
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde.  Every builder hands
-theta and its backend to `_complete`, which rounds an exact theta asked for in
-floating once and calls the one kernel, `_euler_kernel`: an exact theta on its
-least lattice (`_slot_series`), a floating one as raw pairs.  Exact slots of one
+theta and its backend to `_complete`, which refuses work past `_WORK_CAP`,
+rounds an exact theta asked for in floating once and calls the one kernel,
+`_euler_kernel`: an exact theta on its least lattice (`_slot_series`), a
+floating one as raw pairs.  Exact slots of one
 residue mod D are the B-byte fields of one integer, a field per column, each
 starting at half a field, more than any |sum|, so no borrow crosses fields;
 each theta term adds the partition table shifted to its field (a = +-1 with
@@ -569,6 +570,7 @@ def euler_inverse(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries
     cutoff = _as_cutoff(cutoff, backend)
     if cutoff <= 0:
         raise DomainError("euler_inverse requires cutoff > 0")
+    _check_work(1, cutoff)  # the theta = 1 it completes
     p = _partition_numbers(math.ceil(cutoff) - 1)
     return GenSeries.from_terms(enumerate(p), cutoff, backend)
 
@@ -601,6 +603,32 @@ def _partition_numbers(kmax: int) -> list[int]:
 #: 1024 at most 718; at n = 1.3 dense the cap is a cutoff of ~1.9e8, far beyond
 #: what the kernel can complete (see README).
 _SUPPORT_CAP = 1 << 16
+
+
+#: The most work a completion may start, in steps of about 0.2 us of kernel time each:
+#: theta's terms times its output columns, plus the pentagonal steps that grow p(k) to
+#: the last column.  The property tests' costliest flux sum (n = -1.99 dense, cutoff
+#: 1024) is 0.79 of it; partitions at n = 1.3 dense pass it up to order ~3240 (README).
+_WORK_CAP = 1 << 20
+
+
+def _extent(theta) -> tuple:
+    """(terms, span) of theta, a series or a builder's raw (pairs, cutoff): span
+    from the least exponent to the cutoff, taken from -1 for raw pairs, since flux
+    and crossed sums start at -1/24 and -1/12 or above."""
+    if not isinstance(theta, GenSeries):
+        return len(theta[0]), theta[1] + 1
+    return len(theta), float(theta.cutoff) - theta._n[0] / theta._D if theta._n else 0.0
+
+
+def _check_work(terms: int, span, step=1) -> None:
+    """Refuse, in O(1) and before any of it starts, a completion of `terms` theta
+    terms spanning `span` by the Euler product at `step` past `_WORK_CAP` steps."""
+    columns = math.ceil(span / step)
+    if terms and (columns > _WORK_CAP or terms * columns + columns ** 1.5
+                  - min(len(_PARTITIONS), columns) ** 1.5 > _WORK_CAP):
+        raise DomainError(f"the cutoff asks for more than {_WORK_CAP} steps of work "
+                          f"({terms} terms over {columns} columns)")
 
 
 def _integer_support(a: Number, b: Number, c: Number, top: Number, f=None) -> range:
@@ -776,7 +804,9 @@ def _euler_evaluator(theta, step=1):
     """q -> `_euler_kernel(theta, step).eval_at(q)` for a nonzero floating theta,
     or a builder's raw (pairs, cutoff), and 0 < q < 1, bit for bit, building
     only the columns that the sum reaches, in windows that it keeps: with any
-    majorant, any stop where `_settled` holds gives the full loop's value."""
+    majorant, any stop where `_settled` holds gives the full loop's value.  The
+    set-up (ladder, p(k)) is capped as theta = 1's completion; a full build, by `_complete`."""
+    _check_work(1, _extent(theta)[1], step)
     top, _, _, theta, cols = _float_setup(theta, step)
     if cols:
         width, lo, R, M, fill = cols
@@ -785,7 +815,7 @@ def _euler_evaluator(theta, step=1):
         last = next(filter(None, (tuple(fill(width - 1, width, r)[1])
                                   for r in range(R - 1, -1, -1))), ())
     if not (cols and last):  # no class path, or the top column's sums are all zero
-        return _euler_kernel(theta, step).eval_at
+        return _complete(theta, Backend.FLOAT, step).eval_at
     windows = []  # (end column, exponents, coefficients), from column 0 on
     cap = math.log(M) + math.log(4.0 * (1.0 + 2.0 ** -50))  # ln of 4 M (1 + 2^-50)
 
@@ -879,7 +909,9 @@ def _euler_kernel(theta, step=1) -> GenSeries:
 
 
 def _complete(theta, backend: Backend, step=1) -> GenSeries:
-    """`_euler_kernel(theta, step)` in `backend`: an exact theta in floating is rounded first."""
+    """`_euler_kernel(theta, step)` in `backend`: an exact theta in floating is rounded
+    first, and a theta past `_WORK_CAP` refused before either."""
+    _check_work(*_extent(theta), step)
     if backend is Backend.FLOAT and getattr(theta, "backend", None) is Backend.EXACT:
         theta = theta._rounded()
     return _euler_kernel(theta, step)
@@ -941,10 +973,9 @@ def eta_modular_check(
             f"tau_imag={tau_imag!r} rounds q or qtilde to 0 or 1 in double precision"
         )
 
-    z0_series = euler_inverse(order, Backend.FLOAT).shift(-1.0 / 24.0)
-    lhs, tail_l = z0_series.eval_at(q)
-    rhs_series = euler_inverse(order, Backend.FLOAT).dilate(2.0).shift(-1.0 / 12.0)
-    rhs_val, tail_r = rhs_series.eval_at(qt)
+    p = euler_inverse(order, Backend.FLOAT)
+    lhs, tail_l = p.shift(-1.0 / 24.0).eval_at(q)
+    rhs_val, tail_r = p.dilate(2.0).shift(-1.0 / 12.0).eval_at(qt)
     rhs = math.sqrt(delta / (2.0 * math.pi)) * rhs_val
 
     scale = max(abs(lhs), abs(rhs))
@@ -959,12 +990,7 @@ def eta_modular_check(
 def max_abs_coeff_diff(a: GenSeries, b: GenSeries) -> float:
     """Largest absolute coefficient difference between two series (common cutoff).
 
-    Compared in the floating backend, so exponents within FLOAT_EXPONENT_TOL
-    (e.g. one ulp apart after different float additions) are one term."""
-    diff = GenSeries.from_terms(
-        [(float(e), float(c)) for e, c in a.terms]
-        + [(float(e), -float(c)) for e, c in b.terms],
-        min(float(a.cutoff), float(b.cutoff)),
-        Backend.FLOAT,
-    )
-    return max((abs(c) for _, c in diff.terms), default=0.0)
+    Compared in the floating backend, an exact series rounded once, so exponents
+    within FLOAT_EXPONENT_TOL (e.g. one ulp apart after float additions) are one term."""
+    a, b = (s._rounded() if s.backend is Backend.EXACT else s for s in (a, b))
+    return max(map(abs, (a - b)._a), default=0.0)

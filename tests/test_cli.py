@@ -401,6 +401,18 @@ class TestOutputHandling:
         assert code == 0
         assert (tmp_path / "row.json").exists()
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory", "missing outdir"])
+    def test_unwritable_output_usage_exit(self, tmp_path, capsys, monkeypatch, where):
+        # one stderr line and exit 2, no traceback, and nothing on stdout
+        path = {"missing directory": str(tmp_path / "nonexistent" / "x.json"),
+                "directory": str(tmp_path), "missing outdir": "x.json"}[where]
+        if where == "missing outdir":
+            monkeypatch.setenv("LOOPGAS_OUTDIR", str(tmp_path / "nonexistent"))
+        code, out, err = run(capsys, "crossing", "--q", "0.5", "--output", path)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("output error: cannot write ")
+        assert str(tmp_path) in err and "Traceback" not in err
+
     def test_unknown_command_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

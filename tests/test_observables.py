@@ -132,6 +132,87 @@ class TestCrossingProbability:
             assert abs(form_b - p) < 1e-10
 
 
+def _pentagonal(top: int, d: int) -> dict:
+    """Euler's E(x^d) = prod(1 - x^{dk}) = sum_k (-1)^k x^{d k(3k-1)/2} below x^top."""
+    return {d * k * (3 * k - 1) // 2: 1 - 2 * (k & 1) for k in range(-top, top + 1)
+            if d * k * (3 * k - 1) // 2 < top}
+
+
+def _times_sparse(dense: list, sparse: dict) -> list:
+    """The dense coefficient list times a sparse series, below len(dense)."""
+    top, out = len(dense), [0] * len(dense)
+    for e, s in sparse.items():
+        for i in range(top - e):
+            out[i + e] += s * dense[i]
+    return out
+
+
+def _machin_pi():
+    """pi = 16 atan(1/5) - 4 atan(1/239) in the current decimal context."""
+    from decimal import Decimal, getcontext
+
+    def atan_inv(n: int):
+        eps, x = Decimal(10) ** -(getcontext().prec + 2), Decimal(1) / n
+        total, term, k = x, x, 1
+        while abs(term) > eps:
+            term *= -x * x
+            k += 2
+            total += term / k
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def _crossing_reference(q: float):
+    """P(q) to 50 digits from the S-transformed eta product, a product of positive
+    factors: sqrt(3/2) qt^{5/48} prod (1-qt^{6k})(1-qt^{3k/2}) / ((1-qt^{3k})(1-qt^{2k}))
+    with ln q ln qt = 2 pi^2, q taken as its exact binary value."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lnqt = 2 * _machin_pi() ** 2 / Decimal(q).ln()
+        power = lambda a: (a * lnqt).exp()
+        value, k = Decimal(3 / 2).sqrt() * power(Decimal(5) / 48), 1
+        while power(Decimal(3 * k) / 2) > Decimal(10) ** -60:
+            value *= ((1 - power(6 * k)) * (1 - power(Decimal(3 * k) / 2))
+                      / ((1 - power(3 * k)) * (1 - power(2 * k))))
+            k += 1
+        return value
+
+
+class TestCrossingEtaProduct:
+    """With x = q^{1/3}, P = E(x) E(x^4) / (E(x^2) E(x^3)) for Euler's E(x) = prod(1 - x^k)."""
+
+    def test_series_is_the_eta_product_exactly(self):
+        # P E(x^2) E(x^3) == E(x) E(x^4) coefficient by coefficient below x^3072,
+        # each product by a sparse pentagonal series
+        top, P = 3 * 1024, crossing_probability(1024)
+        dense = [0] * top
+        for e, c in P:
+            assert (3 * e).denominator == 1 and c.denominator == 1
+            dense[int(3 * e)] = int(c)
+        lhs = _times_sparse(_times_sparse(dense, _pentagonal(top, 2)), _pentagonal(top, 3))
+        e1 = [0] * top
+        for e, s in _pentagonal(top, 1).items():
+            e1[e] = s
+        assert lhs == _times_sparse(e1, _pentagonal(top, 4))
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
+    def test_value_is_the_crossed_product(self, q):
+        value, _ = crossing_probability(1024).eval_at(q)
+        ref = _crossing_reference(q)
+        assert abs(value - float(ref)) <= 1e-14 * float(ref)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the direct series cancels as "
+                       "q -> 1; its value there needs the crossed channel")
+    @pytest.mark.parametrize("q", [0.9, 0.95])
+    def test_value_near_one_is_the_crossed_product(self, q):
+        value, _ = crossing_probability(1024).eval_at(q)
+        ref = _crossing_reference(q)
+        assert abs(value - float(ref)) <= 1e-14 * float(ref)
+
+
 class TestWrapCountGenerating:
     def test_native_weight_is_partition_function(self):
         ising = params_from_n(1.0, "dilute")

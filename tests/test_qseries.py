@@ -632,6 +632,111 @@ class TestLatticeEulerMultiply:
             annulus.duality_check(generic, None, 1.0, 40)
 
 
+# -- the work cap: refused before any of the work starts ----------------------------
+
+
+def over_cap_calls():
+    """One call per public builder that completes a series, each asking for more
+    than `_WORK_CAP` steps: generic floats at order 16384, the rest at 200000."""
+    from loopgas import (CharacterSpec, annulus, crossing_probability, decompose,
+                         log_partition, log_partition_exact_core, params_from_n,
+                         rocha_caridi, saw_loop_dense, saw_loop_derivative_series,
+                         saw_loop_dilute, wrap_count_generating)
+
+    generic, perc = params_from_n(1.3, "dense"), params_from_n(1.0, "dense")
+    ising, big = params_from_n(1.0, "dilute"), 200_000
+    basis = [CharacterSpec(3, 4, 1, 1), CharacterSpec(3, 4, 1, 3)]
+    return {
+        "partition_direct float": lambda: annulus.partition_direct(
+            generic, None, 16384, Backend.FLOAT),
+        "partition_direct exact": lambda: annulus.partition_direct(perc, None, big),
+        "partition_direct registry float": lambda: annulus.partition_direct(
+            perc, None, big, Backend.FLOAT),
+        "partition_direct_parity": lambda: annulus.partition_direct_parity(
+            ising, None, big, "even"),
+        "partition_naive": lambda: annulus.partition_naive(generic, None, 16384),
+        "partition_crossed": lambda: annulus.partition_crossed(generic, None, 16384),
+        "duality_check float": lambda: annulus.duality_check(generic, None, 1.0, 16384),
+        "duality_check exact": lambda: annulus.duality_check(perc, None, 1.0, big),
+        "rocha_caridi": lambda: rocha_caridi(basis[0], big),
+        "decompose": lambda: decompose(GenSeries.from_terms([(F(-1, 48), 1)], big), basis),
+        "crossing_probability": lambda: crossing_probability(big),
+        "wrap_count_generating": lambda: wrap_count_generating(perc, 0.5, big),
+        "saw_loop_derivative_series": lambda: saw_loop_derivative_series("dense", big),
+        "saw_loop_dilute": lambda: saw_loop_dilute(big, Backend.FLOAT),
+        "saw_loop_dense": lambda: saw_loop_dense(big),
+        "log_partition": lambda: log_partition("dense", big),
+        "log_partition_exact_core": lambda: log_partition_exact_core("dilute", big),
+        "euler_inverse exact": lambda: euler_inverse(big),
+        "euler_inverse float": lambda: euler_inverse(big, Backend.FLOAT),
+        "eta_modular_check": lambda: eta_modular_check(1.0, big),
+    }
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """The Euler kernel and the partition numbers refuse to run."""
+    from loopgas import characters
+
+    def refuse(*args):
+        raise AssertionError("the work started before the cap refused it")
+
+    monkeypatch.setattr(qseries, "_euler_kernel", refuse)
+    monkeypatch.setattr(qseries, "_partition_numbers", refuse)
+    monkeypatch.setattr(characters, "_partition_numbers", refuse)
+
+
+@pytest.mark.parametrize("name", list(over_cap_calls()))
+def test_over_cap_builders_refuse_before_any_work(no_work, name):
+    with pytest.raises(DomainError, match="the cutoff asks for more than 1048576 steps of work"):
+        over_cap_calls()[name]()
+
+
+@pytest.mark.parametrize("argv", [
+    "partition --n 1.3 --phase dense --order 16384",
+    "partition --n 1 --phase dense --order 200000",
+    "crossed --n 1.3 --phase dense --order 16384",
+    "duality --n 1.3 --phase dense --ratio 1 --order 16384",
+    "crossing --q 0.5 --order 200000",
+    "sweep --target saw --phase dense --values 0.1,0.2 --order 200000",
+])
+def test_over_cap_commands_exit_3_before_any_work(no_work, capsys, argv):
+    from loopgas.cli import main
+
+    assert main(argv.split()) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("domain error: the cutoff asks for more than")
+
+
+def test_the_channel_evaluator_is_capped_as_its_set_up(monkeypatch):
+    # a full completion of n = 1.3 dense at order 4096 is past the cap, but the
+    # evaluator builds only the columns its sums read, and is not refused
+    from loopgas import annulus, params_from_n
+
+    params = params_from_n(1.3, "dense")
+    theta = annulus._direct_terms(params, None, 4096, None, Backend.FLOAT)
+    with pytest.raises(DomainError, match="steps of work"):
+        qseries._check_work(*qseries._extent(theta))
+
+    def refuse(*args):
+        raise AssertionError("the evaluator built a channel in full")
+
+    monkeypatch.setattr(qseries, "_euler_kernel", refuse)
+    assert annulus.duality_check(params, None, 1.0, 4096).residual < 1e-8
+
+
+def test_the_largest_property_test_input_is_under_the_cap():
+    # the hypothesis properties draw flux sums at |n| <= 1.99 below cutoff 1024;
+    # the costliest, the null-pair form at n = -1.99 dense, is ~0.79 of the cap
+    from loopgas import annulus, params_from_n
+
+    theta = annulus._direct_terms(params_from_n(-1.99, "dense"), None, 1024, None,
+                                  Backend.FLOAT, "null_pairs")
+    terms, columns = len(theta[0]), 1024 + 1
+    assert 0.75 * qseries._WORK_CAP < terms * columns + columns ** 1.5 <= qseries._WORK_CAP
+    qseries._check_work(*qseries._extent(theta))
+
+
 # -- an exact series is its lattice --------------------------------------------
 
 
@@ -1012,7 +1117,7 @@ def channel_thetas(draw):
         return annulus.flux_sum(params, w, cutoff, None, Backend.FLOAT), 1
     gap = annulus._crossed_gap(params, w.chi_prime) - params.c / 12.0
     assume(gap < cutoff)  # else the cutoff excludes the leading crossed term
-    return annulus._crossed_theta(params, w, cutoff), 2
+    return GenSeries.from_terms(*annulus._crossed_terms(params, w, cutoff), Backend.FLOAT), 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -1148,7 +1253,8 @@ def test_channel_evaluator_builds_in_full_without_a_class_path(n, phase):
 
     params = params_from_n(n, phase)
     for theta, step in [(annulus.flux_sum(params, None, 200, None, Backend.FLOAT), 1),
-                        (annulus._crossed_theta(params, annulus.default_wrap(params), 200), 2)]:
+                        (GenSeries.from_terms(*annulus._crossed_terms(
+                            params, annulus.default_wrap(params), 200), Backend.FLOAT), 2)]:
         assert qseries._float_setup(theta, step)[4] is None
         full, evaluate = qseries._euler_kernel(theta, step), qseries._euler_evaluator(theta, step)
         for q in (1e-6, 0.53, 0.99):

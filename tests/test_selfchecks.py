@@ -60,6 +60,27 @@ def test_every_builder_completes_through_one_entry_point():
     assert not found, f"the Euler kernel named outside `_complete`: {found}"
 
 
+def test_every_private_function_has_a_caller_in_src():
+    # a helper only the tests call is code the package does not need: a
+    # module-level `_name` function must be named somewhere in src outside its
+    # own definition (a call, an import, or a module-global lookup)
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.rglob("*.py"))}
+    defs = [(name, f) for name, tree in trees.items() for f in tree.body
+            if isinstance(f, ast.FunctionDef) and f.name.startswith("_")
+            and not f.name.startswith("__")]
+    unused = []
+    for module, f in defs:
+        own = {id(node) for node in ast.walk(f)}
+        named = (node for tree in trees.values() for node in ast.walk(tree)
+                 if id(node) not in own)
+        if not any(f.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                   or isinstance(node, ast.alias) and f.name == node.name
+                   for node in named):
+            unused.append(f"{module}:{f.name}")
+    assert not unused, f"private functions with no caller in loopgas: {unused}"
+
+
 def test_no_module_imports_dataclasses():
     # `dataclasses` pulls `inspect`, `ast`, `dis` and `tokenize` into every
     # process that imports it; the value classes are NamedTuples instead
