@@ -295,10 +295,11 @@ def _crossed_table(params: CGParams, w: WrapWeight):
     return u, 0 if at_zero else -0.5, weight
 
 
-def _crossed_terms(params: CGParams, w: WrapWeight, cutoff):
+def _crossed_terms(params: CGParams, w: Optional[WrapWeight], cutoff):
     """The crossed channel's theta in qtilde, including qtilde^{-c/12}, as the
     raw (pairs, cutoff) that `partition_crossed` completes by the step-2 Euler
     kernel; at n' = n, m and -1-m are null partners 2(2m+1) columns apart."""
+    w = default_wrap(params) if w is None else w
     u, vertex, weight = _crossed_table(params, w)
     cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
     f = lambda m: -params.c / 12.0 + _crossed_gap(params, u(m))
@@ -318,7 +319,6 @@ def partition_crossed(
     Stored exponents include the qtilde^{-c/12} prefactor; with chi' = chi
     the exponent ladder is -c/12 + x_{2m} (even electric charges) and the
     m = 0 coefficient is the boundary-entropy factor b_0^2."""
-    w = default_wrap(params) if w is None else w
     return _complete(_crossed_terms(params, w, cutoff), Backend.FLOAT, 2)
 
 
@@ -345,7 +345,6 @@ def _duality_evaluator(params: CGParams, w: Optional[WrapWeight], cutoff, tol: f
     which builds each column once, and only those that a sum reaches."""
     if not _number(tol, "tol") > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    w = default_wrap(params) if w is None else w
     channels = []
 
     def evaluate(ratio: float) -> ChannelEval:

@@ -24,6 +24,7 @@ alpha_1 = -alpha_2, and real couplings only ever lower c below 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from numbers import Real
@@ -75,16 +76,36 @@ def _check_width(L: float) -> float:
     return x
 
 
+def _finite_values(f):
+    """f, refusing an overflow, a division by a g L that underflows to 0, or any
+    value that is not finite, as a DomainError: never a traceback, inf or nan."""
+
+    @functools.wraps(f)
+    def checked(*args, **kwargs):
+        try:
+            out = f(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            out = math.inf
+        if not all(map(math.isfinite, out if isinstance(out, tuple) else (out,))):
+            raise DomainError(f"{f.__name__}'s value is not finite in double precision")
+        return out
+
+    return checked
+
+
+@_finite_values
 def e0_zeta(L: float) -> float:
     """Zeta-regularized free ground-state energy -pi/(24 L)."""
     return -math.pi / (24.0 * _check_width(L))
 
 
+@_finite_values
 def e1_zeta(b: BoundaryCoupling) -> float:
     """Boundary-term energy shift pi (alpha1 + alpha2)^2 / (g L)."""
     return math.pi * (b.alpha1 + b.alpha2) ** 2 / (b.g * b.L)
 
 
+@_finite_values
 def e1_cutoff(
     b: BoundaryCoupling, epsilon_list: Sequence[float], fit_tol: float = 1e-9
 ) -> tuple[float, float]:
@@ -112,11 +133,13 @@ def e1_cutoff(
         odd = math.exp(-e) / (1.0 - math.exp(-2.0 * e))
         even = 1.0 / (math.exp(2.0 * e) - 1.0)
         vals.append(-(2.0 * math.pi / (b.g * b.L)) * (minus * odd + plus * even))
+    if not all(map(math.isfinite, vals)):
+        raise DomainError("e1_cutoff's value is not finite in double precision")
     A = np.column_stack([1.0 / np.array(eps), np.ones(len(eps)), np.array(eps)])
     coef, *_ = np.linalg.lstsq(A, np.array(vals), rcond=None)
     resid = float(np.max(np.abs(A @ coef - np.array(vals))))
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if resid > fit_tol * scale:
+    if not resid <= fit_tol * scale:  # a nan residual fails too
         raise RegulatorFitError(
             f"regulator fit residual {resid:.2e} exceeds tolerance; "
             "epsilon values too coarse for the A/eps + B + C eps model"
@@ -125,6 +148,7 @@ def e1_cutoff(
     return finite, divergent
 
 
+@_finite_values
 def c_effective(b: BoundaryCoupling) -> float:
     """Effective central charge 1 - (24/g)(alpha1 + alpha2)^2; <= 1 for real couplings."""
     return 1.0 - (24.0 / b.g) * (b.alpha1 + b.alpha2) ** 2

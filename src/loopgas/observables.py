@@ -199,7 +199,9 @@ def asymptote_fit(
 
     `evaluator` maps a modulus in (0,1) to (value, tail_bound); the fit is
     refused if any tail bound exceeds 1% of the value."""
-    lo, hi = (_as_float(window[i], "fit window", False) for i in (0, 1))
+    if not isinstance(window, (tuple, list)) or len(window) != 2:
+        raise DomainError(f"fit window must be a pair (lo, hi), got {window!r}")
+    lo, hi = (_as_float(x, "fit window", False) for x in window)
     if not (0.0 < lo < hi < 1.0):
         raise DomainError("fit window must satisfy 0 < lo < hi < 1")
     if not isinstance(npoints, int) or npoints < 8:

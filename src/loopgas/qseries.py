@@ -265,12 +265,9 @@ class GenSeries:
             if (g := math.gcd(C, *a)) > 1:
                 C, a = C // g, tuple([x // g for x in a])
         self = object.__new__(cls)
-        self._fill(cutoff, backend, None, D, C, n, a, M)
-        return self
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(cls.__slots__, (cutoff, backend, None, D, C, n, a, M)):
             object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -530,7 +527,8 @@ class GenSeries:
 
     @staticmethod
     def from_json_dict(d: dict) -> "GenSeries":
-        backend = Backend(d["backend"])
+        # a name that is no backend's stays as read, for from_terms to refuse
+        backend = next((b for b in Backend if b.value == d["backend"]), d["backend"])
         dec = _decode_number
         return GenSeries.from_terms(
             [(dec(t["exponent"]), dec(t["coefficient"])) for t in d["terms"]],
@@ -556,9 +554,7 @@ def _decode_number(x) -> Number:
 
 
 def format_number(x: Number) -> str:
-    """Round-trippable text: fractions as 'p/q', floats with 17 significant digits."""
-    if isinstance(x, Fraction):
-        return str(x)
+    """Round-trippable text of a float: 17 significant digits."""
     return format(float(x), ".17g")
 
 
@@ -566,13 +562,11 @@ def format_number(x: Number) -> str:
 
 
 def euler_inverse(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:
-    r"""\prod_{r\ge1}(1-q^r)^{-1} = \sum_k p(k) q^k with p(k) the partition numbers."""
+    r"""\prod_{r\ge1}(1-q^r)^{-1} = \sum_k p(k) q^k (partitions): theta = 1 completed."""
     cutoff = _as_cutoff(cutoff, backend)
     if cutoff <= 0:
         raise DomainError("euler_inverse requires cutoff > 0")
-    _check_work(1, cutoff)  # the theta = 1 it completes
-    p = _partition_numbers(math.ceil(cutoff) - 1)
-    return GenSeries.from_terms(enumerate(p), cutoff, backend)
+    return _complete(GenSeries.constant(1, cutoff, backend), backend)
 
 
 #: p(0), p(1), ... -- grown on demand by _partition_numbers, never in place.
@@ -929,10 +923,9 @@ def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSe
     return theta if backend is Backend.EXACT else theta._rounded()
 
 
-def euler_product(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:
-    r"""\prod_{r\ge1}(1-q^r), which is Euler's pentagonal series term by term; the
-    test suite expands the product one factor at a time as its oracle."""
-    return pentagonal_series(cutoff, backend)
+#: \prod_{r\ge1}(1-q^r), which is Euler's pentagonal series term by term; the
+#: test suite expands the product one factor at a time as its oracle.
+euler_product = pentagonal_series
 
 
 def dedekind_eta_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSeries:
@@ -944,9 +937,8 @@ def dedekind_eta_series(cutoff: Number, backend: Backend = Backend.EXACT) -> Gen
     return pentagonal_series(cutoff - shift, backend).shift(shift)
 
 
-def eval_at(series: GenSeries, q: float) -> tuple[float, float]:
-    """Module-level alias of :meth:`GenSeries.eval_at`."""
-    return series.eval_at(q)
+#: Module-level alias of :meth:`GenSeries.eval_at`.
+eval_at = GenSeries.eval_at
 
 
 def eta_modular_check(

@@ -222,6 +222,42 @@ ERROR_PATHS = [
     *((f"e0_zeta width {L!r}", lambda L=L: boundary.e0_zeta(L),
        DomainError, "strip width L must be positive and finite")
       for L in (math.nan, math.inf, 0, -1)),
+    # boundary values past the doubles: an inf or a nan is refused, never returned
+    ("e0_zeta at a subnormal width", lambda: boundary.e0_zeta(1e-320),
+     DomainError, "e0_zeta's value is not finite"),
+    ("e1_zeta past the doubles", lambda: boundary.e1_zeta(boundary.BoundaryCoupling(1, 1e200, 1e200)),
+     DomainError, "e1_zeta's value is not finite"),
+    ("e1_zeta at a subnormal g", lambda: boundary.e1_zeta(boundary.BoundaryCoupling(1e-320, 0.3, 0.1)),
+     DomainError, "e1_zeta's value is not finite"),
+    ("c_effective past the doubles",
+     lambda: boundary.c_effective(boundary.BoundaryCoupling(1, 1e200, 1e200)),
+     DomainError, "c_effective's value is not finite"),
+    ("c_effective at a subnormal g",
+     lambda: boundary.c_effective(boundary.BoundaryCoupling(1e-320, 0.3, 0.1)),
+     DomainError, "c_effective's value is not finite"),
+    ("e1_cutoff past the doubles",
+     lambda: boundary.e1_cutoff(boundary.BoundaryCoupling(1, 1e200, 1e200), [0.01, 0.02, 0.03]),
+     DomainError, "e1_cutoff's value is not finite"),
+    ("e1_cutoff at a subnormal g",
+     lambda: boundary.e1_cutoff(boundary.BoundaryCoupling(1e-320, 0.3, 0.1), [0.01, 0.02, 0.03]),
+     DomainError, "e1_cutoff's value is not finite"),
+    ("e1_zeta at a g L that underflows",
+     lambda: boundary.e1_zeta(boundary.BoundaryCoupling(1e-200, 0.3, 0.1, 1e-200)),
+     DomainError, "e1_zeta's value is not finite"),
+    ("e1_cutoff at a g L that underflows",
+     lambda: boundary.e1_cutoff(boundary.BoundaryCoupling(1e-200, 0.3, 0.1, 1e-200),
+                                [0.01, 0.02, 0.03]),
+     DomainError, "e1_cutoff's value is not finite"),
+    ("e1_cutoff at a subnormal width",
+     lambda: boundary.e1_cutoff(boundary.BoundaryCoupling(1.5, 0.3, 0.1, 1e-320),
+                                [0.01, 0.02, 0.03]),
+     DomainError, "e1_cutoff's value is not finite"),
+    ("fit window of one value",
+     lambda: observables.asymptote_fit(lambda x: (1.0, 0.0), (0.1,)),
+     DomainError, r"fit window must be a pair \(lo, hi\), got \(0.1,\)"),
+    ("series JSON with an unknown backend",
+     lambda: GenSeries.from_json_dict({"backend": "nope", "cutoff": 1, "terms": []}),
+     DomainError, "backend must be a Backend, got 'nope'"),
 ]
 
 # Both backends take only int, float and Fraction, and refuse anything else,
@@ -295,11 +331,17 @@ def test_empty_decomposition_serialises_without_a_model():
      "more than 65536 integers"),
     (["partition", "--n", "1.3", "--phase", "dense", "--naive", "--order", "1" + "0" * 308],
      "more than 65536 integers"),
+    (["boundary", "--g", "1", "--alpha1", "1e200", "--alpha2", "1e200"], "not finite"),
+    (["boundary", "--g", "1e-320", "--alpha1", "0.3", "--alpha2", "0.1"], "not finite"),
+    (["boundary", "--g", "1.5", "--alpha1", "0.3", "--alpha2", "0.1", "--L", "1e-320"],
+     "not finite"),
+    (["boundary", "--g", "1e-200", "--alpha1", "0.3", "--alpha2", "0.1", "--L", "1e-200"],
+     "not finite"),
 ])
 def test_cli_domain_exit(capsys, argv, fragment):
     assert main(argv) == 3
     out, err = capsys.readouterr()
-    assert out == "" and fragment in err
+    assert out == "" and fragment in err and err.count("\n") == 1
 
 
 # -- inputs the entry points refuse -------------------------------------------

@@ -213,6 +213,37 @@ class TestCrossingEtaProduct:
         assert abs(value - float(ref)) <= 1e-14 * float(ref)
 
 
+#: Registry series that are eta products: (model, n, phase, n', m, r_d) for
+#: Z = q^a prod_d E(x^d)^{r_d}, x = q^{1/m}, a Z's least exponent (ROADMAP item 9)
+ETA_PRODUCTS = [
+    ("n=1 dilute", 1.0, "dilute", None, 2, {1: -1, 2: 2, 4: -1}),
+    ("n=2 dense", 2.0, "dense", None, 4, {1: -2, 2: 5, 4: -3}),
+    ("n=2 dense, n'=0", 2.0, "dense", 0.0, 1, {1: 1, 2: -1}),
+]
+
+
+@pytest.mark.parametrize("n,phase,n_prime,m,r", [p[1:] for p in ETA_PRODUCTS],
+                         ids=[p[0] for p in ETA_PRODUCTS])
+def test_registry_series_is_the_eta_product_exactly(n, phase, n_prime, m, r):
+    # Z q^{-a} prod_{r_d < 0} E(x^d)^{-r_d} == prod_{r_d > 0} E(x^d)^{r_d} coefficient
+    # by coefficient below x^{1024 m}, each product by a sparse pentagonal series
+    w = None if n_prime is None else wrap_weight(phase, n_prime)
+    top, Z = m * 1024, partition_direct(params_from_n(n, phase), w, 1024)
+    lhs, rhs = [0] * top, [1] + [0] * (top - 1)
+    for e, c in Z:
+        k = m * (e - Z.min_exponent)
+        assert k.denominator == 1 and c.denominator == 1
+        if k < top:
+            lhs[int(k)] = int(c)
+    for d, rd in r.items():
+        for _ in range(abs(rd)):
+            if rd < 0:
+                lhs = _times_sparse(lhs, _pentagonal(top, d))
+            else:
+                rhs = _times_sparse(rhs, _pentagonal(top, d))
+    assert lhs == rhs
+
+
 class TestWrapCountGenerating:
     def test_native_weight_is_partition_function(self):
         ising = params_from_n(1.0, "dilute")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,6 +15,7 @@ import pytest
 import loopgas
 
 SRC = pathlib.Path(loopgas.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements_in_package():
@@ -58,6 +60,35 @@ def test_every_builder_completes_through_one_entry_point():
                       getattr(node, "id", None), getattr(node, "attr", None),
                       getattr(node, "name", None))]
     assert not found, f"the Euler kernel named outside `_complete`: {found}"
+
+
+def test_partition_numbers_are_read_by_the_kernel_alone():
+    # one completion: p(k) is read by the Euler kernel's two backends, and by
+    # `characters.decompose`'s peel; every other series of p(k) is a completion
+    # of theta = 1 through `_complete`
+    home = {("qseries.py", "_partition_numbers"), ("qseries.py", "_float_setup"),
+            ("qseries.py", "_euler_kernel"), ("characters.py", "decompose")}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef)
+                  and (path.name, f.name) in home for node in ast.walk(f)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in inside and "_partition_numbers" in (
+                      getattr(node, "id", None), getattr(node, "attr", None))]
+    assert not found, f"p(k) read outside the Euler kernel: {found}"
+
+
+def test_readme_states_the_counted_lines():
+    # README's figure is what its own one-liner counts: lines of src that are
+    # not blank and do not start with `#` after indentation
+    readme = (ROOT / "README.md").read_text()
+    assert "cat src/loopgas/*.py | grep -v '^\\s*#' | grep -c '\\S'" in readme
+    stated = re.search(r"The package now has ([\d ]+) counted lines", readme)
+    lines = [line for path in sorted((ROOT / "src" / "loopgas").glob("*.py"))
+             for line in path.read_text().splitlines()]
+    counted = sum(1 for line in lines if line.strip() and not line.lstrip().startswith("#"))
+    assert int(stated.group(1).replace(" ", "")) == counted
 
 
 def test_every_private_function_has_a_caller_in_src():
