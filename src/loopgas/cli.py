@@ -263,7 +263,16 @@ def _cmd_evaluate(args) -> str:
     return _table_payload(_ROWS[args.command](args)(modulus), args.format)
 
 
+#: The model flags each sweep target reads; one it does not read is refused.
+_SWEEP_FLAGS = {"duality": ("n", "phase", "n_prime", "tol"), "crossing": (),
+                "saw": ("phase", "crossed")}
+
+
 def _cmd_sweep(args) -> str:
+    for flag in ("n", "phase", "n_prime", "tol", "crossed"):
+        if getattr(args, flag) is not None and flag not in _SWEEP_FLAGS[args.target]:
+            raise DomainError(f"sweep --target {args.target} takes no --{flag.replace('_', '-')}")
+    args.tol = 1e-8 if args.tol is None else args.tol
     row = _ROWS[args.target](args)
     return _table_payload([row(v) for v in args.values], args.format)
 
@@ -365,8 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, default=None)
     p.add_argument("--phase", choices=["dilute", "dense"], default=None)
     p.add_argument("--n-prime", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--crossed", action="store_true",
+    p.add_argument("--tol", type=float, default=None, help="duality target (default 1e-8)")
+    p.add_argument("--crossed", action="store_true", default=None,
                    help="saw target: treat values as conjugate moduli")
     return top
 

@@ -47,9 +47,9 @@ no multiply), and XOR with the start flips each field's top bit, leaving its
 sum in two's complement to be read by one `struct.unpack`; the packed table is
 cached per width and step.  Floating exponents have no lattice: each theta
 term adds one row over the ladder k step and the floats p(k), both cached per
-step.  One set-up, one sort by exponent mod step and one pass, groups rows:
-at generic coupling a class is one term or a pair of null partners, and where
-M = 2 max|a| p(K) is finite one
+step, and each row ends by one rule.  One set-up, one sort by exponent mod step and
+one pass, groups rows and builds the whole series on either path: at generic coupling
+a class is one term or a pair of null partners, and where M = 2 max|a| p(K) is finite one
 fill writes any window of columns, summed column by column, straight into every
 R-th slot from r of one column-major buffer, in exponent order, unchecked for
 finiteness.  The kernel fills every column and hands M >= every |coefficient|
@@ -574,18 +574,16 @@ _PARTITIONS = [1]
 
 
 def _partition_numbers(kmax: int) -> list[int]:
-    """p(0..kmax) via the pentagonal-number recurrence, as a fresh list.
+    """p(0..kmax) via the recurrence over `pentagonal_series`, as a fresh list.
 
     The values come from one module-level table.  A call past its end extends
     a copy and publishes that, so a list once published never changes."""
     global _PARTITIONS
     p = _PARTITIONS
     if kmax >= len(p):
-        p = p[:]
-        # Euler's generalized pentagonal numbers j(3j - 1)/2 <= kmax, j != 0, with
-        # sign (-1)^(j+1): 3j^2 - j is even, so <= 2 kmax iff < 2 kmax + 2
-        pent = [(j * (3 * j - 1) // 2, 2 * (j & 1) - 1)
-                for j in _integer_support(3, -1, 0, 2 * kmax + 2) if j]
+        # p(k) = -sum a_g p(k - g) over Euler's terms a_g q^g, 0 < g <= min(k, kmax)
+        p, euler = p[:], pentagonal_series(kmax + 1)
+        pent = list(zip(euler._n[1:], map(neg, euler._a[1:])))
         for k in range(len(p), kmax + 1):
             p.append(sum([s * p[k - g] for g, s in pent if g <= k]))
         _PARTITIONS = p
@@ -690,10 +688,10 @@ def _slot_series(slots, D: int, C: int, cutoff) -> GenSeries:
 
 
 def _float_setup(theta, step):
-    """(top, b, p, theta, cols) of the floating `_euler_kernel` of theta, a series or
+    """(top, theta, whole, cols) of the floating `_euler_kernel` of theta, a series or
     a builder's raw (pairs, cutoff), pairs a list, read as `from_terms` of them (or its
-    DomainError) where that would change them: the cutoff, the ladder b_k = k step and
-    floats p(k), theta as read, and the class path's (width, lo, R, M, fill) or None."""
+    DomainError) where it would change them: the cutoff, theta as read, whole() on either
+    path, each row ended by `end`, and the class path's (width, lo, R, M, fill) or None."""
     pairs, cutoff = (None, theta.cutoff) if isinstance(theta, GenSeries) else theta
     es, cs = (theta._n, theta._a) if pairs is None else tuple(zip(*pairs)) or ((), ())
     # Raw pairs: a sum is finite only where each term is; the pass below finds
@@ -702,7 +700,7 @@ def _float_setup(theta, step):
             es and math.isfinite(sum(es) + sum(cs)) and all(cs) and max(es) < cutoff):
         return _float_setup(GenSeries.from_terms(pairs, cutoff, Backend.FLOAT), step)
     if not es:
-        return cutoff, (), (), theta, None
+        return cutoff, theta, lambda: theta, None
     low, tol = min(es), FLOAT_EXPONENT_TOL
     span = (cutoff - low) / step
     # b_k and p(k) for k < L = ceil(span), the k with k < span
@@ -759,9 +757,12 @@ def _float_setup(theta, step):
         else:  # a lone term: one row, e's
             n = end(e)
             plan.append((int(e // step) - lo, n, e, a, e, 0.0, n, n, False))
-    if not ok:
-        return ((top, b, p, theta, None) if pairs is None
-                else _float_setup(GenSeries.from_terms(pairs, cutoff, Backend.FLOAT), step))
+    if not ok and pairs is not None:
+        return _float_setup(GenSeries.from_terms(pairs, cutoff, Backend.FLOAT), step)
+    if not ok:  # every row, merged as the Cauchy product merges them
+        return top, theta, lambda: _float_terms(sorted(chain.from_iterable(
+            zip([e + x for x in b[:n]], [a * x for x in p[:n]])
+            for e, a, n in zip(es, cs, map(end, es))), key=itemgetter(0)), top), None
     R = len(plan)
 
     def fill(k0: int, k1: int, r0: int = 0):
@@ -791,7 +792,8 @@ def _float_setup(theta, step):
             cbuf[s:s + len(cs) * R:R] = cs
         return compress(ebuf, cbuf), filter(None, cbuf)
 
-    return top, b, p, theta, (max(col + length for col, length, *_ in plan), lo, R, M, fill)
+    width = max(col + length for col, length, *_ in plan)
+    return top, theta, lambda: _float_series(*fill(0, width), top, M), (width, lo, R, M, fill)
 
 
 def _euler_evaluator(theta, step=1):
@@ -801,7 +803,7 @@ def _euler_evaluator(theta, step=1):
     majorant, any stop where `_settled` holds gives the full loop's value.  The
     set-up (ladder, p(k)) is capped as theta = 1's completion; a full build, by `_complete`."""
     _check_work(1, _extent(theta)[1], step)
-    top, _, _, theta, cols = _float_setup(theta, step)
+    top, theta, _, cols = _float_setup(theta, step)
     if cols:
         width, lo, R, M, fill = cols
         # |last| of the tail bound: the top column's highest nonzero slot, that of
@@ -843,25 +845,16 @@ def _euler_kernel(theta, step=1) -> GenSeries:
     adds a p(k) to slot n + k step D, k step fields on: a times the table of
     p(k), packed one every step fields, shifted to n's field, one multiply-add
     (an add or subtract at a = +-1) over its residue's columns only.  Floating
-    (theta may be a builder's raw pairs, see `_float_setup`): each theta term
-    (e, a) adds the row (e + k step, a p(k)) below the cutoff, merged by
-    classes of e mod step and read out of one buffer by the fill of
-    `_float_setup` over every column.  Either way these are the float
+    (theta may be a builder's raw pairs): each theta term (e, a) adds the row
+    (e + k step, a p(k)) below the cutoff, built whole by `_float_setup`: merged
+    by classes of e mod step into one buffer, or sorted and merged by
+    `_float_terms`.  Either way these are the float
     operations, in the order, of theta * euler_inverse(span/step).dilate(step):
     bit for bit."""
     if isinstance(theta, GenSeries) and theta.is_zero:
         return theta
     if not isinstance(theta, GenSeries) or theta.backend is Backend.FLOAT:
-        top, b, p, theta, cols = _float_setup(theta, step)
-        if cols:
-            width, _, _, M, fill = cols
-            return _float_series(*fill(0, width), top, M)
-        # Otherwise all rows, each ending at its first e + b_k at or past top
-        # (rounding is monotone), are merged as the Cauchy product merges them.
-        ends = [bisect_left(b, top, key=e.__add__) for e in theta._n]
-        return _float_terms(sorted(chain.from_iterable(
-            zip([e + x for x in b[:n]], [a * x for x in p[:n]])
-            for e, a, n in zip(theta._n, theta._a, ends)), key=itemgetter(0)), top)
+        return _float_setup(theta, step)[2]()
     D, least = theta._D, theta._n[0]
     top = math.ceil(theta.cutoff * D)
     base, end = least // D, (top - 1) // D + 1  # the columns that hold slots below top

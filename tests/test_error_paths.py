@@ -337,6 +337,22 @@ def test_empty_decomposition_serialises_without_a_model():
      "not finite"),
     (["boundary", "--g", "1e-200", "--alpha1", "0.3", "--alpha2", "0.1", "--L", "1e-200"],
      "not finite"),
+    (["sweep", "--target", "crossing", "--n", "0.5", "--phase", "dense", "--values", "0.3"],
+     "sweep --target crossing takes no --n"),
+    (["sweep", "--target", "crossing", "--phase", "dense", "--values", "0.3"],
+     "takes no --phase"),
+    (["sweep", "--target", "crossing", "--tol", "1e-8", "--values", "0.3"], "takes no --tol"),
+    (["sweep", "--target", "crossing", "--n-prime", "1", "--values", "0.3"],
+     "takes no --n-prime"),
+    (["sweep", "--target", "crossing", "--crossed", "--values", "0.3"], "takes no --crossed"),
+    (["sweep", "--target", "saw", "--phase", "dilute", "--n", "0", "--values", "0.3"],
+     "sweep --target saw takes no --n"),
+    (["sweep", "--target", "saw", "--phase", "dilute", "--n-prime", "0", "--values", "0.3"],
+     "takes no --n-prime"),
+    (["sweep", "--target", "saw", "--phase", "dilute", "--tol", "1", "--values", "0.3"],
+     "takes no --tol"),
+    (["sweep", "--target", "duality", "--n", "1", "--phase", "dense", "--crossed",
+      "--values", "1.0"], "sweep --target duality takes no --crossed"),
 ])
 def test_cli_domain_exit(capsys, argv, fragment):
     assert main(argv) == 3

@@ -1,6 +1,7 @@
 """Crossing probability, wrapping loops, logarithmic sector, asymptote fits."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,7 @@ from loopgas import observables, qseries
 from loopgas.annulus import partition_crossed
 
 import series_oracle as oracle
+from eta_oracle import ETA_PRODUCTS, _exponents, _factor, _machin_pi, _pentagonal, _times_sparse
 
 ORACLE_ORDERS = (40, 256)
 
@@ -132,43 +134,10 @@ class TestCrossingProbability:
             assert abs(form_b - p) < 1e-10
 
 
-def _pentagonal(top: int, d: int) -> dict:
-    """Euler's E(x^d) = prod(1 - x^{dk}) = sum_k (-1)^k x^{d k(3k-1)/2} below x^top."""
-    return {d * k * (3 * k - 1) // 2: 1 - 2 * (k & 1) for k in range(-top, top + 1)
-            if d * k * (3 * k - 1) // 2 < top}
-
-
-def _times_sparse(dense: list, sparse: dict) -> list:
-    """The dense coefficient list times a sparse series, below len(dense)."""
-    top, out = len(dense), [0] * len(dense)
-    for e, s in sparse.items():
-        for i in range(top - e):
-            out[i + e] += s * dense[i]
-    return out
-
-
-def _machin_pi():
-    """pi = 16 atan(1/5) - 4 atan(1/239) in the current decimal context."""
-    from decimal import Decimal, getcontext
-
-    def atan_inv(n: int):
-        eps, x = Decimal(10) ** -(getcontext().prec + 2), Decimal(1) / n
-        total, term, k = x, x, 1
-        while abs(term) > eps:
-            term *= -x * x
-            k += 2
-            total += term / k
-        return total
-
-    return 16 * atan_inv(5) - 4 * atan_inv(239)
-
-
 def _crossing_reference(q: float):
     """P(q) to 50 digits from the S-transformed eta product, a product of positive
     factors: sqrt(3/2) qt^{5/48} prod (1-qt^{6k})(1-qt^{3k/2}) / ((1-qt^{3k})(1-qt^{2k}))
     with ln q ln qt = 2 pi^2, q taken as its exact binary value."""
-    from decimal import Decimal, localcontext
-
     with localcontext() as ctx:
         ctx.prec = 60
         lnqt = 2 * _machin_pi() ** 2 / Decimal(q).ln()
@@ -213,35 +182,85 @@ class TestCrossingEtaProduct:
         assert abs(value - float(ref)) <= 1e-14 * float(ref)
 
 
-#: Registry series that are eta products: (model, n, phase, n', m, r_d) for
-#: Z = q^a prod_d E(x^d)^{r_d}, x = q^{1/m}, a Z's least exponent (ROADMAP item 9)
-ETA_PRODUCTS = [
-    ("n=1 dilute", 1.0, "dilute", None, 2, {1: -1, 2: 2, 4: -1}),
-    ("n=2 dense", 2.0, "dense", None, 4, {1: -2, 2: 5, 4: -3}),
-    ("n=2 dense, n'=0", 2.0, "dense", 0.0, 1, {1: 1, 2: -1}),
-]
+def _saw_dilute_reference(q: float):
+    """Z1(q) of the single wrapping SAW, n = 0 dilute, to 50 digits from the crossed
+    channel's n'-derivative (g = 3/2, chi = chi' = -pi/2, c = 0), q taken as its exact
+    binary value:
+
+        Z1 = -1/(2 sin chi') sum_m [w'_m + w_m u_m ln qt/(pi^2 g)] qt^{f_m} / prod(1 - qt^{2r})
+
+    with u_m = chi' + 2 pi m, w_m = sqrt(2/g) sin(u_m/g)/sin chi', w'_m = sqrt(2/g)
+    cos(u_m/g)/(g sin chi') (cos chi' = 0), f_m = (u_m^2 - chi^2)/(2 pi^2 g) = 2m(2m - 1)/3
+    and ln q ln qt = 2 pi^2.  u_m/g = (4m - 1) pi/3, so each sine and cosine is exact."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = _machin_pi()
+        lnqt = 2 * pi ** 2 / Decimal(q).ln()
+        g, half, root = Decimal(3) / 2, Decimal(3).sqrt() / 2, (Decimal(4) / 3).sqrt()
+        # sin and cos of j pi/3 by j mod 6
+        sin = (0, half, half, 0, -half, -half)
+        cos = (1, Decimal(0.5), Decimal(-0.5), -1, Decimal(-0.5), Decimal(0.5))
+        total, k, eps = Decimal(0), 0, Decimal(10) ** -70
+        while True:
+            # m = 0, 1, -1, 2, -2, ...: f_m increases, so the terms stop together
+            m = (k + 1) // 2 if k % 2 else -(k // 2)
+            power = (2 * m * (2 * m - 1) * lnqt / 3).exp()
+            if power < eps:
+                break
+            j, u = (4 * m - 1) % 6, 2 * pi * m - pi / 2
+            total += (-root * cos[j] / g - root * sin[j] * u * lnqt / (pi ** 2 * g)) * power
+            k += 1
+        r, product = 1, Decimal(1)
+        while (2 * r * lnqt).exp() > eps:
+            product *= 1 - (2 * r * lnqt).exp()
+            r += 1
+        return total / (2 * product)
 
 
-@pytest.mark.parametrize("n,phase,n_prime,m,r", [p[1:] for p in ETA_PRODUCTS],
+def _decimal_value(series, q: float):
+    """The exact series summed at q, its exact binary value, to 60 digits in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lnq = Decimal(q).ln()
+        return sum(Decimal(c.numerator) / c.denominator
+                   * (Decimal(e.numerator) * lnq / e.denominator).exp() for e, c in series)
+
+
+class TestDiluteSawCrossedDerivative:
+    """saw_loop_dilute against its 50-digit crossed-channel reference (ROADMAP item 9)."""
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5])
+    def test_series_sums_to_the_crossed_derivative(self, q):
+        value, ref = _decimal_value(saw_loop_dilute(1024), q), _saw_dilute_reference(q)
+        assert abs(value - ref) <= abs(ref) * Decimal(10) ** -30
+
+    def test_reference_near_one(self):
+        # the float evaluation of the same formula reads 20.2234261705 at q = 0.95
+        assert abs(_saw_dilute_reference(0.95) - Decimal("20.2234261705")) < 1e-10
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the direct series cancels as "
+                       "q -> 1 (5.82e8 printed at q = 0.95); its value there needs the "
+                       "crossed channel")
+    def test_series_near_one_sums_to_the_crossed_derivative(self):
+        value, ref = _decimal_value(saw_loop_dilute(1024), 0.95), _saw_dilute_reference(0.95)
+        assert abs(value - ref) <= abs(ref) * Decimal(10) ** -30
+
+
+@pytest.mark.parametrize("n,phase,n_prime,m,a,sign,exponents", [p[1:] for p in ETA_PRODUCTS],
                          ids=[p[0] for p in ETA_PRODUCTS])
-def test_registry_series_is_the_eta_product_exactly(n, phase, n_prime, m, r):
-    # Z q^{-a} prod_{r_d < 0} E(x^d)^{-r_d} == prod_{r_d > 0} E(x^d)^{r_d} coefficient
-    # by coefficient below x^{1024 m}, each product by a sparse pentagonal series
+def test_registry_series_is_the_eta_product_exactly(n, phase, n_prime, m, a, sign, exponents):
+    # Z = sign q^a prod_k (1 - x^k)^{e_k} coefficient by coefficient below x^{1024 m}:
+    # sign q^{-a} Z, factored one k at a time, gives the table's e_k for every k < 1024 m
     w = None if n_prime is None else wrap_weight(phase, n_prime)
     top, Z = m * 1024, partition_direct(params_from_n(n, phase), w, 1024)
-    lhs, rhs = [0] * top, [1] + [0] * (top - 1)
+    assert Z.min_exponent == a
+    dense = [0] * top
     for e, c in Z:
-        k = m * (e - Z.min_exponent)
+        k = m * (e - a)
         assert k.denominator == 1 and c.denominator == 1
         if k < top:
-            lhs[int(k)] = int(c)
-    for d, rd in r.items():
-        for _ in range(abs(rd)):
-            if rd < 0:
-                lhs = _times_sparse(lhs, _pentagonal(top, d))
-            else:
-                rhs = _times_sparse(rhs, _pentagonal(top, d))
-    assert lhs == rhs
+            dense[int(k)] = sign * int(c)
+    assert _factor(dense) == _exponents(exponents, top)
 
 
 class TestWrapCountGenerating:

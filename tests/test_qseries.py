@@ -1129,7 +1129,7 @@ def test_channel_evaluator_is_eval_at_of_the_full_kernel(channel, qs):
     from the class path's windows (a coupling within rounding of a rational g
     has no class path, and is built in full)."""
     theta, step = channel
-    assume(qseries._float_setup(theta, step)[4] is not None)
+    assume(qseries._float_setup(theta, step)[3] is not None)
     full, evaluate = qseries._euler_kernel(theta, step), qseries._euler_evaluator(theta, step)
     for q in qs:
         assert repr(evaluate(q)) == repr(full.eval_at(q)), q
@@ -1255,7 +1255,7 @@ def test_channel_evaluator_builds_in_full_without_a_class_path(n, phase):
     for theta, step in [(annulus.flux_sum(params, None, 200, None, Backend.FLOAT), 1),
                         (GenSeries.from_terms(*annulus._crossed_terms(
                             params, annulus.default_wrap(params), 200), Backend.FLOAT), 2)]:
-        assert qseries._float_setup(theta, step)[4] is None
+        assert qseries._float_setup(theta, step)[3] is None
         full, evaluate = qseries._euler_kernel(theta, step), qseries._euler_evaluator(theta, step)
         for q in (1e-6, 0.53, 0.99):
             assert repr(evaluate(q)) == repr(full.eval_at(q))
@@ -1267,7 +1267,7 @@ def test_any_tiling_of_the_columns_is_the_full_kernel(channel, data):
     """The class path's fill over any tiling of its columns into windows joins
     to the full kernel output, which is the row oracle's bit for bit."""
     theta, step = channel
-    cols = qseries._float_setup(theta, step)[4]
+    cols = qseries._float_setup(theta, step)[3]
     assume(cols is not None)
     width, *_, fill = cols
     cuts = sorted(data.draw(st.sets(st.integers(1, max(width - 1, 1)), max_size=8)) - {width})
