@@ -76,13 +76,16 @@ class ChannelEval(NamedTuple):
 
 
 def _exponent(params: CGParams, exact: bool):
-    """(x, den) with h(p) - c/24 = x(p)/den: if `exact`, x = (a, b, c) of
-    (6u^2 p^2 + 12u(u - v) p + 6(v - u)^2 - uv) / 24uv at g = u/v, else the
-    exponent in float arithmetic and den = 1."""
+    """((a, b, c, f), den), `_integer_support`'s quadratic of h(p) - c/24 =
+    ((a p + b) p + c)/den: if `exact`, the integers of (6u^2 p^2 + 12u(u - v) p
+    + 6(v - u)^2 - uv) / 24uv at g = u/v and f None, else f the exponent in
+    float arithmetic, g/4 (p - m0)^2 + const, with a = g/4, b = -2a m0, c = f(0)
+    and den = 1."""
     if exact:
         u, v = params.g_exact.numerator, params.g_exact.denominator
-        return (6 * u * u, 12 * u * (u - v), 6 * (v - u) ** 2 - u * v), 24 * u * v
-    return (lambda p: leg_exponent(params, p) - params.c / 24.0), 1
+        return (6 * u * u, 12 * u * (u - v), 6 * (v - u) ** 2 - u * v, None), 24 * u * v
+    f, a = (lambda p: leg_exponent(params, p) - params.c / 24.0), params.g / 4.0
+    return (a, -2.0 * a * params.m0, f(0), f), 1
 
 
 def _exact_ok(
@@ -114,19 +117,13 @@ def _wrap_table(w: WrapWeight, parity: Optional[str], exact: bool):
     return _recurrence(x - 2, 1, x - 1, 2)
 
 
-def _flux_range(params: CGParams, cutoff, exponent) -> list:
-    """(p, exponent(p)) for every flux p with exponent below cutoff, ascending,
-    from `_integer_support`: on an exact (a, b, c) with an integer cutoff, or on
-    the float exponent g/4 (p - m0)^2 + const, whose own values decide the ends.
+def _flux_range(cutoff, a, b, c, f) -> list:
+    """(p, e) for every flux p with exponent e below cutoff, ascending: the
+    `_integer_support` of `_exponent`'s (a, b, c, f), on an integer cutoff if exact.
 
     A module-level name called through the module global: perfbench's tracer
     patches it to count the flux sectors of each `flux_sum`."""
-    if isinstance(exponent, tuple):
-        a, b, c = exponent
-        return [(p, (a * p + b) * p + c) for p in _integer_support(a, b, c, cutoff)]
-    a = params.g / 4.0
-    support = _integer_support(a, -2.0 * a * params.m0, exponent(0), cutoff, exponent)
-    return [(p, exponent(p)) for p in support]
+    return _integer_support(a, b, c, cutoff, f)
 
 
 def _flux_theta(params: CGParams, weight, cutoff, exact: bool, form: str = "integer",
@@ -141,7 +138,7 @@ def _flux_theta(params: CGParams, weight, cutoff, exact: bool, form: str = "inte
     cutoff.  `flux_sum` and every observable are this sum with their own
     weight table."""
     exponent, den = _exponent(params, exact)
-    sectors = _flux_range(params, math.ceil(Fraction(cutoff) * den) if exact else cutoff, exponent)
+    sectors = _flux_range(math.ceil(Fraction(cutoff) * den) if exact else cutoff, *exponent)
     # sectors ascend in p, so w_0 .. w_hi covers both p and -p - 2
     hi = max(sectors[-1][0], -2 - sectors[0][0]) if sectors else -1
     w = list(map(weight, range(hi + 1)))
@@ -194,7 +191,7 @@ def _direct_terms(params, w, cutoff, parity, backend, form="integer"):
                           "floating backend for this point")
     cutoff_c = _as_cutoff(cutoff, backend)
     x, den = _exponent(params, exact)
-    lead = Fraction(x[2], den) if exact else x(0)
+    lead = Fraction(x[2], den) if exact else x[2]
     if not lead < cutoff_c:
         raise DomainError(f"cutoff {cutoff} excludes the p=0 identity term at exponent "
                           f"{lead}; increase it")
@@ -244,11 +241,11 @@ def partition_naive(
     w = default_wrap(params) if w is None else w
     cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
     exponent, _ = _exponent(params, exact=False)
-    if not exponent(0) < cutoff_f:
+    if not exponent[2] < cutoff_f:
         raise DomainError("cutoff excludes the p=0 term; increase it")
     pairs = [
         (e, math.cos((p - params.m0) * w.chi_prime))
-        for p, e in _flux_range(params, cutoff_f, exponent)
+        for p, e in _flux_range(cutoff_f, *exponent)
     ]
     return _complete((pairs, cutoff_f), Backend.FLOAT)
 
@@ -304,7 +301,7 @@ def _crossed_terms(params: CGParams, w: Optional[WrapWeight], cutoff):
     cutoff_f = _as_cutoff(cutoff, Backend.FLOAT)
     f = lambda m: -params.c / 12.0 + _crossed_gap(params, u(m))
     a = 2.0 / params.g
-    pairs = [(f(m), c) for m in _integer_support(a, -2.0 * a * vertex, f(0), cutoff_f, f)
+    pairs = [(e, c) for m, e in _integer_support(a, -2.0 * a * vertex, f(0), cutoff_f, f)
              if (c := weight(m)) is not None]
     if not pairs:
         raise DomainError("cutoff excludes the leading crossed-channel term")

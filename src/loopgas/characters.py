@@ -94,8 +94,8 @@ def _character_theta(spec: CharacterSpec, cutoff, leading: Fraction) -> GenSerie
     # (2Nk + offset)^2/4N - 1/24 = (6 (2Nk + offset)^2 - N) / D
     D = 24 * N
     top = math.ceil(Fraction(cutoff) * D)
-    slots = [(6 * (2 * N * k + offset) ** 2 - N, sign) for offset, sign in ((a, 1), (b, -1))
-             for k in _integer_support(24 * N * N, 24 * N * offset, 6 * offset * offset - N, top)]
+    slots = [(e, sign) for offset, sign in ((a, 1), (b, -1))
+             for _, e in _integer_support(24 * N * N, 24 * N * offset, 6 * offset * offset - N, top)]
     if not slots:
         raise DomainError("cutoff excludes every character term; increase it")
     theta = _slot_series(slots, D, 1, cutoff)

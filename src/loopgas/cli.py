@@ -189,6 +189,18 @@ def _cmd_boundary(args) -> str:
     return _table_payload(row, args.format)
 
 
+def _modulus(name: str, value: float, to_q) -> float:
+    """q = to_q(value) for the user's `name` value, refused by that name and value
+    where it leaves 0 < q < 1 in double precision."""
+    try:
+        q = to_q(value)
+    except OverflowError:
+        q = math.inf
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"{name} {value!r} gives q = {q!r}, outside 0 < q < 1 in doubles")
+    return q
+
+
 # Row makers: each builds its series once and returns modulus -> output row.
 
 
@@ -238,7 +250,7 @@ def _saw_rows(args):
             raise DomainError(
                 f"conjugate modulus must satisfy 0 < qtilde < 1, got {x!r}"
             )
-        q = math.exp(2.0 * math.pi**2 / math.log(x))
+        q = _modulus("qtilde", x, lambda x: math.exp(2.0 * math.pi**2 / math.log(x)))
         v, tail = series.eval_at(q)
         asym = abs(math.log(x)) / (6.0 * math.pi)
         return {
@@ -259,7 +271,8 @@ _ROWS = {"duality": _duality_rows, "crossing": _crossing_rows, "saw": _saw_rows}
 def _cmd_evaluate(args) -> str:
     modulus = args.ratio  # duality evaluates at the aspect ratio itself
     if args.command != "duality":
-        modulus = args.q if args.q is not None else math.exp(-math.pi * args.ratio)
+        modulus = args.q if args.q is not None else _modulus(
+            "--ratio", args.ratio, lambda ratio: math.exp(-math.pi * ratio))
     return _table_payload(_ROWS[args.command](args)(modulus), args.format)
 
 

@@ -37,10 +37,10 @@ the derivative without free normalization.
 Each series above is theta times prod(1-q^r)^{-1}, theta being the exact
 flux sum of `annulus._flux_theta`, rounded once per term if floating:
 sum_p w_p q^{h(p) - c/24} over all p in Z, with w_{-1} = 0 and w_p = -w_{-p-2}
-for p <= -2.  An observable only picks the coupling and the weight table w_p
-for p >= 0 (d_p as in `loopgas.params`):
+for p <= -2.  crossing_probability is `partition_direct` at n = 1 dense, n' = 0
+(d_p = cos(p pi/2)); only the derivatives below, not a wrap weight, keep their
+own weight table w_p for p >= 0 (d_p as in `loopgas.params`):
 
-    crossing_probability (n = 1 dense): d_p at n' = 0, i.e. cos(p pi/2)
     saw_loop_derivative_series (n = 0, either phase): d/dn' d_p at n' = 0,
         i.e. (-1)^k (k+1) at p = 2k+1 and 0 at even p
     log_partition_exact_core (n = 0): p(p+2)/8 d_p at n' = 0, which is
@@ -69,13 +69,8 @@ from .qseries import (
     _slot_series,
 )
 
-_PERCOLATION = params_from_n(1.0, Phase.DENSE)
+_PERCOLATION, _NO_WRAP = params_from_n(1.0, Phase.DENSE), wrap_weight(Phase.DENSE, 0.0)
 _N0 = {phase: params_from_n(0.0, phase) for phase in Phase}
-
-
-def _d_at_zero(p: int) -> int:
-    """d_p at n' = 0: U_p(0) = cos(p pi/2)."""
-    return (1, 0, -1, 0)[p % 4]
 
 
 def _d_slope_at_zero(p: int) -> int:
@@ -87,7 +82,7 @@ def _log_weight(p: int) -> int:
     """p(p+2)/8 d_p at n' = 0, half of dh/dg = p^2/4 + p/2 times d_p.
 
     An integer: 8 divides p(p+2) at even p, and d_p = 0 at odd p."""
-    return p * (p + 2) // 8 * _d_at_zero(p)
+    return p * (p + 2) // 8 * (1, 0, -1, 0)[p % 4]
 
 
 def _flux_series(params, weight, cutoff, backend: Backend, form="integer") -> GenSeries:
@@ -96,8 +91,9 @@ def _flux_series(params, weight, cutoff, backend: Backend, form="integer") -> Ge
 
 
 def crossing_probability(cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:
-    """Probability that a percolation cluster joins the two annulus boundaries."""
-    return _flux_series(_PERCOLATION, _d_at_zero, cutoff, backend)
+    """Probability that a percolation cluster joins the two annulus boundaries:
+    Z at n = 1 dense with winding loops weighted n' = 0."""
+    return partition_direct(_PERCOLATION, _NO_WRAP, cutoff, backend)
 
 
 def wrap_count_generating(
@@ -144,8 +140,8 @@ def saw_loop_dense(
     cutoff = _as_cutoff(cutoff, Backend.EXACT)
     theta = _flux_theta(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, True)
     # k^2/2 - 1/24 is slot 12 k^2 - 1 over 24, below the cutoff iff below ceil(24 cutoff)
-    gauss = [(12 * k * k - 1, 1 - 2 * (k & 1))
-             for k in _integer_support(12, 0, -1, math.ceil(24 * theta.cutoff))]
+    gauss = [(e, 1 - 2 * (k & 1))
+             for k, e in _integer_support(12, 0, -1, math.ceil(24 * theta.cutoff))]
     if theta != _slot_series(gauss, 24, 1, theta.cutoff):
         raise IdentityError(
             "dense wrapping-loop forms disagree: Jacobi triple product "

@@ -623,14 +623,15 @@ def _check_work(terms: int, span, step=1) -> None:
                           f"({terms} terms over {columns} columns)")
 
 
-def _integer_support(a: Number, b: Number, c: Number, top: Number, f=None) -> range:
-    """Every integer k with f(k) < top, ascending, for a convex quadratic
-    f(k) = a k^2 + b k + c (a > 0): (a k + b) k + c on integers by default, or
-    a caller's float exponent function, whose own values then decide each end.
-    A support longer than `_SUPPORT_CAP` is refused before it is enumerated."""
+def _integer_support(a: Number, b: Number, c: Number, top: Number, f=None) -> list:
+    """The pairs (k, f(k)) for every integer k with f(k) < top, ascending in k, for
+    a convex quadratic f(k) = a k^2 + b k + c (a > 0): (a k + b) k + c on integers
+    by default, computed inline, or a caller's float exponent function, whose own
+    values then decide each end and are the exponents returned.  A support longer
+    than `_SUPPORT_CAP` is refused before it is enumerated."""
     # Start between the roots (-b -+ sqrt(d))/2a, d = b^2 - 4a(c - top), from isqrt
     # (integers: each end moves at most one step in, where it is a root) or sqrt
-    # (floats), then move until f(lo - 1) >= top > f(lo) and f(hi) < top <= f(hi + 1)
+    # (floats), then move until x(lo - 1) >= top > x(lo) and x(hi) < top <= x(hi + 1)
     d = max(b * b - 4 * a * (c - top), 0)
     r = math.isqrt(d) if f is None else math.sqrt(d)
     if f is not None and not math.isfinite(r):
@@ -638,16 +639,17 @@ def _integer_support(a: Number, b: Number, c: Number, top: Number, f=None) -> ra
     lo, hi = int(-((b + r) // (2 * a))), int((r - b) // (2 * a))
     if hi - lo + 1 > _SUPPORT_CAP:
         raise DomainError(f"the cutoff asks for a support of more than {_SUPPORT_CAP} integers")
-    f = f or (lambda k: (a * k + b) * k + c)
-    while f(lo - 1) < top:
+    x = f or (lambda k: (a * k + b) * k + c)
+    while x(lo - 1) < top:
         lo -= 1
-    while lo <= hi and f(lo) >= top:
+    while lo <= hi and x(lo) >= top:
         lo += 1
-    while f(hi + 1) < top:
+    while x(hi + 1) < top:
         hi += 1
-    while hi >= lo and f(hi) >= top:
+    while hi >= lo and x(hi) >= top:
         hi -= 1
-    return range(lo, hi + 1)
+    ks = range(lo, hi + 1)
+    return [(k, f(k)) for k in ks] if f else [(k, (a * k + b) * k + c) for k in ks]
 
 
 #: (W, step) -> (L, table): p(0) .. p(L - 1) packed for `_euler_kernel` in fields
@@ -801,9 +803,10 @@ def _euler_evaluator(theta, step=1):
     or a builder's raw (pairs, cutoff), and 0 < q < 1, bit for bit, building
     only the columns that the sum reaches, in windows that it keeps: with any
     majorant, any stop where `_settled` holds gives the full loop's value.  The
-    set-up (ladder, p(k)) is capped as theta = 1's completion; a full build, by `_complete`."""
+    set-up (ladder, p(k)) is capped as theta = 1's completion; a full build, capped as
+    `_complete` caps it, is that set-up's whole series."""
     _check_work(1, _extent(theta)[1], step)
-    top, theta, _, cols = _float_setup(theta, step)
+    top, theta, whole, cols = _float_setup(theta, step)
     if cols:
         width, lo, R, M, fill = cols
         # |last| of the tail bound: the top column's highest nonzero slot, that of
@@ -811,7 +814,8 @@ def _euler_evaluator(theta, step=1):
         last = next(filter(None, (tuple(fill(width - 1, width, r)[1])
                                   for r in range(R - 1, -1, -1))), ())
     if not (cols and last):  # no class path, or the top column's sums are all zero
-        return _complete(theta, Backend.FLOAT, step).eval_at
+        _check_work(*_extent(theta), step)
+        return whole().eval_at
     windows = []  # (end column, exponents, coefficients), from column 0 on
     cap = math.log(M) + math.log(4.0 * (1.0 + 2.0 ** -50))  # ln of 4 M (1 + 2^-50)
 
@@ -910,8 +914,8 @@ def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSe
     if cutoff <= 0:
         raise DomainError("the Euler product requires cutoff > 0")
     # k(3k - 1)/2 < cutoff iff 3k^2 - k < ceil(2 cutoff)
-    theta = _slot_series([(k * (3 * k - 1) // 2, 1 - 2 * (k & 1))
-                          for k in _integer_support(3, -1, 0, math.ceil(2 * cutoff))],
+    theta = _slot_series([(e // 2, 1 - 2 * (k & 1))
+                          for k, e in _integer_support(3, -1, 0, math.ceil(2 * cutoff))],
                          1, 1, cutoff)
     return theta if backend is Backend.EXACT else theta._rounded()
 

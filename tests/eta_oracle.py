@@ -6,6 +6,8 @@ integer series that starts at 1 has one factoring prod_k (1 - x^k)^{e_k},
 found one k at a time.  `ETA_PRODUCTS` lists the registry points whose direct
 series is such a product, as literal data; pi comes from a Machin series in
 `decimal`, so references built on it need nothing but the standard library.
+`eta_channel_values` evaluates such a product in both channels, the crossed
+one by the S-transform of each eta factor.
 """
 
 from decimal import Decimal, getcontext
@@ -88,3 +90,36 @@ def _machin_pi():
         return total
 
     return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def _euler_at(lnx):
+    """E(x) = sum_k (-1)^k x^{k(3k-1)/2} at x = e^{lnx}, lnx < 0, in the current
+    decimal context: the k and -k terms, k >= 1, until they drop below its precision."""
+    eps, total, k = Decimal(10) ** -(getcontext().prec + 2), Decimal(1), 1
+    while (head := (lnx * (k * (3 * k - 1) // 2)).exp()) > eps:
+        total += (-1) ** k * (head + (lnx * (k * (3 * k + 1) // 2)).exp())
+        k += 1
+    return total
+
+
+def eta_channel_values(m: int, sign: int, r: dict, ratio: float) -> tuple:
+    """(direct, crossed) values of Z = sign q^a prod_d E(x^d)^{r_d}, x = q^{1/m} and
+    a = sum_d r_d d/24m, at aspect ratio `ratio` (its exact binary value) in the
+    current decimal context: tau = i ratio/2, q = e^{-pi ratio}, qtilde = e^{-2pi/ratio}.
+
+    Z is sign prod_d eta(d tau/m)^{r_d}, and eta(i t) = t^{-1/2} eta(i/t) turns each
+    factor into (d ratio/2m)^{-1/2} qtilde^{(2m/d)/24} E(qtilde^{2m/d}), so
+
+        direct  = sign q^a prod_d E(q^{d/m})^{r_d}
+        crossed = sign prod_d (d ratio/2m)^{-r_d/2} qtilde^{(2m/d) r_d/24} E(qtilde^{2m/d})^{r_d}
+    """
+    pi, ratio = _machin_pi(), Decimal(ratio)
+    a = sum(F(d * rd, 24 * m) for d, rd in r.items())
+    lnq, lnqt = -pi * ratio, -2 * pi / ratio
+    direct = sign * (lnq * a.numerator / a.denominator).exp()
+    crossed = Decimal(sign)
+    for d, rd in r.items():
+        direct *= _euler_at(lnq * d / m) ** rd
+        crossed *= ((d * ratio / (2 * m)).sqrt() ** -rd * (lnqt * 2 * m * rd / (24 * d)).exp()
+                    * _euler_at(lnqt * 2 * m / d) ** rd)
+    return direct, crossed

@@ -224,7 +224,7 @@ class TestExactRule:
         the exact theta keeps sector p, though cutoff * den rounds onto p's
         slot.  Rounded once, that term sits on the float cutoff itself, so the
         floating theta, whose terms lie below its cutoff, leaves it out."""
-        (a, b, c), den = annulus._exponent(ISING, True)
+        (a, b, c, _), den = annulus._exponent(ISING, True)
         slot = (a * p + b) * p + c
         cutoff = slot / den
         assert F(cutoff) * den > slot == cutoff * den
@@ -445,6 +445,25 @@ class TestDuality:
             ends = [0] + [k1 for _, k1, _ in calls[1:]]
             assert calls[1:] == [(k0, k1, 0) for k0, k1 in zip(ends, ends[1:])]
             assert ends[-1] < width - 1
+
+    @pytest.mark.parametrize("n,want", [(1.0, [2, 2]), (math.sqrt(3), [1, 1, 2, 2])])
+    def test_a_full_build_completes_from_its_own_set_up(self, monkeypatch, n, want):
+        """A channel with no class path (rational g: classes of three terms) is
+        built whole from the set-up the evaluator ran, not by a second one: at
+        order 256, one step-2 set-up of the crossed pairs and one of them as
+        read, and at sqrt3 dense, where the direct channel is floating, the
+        same at step 1."""
+        setup, steps = qseries._float_setup, []
+
+        def counted(theta, step):
+            steps.append(step)
+            return setup(theta, step)
+
+        monkeypatch.setattr(qseries, "_float_setup", counted)
+        ev = duality_check(params_from_n(n, "dense"), None, 1.0, 256)
+        assert sorted(steps) == want
+        monkeypatch.undo()
+        assert repr(ev) == repr(duality_check(params_from_n(n, "dense"), None, 1.0, 256))
 
 
 class TestBoundaryGFactor:

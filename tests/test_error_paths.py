@@ -353,6 +353,15 @@ def test_empty_decomposition_serialises_without_a_model():
      "takes no --tol"),
     (["sweep", "--target", "duality", "--n", "1", "--phase", "dense", "--crossed",
       "--values", "1.0"], "sweep --target duality takes no --crossed"),
+    # a q derived from --ratio or a conjugate modulus is refused by the value given
+    (["crossing", "--ratio", "-1"], "--ratio -1.0 gives q = 23.14"),
+    (["crossing", "--ratio", "0"], "--ratio 0.0 gives q = 1.0"),
+    (["crossing", "--ratio", "1e-300"], "--ratio 1e-300 gives q = 1.0"),
+    (["crossing", "--ratio", "1e300"], "--ratio 1e+300 gives q = 0.0"),
+    (["crossing", "--ratio=-1e300"], "--ratio -1e+300 gives q = inf"),
+    (["saw", "--phase", "dense", "--ratio", "1e-300"], "--ratio 1e-300 gives q = 1.0"),
+    (["sweep", "--target", "saw", "--phase", "dense", "--crossed",
+      "--values", "0.9999999999999999"], "qtilde 0.9999999999999999 gives q = 0.0"),
 ])
 def test_cli_domain_exit(capsys, argv, fragment):
     assert main(argv) == 3

@@ -15,6 +15,7 @@ from loopgas import (
     asymptote_fit,
     central_charge_slope_at_zero,
     crossing_probability,
+    duality_check,
     euler_inverse,
     log_chain_scale,
     log_partition,
@@ -32,7 +33,8 @@ from loopgas import observables, qseries
 from loopgas.annulus import partition_crossed
 
 import series_oracle as oracle
-from eta_oracle import ETA_PRODUCTS, _exponents, _factor, _machin_pi, _pentagonal, _times_sparse
+from eta_oracle import (ETA_PRODUCTS, _exponents, _factor, _machin_pi, _pentagonal,
+                        _times_sparse, eta_channel_values)
 
 ORACLE_ORDERS = (40, 256)
 
@@ -60,6 +62,13 @@ class TestCrossingProbability:
         # the floating flux walk would otherwise never reach the cutoff
         with pytest.raises(DomainError, match="finite"):
             crossing_probability(math.inf, backend)
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    @pytest.mark.parametrize("cutoff", [0, -1, F(-1, 3)])
+    def test_cutoff_at_or_below_zero_is_a_domain_error(self, cutoff, backend):
+        # the series starts at q^0, so such a cutoff leaves nothing, as for any Z
+        with pytest.raises(DomainError, match="excludes the p=0 identity term"):
+            crossing_probability(cutoff, backend)
 
     def test_value_at_half(self):
         v, tail = crossing_probability(64).eval_at(0.5)
@@ -261,6 +270,36 @@ def test_registry_series_is_the_eta_product_exactly(n, phase, n_prime, m, a, sig
         if k < top:
             dense[int(k)] = sign * int(c)
     assert _factor(dense) == _exponents(exponents, top)
+
+
+ETA_R_D = [p for p in ETA_PRODUCTS if isinstance(p[-1], dict)]
+
+
+@pytest.mark.parametrize("n,phase,n_prime,m,a,sign,r", [p[1:] for p in ETA_R_D],
+                         ids=[p[0] for p in ETA_R_D])
+def test_registry_values_are_the_eta_product_in_both_channels(n, phase, n_prime, m, a, sign, r):
+    # duality_check's two values against the product and its S-transform in
+    # decimal, which agree with each other to the context's 40 digits
+    assert a == sum(F(rd * d, 24 * m) for d, rd in r.items())
+    w = None if n_prime is None else wrap_weight(phase, n_prime)
+    for ratio in (0.5, 1.0, 2.0):
+        ev = duality_check(params_from_n(n, phase), w, ratio, 64)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            direct, crossed = eta_channel_values(m, sign, r, ratio)
+            assert abs(direct - crossed) <= abs(direct) * Decimal(10) ** -36
+            assert abs(Decimal(ev.direct_value) - direct) <= abs(direct) * Decimal(2e-15)
+            assert abs(Decimal(ev.crossed_value) - crossed) <= abs(crossed) * Decimal(2e-15)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: tail_bound_direct (1.6e-59) leaves "
+                   "out the summation rounding (the value is 1.7e-16 off)")
+def test_registry_direct_value_is_within_its_tail_bound():
+    ev = duality_check(params_from_n(-1.0, "dense"), wrap_weight("dense", 0.0), 0.2, 256)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        direct, _ = eta_channel_values(3, -1, {1: 2, 2: -1, 3: -1}, 0.2)
+        assert abs(Decimal(ev.direct_value) - direct) <= Decimal(ev.tail_bounds[0])
 
 
 class TestWrapCountGenerating:
