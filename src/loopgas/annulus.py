@@ -28,11 +28,12 @@ Crossed channel (qtilde = e^{-2 pi L/l}, so ln q * ln qtilde = 2 pi^2):
 
 obtained from the direct channel by Poisson resummation; `duality_check`
 verifies the two numerically.  Stored exponents always include the
-qtilde^{-c/12} prefactor so a GenSeries is self-contained.  At sin(chi') = 0
-(wrap weight n' = +-2) the m and -m (or m and -1-m) terms are paired and the
-limit taken; the pairing also produces ln(qtilde) terms proportional to
-sin((chi'+2 pi m)/g), which vanish at g = 1 but not in general -- a series
-cannot represent those, so they raise IdentityError when nonzero.
+qtilde^{-c/12} prefactor so a GenSeries is self-contained.  At sin(chi') = 0,
+which in doubles is exactly n' = +-2, the m and -m (or m and -1-m) terms are
+paired and the limit taken; the pairing also produces ln(qtilde) terms in
+sin(k pi/g), k = 2m or 2m + 1, which vanish iff k/g is an integer N, decided
+as N g = k to the registry's _MATCH_TOL: at every k iff g = 2/N or 1/N.
+A series cannot represent those, so a nonzero one raises IdentityError.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, IdentityError, TailBoundError
-from .params import CGParams, WrapWeight, _recurrence, default_wrap, leg_exponent
+from .params import _MATCH_TOL, CGParams, WrapWeight, _recurrence, default_wrap, leg_exponent
 from .qseries import (
     Backend,
     GenSeries,
@@ -53,8 +54,6 @@ from .qseries import (
     _number,
     _slot_series,
 )
-
-_SIN_ZERO_TOL = 1e-9
 
 
 class ChannelEval(NamedTuple):
@@ -260,36 +259,32 @@ def _crossed_gap(params: CGParams, u: float) -> float:
 def _crossed_table(params: CGParams, w: WrapWeight):
     """The crossed summand as (u, vertex, weight): term m sits at
     qtilde^{-c/12 + _crossed_gap(u(m))}, least at m = vertex, with coefficient
-    weight(m).  At sin(chi') = 0 (n' = +-2) the m and -m (chi' = 0) or m and
-    -1-m (chi' = +-pi) terms are paired and the limit taken: j >= 0 carries
-    2 cos(u/g)/(g cos(chi')) per pair (half at u = 0), weight(j < 0) is None,
-    and the pairing's ln(qtilde) coefficient 2 u sin(u/g)/(pi^2 g cos(chi'))
-    must vanish for a pure power series."""
-    g, chi_p = params.g, w.chi_prime
-    pref = math.sqrt(2.0 / g)
-    s = math.sin(chi_p)
-    if abs(s) > _SIN_ZERO_TOL:
+    weight(m).  At n' = +-2 (cos(chi') = n'/2) the m and -m or m and -1-m terms
+    pair: j >= 0 carries 2 cos(u/g)/(g cos(chi')) at u = k pi, k = 2j + (n' < 0),
+    half at k = 0 (None at j < 0); the ln(qtilde) term 2 u sin(u/g)/(pi^2 g cos(chi'))
+    must vanish, as it does iff k/g is an integer N: N g = k to a relative _MATCH_TOL."""
+    g, chi_p, pref = params.g, w.chi_prime, math.sqrt(2.0 / params.g)
+    if abs(w.n_prime) != 2.0:
+        s = math.sin(chi_p)
         u = lambda m: chi_p + 2.0 * math.pi * m
         return u, -chi_p / (2.0 * math.pi), lambda m: pref * math.sin(u(m) / g) / s
-    s0 = math.cos(chi_p)  # +1 at chi'=0, -1 at chi'=+-pi
-    at_zero = abs(chi_p) < 1.0
-    u = (lambda j: 2.0 * math.pi * j) if at_zero else (lambda j: math.pi * (2 * j + 1))
+    s0, odd = w.n_prime / 2, w.n_prime < 0
+    u = lambda j: math.pi * (2 * j + odd)
 
     def weight(j):
         if j < 0:
             return None
-        uj = u(j)
-        pair = 1.0 if uj == 0.0 else 2.0
-        ln_coeff = pair * uj * math.sin(uj / g) / (math.pi**2 * g * s0)
-        if abs(ln_coeff) > 1e-9:
+        k, uj = 2 * j + odd, u(j)
+        pair = 2.0 if k else 1.0
+        if k and abs(round(k / g) * g - k) >= _MATCH_TOL * k:
             raise IdentityError(
                 f"crossed channel develops a ln(qtilde) term (coefficient "
-                f"{ln_coeff:.3e}) at n' = {w.n_prime}; no pure power series "
-                "exists -- evaluate in the direct channel"
+                f"{pair * uj * math.sin(uj / g) / (math.pi**2 * g * s0):.3e}) at n' = "
+                f"{w.n_prime}; no pure power series exists -- evaluate in the direct channel"
             )
         return pref * pair * math.cos(uj / g) / (g * s0)
 
-    return u, 0 if at_zero else -0.5, weight
+    return u, -odd / 2, weight
 
 
 def _crossed_terms(params: CGParams, w: Optional[WrapWeight], cutoff):
@@ -392,10 +387,12 @@ def leading_asymptote(
     """(prefactor, exponent) of the m = 0 crossed term relative to qtilde^{-c/12}:
 
         Z ~ (2/g)^{1/2} [sin(chi'/g)/sin(chi')] qtilde^{(chi'^2-chi^2)/(2 pi^2 g)}
+
+    refused at n' = +-2 exactly, where sin(chi') = 0 and the terms pair.
     """
     if w is None:
         w = default_wrap(params)
-    if abs(math.sin(w.chi_prime)) < _SIN_ZERO_TOL:
+    if abs(w.n_prime) == 2.0:
         raise DomainError(
             "leading_asymptote requires sin(chi') != 0; at n' = +-2 take the "
             "paired limit via partition_crossed"

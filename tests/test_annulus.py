@@ -10,6 +10,8 @@ import textwrap
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import loopgas
 from loopgas import (
@@ -326,6 +328,69 @@ class TestCrossed:
     def test_wrap_two_on_generic_point_has_log_terms(self):
         with pytest.raises(IdentityError):
             partition_crossed(ISING, wrap_weight("dilute", 2.0), 20)
+
+    @staticmethod
+    def _pairs(phase, n_prime):
+        """The pairing the crossed table takes (weight(j < 0) is None only when
+        paired), against the float rule that it replaced, |sin(chi')| < 1e-9."""
+        w = wrap_weight(phase, n_prime)
+        paired = annulus._crossed_table(PERC, w)[2](-1) is None
+        assert paired == (abs(math.sin(w.chi_prime)) < 1e-9)
+        return paired
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.sampled_from(["dilute", "dense"]))
+    @example(2.0, "dilute")
+    @example(2.0, "dense")
+    @example(1.9999999999999998, "dilute")
+    @example(1.9999999999999998, "dense")
+    @example(2.0 - 1e-9, "dilute")
+    @example(2.0 - 1e-9, "dense")
+    @example(-2.0, "dilute")
+    @example(-2.0, "dense")
+    @example(-1.9999999999999998, "dilute")
+    @example(-1.9999999999999998, "dense")
+    @example(-2.0 + 1e-9, "dilute")
+    @example(-2.0 + 1e-9, "dense")
+    def test_pairing_at_random_n_prime(self, n_prime, phase):
+        assert self._pairs(phase, n_prime) == (abs(n_prime) == 2.0)
+
+    @pytest.mark.parametrize("n_prime", [2.0, -2.0])
+    @pytest.mark.parametrize("phase", ["dilute", "dense"])
+    @pytest.mark.parametrize("angle", [a[0] for a in _EXACT_ANGLES]
+                             + [F(3, 5), F(4, 5), F(5, 7), F(6, 7), F(7, 9)], ids=str)
+    def test_ln_verdict_is_the_retired_float_rule(self, angle, phase, n_prime):
+        """At every registry coupling, and at the dense g = 2/5, 1/5, 2/7, 1/7,
+        2/9 off it, the check of k/g refuses exactly the pairs j, up to order
+        1024, whose ln(qtilde) coefficient 2 u sin(u/g)/(pi^2 g cos(chi')) the
+        retired rule put above 1e-9."""
+        params = params_from_n(2.0 * math.cos(math.pi * float(angle)), phase)
+        w = wrap_weight(phase, n_prime)
+        u, vertex, weight = annulus._crossed_table(params, w)
+        f = lambda m: -params.c / 12.0 + annulus._crossed_gap(params, u(m))
+        a, g, s0 = 2.0 / params.g, params.g, math.cos(w.chi_prime)
+        support = [j for j, _ in qseries._integer_support(a, -2.0 * a * vertex, f(0), 1024.0, f)
+                   if j >= 0]
+        assert support[:2] == [0, 1]
+        for j in support:
+            pair = 1.0 if u(j) == 0.0 else 2.0
+            retired = abs(pair * u(j) * math.sin(u(j) / g) / (math.pi**2 * g * s0)) > 1e-9
+            try:
+                weight(j)
+                refused = False
+            except IdentityError:
+                refused = True
+            assert refused == retired, j
+
+    @pytest.mark.parametrize("k0, N", [(2, 5), (1, 5), (2, 7), (1, 7), (2, 9)])
+    def test_paired_limit_off_the_registry_is_the_direct_channel(self, k0, N):
+        """At dense g = k0/N, outside the registry, n' = 2 (k0 = 2) or -2 (k0 = 1)
+        makes every k/g an integer, and the paired crossed series with no ln(qtilde)
+        term must agree with the direct channel."""
+        params = params_from_n(2.0 * math.cos(math.pi * (1 - k0 / N)), "dense")
+        assert params.g_exact is None
+        ev = duality_check(params, wrap_weight("dense", 2.0 if k0 == 2 else -2.0), 1.0, 64)
+        assert abs(ev.residual) < 1e-12
 
 
 def test_float_series_build_no_terms_until_read(monkeypatch):

@@ -362,11 +362,38 @@ def test_empty_decomposition_serialises_without_a_model():
     (["saw", "--phase", "dense", "--ratio", "1e-300"], "--ratio 1e-300 gives q = 1.0"),
     (["sweep", "--target", "saw", "--phase", "dense", "--crossed",
       "--values", "0.9999999999999999"], "qtilde 0.9999999999999999 gives q = 0.0"),
+    # at g = 1 every paired ln(qtilde) term is exactly zero, so the work cap decides
+    (["crossed", "--n", "2", "--phase", "dense", "--n-prime", "2", "--order", "3000000"],
+     "steps of work"),
 ])
 def test_cli_domain_exit(capsys, argv, fragment):
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and fragment in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order", ["22", "64", "100", "200"])
+@pytest.mark.parametrize("n", ["1.00000000001", "1.9999999999999"])
+def test_cli_paired_log_term_at_every_order(capsys, n, order):
+    """g lies 2.8e-12 (relative) from 2/3 at n = 1 + 1e-11, and 1e-7 from 1 at
+    n = 2 - 1e-13 (which the registry matches as n = 2), so 2/g is no integer and
+    n' = 2 meets a nonzero ln(qtilde) term at k = 2 whatever the cutoff."""
+    argv = ["crossed", "--n", n, "--phase", "dense", "--n-prime", "2"]
+    assert main([*argv, "--order", order]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "ln(qtilde) term" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, n_prime", [("-0.6180339887498949", "2"),
+                                        ("-1.618033988749895", "-2")])
+def test_cli_paired_limit_off_the_registry(capsys, n, n_prime):
+    """n = 2cos(3 pi/5) and 2cos(4 pi/5) dense are not registry couplings, but
+    g = 2/5 and 1/5 make every k/g of n' = 2 and n' = -2 an integer: no ln term
+    (`TestCrossed::test_paired_limit_off_the_registry_is_the_direct_channel`)."""
+    argv = ["crossed", "--n", n, "--phase", "dense", "--n-prime", n_prime]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
 
 
 # -- inputs the entry points refuse -------------------------------------------

@@ -93,23 +93,31 @@ def test_readme_states_the_counted_lines():
 
 def test_every_private_function_has_a_caller_in_src():
     # a helper only the tests call is code the package does not need: a
-    # module-level `_name` function must be named somewhere in src outside its
-    # own definition (a call, an import, or a module-global lookup)
+    # module-level `_name` function or constant (an assignment's target, so a
+    # retired tolerance cannot stay behind) must be named somewhere in src
+    # outside its own definition (a call, an import, or a module-global lookup)
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.rglob("*.py"))}
-    defs = [(name, f) for name, tree in trees.items() for f in tree.body
-            if isinstance(f, ast.FunctionDef) and f.name.startswith("_")
-            and not f.name.startswith("__")]
+
+    def bound(f):
+        if isinstance(f, ast.FunctionDef):
+            return [f.name]
+        targets = (f.targets if isinstance(f, ast.Assign)
+                   else [f.target] if isinstance(f, ast.AnnAssign) else [])
+        return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+
+    defs = [(module, name, f) for module, tree in trees.items() for f in tree.body
+            for name in bound(f) if name.startswith("_") and not name.startswith("__")]
     unused = []
-    for module, f in defs:
+    for module, name, f in defs:
         own = {id(node) for node in ast.walk(f)}
         named = (node for tree in trees.values() for node in ast.walk(tree)
                  if id(node) not in own)
-        if not any(f.name in (getattr(node, "id", None), getattr(node, "attr", None))
-                   or isinstance(node, ast.alias) and f.name == node.name
+        if not any(name in (getattr(node, "id", None), getattr(node, "attr", None))
+                   or isinstance(node, ast.alias) and name == node.name
                    for node in named):
-            unused.append(f"{module}:{f.name}")
-    assert not unused, f"private functions with no caller in loopgas: {unused}"
+            unused.append(f"{module}:{name}")
+    assert not unused, f"private functions or constants with no caller in loopgas: {unused}"
 
 
 def test_no_module_imports_dataclasses():
