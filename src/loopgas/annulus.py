@@ -100,13 +100,14 @@ def _exact_ok(
     )
 
 
-def _wrap_table(w: WrapWeight, parity: Optional[str], exact: bool):
+def _wrap_table(w: WrapWeight, exact: bool):
     """d_p for p >= 0 as a lookup: exact where `_exact_ok` holds, else floats.
 
-    Even-parity sums only ever touch even-index d_p, which close under the
-    step-two recurrence d_{p+2} = (n'^2 - 2) d_p - d_{p-2}; that keeps e.g.
-    n' = sqrt(Q) points exact even though n' itself is irrational.  Where n'
-    (or n'^2) is an integer the exact table recurs on ints."""
+    `_exact_ok` admits an irrational n' for the even-parity sector alone,
+    whose sums only ever touch even-index d_p, which close under the step-two
+    recurrence d_{p+2} = (n'^2 - 2) d_p - d_{p-2}; that keeps e.g. n' = sqrt(Q)
+    points exact even though n' itself is irrational.  Where n' (or n'^2) is
+    an integer the exact table recurs on ints."""
     if not exact:
         return _recurrence(w.n_prime, 1.0, float(w.n_prime))
     x = w.n_prime_sq_exact if w.n_prime_exact is None else w.n_prime_exact
@@ -194,7 +195,7 @@ def _direct_terms(params, w, cutoff, parity, backend, form="integer"):
     if not lead < cutoff_c:
         raise DomainError(f"cutoff {cutoff} excludes the p=0 identity term at exponent "
                           f"{lead}; increase it")
-    return _flux_theta(params, _wrap_table(w, parity, exact), cutoff_c, exact, form, parity)
+    return _flux_theta(params, _wrap_table(w, exact), cutoff_c, exact, form, parity)
 
 
 def partition_direct(

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DecompositionError, DomainError, IdentityError
+from .errors import DecompositionError, DomainError
 from .qseries import (
     Backend,
     GenSeries,
@@ -84,10 +84,11 @@ class CharacterSpec(_Labels):
         return self.h - self.central_charge / 24
 
 
-def _character_theta(spec: CharacterSpec, cutoff, leading: Fraction) -> GenSeries:
+def _character_theta(spec: CharacterSpec, cutoff) -> GenSeries:
     """The alternating sum over k that is the exact numerator of `spec`'s
-    character below `cutoff`, the character times prod(1-q^r), which must
-    start at `leading`, spec's h - c/24, as the character does."""
+    character below `cutoff`, the character times prod(1-q^r).  Its k = 0
+    slot of offset p'r - ps is the least for every valid spec, so it starts
+    at h - c/24, `spec.leading_exponent`; the test suite checks that."""
     N = spec.p_minor * spec.p_major
     a = spec.p_major * spec.r - spec.p_minor * spec.s
     b = spec.p_major * spec.r + spec.p_minor * spec.s
@@ -98,17 +99,12 @@ def _character_theta(spec: CharacterSpec, cutoff, leading: Fraction) -> GenSerie
              for _, e in _integer_support(24 * N * N, 24 * N * offset, 6 * offset * offset - N, top)]
     if not slots:
         raise DomainError("cutoff excludes every character term; increase it")
-    theta = _slot_series(slots, D, 1, cutoff)
-    if theta.min_exponent != leading:
-        raise IdentityError(f"character {spec} starts at q^{theta.min_exponent}, "
-                            f"not at h - c/24 = {leading}")
-    return theta
+    return _slot_series(slots, D, 1, cutoff)
 
 
 def rocha_caridi(spec: CharacterSpec, cutoff=64, backend: Backend = Backend.EXACT) -> GenSeries:
     """Irreducible Virasoro character of `spec`, q^{-c/24} included."""
-    theta = _character_theta(spec, _as_cutoff(cutoff, backend), spec.leading_exponent)
-    return _complete(theta, backend)
+    return _complete(_character_theta(spec, _as_cutoff(cutoff, backend)), backend)
 
 
 def decompose(
@@ -132,10 +128,11 @@ def decompose(
     # A character is its numerator theta over the one Euler product, so at
     # slot H of the lattice (1/D)Z it is sum a p((H - n)/D) over theta's
     # slots n <= H on H's residue mod D.  The greedy coefficient at a
-    # character's first slot is Z's there less what the characters before
-    # it put there, an exact Fraction in either backend; then Z must be
-    # sum c_i theta_i completed once, by the rule Z's own theta follows.
-    thetas = [_character_theta(basis[i], eff, leadings[i]) for i in order]
+    # character's first slot H, its h - c/24, is Z's there less what the
+    # characters before it put there, an exact Fraction in either backend;
+    # then Z must be sum c_i theta_i completed once, by the rule Z's own
+    # theta follows.
+    thetas = [_character_theta(basis[i], eff) for i in order]
     D = math.lcm(*(theta._D for theta in thetas))
     rows = {basis[i]: theta._slots(D, 1) for i, theta in zip(order, thetas)}
     _check_work(1, eff - leadings[order[0]])  # the p(k) of theta = 1 completed

@@ -20,7 +20,7 @@ function at n = 0:
                           = q^{-1/24} prod_{m>=1} (1 - q^{m-1/2})^2,
 
 the last equality being Gauss's identity, prod(1-q^m)(1-q^{m-1/2})^2 =
-sum_k (-1)^k q^{k^2/2}, whose sum saw_loop_dense compares with the flux theta.
+sum_k (-1)^k q^{k^2/2}, whose sum is the dense flux theta term by term.
 
 The n -> 0 limit is logarithmic: d/dn of the full partition function at
 n = 0 splits into the wrapping term Z1, a -(c'(0)/24) ln(q) Z(0) piece, and
@@ -46,9 +46,10 @@ own weight table w_p for p >= 0 (d_p as in `loopgas.params`):
     log_partition_exact_core (n = 0): p(p+2)/8 d_p at n' = 0, which is
         dh/dg d_p / 2; regrouped=True is the null-pair form
 
-Z1 has that one builder: saw_loop_dilute is its dilute phase, and
-saw_loop_dense pairs its dense phase with Gauss's sum, which is its flux sum
-term by term; the product and the alternating sums are test-suite oracles.
+Z1 has that one builder: saw_loop_dilute and saw_loop_dense are its two
+phases.  Gauss's sum, the product and the alternating sums above re-derive
+the same series at every cutoff, so they are test-suite oracles, not checks
+run on each call.
 """
 
 from __future__ import annotations
@@ -57,17 +58,9 @@ import math
 from typing import Callable, NamedTuple
 
 from .annulus import _flux_theta, partition_direct
-from .errors import DomainError, IdentityError, TailBoundError
+from .errors import DomainError, TailBoundError
 from .params import CGParams, Phase, as_phase, params_from_n, wrap_weight
-from .qseries import (
-    Backend,
-    GenSeries,
-    _as_cutoff,
-    _as_float,
-    _complete,
-    _integer_support,
-    _slot_series,
-)
+from .qseries import Backend, GenSeries, _as_cutoff, _as_float, _complete
 
 _PERCOLATION, _NO_WRAP = params_from_n(1.0, Phase.DENSE), wrap_weight(Phase.DENSE, 0.0)
 _N0 = {phase: params_from_n(0.0, phase) for phase in Phase}
@@ -131,23 +124,13 @@ def saw_loop_dense(
     """Single wrapping loop in the dense phase (g = 1/2); leading q^{-1/24}.
 
     Returns (alternating-sum form, half-odd-integer product form), one series:
-    by Gauss's identity the product q^{-1/24} prod_{m>=1}(1 - q^{m-1/2})^2 is
-    sum_{k in Z} (-1)^k q^{k^2/2 - 1/24} / prod(1 - q^m), so the flux theta of
-    `saw_loop_derivative_series` is compared with Gauss's sum, a mismatch raising
-    IdentityError, and completed once.  The test suite expands the product.
-    The floating backend converts each term of the exact series once."""
-    _as_cutoff(cutoff, backend)
-    cutoff = _as_cutoff(cutoff, Backend.EXACT)
-    theta = _flux_theta(_N0[Phase.DENSE], _d_slope_at_zero, cutoff, True)
-    # k^2/2 - 1/24 is slot 12 k^2 - 1 over 24, below the cutoff iff below ceil(24 cutoff)
-    gauss = [(e, 1 - 2 * (k & 1))
-             for k, e in _integer_support(12, 0, -1, math.ceil(24 * theta.cutoff))]
-    if theta != _slot_series(gauss, 24, 1, theta.cutoff):
-        raise IdentityError(
-            "dense wrapping-loop forms disagree: Jacobi triple product "
-            "instance failed"
-        )
-    series = _complete(theta, Backend.EXACT)
+    Z1's dense phase, `saw_loop_derivative_series(Phase.DENSE, cutoff)`.  By
+    Gauss's identity its flux theta is sum_{k in Z} (-1)^k q^{k^2/2 - 1/24}, so
+    the series is also q^{-1/24} prod_{m>=1}(1 - q^{m-1/2})^2; the test suite
+    checks both closed forms against it.  The floating backend converts each
+    term of the exact series once."""
+    _as_cutoff(cutoff, backend)  # the backend's own refusals, float overflow included
+    series = saw_loop_derivative_series(Phase.DENSE, cutoff)
     return (series, series) if backend is Backend.EXACT else (series._rounded(),) * 2
 
 

@@ -19,7 +19,9 @@ the Chebyshev polynomial U_p(n'/2) and is computed by the recurrence
 d_{p+1} = n' d_p - d_{p-1}, which stays regular at sin(chi') = 0.
 
 A registry of exact rational couplings backs the exact series backend at the
-special points n^2 in {0, 1, 2, 3, 4} (both branches).
+special points n^2 in {0, 1, 2, 3, 4} (both branches).  A loop weight is
+matched on its angle, |acos(n/2)/pi - a/b| < _MATCH_TOL for a row's a/b, so
+the float g = 1 - chi/pi lies that close to the row's exact g.
 """
 
 from __future__ import annotations
@@ -67,13 +69,14 @@ _EXACT_ANGLES: list[_Angle] = [
 ]
 
 
-#: n = 2 cos(pi a/b) of each registry angle, as floats
-_EXACT_NS = [2.0 * math.cos(math.pi * float(angle[0])) for angle in _EXACT_ANGLES]
+#: chi/pi = a/b of each registry angle, as floats
+_EXACT_CHIS = [float(angle[0]) for angle in _EXACT_ANGLES]
 
 
-def _match_exact_angle(n: float) -> Optional[_Angle]:
-    return next((angle for angle, x in zip(_EXACT_ANGLES, _EXACT_NS)
-                 if abs(n - x) < _MATCH_TOL), None)
+def _match_exact_angle(acos: float) -> Optional[_Angle]:
+    x = acos / math.pi
+    return next((angle for angle, chi in zip(_EXACT_ANGLES, _EXACT_CHIS)
+                 if abs(x - chi) < _MATCH_TOL), None)
 
 
 class CGParams(NamedTuple):
@@ -132,7 +135,7 @@ def params_from_n(n: float, phase: Union[Phase, str]) -> CGParams:
     c = 1.0 - 6.0 * (chi / math.pi) ** 2 / g
     m0 = (1.0 - g) / g
     g_exact = n_exact = n_sq_exact = None
-    hit = _match_exact_angle(n)
+    hit = _match_exact_angle(acos)
     if hit is not None:
         frac, n_exact, n_sq_exact = hit
         g_exact = 1 + frac if phase is Phase.DILUTE else 1 - frac
@@ -153,7 +156,7 @@ def wrap_weight(phase: Union[Phase, str], n_prime: float) -> WrapWeight:
         # dyadic value with a small denominator: take the float literally
         n_prime_exact, n_prime_sq_exact = as_fraction, as_fraction**2
     else:
-        hit = _match_exact_angle(n_prime)
+        hit = _match_exact_angle(acos)
         if hit is not None:
             _, n_prime_exact, n_prime_sq_exact = hit
     return WrapWeight(n_prime, chi_prime, n_prime_exact, n_prime_sq_exact)

@@ -15,7 +15,6 @@ from loopgas import (
     DecompositionError,
     DomainError,
     GenSeries,
-    IdentityError,
     characters,
     crossing_probability,
     decompose,
@@ -116,11 +115,15 @@ class TestRochaCaridi:
         ch = rocha_caridi(CharacterSpec(3, 4, 1, 1), cutoff=8, backend=Backend.FLOAT)
         assert abs(ch.terms[0].exponent + 1 / 48) < 1e-12
 
-    def test_leading_exponent_mismatch_raises(self, monkeypatch):
-        # the self-check must raise, not assert: `python -O` strips asserts
-        monkeypatch.setattr(CharacterSpec, "leading_exponent", property(lambda _: F(7)))
-        with pytest.raises(IdentityError):
-            rocha_caridi(CharacterSpec(3, 4, 1, 1), cutoff=8)
+    def test_every_character_starts_at_h_minus_c_over_24(self):
+        # the numerator's least slot is its k = 0 term of offset p'r - ps, so
+        # every character starts at h - c/24 with coefficient 1
+        specs = [CharacterSpec(p, pp, r, s) for pp in range(3, 13) for p in range(2, pp)
+                 if math.gcd(p, pp) == 1 for r in range(1, p) for s in range(1, pp)]
+        assert len(specs) == 1208
+        for spec in specs:
+            lead = spec.leading_exponent
+            assert rocha_caridi(spec, lead + 2).terms[0] == (lead, 1), spec
 
 
 class TestFamilyRegrouping:
@@ -419,12 +422,13 @@ def test_exact_decompose_completes_once(monkeypatch, case):
 
 
 def test_exact_decompose_checks_each_leading_exponent(monkeypatch):
-    """A character numerator that does not start at h - c/24 is an
-    IdentityError in exact decompose too, as in rocha_caridi."""
+    """Coefficients read at leads that are not the characters' h - c/24 leave
+    a remainder: exact decompose refuses them."""
     Z = partition_direct(params_from_n(1.0, "dilute"), cutoff=40)
     basis = [CharacterSpec(3, 4, 1, 1), CharacterSpec(3, 4, 1, 3)]
     true = CharacterSpec.leading_exponent.fget
     monkeypatch.setattr(CharacterSpec, "leading_exponent",
                         property(lambda spec: true(spec) + F(1, 2)))
-    with pytest.raises(IdentityError, match="not at h - c/24"):
+    with pytest.raises(DecompositionError) as err:
         decompose(Z, basis)
+    assert err.value.residual.terms[0].exponent == F(23, 48)

@@ -1,5 +1,6 @@
 """Error paths of the public entry points: each refusal, its type and message."""
 
+import json
 import math
 import sys
 import time
@@ -376,8 +377,9 @@ def test_cli_domain_exit(capsys, argv, fragment):
 @pytest.mark.parametrize("n", ["1.00000000001", "1.9999999999999"])
 def test_cli_paired_log_term_at_every_order(capsys, n, order):
     """g lies 2.8e-12 (relative) from 2/3 at n = 1 + 1e-11, and 1e-7 from 1 at
-    n = 2 - 1e-13 (which the registry matches as n = 2), so 2/g is no integer and
-    n' = 2 meets a nonzero ln(qtilde) term at k = 2 whatever the cutoff."""
+    n = 2 - 1e-13 (which lies off the registry: acos(n/2)/pi is 1e-7 from 0),
+    so 2/g is no integer and n' = 2 meets a nonzero ln(qtilde) term at k = 2
+    whatever the cutoff."""
     argv = ["crossed", "--n", n, "--phase", "dense", "--n-prime", "2"]
     assert main([*argv, "--order", order]) == 4
     out, err = capsys.readouterr()
@@ -394,6 +396,16 @@ def test_cli_paired_limit_off_the_registry(capsys, n, n_prime):
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert out and err == ""
+
+
+@pytest.mark.parametrize("n", ["1.9999999999999", "1.99999999999995"])
+def test_cli_duality_next_to_n_two(capsys, n):
+    """n = 2 - 1e-13 and 2 - 5e-14 dense have g about 1e-7 from 1: the registry,
+    matched on acos(n/2)/pi, leaves both channels at the one float coupling."""
+    argv = ["duality", "--n", n, "--phase", "dense", "--ratio", "1", "--order", "64"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["residual"] < 1e-12
 
 
 # -- inputs the entry points refuse -------------------------------------------

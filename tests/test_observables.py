@@ -9,8 +9,6 @@ import pytest
 from loopgas import (
     Backend,
     DomainError,
-    GenSeries,
-    IdentityError,
     TailBoundError,
     asymptote_fit,
     central_charge_slope_at_zero,
@@ -29,7 +27,7 @@ from loopgas import (
     wrap_count_generating,
     wrap_weight,
 )
-from loopgas import observables, qseries
+from loopgas import qseries
 from loopgas.annulus import partition_crossed
 
 import series_oracle as oracle
@@ -408,24 +406,9 @@ class TestSawDense:
             assert f.terms == tuple((float(x), float(c)) for x, c in e.terms)
 
     @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
-    def test_perturbed_closed_form_fails_the_check(self, monkeypatch, backend):
-        # the closed side is Gauss's sum, built by `_slot_series` and completed by
-        # the Euler kernel: its last coefficient moved by one must fail the check
-        real = observables._slot_series
-
-        def perturbed(slots, D, C, cutoff):
-            theta = real(slots, D, C, cutoff)
-            *head, (e, c) = theta.terms
-            return GenSeries.from_terms([*head, (e, c + 1)], theta.cutoff)
-
-        monkeypatch.setattr(observables, "_slot_series", perturbed)
-        with pytest.raises(IdentityError):
-            saw_loop_dense(64, backend)
-
-    @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
     def test_completes_once(self, monkeypatch, backend):
-        # the flux theta and Gauss's sum are one theta: it is compared as a
-        # series and completed once, for both halves
+        # both halves are the dense phase of the one Z1 builder: one theta,
+        # completed once
         kernel, calls = qseries._euler_kernel, []
 
         def counted(theta, step=1):

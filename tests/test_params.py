@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopgas import (
@@ -69,12 +69,14 @@ class TestParamsFromN:
 
     @settings(max_examples=80, deadline=None)
     @given(loop_weights, phases)
+    @example(1.9999999999999, "dense")  # 1e-13 from n = 2, where g is 1e-7 from 1
     def test_defining_relations(self, n, phase):
         p = params_from_n(n, phase)
         assert abs(p.n - 2.0 * math.cos(p.chi)) < 1e-12
         assert abs(p.g - (1.0 - p.chi / math.pi)) < 1e-12
         assert abs(p.m0 - (1.0 - p.g) / p.g) < 1e-12
         assert abs(p.c - (1.0 - 6.0 * (p.chi / math.pi) ** 2 / p.g)) < 1e-12
+        assert p.g_exact is None or abs(p.g - p.g_exact) < 1e-11
 
     @settings(max_examples=60, deadline=None)
     @given(loop_weights)

@@ -120,6 +120,26 @@ def test_every_private_function_has_a_caller_in_src():
     assert not unused, f"private functions or constants with no caller in loopgas: {unused}"
 
 
+def test_every_parameter_is_read():
+    # a parameter no code reads is a decision made elsewhere that the
+    # signature still claims; a nested function's read counts for its
+    # enclosing one, and dunder protocol methods keep their fixed signatures
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(f, (ast.FunctionDef, ast.Lambda)) or (
+                    getattr(f, "name", "").startswith("__") and f.name.endswith("__")):
+                continue
+            a = f.args
+            params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if x is not None]
+            read = {node.id for node in ast.walk(f)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            found += [f"{path.name}:{f.lineno} {getattr(f, 'name', 'lambda')}({name})"
+                      for name in params if name not in read]
+    assert not found, f"parameters no code reads: {found}"
+
+
 def test_no_module_imports_dataclasses():
     # `dataclasses` pulls `inspect`, `ast`, `dis` and `tokenize` into every
     # process that imports it; the value classes are NamedTuples instead
