@@ -12,10 +12,12 @@ logcft      ln(q)-coefficient series of dZ/dn at n = 0
 boundary    strip boundary-energy shifts and effective central charge
 sweep       one output row per grid point for crossing / duality / saw
 
-Output is JSON (default) or CSV, to stdout or --output PATH; a relative
---output is resolved against $LOOPGAS_OUTDIR when that is set.  Exit codes:
-0 success, 2 usage error (an --output that cannot be written included),
-3 domain error, 4 identity/duality failure, 5 tail-bound failure.
+Each subcommand's parser names the function it runs.  That function returns
+its value (a series, one row or a list of rows), and `_payload` alone turns
+the value into bytes: JSON (default) or CSV, to stdout or --output PATH; a
+relative --output is resolved against $LOOPGAS_OUTDIR when that is set.
+Exit codes: 0 success, 2 usage error (an --output that cannot be written
+included), 3 domain error, 4 identity/duality failure, 5 tail-bound failure.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 # observables, characters and boundary are imported by the commands that run
 # them, so that a one-shot call loads only what it uses
@@ -60,17 +61,16 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _series_payload(series: GenSeries, fmt: str) -> str:
+def _payload(value, fmt: str) -> str:
+    """The bytes a command prints for its value: a series, one row (a dict) or
+    a table (a list of dicts), as JSON or CSV."""
+    if isinstance(value, GenSeries):
+        if fmt == "csv":
+            return _csv(["exponent", "coefficient"], value.to_csv_rows())
+        value = value.to_json_dict()
     if fmt == "json":
-        return json.dumps(series.to_json_dict(), indent=2) + "\n"
-    return _csv(["exponent", "coefficient"], series.to_csv_rows())
-
-
-def _table_payload(table, fmt: str) -> str:
-    """One row (a dict) or a table (a list of dicts) as JSON or CSV."""
-    if fmt == "json":
-        return json.dumps(table, indent=2) + "\n"
-    rows = [table] if isinstance(table, dict) else table
+        return json.dumps(value, indent=2) + "\n"
+    rows = [value] if isinstance(value, dict) else value
     return _csv(
         rows[0].keys(),
         [[format_number(v) if isinstance(v, float) else v for v in row.values()]
@@ -106,22 +106,18 @@ def _direct(args, params, w, backend: Backend):
     return annulus.partition_direct_parity(params, w, args.order, args.parity, backend)
 
 
-def _cmd_partition(args) -> str:
+def _cmd_partition(args) -> GenSeries:
     if args.naive and (args.parity is not None or args.backend == "exact"):
         flag = "--parity" if args.parity is not None else "--backend exact"
         raise DomainError(f"--naive is the unrestricted floating series; it takes no {flag}")
     params, w = _model(args)
     if args.naive:
-        series = annulus.partition_naive(params, w, args.order)
-    else:
-        series = _direct(args, params, w, _resolve_backend(args, params, w))
-    return _series_payload(series, args.format)
+        return annulus.partition_naive(params, w, args.order)
+    return _direct(args, params, w, _resolve_backend(args, params, w))
 
 
-def _cmd_crossed(args) -> str:
-    params, w = _model(args)
-    series = annulus.partition_crossed(params, w, args.order)
-    return _series_payload(series, args.format)
+def _cmd_crossed(args) -> GenSeries:
+    return annulus.partition_crossed(*_model(args), args.order)
 
 
 def _minimal_model_basis(params) -> list:
@@ -133,7 +129,7 @@ def _minimal_model_basis(params) -> list:
             "character decomposition needs a rational coupling; this point "
             "is not in the exact registry"
         )
-    frac = Fraction(g) if params.phase is Phase.DENSE else 1 / Fraction(g)
+    frac = g if params.phase is Phase.DENSE else 1 / g
     p_minor, p_major = frac.numerator, frac.denominator
     if p_minor < 2:
         raise DomainError(
@@ -146,47 +142,38 @@ def _minimal_model_basis(params) -> list:
     ]
 
 
-def _cmd_characters(args) -> str:
+def _cmd_characters(args) -> dict | list:
     from . import characters
 
     params, w = _model(args)
     basis = _minimal_model_basis(params)
     Z = _direct(args, params, w, Backend.EXACT)
     payload = characters.decomposition_to_json(characters.decompose(Z, basis))
-    if args.format == "csv":
-        m = payload["model"]
-        payload = [
-            {"p_minor": m["p"], "p_major": m["q"], **t} for t in payload["terms"]
-        ]
-    return _table_payload(payload, args.format)
+    if args.format == "json":
+        return payload
+    m = payload["model"]
+    return [{"p_minor": m["p"], "p_major": m["q"], **t} for t in payload["terms"]]
 
 
-def _cmd_logcft(args) -> str:
+def _cmd_logcft(args) -> GenSeries:
     from . import observables
 
-    return _series_payload(
-        observables.log_partition(args.phase, args.order), args.format
-    )
+    return observables.log_partition(args.phase, args.order)
 
 
-def _cmd_boundary(args) -> str:
+def _cmd_boundary(args) -> dict:
     from . import boundary
 
-    g, a1, a2, L = args.g, args.alpha1, args.alpha2, args.L
-    b = boundary.BoundaryCoupling(g=g, alpha1=a1, alpha2=a2, L=L)
+    b = boundary.BoundaryCoupling(args.g, args.alpha1, args.alpha2, args.L)
     finite, divergent = boundary.e1_cutoff(b, args.epsilons)
-    row = {
-        "g": g,
-        "alpha1": a1,
-        "alpha2": a2,
-        "L": L,
-        "e0_zeta": boundary.e0_zeta(L),
+    return {
+        **b._asdict(),
+        "e0_zeta": boundary.e0_zeta(b.L),
         "e1_zeta": boundary.e1_zeta(b),
         "e1_cutoff_finite": finite,
         "e1_cutoff_divergent": divergent,
         "c_effective": boundary.c_effective(b),
     }
-    return _table_payload(row, args.format)
 
 
 def _modulus(name: str, value: float, to_q) -> float:
@@ -268,12 +255,12 @@ def _saw_rows(args):
 _ROWS = {"duality": _duality_rows, "crossing": _crossing_rows, "saw": _saw_rows}
 
 
-def _cmd_evaluate(args) -> str:
+def _cmd_evaluate(args) -> dict:
     modulus = args.ratio  # duality evaluates at the aspect ratio itself
     if args.command != "duality":
         modulus = args.q if args.q is not None else _modulus(
             "--ratio", args.ratio, lambda ratio: math.exp(-math.pi * ratio))
-    return _table_payload(_ROWS[args.command](args)(modulus), args.format)
+    return _ROWS[args.command](args)(modulus)
 
 
 #: The model flags each sweep target reads; one it does not read is refused.
@@ -281,26 +268,13 @@ _SWEEP_FLAGS = {"duality": ("n", "phase", "n_prime", "tol"), "crossing": (),
                 "saw": ("phase", "crossed")}
 
 
-def _cmd_sweep(args) -> str:
+def _cmd_sweep(args) -> list:
     for flag in ("n", "phase", "n_prime", "tol", "crossed"):
         if getattr(args, flag) is not None and flag not in _SWEEP_FLAGS[args.target]:
             raise DomainError(f"sweep --target {args.target} takes no --{flag.replace('_', '-')}")
     args.tol = 1e-8 if args.tol is None else args.tol
     row = _ROWS[args.target](args)
-    return _table_payload([row(v) for v in args.values], args.format)
-
-
-_COMMANDS = {
-    "partition": _cmd_partition,
-    "crossed": _cmd_crossed,
-    "duality": _cmd_evaluate,
-    "characters": _cmd_characters,
-    "crossing": _cmd_evaluate,
-    "saw": _cmd_evaluate,
-    "logcft": _cmd_logcft,
-    "boundary": _cmd_boundary,
-    "sweep": _cmd_sweep,
-}
+    return [row(v) for v in args.values]
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -326,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, modulus=False):
+    def common(p, run, model=True, modulus=False):
+        p.set_defaults(run=run)
         p.add_argument("--order", type=int, default=64, help="truncation exponent")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", default=None, help="output path (default stdout)")
@@ -341,37 +316,37 @@ def _build_parser() -> argparse.ArgumentParser:
             group.add_argument("--ratio", type=float, default=None)
 
     p = sub.add_parser("partition", help="direct-channel series")
-    common(p)
+    common(p, _cmd_partition)
     p.add_argument("--parity", choices=["even", "odd"], default=None)
     p.add_argument("--naive", action="store_true",
                    help="un-subtracted first-guess form")
     p.add_argument("--backend", choices=["exact", "floating", "auto"], default="auto")
 
     p = sub.add_parser("crossed", help="crossed-channel series")
-    common(p)
+    common(p, _cmd_crossed)
 
     p = sub.add_parser("duality", help="channel-duality residual at one ratio")
-    common(p)
+    common(p, _cmd_evaluate)
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("characters", help="minimal-model decomposition")
-    common(p)
+    common(p, _cmd_characters)
     p.add_argument("--parity", choices=["even", "odd"], default=None)
 
     p = sub.add_parser("crossing", help="percolation crossing probability")
-    common(p, model=False, modulus=True)
+    common(p, _cmd_evaluate, model=False, modulus=True)
 
     p = sub.add_parser("saw", help="single wrapping self-avoiding loop")
-    common(p, model=False, modulus=True)
+    common(p, _cmd_evaluate, model=False, modulus=True)
     p.add_argument("--phase", choices=["dilute", "dense"], required=True)
 
     p = sub.add_parser("logcft", help="ln(q) coefficient of dZ/dn at n=0")
-    common(p, model=False)
+    common(p, _cmd_logcft, model=False)
     p.add_argument("--phase", choices=["dilute", "dense"], required=True)
 
     p = sub.add_parser("boundary", help="strip boundary-energy shifts")
-    common(p, model=False)
+    common(p, _cmd_boundary, model=False)
     p.add_argument("--g", type=float, required=True)
     p.add_argument("--alpha1", type=float, required=True)
     p.add_argument("--alpha2", type=float, required=True)
@@ -380,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated regulator values")
 
     p = sub.add_parser("sweep", help="tabulate a target over a grid")
-    common(p, model=False)
+    common(p, _cmd_sweep, model=False)
     p.add_argument("--target", choices=["crossing", "duality", "saw"], required=True)
     p.add_argument("--values", type=_float_list, required=True,
                    help="comma-separated moduli (q, qtilde, or ratios)")
@@ -399,7 +374,7 @@ def main(argv=None) -> int:
     try:
         if args.order < 8:
             raise DomainError("truncation order must be at least 8")
-        payload = _COMMANDS[args.command](args)
+        payload = _payload(args.run(args), args.format)
     except TailBoundError as exc:
         print(f"tail-bound failure: {exc}", file=sys.stderr)
         return EXIT_TAIL

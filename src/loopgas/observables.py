@@ -177,7 +177,8 @@ def asymptote_fit(
     """Least-squares power-law fit of ln(value) against ln(modulus).
 
     `evaluator` maps a modulus in (0,1) to (value, tail_bound); the fit is
-    refused if any tail bound exceeds 1% of the value."""
+    refused unless every value is positive and finite and every tail bound is
+    at most 1% of its value."""
     if not isinstance(window, (tuple, list)) or len(window) != 2:
         raise DomainError(f"fit window must be a pair (lo, hi), got {window!r}")
     lo, hi = (_as_float(x, "fit window", False) for x in window)
@@ -190,9 +191,9 @@ def asymptote_fit(
     vals = []
     for x in xs:
         v, tail = evaluator(x)
-        if v <= 0.0:
+        if not 0.0 < v < math.inf:  # NaN included
             raise DomainError(f"power-law fit needs positive values, got {v} at {x}")
-        if tail > 0.01 * abs(v):
+        if not tail <= 0.01 * v:
             raise TailBoundError(
                 f"tail bound {tail:.2e} exceeds 1% of value {v:.2e} at "
                 f"modulus {x:.3e}; refusing to fit"

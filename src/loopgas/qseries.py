@@ -527,14 +527,17 @@ class GenSeries:
 
     @staticmethod
     def from_json_dict(d: dict) -> "GenSeries":
-        # a name that is no backend's stays as read, for from_terms to refuse
-        backend = next((b for b in Backend if b.value == d["backend"]), d["backend"])
+        """The series a `to_json_dict` document describes.  A document of
+        another shape raises DomainError, as do terms that `from_terms` refuses."""
         dec = _decode_number
-        return GenSeries.from_terms(
-            [(dec(t["exponent"]), dec(t["coefficient"])) for t in d["terms"]],
-            dec(d["cutoff"]),
-            backend,
-        )
+        try:
+            # a name that is no backend's stays as read, for from_terms to refuse
+            backend = next((b for b in Backend if b.value == d["backend"]), d["backend"])
+            terms = [(dec(t["exponent"]), dec(t["coefficient"])) for t in d["terms"]]
+            cutoff = dec(d["cutoff"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"malformed series document: {type(exc).__name__}: {exc}") from exc
+        return GenSeries.from_terms(terms, cutoff, backend)
 
     def to_csv_rows(self) -> list[tuple[str, str]]:
         """Two-column (exponent, coefficient) rows, header excluded."""

@@ -456,6 +456,11 @@ PINNED_STDOUT = [
     ("sweep --target saw --phase dense --crossed --values 1e-4,1e-8,0.01 "
      "--order 12 --format csv",
      "76c84cee1bafd4cbfc3b7d58c5d4e15b7ca8899c8a64b840c120e5a7af0f098f"),
+    ("sweep --target crossing --values 0.1,0.5,0.9 --order 64 --format csv",
+     "5b7ae4a0f1ea48a10a65c58c1968b9d679eae23f72a1ec4626ccb9332de89c39"),
+    ("sweep --target duality --n 1.3 --phase dense --values 0.5,1,2 --order 64 "
+     "--format csv",
+     "c4892d8ac0912d219ea4849fc1e9d6da24a2eef6bb5b0968f2c083e402bf1499"),
 ]
 
 

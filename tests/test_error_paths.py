@@ -14,6 +14,7 @@ from loopgas import (
     DomainError,
     GenSeries,
     RegulatorFitError,
+    TailBoundError,
     annulus,
     boundary,
     characters,
@@ -259,7 +260,35 @@ ERROR_PATHS = [
     ("series JSON with an unknown backend",
      lambda: GenSeries.from_json_dict({"backend": "nope", "cutoff": 1, "terms": []}),
      DomainError, "backend must be a Backend, got 'nope'"),
+    # NaN compares false both ways, so each of these once fitted without complaint
+    ("power-law fit of a NaN value",
+     lambda: observables.asymptote_fit(lambda x: (math.nan, 0.0), (0.1, 0.5)),
+     DomainError, "needs positive values, got nan"),
+    ("power-law fit of an infinite value",
+     lambda: observables.asymptote_fit(lambda x: (math.inf, 0.0), (0.1, 0.5)),
+     DomainError, "needs positive values, got inf"),
+    ("power-law fit with a NaN tail bound",
+     lambda: observables.asymptote_fit(lambda x: (1.0, math.nan), (0.1, 0.5)),
+     TailBoundError, "tail bound nan exceeds 1% of value"),
 ]
+
+# Documents that are not the shape `to_json_dict` writes, one per way to miss it.
+_FLOAT_DOC = {"backend": "floating", "cutoff": 4.0,
+              "terms": [{"exponent": 1.0, "coefficient": 1.0}]}
+MALFORMED_SERIES_DOCS = [
+    ("no terms", {"backend": "floating", "cutoff": 4.0}, "KeyError: 'terms'"),
+    ("a list as the document", [_FLOAT_DOC], "TypeError"),
+    ("a term that is not an object", {**_FLOAT_DOC, "terms": [[1.0, 1.0]]}, "TypeError"),
+    ("a None cutoff", {**_FLOAT_DOC, "cutoff": None}, "TypeError"),
+    ("an exponent text 'x'",
+     {**_FLOAT_DOC, "backend": "exact-rational", "terms": [{"exponent": "x", "coefficient": "1"}]},
+     "ValueError"),
+    ("a cutoff '1/0'", {**_FLOAT_DOC, "backend": "exact-rational", "cutoff": "1/0", "terms": []},
+     "ZeroDivisionError"),
+]
+ERROR_PATHS += [(f"series JSON with {name}", lambda d=doc: GenSeries.from_json_dict(d),
+                 DomainError, f"malformed series document: {fragment}")
+                for name, doc, fragment in MALFORMED_SERIES_DOCS]
 
 # Both backends take only int, float and Fraction, and refuse anything else,
 # a str that float() would read included, with a DomainError naming its type.

@@ -79,6 +79,23 @@ def test_partition_numbers_are_read_by_the_kernel_alone():
     assert not found, f"p(k) read outside the Euler kernel: {found}"
 
 
+def test_one_writer_serialises_every_command():
+    # every CLI command returns its value and `cli._payload` alone writes it:
+    # `json.dumps` is called there and nowhere else in src, and `csv.writer`
+    # only in the `cli._csv` it calls
+    writers = {("json", "dumps"), ("csv", "writer")}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # breadth-first, so a nested function's name overwrites its parent's
+        owner = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        found += [(path.name, owner.get(id(node)), node.func.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and (getattr(node.func.value, "id", None), node.func.attr) in writers]
+    assert sorted(found) == [("cli.py", "_csv", "writer"), ("cli.py", "_payload", "dumps")]
+
+
 def test_readme_states_the_counted_lines():
     # README's figure is what its own one-liner counts: lines of src that are
     # not blank and do not start with `#` after indentation
