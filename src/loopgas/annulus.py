@@ -53,6 +53,7 @@ from .qseries import (
     _integer_support,
     _number,
     _slot_series,
+    _slot_top,
 )
 
 
@@ -138,7 +139,7 @@ def _flux_theta(params: CGParams, weight, cutoff, exact: bool, form: str = "inte
     cutoff.  `flux_sum` and every observable are this sum with their own
     weight table."""
     exponent, den = _exponent(params, exact)
-    sectors = _flux_range(math.ceil(Fraction(cutoff) * den) if exact else cutoff, *exponent)
+    sectors = _flux_range(_slot_top(cutoff, den) if exact else cutoff, *exponent)
     # sectors ascend in p, so w_0 .. w_hi covers both p and -p - 2
     hi = max(sectors[-1][0], -2 - sectors[0][0]) if sectors else -1
     w = list(map(weight, range(hi + 1)))
@@ -191,10 +192,9 @@ def _direct_terms(params, w, cutoff, parity, backend, form="integer"):
                           "floating backend for this point")
     cutoff_c = _as_cutoff(cutoff, backend)
     x, den = _exponent(params, exact)
-    lead = Fraction(x[2], den) if exact else x[2]
-    if not lead < cutoff_c:
+    if not (x[2] < _slot_top(cutoff_c, den) if exact else x[2] < cutoff_c):
         raise DomainError(f"cutoff {cutoff} excludes the p=0 identity term at exponent "
-                          f"{lead}; increase it")
+                          f"{Fraction(x[2], den) if exact else x[2]}; increase it")
     return _flux_theta(params, _wrap_table(w, exact), cutoff_c, exact, form, parity)
 
 

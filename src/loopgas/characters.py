@@ -35,6 +35,7 @@ from .qseries import (
     _integer_support,
     _partition_numbers,
     _slot_series,
+    _slot_top,
 )
 
 
@@ -94,7 +95,7 @@ def _character_theta(spec: CharacterSpec, cutoff) -> GenSeries:
     b = spec.p_major * spec.r + spec.p_minor * spec.s
     # (2Nk + offset)^2/4N - 1/24 = (6 (2Nk + offset)^2 - N) / D
     D = 24 * N
-    top = math.ceil(Fraction(cutoff) * D)
+    top = _slot_top(cutoff, D)
     slots = [(e, sign) for offset, sign in ((a, 1), (b, -1))
              for _, e in _integer_support(24 * N * N, 24 * N * offset, 6 * offset * offset - N, top)]
     if not slots:
@@ -168,13 +169,9 @@ def decomposition_to_json(coeffs: dict[CharacterSpec, object]) -> dict:
     terms = []
     for sp in specs:
         c = coeffs[sp]
-        terms.append(
-            {
-                "r": sp.r,
-                "s": sp.s,
-                "coefficient": int(c)
-                if isinstance(c, Fraction) and c.denominator == 1
-                else (str(c) if isinstance(c, Fraction) else float(c)),
-            }
-        )
+        if isinstance(c, Fraction):  # an integer as a number, else 'p/q' text
+            c = int(c) if c.denominator == 1 else str(c)
+        else:
+            c = float(c)
+        terms.append({"r": sp.r, "s": sp.s, "coefficient": c})
     return {"model": model, "terms": terms}

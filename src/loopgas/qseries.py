@@ -29,10 +29,11 @@ numerical check of the eta modular transformation between conjugate moduli.
 Both backends keep one layout: tuples n and a for the sum of (a/C) q^{n/D}.
 An exact series is its lattice: n and a are integers, exponents on (1/D)Z and
 coefficients on (1/C)Z, with D and C the least that hold the terms, and text
-is formatted from the integers.  A floating series has D = C = 1, and n and a
-are its float exponents and coefficients.  `terms` is a view of the tuples,
-built as SeriesTerms on first read; comparison, hashing, truncation, shifts,
-scalar multiples, evaluation and serialisation read the tuples.
+is formatted from the integers; slot n lies below any exact cutoff iff n is
+below `_slot_top`, one integer rule.  A floating series has D = C = 1, and n
+and a are its float exponents and coefficients.  `terms` is a view of the
+tuples, built as SeriesTerms on first read; comparison, hashing, truncation,
+shifts, scalar multiples, evaluation and serialisation read the tuples.
 
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde.  Every builder hands
@@ -269,7 +270,7 @@ class GenSeries:
             object.__setattr__(self, name, value)
         return self
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):  # value=None: __delattr__ too
         raise AttributeError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
@@ -521,9 +522,10 @@ class GenSeries:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        terms = [{"exponent": e, "coefficient": c} for e, c in self._texts(_encode_number)]
-        return {"backend": self.backend.value, "cutoff": _encode_number(self.cutoff),
-                "terms": terms}
+        """Exact numbers as 'p/q' text, floating ones as floats."""
+        terms = [{"exponent": e, "coefficient": c} for e, c in self._texts(float)]
+        cutoff = str(self.cutoff) if self.backend is Backend.EXACT else self.cutoff
+        return {"backend": self.backend.value, "cutoff": cutoff, "terms": terms}
 
     @staticmethod
     def from_json_dict(d: dict) -> "GenSeries":
@@ -544,16 +546,10 @@ class GenSeries:
         return list(self._texts(format_number))
 
 
-def _encode_number(x: Number):
-    if isinstance(x, Fraction):
-        return str(x)
-    return float(x)
-
-
 def _decode_number(x) -> Number:
-    if isinstance(x, str):
-        return Fraction(x)
-    return float(x)
+    if isinstance(x, bool):  # JSON true and false are no numbers
+        raise TypeError(f"{x!r} is not a number")
+    return Fraction(x) if isinstance(x, str) else float(x)
 
 
 def format_number(x: Number) -> str:
@@ -577,16 +573,17 @@ _PARTITIONS = [1]
 
 
 def _partition_numbers(kmax: int) -> list[int]:
-    """p(0..kmax) via the recurrence over `pentagonal_series`, as a fresh list.
+    """p(0..kmax) via the recurrence over Euler's pentagonal numbers, as a fresh list.
 
     The values come from one module-level table.  A call past its end extends
     a copy and publishes that, so a list once published never changes."""
     global _PARTITIONS
     p = _PARTITIONS
     if kmax >= len(p):
-        # p(k) = -sum a_g p(k - g) over Euler's terms a_g q^g, 0 < g <= min(k, kmax)
-        p, euler = p[:], pentagonal_series(kmax + 1)
-        pent = list(zip(euler._n[1:], map(neg, euler._a[1:])))
+        # p(k) = sum -(-1)^j p(k - g) over g = (3j^2 - j)/2 with 0 < g <= min(k, kmax),
+        # the j with 3j^2 - j < 2 kmax + 2 but j = 0, taken in order of g
+        p, pent = p[:], sorted((e // 2, 2 * (j & 1) - 1)
+                               for j, e in _integer_support(3, -1, 0, 2 * kmax + 2) if j)
         for k in range(len(p), kmax + 1):
             p.append(sum([s * p[k - g] for g, s in pent if g <= k]))
         _PARTITIONS = p
@@ -677,13 +674,20 @@ def _fields(acc: int, W: int, count: int):
     return vals
 
 
+def _slot_top(cutoff: Number, D: int) -> int:
+    """The least n with n/D >= cutoff, an int, Fraction or float at its exact binary
+    value: the one slot rule, slot n of (1/D)Z lies below the cutoff iff n < this."""
+    c = Fraction(cutoff)
+    return -(-c.numerator * D // c.denominator)
+
+
 def _slot_series(slots, D: int, C: int, cutoff) -> GenSeries:
     """The exact series sum a/C q^{n/D} below `cutoff`, for integer pairs
     (n, a) in any order: the one exact normaliser.  Repeats are summed, and
-    zero sums and slots n >= cutoff D dropped, by integer compares; the
-    lattice is then reduced by gcd."""
+    zero sums and slots at or past `_slot_top` dropped, by integer compares;
+    the lattice is then reduced by gcd."""
     cutoff = Fraction(cutoff)
-    top = math.ceil(cutoff * D)
+    top = _slot_top(cutoff, D)
     acc: dict[int, int] = {}
     for n, a in slots:
         if n < top:
@@ -863,7 +867,7 @@ def _euler_kernel(theta, step=1) -> GenSeries:
     if not isinstance(theta, GenSeries) or theta.backend is Backend.FLOAT:
         return _float_setup(theta, step)[2]()
     D, least = theta._D, theta._n[0]
-    top = math.ceil(theta.cutoff * D)
+    top = _slot_top(theta.cutoff, D)
     base, end = least // D, (top - 1) // D + 1  # the columns that hold slots below top
     # Slot n is field n // D - base of the accumulator of its residue n % D.
     classes: dict[int, list] = {}
@@ -916,9 +920,9 @@ def pentagonal_series(cutoff: Number, backend: Backend = Backend.EXACT) -> GenSe
     cutoff = _as_cutoff(cutoff, backend)
     if cutoff <= 0:
         raise DomainError("the Euler product requires cutoff > 0")
-    # k(3k - 1)/2 < cutoff iff 3k^2 - k < ceil(2 cutoff)
+    # k(3k - 1)/2 < cutoff iff 3k^2 - k < _slot_top(cutoff, 2)
     theta = _slot_series([(e // 2, 1 - 2 * (k & 1))
-                          for k, e in _integer_support(3, -1, 0, math.ceil(2 * cutoff))],
+                          for k, e in _integer_support(3, -1, 0, _slot_top(cutoff, 2))],
                          1, 1, cutoff)
     return theta if backend is Backend.EXACT else theta._rounded()
 

@@ -24,8 +24,11 @@ counts partitions part by part, against which the package's pentagonal
 recurrence for p(k) is checked.
 `quadratic_support` finds the k with a convex quadratic below a cutoff by
 walking out from its vertex, against which the package's one closed-form
-support finder is checked in both backends.  Exact backend, but
-for `euler_float_rows`, `eval_sequential` and `quadratic_support`.
+support finder is checked in both backends.  `json_document` is the
+series document as its first encoder wrote it, every number read from
+`terms` and `cutoff` through one function, against which the package's
+`to_json_dict` is checked.  Exact backend, but for `euler_float_rows`,
+`eval_sequential`, `quadratic_support` and `json_document`.
 """
 import math
 from bisect import bisect_left
@@ -260,3 +263,15 @@ def quadratic_support(f, cutoff, vertex):
             out.append((k, e))
             k += step
     return below[::-1] + above
+
+
+def json_document(series):
+    """`series.to_json_dict()` as its first encoder wrote it: each exponent,
+    coefficient and the cutoff read from `terms` and `cutoff`, a Fraction as
+    its str and any other number as a float."""
+    def encode(x):
+        return str(x) if isinstance(x, F) else float(x)
+
+    return {"backend": series.backend.value, "cutoff": encode(series.cutoff),
+            "terms": [{"exponent": encode(e), "coefficient": encode(c)}
+                      for e, c in series.terms]}

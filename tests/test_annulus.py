@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import loopgas
 from loopgas import (
     Backend,
+    CharacterSpec,
     DomainError,
     GenSeries,
     IdentityError,
@@ -23,6 +24,7 @@ from loopgas import (
     annulus,
     asymptote_fit,
     boundary_g_factor,
+    characters,
     default_wrap,
     duality_check,
     electric_dimension,
@@ -34,7 +36,9 @@ from loopgas import (
     partition_direct,
     partition_direct_parity,
     partition_naive,
+    pentagonal_series,
     qseries,
+    rocha_caridi,
     wrap_count_generating,
     wrap_weight,
 )
@@ -235,6 +239,37 @@ class TestExactRule:
         got = flux_sum(ISING, None, cutoff, None, Backend.FLOAT)
         assert got == exact._rounded()
         assert got.terms == tuple((float(e), float(c)) for e, c in exact.terms[:-1])
+
+    @pytest.mark.parametrize("spec,i", [(CharacterSpec(3, 4, 1, 1), 0),
+                                        (CharacterSpec(3, 4, 1, 1), 2),
+                                        (CharacterSpec(3, 4, 1, 3), 0),
+                                        (CharacterSpec(3, 4, 1, 3), 3)])
+    def test_float_cutoff_on_a_character_slot_is_taken_exactly(self, spec, i):
+        """As for the flux sum: the double nearest the i-th exponent of an
+        Ising character's numerator lies above it, though cutoff * D rounds
+        onto its slot, so the exact numerator keeps term i.  Rounded once,
+        that term sits on the cutoff, so the floating character is the one
+        whose numerator stops below it; at i = 0 that numerator is empty."""
+        D = 24 * spec.p_minor * spec.p_major
+        slot = characters._character_theta(spec, 40)._slots(D, 1)[i][0]
+        cutoff = slot / D
+        assert F(cutoff) * D > slot == cutoff * D
+        theta = characters._character_theta(spec, cutoff)
+        assert len(theta) == i + 1 and theta.terms[-1].exponent == F(slot, D)
+        got = rocha_caridi(spec, cutoff, Backend.FLOAT)
+        below = qseries._euler_kernel(theta.truncate(F(slot, D))._rounded())
+        assert got.cutoff == cutoff and got == below and got.is_zero == (i == 0)
+
+    @pytest.mark.parametrize("g", [1, 2, 5, 7, 12, 15, 22, 26])
+    def test_float_cutoff_on_a_pentagonal_slot_is_taken_exactly(self, g):
+        """The floating Euler product is the exact one below the same float
+        cutoff, rounded once: on each side of pentagonal exponent g and on it."""
+        for cutoff in (math.nextafter(g, -math.inf), float(g), math.nextafter(g, math.inf)):
+            exact = pentagonal_series(F(cutoff))
+            assert (exact.terms[-1].exponent == g) == (cutoff > g)
+            got = pentagonal_series(cutoff, Backend.FLOAT)
+            assert got == exact._rounded() and got.cutoff == cutoff
+            assert got.terms == tuple((float(e), float(c)) for e, c in exact.terms)
 
     @pytest.mark.parametrize("call", [
         lambda: flux_sum(params_from_n(1.0, "dilute"), None, 0.4791666666666667, None,

@@ -145,6 +145,10 @@ ERROR_PATHS = [
     ("naive support past the cap",
      lambda: annulus.partition_naive(params_from_n(1.3, "dense"), None, 1e308),
      DomainError, "the cutoff asks for a support of more than 65536 integers"),
+    # 2 * 1e308 is no double, but the slot rule reads the cutoff as an integer
+    ("floating pentagonal support past the cap",
+     lambda: qseries.pentagonal_series(1e308, Backend.FLOAT),
+     DomainError, "the cutoff asks for a support of more than 65536 integers"),
     ("float flux support past the cap",
      lambda: annulus.flux_sum(params_from_n(1.3, "dense"), None, 1e12, None, Backend.FLOAT),
      DomainError, "the cutoff asks for a support of more than 65536 integers"),
@@ -285,6 +289,14 @@ MALFORMED_SERIES_DOCS = [
      "ValueError"),
     ("a cutoff '1/0'", {**_FLOAT_DOC, "backend": "exact-rational", "cutoff": "1/0", "terms": []},
      "ZeroDivisionError"),
+    # JSON true and false are no numbers, though Python reads them as 1 and 0
+    ("booleans for numbers",
+     {"backend": "floating", "cutoff": True,
+      "terms": [{"exponent": True, "coefficient": False}, {"exponent": 0.0, "coefficient": 2.0}]},
+     "TypeError: True is not a number"),
+    ("a boolean cutoff", {**_FLOAT_DOC, "cutoff": True}, "TypeError: True is not a number"),
+    ("a boolean coefficient", {**_FLOAT_DOC, "terms": [{"exponent": 1.0, "coefficient": False}]},
+     "TypeError: False is not a number"),
 ]
 ERROR_PATHS += [(f"series JSON with {name}", lambda d=doc: GenSeries.from_json_dict(d),
                  DomainError, f"malformed series document: {fragment}")

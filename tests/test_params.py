@@ -37,6 +37,10 @@ class TestParamsFromN:
             assert p.chi == 0.0 and p.g == 1.0 and p.c == 1.0
             assert p.g_exact == 1
 
+    def test_exact_fields_are_none_off_the_registry(self):
+        p = params_from_n(0.7, "dilute")
+        assert (p.g_exact, p.c_exact, p.m0_exact) == (None, None, None)
+
     def test_dense_polymer_point(self):
         p = params_from_n(0.0, "dense")
         assert abs(p.chi - math.pi / 2) < 1e-12

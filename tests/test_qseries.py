@@ -165,6 +165,15 @@ class TestPartitionTable:
         for K in orders:
             assert qseries._partition_numbers(K) == oracle.partition_counts(K)
 
+    def test_the_table_builds_no_series(self, monkeypatch):
+        # p(k) grows from the pentagonal numbers' integer support alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("_partition_numbers built a series")
+
+        monkeypatch.setattr(qseries, "_PARTITIONS", [1])
+        monkeypatch.setattr(GenSeries, "_on_lattice", refuse)
+        assert qseries._partition_numbers(300) == oracle.partition_counts(300)
+
     def test_nothing_computed_at_import(self):
         code = "import loopgas, loopgas.cli; print(len(loopgas.qseries._PARTITIONS))"
         src = os.path.dirname(os.path.dirname(loopgas.__file__))
@@ -210,6 +219,33 @@ class TestExactCutoff:
         for make in makers:
             with pytest.raises(DomainError, match="finite"):
                 make()
+
+
+# (cutoff, D) with the cutoff an int, a Fraction or a float, anywhere, on a
+# slot of (1/D)Z or next to one, and below zero as often as above it
+slot_cutoffs = st.integers(1, 10**4).flatmap(lambda D: st.tuples(st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(lambda n: F(n, D)),
+    st.integers(-10**6, 10**6).map(lambda n: n / D),
+    st.integers(-10**6, 10**6).map(lambda n: math.nextafter(n / D, math.inf)),
+), st.just(D)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_cutoffs)
+@example((F(-7, 3), 3))
+@example((-0.5, 2))
+@example((0.1, 10))  # 0.1 * 10 rounds onto slot 1, but F(0.1) * 10 lies above it
+@example((-0.0, 7))
+def test_slot_top_is_the_ceiling_of_the_exact_product(case):
+    """`_slot_top(cutoff, D)` is the least n with n/D >= cutoff, the cutoff at
+    its exact binary value: slot n lies below the cutoff iff n < it."""
+    cutoff, D = case
+    top = qseries._slot_top(cutoff, D)
+    assert type(top) is int and top == math.ceil(F(cutoff) * D)
+    assert F(top - 1, D) < cutoff <= F(top, D)
 
 
 class TestPentagonal:
@@ -1244,6 +1280,32 @@ def test_raw_pairs_that_from_terms_would_change_are_normalised(monkeypatch, step
     assert calls == [(pairs, 64.0, Backend.FLOAT)]
 
 
+@pytest.mark.parametrize("step", [1, 2])
+def test_raw_pairs_that_cancel_complete_to_the_zero_series(step):
+    """Raw pairs whose sums are all zero normalise to the zero series, which
+    is its own completion: the kernel gives it, the evaluator its eval_at."""
+    raw = ([(0.1, 1.0), (0.35, 2.5), (0.1, -1.0), (0.35, -2.5)], 64.0)
+    zero = GenSeries.zero(64.0, Backend.FLOAT)
+    got = qseries._euler_kernel(raw, step)
+    assert got == zero and repr((got._n, got._a, got.cutoff)) == repr(((), (), 64.0))
+    assert qseries._euler_evaluator(raw, step)(0.5) == zero.eval_at(0.5)
+
+
+def test_a_row_that_ends_past_its_first_guess_runs_on():
+    """A row's end starts from ceil((top - e)/step) and moves by compares.  At
+    e = -9.999 and cutoff 0.001, top - e rounds down onto 10 columns, yet
+    e + 10 rounds below the cutoff, so the row runs one column on: as raw
+    pairs and as a series, the row oracle's output bit for bit."""
+    e, cutoff = -9.999, 0.001
+    assert cutoff - e == 10.0 and e + 10.0 < cutoff
+    theta = GenSeries.from_terms([(-17.0, 1.0), (e, 1.0)], cutoff, Backend.FLOAT)
+    want = oracle.euler_float_rows(theta)
+    assert e + 10.0 in want._n
+    for got in (qseries._euler_kernel(theta), qseries._euler_kernel(([(-17.0, 1.0), (e, 1.0)],
+                                                                      cutoff))):
+        assert (repr(got._n), repr(got._a), got.cutoff) == (repr(want._n), repr(want._a), cutoff)
+
+
 @pytest.mark.parametrize("n,phase", REGISTRY_FLOAT_POINTS)
 def test_channel_evaluator_builds_in_full_without_a_class_path(n, phase):
     """At a registry coupling, rounded, a class holds three or more terms, so
@@ -1723,6 +1785,21 @@ def test_float_series_is_the_series_of_its_terms(case, drop, delta, factor, k):
 # -- serialization ----------------------------------------------------------------
 
 
+class TestValue:
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        s = euler_inverse(5)
+        for change in (lambda: setattr(s, "cutoff", 3), lambda: delattr(s, "_n"),
+                       lambda: setattr(s, "extra", 0)):
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                change()
+        assert s == euler_inverse(5)
+
+    def test_comparison_with_another_type_is_left_to_it(self):
+        s = euler_inverse(5)
+        assert s.__eq__(5) is NotImplemented and s.__eq__(s.terms) is NotImplemented
+        assert s != 5 and not s == "x"
+
+
 class TestSerialization:
     def test_json_round_trip_exact(self):
         s = dedekind_eta_series(20) * euler_inverse(20)
@@ -1744,6 +1821,24 @@ class TestSerialization:
     def test_csv_rows(self):
         rows = dedekind_eta_series(3).to_csv_rows()
         assert rows[0] == ("1/24", "1")
+
+    @pytest.mark.parametrize("series", [
+        dedekind_eta_series(20) * euler_inverse(20),
+        S([(10**17 + 1, 1), (F(10**17 + 3, 2), F(-5, 3))], 10**18),
+        GenSeries.zero(F(5, 3)),
+        GenSeries.zero(-0.0),
+        euler_inverse(12, Backend.FLOAT).shift(-1.0 / 24.0) * 0.75,
+        S([(-0.0, 1.0), (1.0, -2.5)], 3, Backend.FLOAT),
+        S([(1e16, 3.0), (1e16 + 2.0, -1.0), (2.5e17, 1e20)], 1e18, Backend.FLOAT),
+        GenSeries.zero(-0.0, Backend.FLOAT),
+        GenSeries.zero(12.5, Backend.FLOAT),
+    ], ids=["exact", "exact past 1e16", "exact zero", "exact zero at -0.0", "floating",
+            "floating at -0.0", "floating past 1e16", "floating zero at -0.0", "floating zero"])
+    def test_document_is_the_first_encoders(self, series):
+        # the same JSON text, so -0.0 against 0.0 and 1.0 against 1 would show
+        got, want = series.to_json_dict(), oracle.json_document(series)
+        assert json.dumps(got) == json.dumps(want)
+        assert repr(got) == repr(want)
 
     def test_float_exponent_merge(self):
         s = S([(0.1, 1.0), (0.1 + 1e-12, 1.0)], 5, Backend.FLOAT)

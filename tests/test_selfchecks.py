@@ -96,6 +96,26 @@ def test_one_writer_serialises_every_command():
     assert sorted(found) == [("cli.py", "_csv", "writer"), ("cli.py", "_payload", "dumps")]
 
 
+def test_every_exact_cutoff_takes_the_one_slot_rule():
+    # "slot n lies below the cutoff" is `qseries._slot_top`'s integer rule: no
+    # `math.ceil` (or a bare `ceil`) in src takes an argument that names a
+    # cutoff, outside `_slot_top` itself
+    def names(node):
+        return {getattr(n, "id", None) or getattr(n, "attr", "") for n in ast.walk(node)}
+
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        found += [(path.name, owner.get(id(node)), node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "ceil" in (
+                      getattr(node.func, "attr", None), getattr(node.func, "id", None))
+                  and owner.get(id(node)) != "_slot_top"
+                  and any("cutoff" in name for arg in node.args for name in names(arg))]
+    assert found == []
+
+
 def test_readme_states_the_counted_lines():
     # README's figure is what its own one-liner counts: lines of src that are
     # not blank and do not start with `#` after indentation
