@@ -9,14 +9,16 @@ Euler product with leading divergence q^{-1/24}.
 """
 
 import math
+from fractions import Fraction
 
 from loopgas import (
     Backend,
+    GenSeries,
     asymptote_fit,
+    euler_inverse,
     params_from_n,
     partition_direct,
     saw_loop_dense,
-    saw_loop_derivative_series,
     saw_loop_dilute,
     wrap_weight,
 )
@@ -24,8 +26,11 @@ from loopgas import (
 print("dilute wrapping loop:")
 z1 = saw_loop_dilute(64)
 print("  series head:", z1.terms[:3])
-print("  equals the termwise n'-derivative:",
-      saw_loop_dilute(40) == saw_loop_derivative_series("dilute", 40))
+# the n'-derivative in closed form: sum_k k(-1)^{k-1} q^{3k^2/2 - k + 1/8} / prod(1 - q^r)
+derivative = GenSeries.from_terms(
+    [(Fraction(3 * k * k, 2) - k + Fraction(1, 8), k if k % 2 else -k) for k in range(-8, 9)],
+    40) * euler_inverse(40)
+print("  equals the termwise n'-derivative:", saw_loop_dilute(40) == derivative)
 
 h = 1e-5
 q = 0.3
@@ -54,7 +59,14 @@ print("  so the ratio approaches 1 only as the log grows past that constant.")
 
 print()
 print("dense wrapping loop:")
-series, closed = saw_loop_dense(40)
+series, _ = saw_loop_dense(40)
+# the Jacobi product q^{-1/24} prod_{m<=40} (1 - q^{m-1/2})^2, one factor at a time
+cutoff = 40 + Fraction(1, 24)
+closed = GenSeries.constant(1, cutoff)
+for m in range(1, 41):
+    factor = GenSeries.from_terms([(0, 1), (m - Fraction(1, 2), -1)], cutoff)
+    closed = closed * factor * factor
+closed = closed.shift(Fraction(-1, 24))
 print("  theta-sum head:   ", series.terms[:3])
 print("  product-form head:", closed.terms[:3])
 print("  the two forms agree term by term (Jacobi triple product):",

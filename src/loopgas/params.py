@@ -198,7 +198,7 @@ def wrap_coefficient(p: int, n_prime: Number) -> Number:
     d_{p+1} = n' d_p - d_{p-1}; a degree-p polynomial in n', regular at
     n' = +-2 (d_p = p+1 and (p+1)(-1)^p respectively).
     """
-    if not isinstance(p, int) or p < 0:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise DomainError(f"wrap_coefficient requires an int p >= 0, got {p!r}")
     return _recurrence(n_prime, _number(n_prime, "wrap weight") * 0 + 1, n_prime)(p)
 

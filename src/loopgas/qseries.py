@@ -32,8 +32,8 @@ coefficients on (1/C)Z, with D and C the least that hold the terms, and text
 is formatted from the integers; slot n lies below any exact cutoff iff n is
 below `_slot_top`, one integer rule.  A floating series has D = C = 1, and n
 and a are its float exponents and coefficients.  `terms` is a view of the
-tuples, built as SeriesTerms on first read; comparison, hashing, truncation,
-shifts, scalar multiples, evaluation and serialisation read the tuples.
+tuples, built as SeriesTerms on first read; every operation reads the tuples,
+the product of two series included.  Floats from outside pass `_as_float`.
 
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde.  Every builder hands
@@ -92,8 +92,8 @@ class SeriesTerm(NamedTuple):
 
 def _number(x, what: str) -> Number:
     """x if it is an int, float or Fraction, the numbers both backends take;
-    anything else, a str that float() would read included, is a DomainError."""
-    if isinstance(x, (int, float, Fraction)):
+    anything else, a bool or a str that float() would read included, is a DomainError."""
+    if isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
         return x
     raise DomainError(f"unsupported {what} type {type(x).__name__}")
 
@@ -114,21 +114,15 @@ def _finite(x: Number, what: str) -> Number:
     return x
 
 
-def _real(x: Number, what: str) -> float:
-    """x as a finite float, for x a number `_number` takes; a value past the
-    largest double raises OverflowError, for the caller to word."""
-    if type(x) is not float:
-        _number(x, what)
-    x = float(x)
-    return x if math.isfinite(x) else _finite(x, what)
-
-
 def _as_float(x: Number, what: str, finite: bool = True) -> float:
-    """x as a float, finite unless `finite` is false; past the largest double, a DomainError."""
-    try:
-        return _real(x, what) if finite else float(_number(x, what))
-    except OverflowError:
-        raise DomainError(f"{what} is too large for a float") from None
+    """x as a float, finite unless `finite` is false: a float as it is, any other
+    number `_number` takes through float(), and past the largest double a DomainError."""
+    if type(x) is not float:
+        try:
+            x = float(_number(x, what))
+        except OverflowError:
+            raise DomainError(f"{what} is too large for a float") from None
+    return x if not finite or math.isfinite(x) else _finite(x, what)
 
 
 def _float_terms(pairs, cutoff: float) -> "GenSeries":
@@ -245,8 +239,7 @@ class GenSeries:
     integer slots, with D and C reduced by gcd to the least that hold the
     terms; a floating series' are its float exponents and coefficients, with
     D = C = 1.  `terms` is a view, built from the tuples on first read and
-    kept; every operation below reads the tuples, except the product of two
-    series."""
+    kept; every operation below reads the tuples."""
 
     __slots__ = ("cutoff", "backend", "_terms", "_D", "_C", "_n", "_a", "_M")
 
@@ -338,12 +331,8 @@ class GenSeries:
         """
         cutoff = _as_cutoff(cutoff, backend)
         if backend is Backend.FLOAT:
-            try:
-                pairs = [(_real(e, "exponent"), _real(c, "coefficient")) for e, c in pairs]
-            except OverflowError:
-                raise DomainError("exponent or coefficient is too large for a float") from None
-            pairs.sort(key=itemgetter(0))
-            return _float_terms(pairs, cutoff)
+            return _float_terms(sorted([(_as_float(e, "exponent"), _as_float(c, "coefficient"))
+                                        for e, c in pairs], key=itemgetter(0)), cutoff)
         terms = [(_as_exact(e, "exponent"), _as_exact(c)) for e, c in pairs]
         D = math.lcm(*(e.denominator for e, _ in terms))
         C = math.lcm(*(c.denominator for _, c in terms))
@@ -429,16 +418,16 @@ class GenSeries:
             # Cauchy product: a term e_a + e_b is complete iff every
             # contribution below it is known, which holds strictly below
             # min(cutoff_a + min_b, cutoff_b + min_a).
-            cutoff = min(
-                self.cutoff + other.min_exponent, other.cutoff + self.min_exponent
-            )
-            pairs = []
-            for ea, ca in self.terms:
-                for eb, cb in other.terms:
-                    e = ea + eb
-                    if e < cutoff:
-                        pairs.append((e, ca * cb))
-            return GenSeries.from_terms(pairs, cutoff, self.backend)
+            cutoff = min(self.cutoff + other.min_exponent, other.cutoff + self.min_exponent)
+            if self.backend is Backend.FLOAT:
+                pairs = [(e, a * b) for x, a in zip(self._n, self._a)
+                         for y, b in zip(other._n, other._a) if (e := x + y) < cutoff]
+                return GenSeries.from_terms(pairs, cutoff, self.backend)
+            # exact: slot sums on (1/D)Z and coefficient products on (1/(C_a C_b))Z
+            D = math.lcm(self._D, other._D)
+            slots = other._slots(D, other._C)
+            return _slot_series(((n + m, a * b) for n, a in self._slots(D, self._C)
+                                 for m, b in slots), D, self._C * other._C, cutoff)
         # scalar
         c = _coerce(other, self.backend, "scalar")
         if c == 0:

@@ -27,8 +27,12 @@ walking out from its vertex, against which the package's one closed-form
 support finder is checked in both backends.  `json_document` is the
 series document as its first encoder wrote it, every number read from
 `terms` and `cutoff` through one function, against which the package's
-`to_json_dict` is checked.  Exact backend, but for `euler_float_rows`,
-`eval_sequential`, `quadratic_support` and `json_document`.
+`to_json_dict` is checked.  `cauchy_product` is the product of two series
+as its first form wrote it, every pair of `terms` summed and multiplied as
+Fractions or floats and normalised by `from_terms`, against which the
+package's product on the integer slots and float tuples is checked.  Exact
+backend, but for `euler_float_rows`, `eval_sequential`, `quadratic_support`,
+`json_document` and `cauchy_product`.
 """
 import math
 from bisect import bisect_left
@@ -275,3 +279,18 @@ def json_document(series):
     return {"backend": series.backend.value, "cutoff": encode(series.cutoff),
             "terms": [{"exponent": encode(e), "coefficient": encode(c)}
                       for e, c in series.terms]}
+
+
+def cauchy_product(a, b):
+    """`a * b` for two series of one backend as its first form wrote it: every
+    pair of terms read from `terms`, exponents added and coefficients
+    multiplied, kept strictly below min(cutoff_a + min_b, cutoff_b + min_a),
+    then normalised by `from_terms`."""
+    cutoff = min(a.cutoff + b.min_exponent, b.cutoff + a.min_exponent)
+    pairs = []
+    for ea, ca in a.terms:
+        for eb, cb in b.terms:
+            e = ea + eb
+            if e < cutoff:
+                pairs.append((e, ca * cb))
+    return GenSeries.from_terms(pairs, cutoff, a.backend)

@@ -83,10 +83,10 @@ ERROR_PATHS = [
      DomainError, "scalar must be finite, got nan"),
     ("float exponent past the largest double",
      lambda: GenSeries.from_terms([(10**400, 1)], 4, Backend.FLOAT),
-     DomainError, "exponent or coefficient is too large for a float"),
+     DomainError, "^exponent is too large for a float$"),
     ("float coefficient past the largest double",
      lambda: GenSeries.from_terms([(1, 10**400)], 4, Backend.FLOAT),
-     DomainError, "exponent or coefficient is too large for a float"),
+     DomainError, "^coefficient is too large for a float$"),
     ("float cutoff past the largest double", lambda: GenSeries.zero(10**400, Backend.FLOAT),
      DomainError, "cutoff is too large for a float"),
     ("float scalar past the largest double",
@@ -215,6 +215,17 @@ ERROR_PATHS = [
      DomainError, "wrap_coefficient requires an int p >= 0, got 2.5"),
     ("wrap_coefficient str weight", lambda: wrap_coefficient(2, "x"),
      DomainError, "unsupported wrap weight type str"),
+    # True and False are no numbers, though Python reads them as 1 and 0
+    ("loop weight True", lambda: params_from_n(True, "dense"),
+     DomainError, "unsupported loop weight type bool"),
+    ("duality ratio True", lambda: annulus.duality_check(ISING, None, ratio=True),
+     DomainError, "unsupported ratio type bool"),
+    ("from_terms of a True exponent", lambda: GenSeries.from_terms([(True, 1)], 2),
+     DomainError, "unsupported exponent type bool"),
+    ("eta tau_imag True", lambda: qseries.eta_modular_check(True),
+     DomainError, "unsupported tau_imag type bool"),
+    ("wrap_coefficient True p", lambda: wrap_coefficient(True, 1.0),
+     DomainError, "wrap_coefficient requires an int p >= 0, got True"),
     ("boundary g past the largest double", lambda: boundary.BoundaryCoupling(10**400, 0.1, 0.2),
      DomainError, "g is too large for a float"),
     ("boundary alpha1 past the largest double",

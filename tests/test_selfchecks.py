@@ -116,6 +116,24 @@ def test_every_exact_cutoff_takes_the_one_slot_rule():
     assert found == []
 
 
+def test_no_function_reads_the_terms_view():
+    # a series is its lattice: every operation reads the tuples n and a, and
+    # `terms` is read only by its own property, by iteration, by pickling and
+    # by `characters.decompose`'s refusal text
+    home = {("qseries.py", "terms"), ("qseries.py", "__iter__"),
+            ("qseries.py", "__reduce__"), ("characters.py", "decompose")}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # breadth-first, so a nested function's name overwrites its parent's
+        owner = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        found += [(path.name, owner.get(id(node)), node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "terms"
+                  and (path.name, owner.get(id(node))) not in home]
+    assert found == []
+
+
 def test_readme_states_the_counted_lines():
     # README's figure is what its own one-liner counts: lines of src that are
     # not blank and do not start with `#` after indentation
