@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, IdentityError, TailBoundError
@@ -50,6 +51,7 @@ from .qseries import (
     _as_cutoff,
     _complete,
     _euler_evaluator,
+    _float_terms,
     _integer_support,
     _number,
     _slot_series,
@@ -131,13 +133,13 @@ def _flux_theta(params: CGParams, weight, cutoff, exact: bool, form: str = "inte
                 parity: Optional[str] = None):
     """The flux sum theta, weight w_p = weight(p) on each sector p >= 0, over
     the sectors with h(p) - c/24 below cutoff: exact on its least lattice if
-    `exact` (int or Fraction weights), else the raw floating (pairs, cutoff)
-    for where `_exact_ok` fails.  form="integer" sums over all p in Z,
-    reflecting the table as w_{-1} = 0 and w_p = -w_{-p-2} for p <= -2 (the
-    null-state subtraction, p + 1 columns on); form="null_pairs" sums w_p
-    (q^{e_p} - q^{e_p+p+1}) over p >= 0, whose partners may lie above the
-    cutoff.  `flux_sum` and every observable are this sum with their own
-    weight table."""
+    `exact` (int or Fraction weights), else, for where `_exact_ok` fails, the
+    floating series of its pairs merged by `_float_terms`, as `from_terms` would
+    merge them.  form="integer" sums over all p in Z, reflecting the table as
+    w_{-1} = 0 and w_p = -w_{-p-2} for p <= -2 (the null-state subtraction,
+    p + 1 columns on); form="null_pairs" sums w_p (q^{e_p} - q^{e_p+p+1}) over
+    p >= 0, whose partners may lie above the cutoff.  `flux_sum` and every
+    observable are this sum with their own weight table."""
     exponent, den = _exponent(params, exact)
     sectors = _flux_range(_slot_top(cutoff, den) if exact else cutoff, *exponent)
     # sectors ascend in p, so w_0 .. w_hi covers both p and -p - 2
@@ -151,7 +153,8 @@ def _flux_theta(params: CGParams, weight, cutoff, exact: bool, form: str = "inte
     else:
         pairs = [(e, w[p]) if p >= 0 else (e, -w[-p - 2]) for p, e in sectors
                  if p != -1 and (parity is None or p % 2 == (parity == "odd"))]
-    return _slot_series(pairs, den, C, cutoff) if exact else (pairs, cutoff)
+    return (_slot_series(pairs, den, C, cutoff) if exact
+            else _float_terms(sorted(pairs, key=itemgetter(0)), cutoff))
 
 
 def flux_sum(
@@ -162,22 +165,15 @@ def flux_sum(
     backend: Backend = Backend.EXACT,
     form: str = "integer",
 ) -> GenSeries:
-    """The direct channel's theta with q^{-c/24}, as a series: the flux sum that the
-    partition functions complete (as raw pairs at generic g), not applied here.
+    """The direct channel's theta with q^{-c/24}, as a series: the flux sum that
+    `partition_direct`, `partition_direct_parity` and the duality check's floating
+    direct channel complete, not applied here.
 
     form="integer" sums over all p in Z (optionally parity-restricted);
     form="null_pairs" builds the equivalent p >= 0 combination
     d_p (q^{h(p)} - q^{h(p)+p+1}).  Where `_exact_ok` holds theta is built
-    exact in both backends, and the floating one rounds each term once."""
-    theta = _direct_terms(params, w, cutoff, parity, backend, form)
-    if not isinstance(theta, GenSeries):
-        return GenSeries.from_terms(*theta, Backend.FLOAT)
-    return theta._rounded() if backend is Backend.FLOAT else theta
-
-
-def _direct_terms(params, w, cutoff, parity, backend, form="integer"):
-    """`flux_sum`'s checks and theta: exact wherever `_exact_ok` holds, in both
-    backends, else the raw floating (pairs, cutoff) that the kernel takes."""
+    exact in both backends, and the floating one rounds each term once, as
+    `_complete` rounds an exact theta; elsewhere it is a floating series."""
     w = default_wrap(params) if w is None else w
     if parity not in (None, "even", "odd"):
         raise DomainError(f"parity must be 'even', 'odd' or None, got {parity!r}")
@@ -195,7 +191,8 @@ def _direct_terms(params, w, cutoff, parity, backend, form="integer"):
     if not (x[2] < _slot_top(cutoff_c, den) if exact else x[2] < cutoff_c):
         raise DomainError(f"cutoff {cutoff} excludes the p=0 identity term at exponent "
                           f"{Fraction(x[2], den) if exact else x[2]}; increase it")
-    return _flux_theta(params, _wrap_table(w, exact), cutoff_c, exact, form, parity)
+    theta = _flux_theta(params, _wrap_table(w, exact), cutoff_c, exact, form, parity)
+    return theta._rounded() if exact and backend is Backend.FLOAT else theta
 
 
 def partition_direct(
@@ -207,7 +204,7 @@ def partition_direct(
     """Annulus partition function, direct channel, null states subtracted.
 
     The p = 0 sector is normalized to coefficient 1 (identity operator)."""
-    return _complete(_direct_terms(params, w, cutoff, None, backend), backend)
+    return _complete(flux_sum(params, w, cutoff, None, backend), backend)
 
 
 def partition_direct_parity(
@@ -223,7 +220,7 @@ def partition_direct_parity(
     sector free/fixed-type boundary conditions."""
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    return _complete(_direct_terms(params, w, cutoff, parity, backend), backend)
+    return _complete(flux_sum(params, w, cutoff, parity, backend), backend)
 
 
 def partition_naive(
@@ -247,7 +244,7 @@ def partition_naive(
         (e, math.cos((p - params.m0) * w.chi_prime))
         for p, e in _flux_range(cutoff_f, *exponent)
     ]
-    return _complete((pairs, cutoff_f), Backend.FLOAT)
+    return _complete(_float_terms(sorted(pairs, key=itemgetter(0)), cutoff_f), Backend.FLOAT)
 
 
 # -- crossed channel ----------------------------------------------------------
@@ -290,7 +287,7 @@ def _crossed_table(params: CGParams, w: WrapWeight):
 
 def _crossed_terms(params: CGParams, w: Optional[WrapWeight], cutoff):
     """The crossed channel's theta in qtilde, including qtilde^{-c/12}, as the
-    raw (pairs, cutoff) that `partition_crossed` completes by the step-2 Euler
+    floating series that `partition_crossed` completes by the step-2 Euler
     kernel; at n' = n, m and -1-m are null partners 2(2m+1) columns apart."""
     w = default_wrap(params) if w is None else w
     u, vertex, weight = _crossed_table(params, w)
@@ -301,7 +298,7 @@ def _crossed_terms(params: CGParams, w: Optional[WrapWeight], cutoff):
              if (c := weight(m)) is not None]
     if not pairs:
         raise DomainError("cutoff excludes the leading crossed-channel term")
-    return pairs, cutoff_f
+    return _float_terms(sorted(pairs, key=itemgetter(0)), cutoff_f)
 
 
 def partition_crossed(
@@ -346,7 +343,7 @@ def _duality_evaluator(params: CGParams, w: Optional[WrapWeight], cutoff, tol: f
         if not channels:  # the direct channel first, then the crossed one
             channels[:] = (
                 partition_direct(params, w, cutoff, Backend.EXACT).eval_at if _exact_ok(params, w)
-                else _euler_evaluator(_direct_terms(params, w, cutoff, None, Backend.FLOAT)),
+                else _euler_evaluator(flux_sum(params, w, cutoff, None, Backend.FLOAT)),
                 _euler_evaluator(_crossed_terms(params, w, cutoff), 2))
         direct, crossed = channels
         q = math.exp(-math.pi * ratio)

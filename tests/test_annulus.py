@@ -290,13 +290,13 @@ class TestExactRule:
         """The direct channel's theta is exact where the rule holds (built by
         partition_direct, which completes it) and floating elsewhere."""
         backends = []
-        real = annulus._direct_terms
+        real = annulus.flux_sum
 
         def recording(params, w, cutoff, parity, backend):
             backends.append(backend)
             return real(params, w, cutoff, parity, backend)
 
-        monkeypatch.setattr(annulus, "_direct_terms", recording)
+        monkeypatch.setattr(annulus, "flux_sum", recording)
         duality_check(params_from_n(1.5, "dilute"), ratio=0.7)
         duality_check(POTTS3, ratio=1.0)  # registry coupling, irrational n'
         duality_check(ISING, wrap_weight("dilute", 0.3), ratio=1.0)
@@ -549,9 +549,9 @@ class TestDuality:
     @pytest.mark.parametrize("n,want", [(1.0, [2, 2]), (math.sqrt(3), [1, 1, 2, 2])])
     def test_a_full_build_completes_from_its_own_set_up(self, monkeypatch, n, want):
         """A channel with no class path (rational g: classes of three terms) is
-        built whole from the set-up the evaluator ran, not by a second one: at
-        order 256, one step-2 set-up of the crossed pairs and one of them as
-        read, and at sqrt3 dense, where the direct channel is floating, the
+        built whole by `_complete`, from the full build's own set-up: at order
+        256, the evaluator's step-2 set-up of the crossed theta and the full
+        build's, and at sqrt3 dense, where the direct channel is floating, the
         same at step 1."""
         setup, steps = qseries._float_setup, []
 

@@ -1,7 +1,9 @@
 """Package-wide source rules that no single module's tests can see."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -60,6 +62,33 @@ def test_every_builder_completes_through_one_entry_point():
                       getattr(node, "id", None), getattr(node, "attr", None),
                       getattr(node, "name", None))]
     assert not found, f"the Euler kernel named outside `_complete`: {found}"
+
+
+def test_every_completion_is_handed_theta_as_a_series(monkeypatch):
+    # one theta type: `_complete` (at every module that binds it), the Euler kernel
+    # and the channel evaluator are handed a GenSeries, on a sample of the float
+    # pool and for every pooled CLI command, replayed in process
+    from loopgas import GenSeries, annulus, characters, cli, observables, qseries
+    from test_qseries import float_pool_sample, replay_float_pool
+
+    seen = set()
+
+    def recorded(f):
+        def record(theta, *args):
+            seen.add(type(theta))
+            return f(theta, *args)
+        return record
+
+    for module in (qseries, annulus, characters, observables):
+        monkeypatch.setattr(module, "_complete", recorded(module._complete))
+    monkeypatch.setattr(qseries, "_euler_kernel", recorded(qseries._euler_kernel))
+    monkeypatch.setattr(annulus, "_euler_evaluator", recorded(annulus._euler_evaluator))
+    replay_float_pool(float_pool_sample())
+    for pool in ("cli_pool.json", "sweep_pool.json"):
+        for entry in json.loads((ROOT / "perfbench" / "data" / pool).read_text()):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(list(entry["argv"])) == 0, entry["argv"]
+    assert seen == {GenSeries}
 
 
 def test_partition_numbers_are_read_by_the_kernel_alone():
