@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, IdentityError, TailBoundError
@@ -154,7 +153,7 @@ def _flux_theta(params: CGParams, weight, cutoff, exact: bool, form: str = "inte
         pairs = [(e, w[p]) if p >= 0 else (e, -w[-p - 2]) for p, e in sectors
                  if p != -1 and (parity is None or p % 2 == (parity == "odd"))]
     return (_slot_series(pairs, den, C, cutoff) if exact
-            else _float_terms(sorted(pairs, key=itemgetter(0)), cutoff))
+            else _float_terms(pairs, cutoff))
 
 
 def flux_sum(
@@ -244,7 +243,7 @@ def partition_naive(
         (e, math.cos((p - params.m0) * w.chi_prime))
         for p, e in _flux_range(cutoff_f, *exponent)
     ]
-    return _complete(_float_terms(sorted(pairs, key=itemgetter(0)), cutoff_f), Backend.FLOAT)
+    return _complete(_float_terms(pairs, cutoff_f), Backend.FLOAT)
 
 
 # -- crossed channel ----------------------------------------------------------
@@ -298,7 +297,7 @@ def _crossed_terms(params: CGParams, w: Optional[WrapWeight], cutoff):
              if (c := weight(m)) is not None]
     if not pairs:
         raise DomainError("cutoff excludes the leading crossed-channel term")
-    return _float_terms(sorted(pairs, key=itemgetter(0)), cutoff_f)
+    return _float_terms(pairs, cutoff_f)
 
 
 def partition_crossed(

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .errors import DomainError
-from .qseries import _as_float, _number
+from .qseries import _WORK_CAP, _as_float, _finite, _number
 
 Number = Union[int, float, Fraction]
 
@@ -196,11 +196,20 @@ def wrap_coefficient(p: int, n_prime: Number) -> Number:
 
     Evaluated by the Chebyshev recurrence d_0 = 1, d_1 = n',
     d_{p+1} = n' d_p - d_{p-1}; a degree-p polynomial in n', regular at
-    n' = +-2 (d_p = p+1 and (p+1)(-1)^p respectively).
+    n' = +-2 (d_p = p+1 and (p+1)(-1)^p respectively).  A NaN or infinite n'
+    is refused, and so, before the recurrence runs, is a p whose table d_0 .. d_p
+    passes `_WORK_CAP` 64-bit words: a float d_i is one word, and at an exact
+    n' = u/v other than 0, +-1 or +-2 each step adds about log2|u| + log2 v bits.
+    A float d_p past the doubles is refused too.
     """
     if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise DomainError(f"wrap_coefficient requires an int p >= 0, got {p!r}")
-    return _recurrence(n_prime, _number(n_prime, "wrap weight") * 0 + 1, n_prime)(p)
+    x = _finite(_number(n_prime, "wrap weight"), "wrap weight")
+    bits = 0 if isinstance(x, float) or x.denominator == 1 and abs(x) <= 2 else (
+        x.numerator.bit_length() + x.denominator.bit_length())
+    if p + p * p * bits // 128 > _WORK_CAP:
+        raise DomainError(f"wrap_coefficient at p = {p} asks for more than {_WORK_CAP} words")
+    return _finite(_recurrence(x, x * 0 + 1, x)(p), f"wrap_coefficient d_{p} at n' = {x!r}")
 
 
 def vortex_marginality_check(params: CGParams) -> float:

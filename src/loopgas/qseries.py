@@ -40,7 +40,8 @@ Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 theta, a GenSeries, and its backend to `_complete`, which refuses work past
 `_WORK_CAP`, rounds an exact theta asked for in floating once and calls the one
 kernel, `_euler_kernel`: an exact theta on its least lattice (`_slot_series`),
-a floating one merged by `_float_terms`.  Exact slots of one
+a floating one merged by `_float_terms`; either normaliser takes pairs in any
+order, `_float_terms` sorting them once, stably by exponent.  Exact slots of one
 residue mod D are the B-byte fields of one integer, a field per column, each
 starting at half a field, more than any |sum|, so no borrow crosses fields;
 each theta term adds the partition table shifted to its field (a = +-1 with
@@ -56,7 +57,7 @@ R-th slot from r of one column-major buffer, in exponent order, unchecked for
 finiteness.  The kernel fills every column and hands M >= every |coefficient|
 on to `eval_at`; `_euler_evaluator` fills only the columns that eval_at's sum
 reads, or completes through `_complete` where there is no class path.  Any
-other class sends all rows to one stable sort and `_float_terms`.  Both are
+other class hands all rows to `_float_terms`.  Both are
 the Cauchy product bit for bit.  Every other series, exact kernel
 outputs included, finds M on its first evaluation.  No builder multiplies two
 series; a product counts its pairs first and is refused past `_WORK_CAP`.
@@ -127,18 +128,18 @@ def _as_float(x: Number, what: str, finite: bool = True) -> float:
 
 
 def _float_terms(pairs, cutoff: float) -> "GenSeries":
-    """The floating series of (e, c) pairs sorted stably by e, by the floating
-    backend's one merge rule.
+    """The floating series of float (e, c) pairs in any order, by the floating
+    backend's one merge rule, as `_slot_series` is the exact backend's.
 
-    Pairs at one exponent are summed in their order, from 0.0.  Exponents
-    within FLOAT_EXPONENT_TOL of a group's first exponent then join that group,
-    which keeps the first exponent even where that exponent's own sum is zero.
-    Zero sums and groups at or above the cutoff are dropped last, and a sum
-    that is not finite is a DomainError."""
+    One stable sort by e alone keeps pairs at one exponent in the order given,
+    summed from 0.0.  Exponents within FLOAT_EXPONENT_TOL of a group's first
+    exponent then join that group, which keeps the first exponent even where
+    that exponent's own sum is zero.  Zero sums and groups at or above the
+    cutoff are dropped last, and a sum that is not finite is a DomainError."""
     es, cs = [], []
     lead = key = -math.inf
     total = part = 0.0
-    for e, c in pairs:
+    for e, c in sorted(pairs, key=itemgetter(0)):
         if e == key:
             part += c
             continue
@@ -290,10 +291,17 @@ class GenSeries:
         return list(zip([x * dn for x in self._n], [x * ca for x in self._a]))
 
     def _rounded(self) -> "GenSeries":
-        """The floating series of an exact one, each term rounded once, below its float cutoff."""
-        return GenSeries._on_lattice(tuple(map(truediv, self._n, repeat(self._D))),
-                                     tuple(map(truediv, self._a, repeat(self._C))),
-                                     1, 1, float(self.cutoff), Backend.FLOAT).truncate(self.cutoff)
+        """The floating series of an exact one, each term rounded once, below its
+        float cutoff; an exponent, coefficient or cutoff past the doubles is a DomainError."""
+        what = "exponent"
+        try:
+            n = tuple(map(truediv, self._n, repeat(self._D)))
+            what = "coefficient"
+            a = tuple(map(truediv, self._a, repeat(self._C)))
+        except OverflowError:
+            raise DomainError(f"{what} is too large for a float") from None
+        return GenSeries._on_lattice(n, a, 1, 1, _as_float(self.cutoff, "cutoff"),
+                                     Backend.FLOAT).truncate(self.cutoff)
 
     def _texts(self, fmt=str):
         """(exponent, coefficient) for printing, lazily: an exact series' as
@@ -325,15 +333,15 @@ class GenSeries:
         """Normalize arbitrary (exponent, coefficient) pairs into a GenSeries.
 
         Duplicate exponents are summed, zero sums dropped and terms at or above
-        the cutoff discarded, exactly on integer slots (`_slot_series`).  In
-        the floating backend, exponents within FLOAT_EXPONENT_TOL of each other
-        are merged (`_float_terms`), and a NaN, infinite or too large exponent
-        or coefficient, or a sum that is not finite, is a DomainError.
+        the cutoff discarded, exactly on integer slots (`_slot_series`).  In the
+        floating backend each value passes `_as_float`, and `_float_terms` merges
+        the pairs as given, exponents within FLOAT_EXPONENT_TOL as one term; a
+        NaN, infinite or too large value, or a sum not finite, is a DomainError.
         """
         cutoff = _as_cutoff(cutoff, backend)
         if backend is Backend.FLOAT:
-            return _float_terms(sorted([(_as_float(e, "exponent"), _as_float(c, "coefficient"))
-                                        for e, c in pairs], key=itemgetter(0)), cutoff)
+            return _float_terms([(_as_float(e, "exponent"), _as_float(c, "coefficient"))
+                                 for e, c in pairs], cutoff)
         terms = [(_as_exact(e, "exponent"), _as_exact(c)) for e, c in pairs]
         D = math.lcm(*(e.denominator for e, _ in terms))
         C = math.lcm(*(c.denominator for _, c in terms))
@@ -401,8 +409,7 @@ class GenSeries:
         self._check_backend(other)
         cutoff = min(self.cutoff, other.cutoff)
         if self.backend is Backend.FLOAT:
-            pairs = [*zip(self._n, self._a), *zip(other._n, other._a)]
-            return GenSeries.from_terms(pairs, cutoff, self.backend)
+            return _float_terms([*zip(self._n, self._a), *zip(other._n, other._a)], cutoff)
         D, C = math.lcm(self._D, other._D), math.lcm(self._C, other._C)
         return _slot_series(self._slots(D, C) + other._slots(D, C), D, C, cutoff)
 
@@ -433,7 +440,7 @@ class GenSeries:
                 while j and not x + ys[j - 1][0] < top:
                     j -= 1
                 ends.append(j)
-            _check_work(sum(ends), 4)
+            _check_work(sum(ends), 4, 1, "pairs at {} steps each")
             pairs = ((x + y, a * b) for (x, a), j in zip(xs, ends) for y, b in islice(ys, j))
             if self.backend is Backend.FLOAT:
                 return GenSeries.from_terms(pairs, cutoff, self.backend)
@@ -608,14 +615,15 @@ def _extent(theta: GenSeries) -> tuple:
     return len(theta), float(theta.cutoff) - theta._n[0] / theta._D if theta._n else 0.0
 
 
-def _check_work(terms: int, span, step=1) -> None:
+def _check_work(terms: int, span, step=1, counted="terms over {} columns") -> None:
     """Refuse, in O(1) and before any of it starts, a completion of `terms` theta
-    terms spanning `span` by the Euler product at `step` past `_WORK_CAP` steps."""
+    terms spanning `span` by the Euler product at `step` past `_WORK_CAP` steps;
+    a product hands its pairs as `terms`, at `span` steps each, and words `counted` so."""
     columns = math.ceil(span / step)
     if terms and (columns > _WORK_CAP or terms * columns + columns ** 1.5
                   - min(len(_PARTITIONS), columns) ** 1.5 > _WORK_CAP):
         raise DomainError(f"the cutoff asks for more than {_WORK_CAP} steps of work "
-                          f"({terms} terms over {columns} columns)")
+                          f"({terms} {counted.format(columns)})")
 
 
 def _integer_support(a: Number, b: Number, c: Number, top: Number, f=None) -> list:
@@ -755,9 +763,9 @@ def _float_setup(theta: GenSeries, step):
             n = end(e)
             plan.append((int(e // step) - lo, n, e, a, e, 0.0, n, n, False))
     if not ok:  # every row, merged as the Cauchy product merges them
-        return top, lambda: _float_terms(sorted(chain.from_iterable(
+        return top, lambda: _float_terms(chain.from_iterable(
             zip([e + x for x in b[:n]], [a * x for x in p[:n]])
-            for e, a, n in zip(es, cs, map(end, es))), key=itemgetter(0)), top), None
+            for e, a, n in zip(es, cs, map(end, es))), top), None
     R = len(plan)
 
     def fill(k0: int, k1: int, r0: int = 0):
@@ -843,7 +851,7 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     (an add or subtract at a = +-1) over its residue's columns only.  Floating:
     each theta term (e, a) adds the row (e + k step, a p(k)) below the cutoff,
     built whole by `_float_setup`: merged by classes of e mod step into one
-    buffer, or sorted and merged by `_float_terms`.  Either way these are the float
+    buffer, or merged by `_float_terms`.  Either way these are the float
     operations, in the order, of theta * euler_inverse(span/step).dilate(step):
     bit for bit."""
     if theta.is_zero:

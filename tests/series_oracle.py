@@ -30,9 +30,12 @@ series document as its first encoder wrote it, every number read from
 `to_json_dict` is checked.  `cauchy_product` is the product of two series
 as its first form wrote it, every pair of `terms` summed and multiplied as
 Fractions or floats and normalised by `from_terms`, against which the
-package's product on the integer slots and float tuples is checked.  Exact
-backend, but for `euler_float_rows`, `eval_sequential`, `quadratic_support`,
-`json_document` and `cauchy_product`.
+package's product on the integer slots and float tuples is checked.
+`float_merged` is the floating merge rule as it stood when every caller
+sorted its pairs first, frozen, against which `_float_terms`, which sorts
+its own, is checked on pairs in any order.  Exact backend, but for
+`euler_float_rows`, `eval_sequential`, `quadratic_support`, `json_document`,
+`cauchy_product` and `float_merged`.
 """
 import math
 from bisect import bisect_left
@@ -40,7 +43,7 @@ from fractions import Fraction as F
 from itertools import chain, compress
 from operator import itemgetter
 
-from loopgas import Backend, GenSeries, euler_inverse, rocha_caridi
+from loopgas import Backend, DomainError, GenSeries, euler_inverse, rocha_caridi
 from loopgas.qseries import _float_terms, _partition_numbers
 
 
@@ -220,6 +223,35 @@ def euler_float_rows(theta, step=1):
         pairs += zip(map(e.__add__, b[:n]), map(a.__mul__, p[:n]))
     pairs.sort(key=itemgetter(0))
     return _float_terms(pairs, top)
+
+
+def float_merged(pairs, cutoff):
+    """The floating series of float (e, c) pairs as `_float_terms` merged them
+    when its callers handed it `sorted(pairs, key=itemgetter(0))`: pairs at one
+    exponent summed in the order given from 0.0, exponents within 1e-9 of a
+    group's first joining it, zero sums and groups at or above the cutoff
+    dropped last, and a merged sum that is not finite a DomainError."""
+    es, cs = [], []
+    lead = key = -math.inf
+    total = part = 0.0
+    for e, c in sorted(pairs, key=itemgetter(0)):
+        if e == key:
+            part += c
+            continue
+        total += part
+        if e - lead >= 1e-9:
+            if total and lead < cutoff:
+                es.append(lead)
+                cs.append(total)
+            lead, total = e, 0.0
+        key, part = e, 0.0 + c
+    total += part
+    if total and lead < cutoff:
+        es.append(lead)
+        cs.append(total)
+    if not all(map(math.isfinite, cs)):
+        raise DomainError("a merged floating coefficient is not finite")
+    return GenSeries._on_lattice(tuple(es), tuple(cs), 1, 1, cutoff, Backend.FLOAT)
 
 
 def normalised(pairs, cutoff):

@@ -198,6 +198,19 @@ class TestDecompose:
             {"r": 1, "s": 5, "coefficient": 1},
         ]
 
+    def test_json_of_a_floating_decomposition_writes_floats(self):
+        # Ising Z = chi_11 + chi_13 in both backends: the exact document writes
+        # ints, the floating one floats equal to them
+        basis = [CharacterSpec(3, 4, 1, 1), CharacterSpec(3, 4, 1, 3)]
+        exact, floating = (
+            decomposition_to_json(decompose(
+                partition_direct(params_from_n(1.0, "dilute"), cutoff=40, backend=b), basis))
+            for b in (Backend.EXACT, Backend.FLOAT))
+        coefficients = [t["coefficient"] for t in floating["terms"]]
+        assert coefficients == [1.0, 1.0] and all(type(c) is float for c in coefficients)
+        assert [type(t["coefficient"]) for t in exact["terms"]] == [int, int]
+        assert floating == exact
+
     @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("backend", [Backend.EXACT, Backend.FLOAT])
     def test_non_finite_cutoff_raises(self, cutoff, backend):

@@ -413,6 +413,18 @@ class TestOutputHandling:
         assert err.count("\n") == 1 and err.startswith("output error: cannot write ")
         assert str(tmp_path) in err and "Traceback" not in err
 
+    def test_a_stdout_write_error_is_raised_not_an_exit(self, capsys, monkeypatch):
+        # with no --output, stdout is the caller's, so an OSError from writing it
+        # (a closed pipe) propagates; only a path the user named exits 2
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["crossing", "--q", "0.5", "--order", "16"])
+        assert capsys.readouterr().err == ""
+
     def test_unknown_command_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -116,6 +116,25 @@ ERROR_PATHS = [
     ("float eval_at overflows the sum",
      lambda: GenSeries.from_terms([(0.0, 1e308), (1.0, 1e308)], 10.0, Backend.FLOAT).eval_at(0.99),
      DomainError, "value at q=0.99 is not finite in double precision"),
+    ("float product past the work cap names its pairs",
+     lambda: (lambda a: a * a)(qseries.euler_inverse(1024, Backend.FLOAT)),
+     DomainError, r"^the cutoff asks for more than 1048576 steps of work "
+                  r"\(524800 pairs at 4 steps each\)$"),
+    ("exact coefficient past the doubles, rounded",
+     lambda: qseries.max_abs_coeff_diff(GenSeries.from_terms([(0, 10**400)], 1),
+                                        GenSeries.zero(1)),
+     DomainError, "^coefficient is too large for a float$"),
+    ("exact exponent past the doubles, rounded",
+     lambda: qseries.max_abs_coeff_diff(GenSeries.from_terms([(10**400, 1)], 10**401),
+                                        GenSeries.zero(1)),
+     DomainError, "^exponent is too large for a float$"),
+    ("exact cutoff past the doubles, rounded",
+     lambda: qseries.max_abs_coeff_diff(GenSeries.from_terms([(0, 1)], 10**401),
+                                        GenSeries.zero(1)),
+     DomainError, "^cutoff is too large for a float$"),
+    ("exact coefficient past the doubles, completed in floating",
+     lambda: qseries._complete(GenSeries.from_terms([(0, F(10**400, 3))], 4), Backend.FLOAT),
+     DomainError, "^coefficient is too large for a float$"),
     ("float lookup at a NaN exponent",
      lambda: qseries.euler_inverse(8, Backend.FLOAT).coefficient(math.nan),
      DomainError, "exponent must be finite, got nan"),
@@ -215,6 +234,18 @@ ERROR_PATHS = [
      DomainError, "wrap_coefficient requires an int p >= 0, got 2.5"),
     ("wrap_coefficient str weight", lambda: wrap_coefficient(2, "x"),
      DomainError, "unsupported wrap weight type str"),
+    ("wrap_coefficient NaN weight", lambda: wrap_coefficient(3, math.nan),
+     DomainError, "^wrap weight must be finite, got nan$"),
+    ("wrap_coefficient infinite weight", lambda: wrap_coefficient(3, -math.inf),
+     DomainError, "^wrap weight must be finite, got -inf$"),
+    ("wrap_coefficient past the doubles", lambda: wrap_coefficient(3, 1e200),
+     DomainError, "^wrap_coefficient d_3 at n' = 1e\\+200 must be finite, got inf$"),
+    ("wrap_coefficient float table past the cap",
+     lambda: wrap_coefficient(qseries._WORK_CAP + 1, 1.9),
+     DomainError, "^wrap_coefficient at p = 1048577 asks for more than 1048576 words$"),
+    # 10**100 adds 334 bits a step: the table d_0 .. d_700 holds ~1.3 million words
+    ("wrap_coefficient exact table past the cap", lambda: wrap_coefficient(700, 10**100),
+     DomainError, "^wrap_coefficient at p = 700 asks for more than 1048576 words$"),
     # True and False are no numbers, though Python reads them as 1 and 0
     ("loop weight True", lambda: params_from_n(True, "dense"),
      DomainError, "unsupported loop weight type bool"),
@@ -358,6 +389,18 @@ def test_an_oversized_support_is_refused_at_once(name):
     with pytest.raises(DomainError, match="more than 65536 integers"):
         call()
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("name", ["wrap_coefficient float table past the cap",
+                                  "wrap_coefficient exact table past the cap"])
+def test_an_oversized_wrap_table_is_refused_at_once(name):
+    """At p = 10**8 the float table would need ~3.8 GB: the cap refuses a p from
+    its estimated size, before the recurrence builds one entry."""
+    call = {p[0]: p[1] for p in ERROR_PATHS}[name]
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="asks for more than 1048576 words"):
+        call()
+    assert time.perf_counter() - start < 0.05
 
 
 def test_eval_at_takes_q_as_float_does():

@@ -972,7 +972,7 @@ def test_product_hands_the_work_cap_the_pairs_it_lists(operands):
         listed = sum(ea + eb < cutoff for ea, _ in x.terms for eb, _ in y.terms)
         counts = []
         check = qseries._check_work
-        qseries._check_work = lambda terms, span, step=1: counts.append(terms)
+        qseries._check_work = lambda terms, *rest: counts.append(terms)
         try:
             product_outcome(GenSeries.__mul__, x, y)
         finally:
@@ -1069,6 +1069,46 @@ def test_float_from_terms_merge_rule(case):
     got = S(pairs, cutoff, Backend.FLOAT)
     want = merged_by_dict(pairs, cutoff)
     assert [repr(tuple(t)) for t in got.terms] == [repr(t) for t in want]
+
+
+def float_merge_outcome(merge, pairs, cutoff):
+    """repr of the merged series' (n, a, cutoff), or the DomainError's text."""
+    try:
+        got = merge(pairs, cutoff)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    return repr((got._n, got._a, got.cutoff))
+
+
+@st.composite
+def float_pairs_at_the_edges(draw):
+    """`float_pairs`, with a pair at the cutoff and, at times, coefficients of
+    1e16 whose sum with a small one depends on its order, or near the largest
+    double, which make a merged sum overflow, in any order."""
+    pairs, cutoff = draw(float_pairs())
+    if draw(st.booleans()):
+        pairs.append((cutoff, draw(float_coefficients)))
+    for big in ([1e16, -1e16], [1.7e308] * draw(st.integers(1, 2))):
+        if pairs and draw(st.booleans()):
+            e, _ = draw(st.sampled_from(pairs))
+            pairs += [(e, draw(st.sampled_from([x, -x]))) for x in big]
+    return draw(st.permutations(pairs)), cutoff
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_pairs_at_the_edges())
+@example(([(2.0, 1.0), (1.0, 0.5), (2.0, -1.0), (1.0 + 5e-10, 0.25), (0.5, 0.0)], 2.0))
+@example(([(1.0, 1e16), (1.0, -1e16), (1.0, 1.0)], 4.0))            # summed in order given
+@example(([(1.0, 1.7e308), (0.5, 1.0), (1.0, 1.7e308)], 4.0))       # a sum overflows
+@example(([(1.0 + 9e-10, 2.0), (1.0, -1.0), (1.0, 1.0)], 4.0))      # a zero sum anchors
+@example(([(3.0, 1.0), (3.0 + 6e-10, 1.0), (-1.0, 2.0)], 3.0))     # a group at the cutoff
+def test_float_terms_takes_pairs_in_any_order(case):
+    """`_float_terms` sorts its own pairs, once, stably by exponent: on pairs in
+    any order it gives what it gave when its callers sorted them first, the
+    frozen `float_merged`, by repr, or the same DomainError."""
+    pairs, cutoff = case
+    assert (float_merge_outcome(qseries._float_terms, pairs, cutoff)
+            == float_merge_outcome(oracle.float_merged, pairs, cutoff))
 
 
 # -- pairs that `from_terms` changes, and the class pass's edge cases --------------

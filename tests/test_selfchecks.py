@@ -145,6 +145,113 @@ def test_every_exact_cutoff_takes_the_one_slot_rule():
     assert found == []
 
 
+def test_the_floating_normaliser_orders_its_own_pairs():
+    # `_float_terms` sorts its pairs itself, as `_slot_series` takes slots in any
+    # order: no src call hands it a `sorted(...)` argument, and `annulus`, whose
+    # builders once sorted by `itemgetter(0)`, no longer imports it
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "_float_terms" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                  and any(isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "sorted"
+                          for arg in node.args)]
+        if path.name == "annulus.py":
+            found += [f"annulus.py:{node.lineno} imports itemgetter" for node in ast.walk(tree)
+                      if isinstance(node, ast.alias) and node.name == "itemgetter"]
+    assert found == []
+
+
+def _nested_series_loops(tree):
+    """(function, line, checked) for every loop or comprehension of `tree` that
+    nests an iteration over one series' tuples (`_n`, `_a` or `_slots(...)`, read
+    directly or through a name assigned from them in the function) inside one
+    over another's; checked: the function calls `_check_work` on an earlier line."""
+    def series(node, names):
+        # the series whose tuples an expression reads, by the text of each series
+        out = set()
+        for x in ast.walk(node):
+            if isinstance(x, ast.Attribute) and x.attr in ("_n", "_a"):
+                out.add(ast.unparse(x.value))
+            elif isinstance(x, ast.Call) and getattr(x.func, "attr", None) == "_slots":
+                out.add(ast.unparse(x.func.value))
+            elif isinstance(x, ast.Name):
+                out |= names.get(x.id, set())
+        return out
+
+    def iterations(node):
+        # the iterables of every loop and comprehension inside node, itself included
+        for x in ast.walk(node):
+            if isinstance(x, (ast.For, ast.comprehension)):
+                yield x.iter
+
+    found = []
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    for f in functions:
+        names = {}  # name -> the series it was assigned from, in source order
+        for node in sorted((x for x in ast.walk(f) if isinstance(x, ast.Assign)),
+                           key=lambda x: x.lineno):
+            for target in node.targets:
+                if (isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                        and len(target.elts) == len(node.value.elts)):
+                    pairs = zip(target.elts, node.value.elts)
+                else:
+                    pairs = [(target, node.value)]
+                for t, v in pairs:
+                    for name in ast.walk(t):
+                        if isinstance(name, ast.Name):
+                            names[name.id] = names.get(name.id, set()) | series(v, names)
+        inner = {id(x) for g in ast.walk(f) if g is not f and isinstance(g, ast.FunctionDef)
+                 for x in ast.walk(g)}
+        checks = [node.lineno for node in ast.walk(f) if id(node) not in inner
+                  and isinstance(node, ast.Call) and "_check_work" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        for node in ast.walk(f):
+            if id(node) in inner:
+                continue
+            if isinstance(node, ast.For):
+                nests = [(node.iter, x) for b in node.body for x in iterations(b)]
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                gens = node.generators
+                body = [getattr(node, k) for k in ("elt", "key", "value") if hasattr(node, k)]
+                nests = [(g.iter, x) for i, g in enumerate(gens)
+                         for later in [*gens[i + 1:], *body] for x in iterations(later)]
+            else:
+                continue
+            if any(a != b for outer, x in nests
+                   for a in series(outer, names) for b in series(x, names)):
+                found.append((f.name, node.lineno, any(line < node.lineno for line in checks)))
+    return found
+
+
+def test_every_nested_loop_over_two_series_is_behind_the_work_cap():
+    # one work budget: a loop that pairs the terms of two series grows as their
+    # product, so its function refuses past `_WORK_CAP` before it starts; today
+    # the Cauchy product is the one such loop
+    found = {path.name: _nested_series_loops(ast.parse(path.read_text(), str(path)))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert [(module, name) for module, loops in found.items() for name, _, _ in loops] == [
+        ("qseries.py", "__mul__")]
+    assert [(module, name, line) for module, loops in found.items()
+            for name, line, checked in loops if not checked] == []
+
+
+def test_the_work_cap_check_sees_a_product_without_its_cap():
+    # the rule above, on a product with its `_check_work` line taken out
+    source = textwrap.dedent("""
+        def __mul__(self, other):
+            xs, ys = self._slots(D, self._C), other._slots(D, other._C)
+            if False:
+                _check_work(len(xs), 4)
+            pairs = ((x + y, a * b) for x, a in xs for y, b in ys)
+            return pairs
+    """)
+    assert _nested_series_loops(ast.parse(source)) == [("__mul__", 6, True)]
+    unchecked = source.replace("_check_work(len(xs), 4)", "pass")
+    assert _nested_series_loops(ast.parse(unchecked)) == [("__mul__", 6, False)]
+
+
 def test_no_function_reads_the_terms_view():
     # a series is its lattice: every operation reads the tuples n and a, and
     # `terms` is read only by its own property, by iteration, by pickling and
