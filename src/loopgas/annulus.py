@@ -109,14 +109,11 @@ def _wrap_table(w: WrapWeight, exact: bool):
     whose sums only ever touch even-index d_p, which close under the step-two
     recurrence d_{p+2} = (n'^2 - 2) d_p - d_{p-2}; that keeps e.g. n' = sqrt(Q)
     points exact even though n' itself is irrational.  Where n' (or n'^2) is
-    an integer the exact table recurs on ints."""
+    an integer the exact table recurs on ints, as `_recurrence` runs them."""
     if not exact:
         return _recurrence(w.n_prime, 1.0, float(w.n_prime))
-    x = w.n_prime_sq_exact if w.n_prime_exact is None else w.n_prime_exact
-    x = int(x) if x.denominator == 1 else x
-    if w.n_prime_exact is not None:
-        return _recurrence(x, 1, x)
-    return _recurrence(x - 2, 1, x - 1, 2)
+    x, y = w.n_prime_exact, w.n_prime_sq_exact
+    return _recurrence(x, 1, x) if x is not None else _recurrence(y - 2, 1, y - 1, 2)
 
 
 def _flux_range(cutoff, a, b, c, f) -> list:

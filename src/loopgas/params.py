@@ -180,7 +180,9 @@ def leg_exponent(params: CGParams, p: int) -> float:
 
 
 def _recurrence(a, t0, t1, step: int = 1):
-    """Lookup p -> t_{p // step} for t_{i+1} = a t_i - t_{i-1}, grown on demand."""
+    """Lookup p -> t_{p // step} for t_{i+1} = a t_i - t_{i-1}, grown on demand;
+    an integral Fraction among a, t0 and t1 runs as an int, its numerator."""
+    a, t0, t1 = [x.numerator if getattr(x, "denominator", 0) == 1 else x for x in (a, t0, t1)]
     table = [t0, t1]
 
     def lookup(p: int):

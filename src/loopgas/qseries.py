@@ -30,10 +30,11 @@ Both backends keep one layout: tuples n and a for the sum of (a/C) q^{n/D}.
 An exact series is its lattice: n and a are integers, exponents on (1/D)Z and
 coefficients on (1/C)Z, with D and C the least that hold the terms, and text
 is formatted from the integers; slot n lies below any exact cutoff iff n is
-below `_slot_top`, one integer rule.  A floating series has D = C = 1, and n
-and a are its float exponents and coefficients.  `terms` is a view of the
-tuples, built as SeriesTerms on first read; every operation reads the tuples,
-the product of two series included.  Floats from outside pass `_as_float`.
+below `_slot_top`, one integer rule.  A floating series has D = C = 1, n and a its
+floats, laid out by `_float_terms` (a rounded exact series and a scalar product
+included), by the kernel's class path, or by a map that keeps the layout: negation,
+shift, dilate, truncate.  `terms` is a view of the tuples, built as SeriesTerms on
+first read; every operation reads the tuples.  Floats from outside pass `_as_float`.
 
 Every series of the package is theta(q) times \prod(1-q^r)^{-1}, or times
 \prod(1-q^{2r})^{-1} in the crossed channel's qtilde.  Every builder hands
@@ -44,23 +45,24 @@ a floating one merged by `_float_terms`; either normaliser takes pairs in any
 order, `_float_terms` sorting them once, stably by exponent.  Exact slots of one
 residue mod D are the B-byte fields of one integer, a field per column, each
 starting at half a field, more than any |sum|, so no borrow crosses fields;
-each theta term adds the partition table shifted to its field (a = +-1 with
-no multiply), and XOR with the start flips each field's top bit, leaving its
-sum in two's complement to be read by one `struct.unpack`; the packed table is
-cached per width and step.  Floating exponents have no lattice: each theta
-term adds one row over the ladder k step and the floats p(k), both cached per
-step, and each row ends by one rule.  One set-up, one sort by exponent mod step and
-one pass, groups rows and builds the whole series on either path: at generic coupling
-a class is one term or a pair of null partners, and where M = 2 max|a| p(K) is finite one
+each theta term adds the partition table shifted to its field (a = +-1 with no
+multiply), and XOR with the start flips each field's top bit, leaving its sum in
+two's complement to be read by one `struct.unpack`; the table, one p(k) per field,
+is cached per width, and theta at step s is theta(q^{1/s}) completed at step 1,
+then dilated.  Floating exponents have no lattice: each theta term adds one row
+over the ladder k step and the floats p(k), both cached per step, and each row
+ends by one rule.  One set-up, one sort by exponent mod step and one pass, groups
+rows and builds the whole series on either path: at generic coupling a class is
+one term or a pair of null partners, and where M = 2 max|a| p(K) is finite one
 fill writes any window of columns, summed column by column, straight into every
 R-th slot from r of one column-major buffer, in exponent order, unchecked for
-finiteness.  The kernel fills every column and hands M >= every |coefficient|
-on to `eval_at`; `_euler_evaluator` fills only the columns that eval_at's sum
-reads, or completes through `_complete` where there is no class path.  Any
-other class hands all rows to `_float_terms`.  Both are
-the Cauchy product bit for bit.  Every other series, exact kernel
-outputs included, finds M on its first evaluation.  No builder multiplies two
-series; a product counts its pairs first and is refused past `_WORK_CAP`.
+finiteness.  The kernel fills every column and hands M >= every |coefficient| on
+to `eval_at`; `_euler_evaluator` fills only the columns that eval_at's sum reads,
+or completes through `_complete` where there is no class path.  Any other class
+hands all rows to `_float_terms`.  Both are the Cauchy product bit for bit.  Every
+other series, exact kernel outputs included, finds M on its first evaluation.  No
+builder multiplies two series; a product counts its pairs first and is refused
+past `_WORK_CAP`.
 """
 
 from __future__ import annotations
@@ -291,8 +293,8 @@ class GenSeries:
         return list(zip([x * dn for x in self._n], [x * ca for x in self._a]))
 
     def _rounded(self) -> "GenSeries":
-        """The floating series of an exact one, each term rounded once, below its
-        float cutoff; an exponent, coefficient or cutoff past the doubles is a DomainError."""
+        """The floating series of an exact one, each term rounded once, merged by
+        `_float_terms`; an exponent, coefficient or cutoff past the doubles is a DomainError."""
         what = "exponent"
         try:
             n = tuple(map(truediv, self._n, repeat(self._D)))
@@ -300,8 +302,7 @@ class GenSeries:
             a = tuple(map(truediv, self._a, repeat(self._C)))
         except OverflowError:
             raise DomainError(f"{what} is too large for a float") from None
-        return GenSeries._on_lattice(n, a, 1, 1, _as_float(self.cutoff, "cutoff"),
-                                     Backend.FLOAT).truncate(self.cutoff)
+        return _float_terms(zip(n, a), _as_float(self.cutoff, "cutoff"))
 
     def _texts(self, fmt=str):
         """(exponent, coefficient) for printing, lazily: an exact series' as
@@ -449,14 +450,13 @@ class GenSeries:
         c = _coerce(other, self.backend, "scalar")
         if c == 0:
             return GenSeries.zero(self.cutoff, self.backend)
-        if self.backend is Backend.EXACT:
-            a, C = tuple([x * c.numerator for x in self._a]), self._C * c.denominator
-        else:
-            # |c| times the largest |coefficient| is finite iff every product is
-            _finite(c * max(map(abs, self._a), default=0.0),
-                    "scalar times the largest coefficient")
-            a, C = tuple([x * c for x in self._a]), 1
-        return GenSeries._on_lattice(self._n, a, self._D, C, self.cutoff, self.backend)
+        if self.backend is Backend.FLOAT:
+            # |c| times the largest |coefficient| is finite iff every product is;
+            # a product that underflows to 0.0 is dropped
+            _finite(c * max(map(abs, self._a), default=0.0), "scalar times the largest coefficient")
+            return _float_terms(zip(self._n, [x * c for x in self._a]), self.cutoff)
+        return GenSeries._on_lattice(self._n, tuple([x * c.numerator for x in self._a]),
+                                     self._D, self._C * c.denominator, self.cutoff, self.backend)
 
     __rmul__ = __mul__
 
@@ -655,10 +655,11 @@ def _integer_support(a: Number, b: Number, c: Number, top: Number, f=None) -> li
     return [(k, f(k)) for k in ks] if f else [(k, (a * k + b) * k + c) for k in ks]
 
 
-#: (W, step) -> (L, table): p(0) .. p(L - 1) packed for `_euler_kernel` in fields
-#: of W 64-bit words, one every `step` fields.  The kernel replaces an entry with
-#: a longer one when a call needs it, and never changes one in place.
-_TABLES: dict[tuple[int, int], tuple[int, int]] = {}
+#: W -> (L, table): p(0) .. p(L - 1) packed for the exact `_euler_kernel`, one
+#: per field of W 64-bit words; every step reads it, the kernel completing at step
+#: 1 only.  The kernel replaces an entry with a longer one when a call needs it,
+#: and never changes one in place.
+_TABLES: dict[int, tuple[int, int]] = {}
 
 #: step -> (b, p): the ladder b_k = float(k) step and float(p(k)) for the floating
 #: `_euler_kernel`, each call reading a prefix; replaced by longer lists when a
@@ -844,20 +845,22 @@ def _euler_evaluator(theta: GenSeries, step=1):
 def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     r"""theta * \prod_{r\ge1}(1-q^{step r})^{-1} below theta's cutoff, in its backend.
 
-    Exact: each residue of n mod D in theta, sum a/C q^{n/D}, has one integer
-    whose 8W-byte fields are its slots, one per column n // D.  A term at slot n
-    adds a p(k) to slot n + k step D, k step fields on: a times the table of
-    p(k), packed one every step fields, shifted to n's field, one multiply-add
-    (an add or subtract at a = +-1) over its residue's columns only.  Floating:
-    each theta term (e, a) adds the row (e + k step, a p(k)) below the cutoff,
-    built whole by `_float_setup`: merged by classes of e mod step into one
-    buffer, or merged by `_float_terms`.  Either way these are the float
+    Exact: theta(q^{1/step}) completed at step 1, then q -> q^step.  Each residue
+    of n mod D in theta, sum a/C q^{n/D}, has one integer whose 8W-byte fields
+    are its slots, one per column n // D.  A term at slot n adds p(k) to slot
+    n + k D: a times the table of p(k), one per field, shifted to n's field, one
+    multiply-add (an add or subtract at a = +-1) over its residue's columns.
+    Floating: each theta term (e, a) adds the row (e + k step, a p(k)) below the
+    cutoff, built whole by `_float_setup`: merged by classes of e mod step into
+    one buffer, or merged by `_float_terms`.  Either way these are the float
     operations, in the order, of theta * euler_inverse(span/step).dilate(step):
     bit for bit."""
     if theta.is_zero:
         return theta
     if theta.backend is Backend.FLOAT:
         return _float_setup(theta, step)[1]()
+    if step != 1:
+        return _euler_kernel(theta.dilate(Fraction(1, step))).dilate(step)
     D, least = theta._D, theta._n[0]
     top = _slot_top(theta.cutoff, D)
     base, end = least // D, (top - 1) // D + 1  # the columns that hold slots below top
@@ -865,25 +868,24 @@ def _euler_kernel(theta: GenSeries, step=1) -> GenSeries:
     classes: dict[int, list] = {}
     for n, a in zip(theta._n, theta._a):
         classes.setdefault(n % D, []).append((n // D - base, a))
-    K = (top - 1 - least) // (step * D)
+    K = (top - 1 - least) // D
     W = (sum(map(abs, theta._a)) * _partition_numbers(K)[-1]).bit_length() // 64 + 1
     B, half, residues = 8 * W, 1 << 64 * W - 1, sorted(classes)
     # Big-endian: field f of F sits at bit 8 B (F - 1 - f), and the table holds
-    # p(k) at field (L - k) step, so one right shift moves a term's row to its
-    # own field and drops what would land at or above top, k > K included.
-    L, table = _TABLES.get((W, step), (0, 0))
+    # p(k) at field L - k, so one right shift moves a term's row to its own
+    # field and drops what would land at or above top, k > K included.
+    L, table = _TABLES.get(W, (0, 0))
     if L <= K:
-        L, table = K + 1, int.from_bytes((bytes(B) * (step - 1)).join(
-            map(int.to_bytes, _partition_numbers(K), repeat(B), repeat("big")))
-            + bytes(B * step), "big")
-        _TABLES[(W, step)] = L, table
+        L, table = K + 1, int.from_bytes(b"".join(
+            map(int.to_bytes, _partition_numbers(K), repeat(B), repeat("big"))) + bytes(B), "big")
+        _TABLES[W] = L, table
     # Residue r of R fills every R-th slot from r of one column-major buffer,
     # 0 where a column's slot lies at or above top, so the slots ascend.
     R = len(residues)
     buf = [0] * ((end - base) * R)
     for i, r in enumerate(residues):
         fields = (top - 1 - r) // D - base + 1
-        drop = L * step + 1 - fields
+        drop = L + 1 - fields
         # Every field's sum v has |v| <= sum |a| p(K) < half, so with half added
         # to each field, v + half is that field's B-byte digit of acc, and acc ^ bias,
         # each field's top bit flipped, holds v in two's complement.

@@ -161,6 +161,15 @@ class TestWrapCoefficient:
             assert wrap_coefficient(p, F(5)).denominator == 1
             assert 2**p % wrap_coefficient(p, F(1, 2)).denominator == 0
 
+    def test_an_integral_fraction_recurs_on_ints(self):
+        # one integer rule: `_recurrence` runs an integral Fraction as an int, as
+        # the annulus' exact tables run it; a non-integral one stays a Fraction
+        for p in (0, 1, 7, 2**12):
+            assert type(wrap_coefficient(p, F(2))) is int and wrap_coefficient(p, F(2)) == p + 1
+            assert type(wrap_coefficient(p, F(-3))) is int
+        assert type(wrap_coefficient(7, F(1, 2))) is F
+        assert wrap_coefficient(7, F(1, 2)) == wrap_coefficient(7, 0.5)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             wrap_coefficient(-1, 1.0)

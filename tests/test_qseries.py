@@ -531,36 +531,40 @@ def test_fields_reads_each_field_in_twos_complement(W):
 def test_kernel_output_does_not_depend_on_the_cached_tables(monkeypatch, step):
     """From an empty cache, orders 1024, 64, 64 and 1024 with fields of W = 2,
     1, 2 and 2 words: the second order-64 call is served by the order-1024
-    table by a longer shift, and every call matches `series_oracle.euler_rows`."""
+    table by a longer shift, and every call matches `series_oracle.euler_rows`.
+    Tables are keyed by width alone: a step-2 call completes theta(q^{1/2}) at
+    step 1, half the columns of its cutoff."""
     monkeypatch.setattr(qseries, "_TABLES", {})
     for order, size, W in [(1024, 1, 2), (64, 1, 1), (64, 2**70, 2), (1024, 1, 2)]:
         slots, D, C, cutoff = [(0, size), (4, -1), (8, 3 * size)], 3, 1, F(order)
         got = qseries._euler_kernel(qseries._slot_series(slots, D, C, cutoff), step)
         assert got == oracle.euler_rows(slots, D, C, cutoff, step), (order, size)
-        assert (W, step) in qseries._TABLES
+        assert W in qseries._TABLES
     long, short = (3 * 1024 - 1) // (3 * step) + 1, (3 * 64 - 1) // (3 * step) + 1
-    assert qseries._TABLES[(2, step)][0] == long and qseries._TABLES[(1, step)][0] == short
+    assert qseries._TABLES[2][0] == long and qseries._TABLES[1][0] == short
+    assert sorted(qseries._TABLES) == [1, 2]
 
 
 def test_a_published_table_is_never_changed(monkeypatch):
-    """A call within the cached length reuses the published (L, table) pair; a
-    longer one publishes a new pair, and the old one keeps its layout: p(k) at
-    bit 64 W step (L - k)."""
+    """A call within the cached length reuses the published (L, table) pair,
+    whatever its step; a longer one publishes a new pair, and the old one keeps
+    its layout: p(k) at bit 64 W (L - k), one per field."""
     monkeypatch.setattr(qseries, "_TABLES", {})
 
-    def layout(L, W, step):
-        return sum(p << 64 * W * step * (L - k)
+    def layout(L, W):
+        return sum(p << 64 * W * (L - k)
                    for k, p in enumerate(qseries._partition_numbers(L - 1)))
 
     theta = S([(0, 1)], 64)
     qseries._euler_kernel(theta, 2)
-    published = qseries._TABLES[(1, 2)]
+    published = qseries._TABLES[1]
     qseries._euler_kernel(theta.truncate(20), 2)
-    assert qseries._TABLES[(1, 2)] is published
+    qseries._euler_kernel(theta.truncate(32))  # step 1, served by the step-2 table
+    assert qseries._TABLES[1] is published
     qseries._euler_kernel(S([(0, 1)], 300), 2)
-    assert qseries._TABLES[(1, 2)][0] == 150 > published[0] == 32
-    assert published[1] == layout(32, 1, 2)
-    assert qseries._TABLES[(1, 2)][1] == layout(150, 1, 2)
+    assert qseries._TABLES[1][0] == 150 > published[0] == 32
+    assert published[1] == layout(32, 1)
+    assert qseries._TABLES[1][1] == layout(150, 1)
 
 
 # -- the integer enumerator ---------------------------------------------------------
@@ -1881,7 +1885,8 @@ def test_float_series_is_the_series_of_its_terms(case, drop, delta, factor, k):
     ops = [
         (lambda: t.truncate(c - drop), [(e, x) for e, x in terms if e < c - drop], c - drop),
         (lambda: -t, [(e, -x) for e, x in terms], c),
-        (lambda: t * k, [(e, x * k) for e, x in terms], c),
+        # a product that underflows to 0.0 is dropped, as `from_terms` drops it
+        (lambda: t * k, [(e, x * k) for e, x in terms if x * k], c),
         (lambda: t.shift(delta), [(e + delta, x) for e, x in terms], c + delta),
         (lambda: t.dilate(factor), [(e * factor, x) for e, x in terms], c * factor),
     ]
@@ -1898,6 +1903,61 @@ def test_float_series_is_the_series_of_its_terms(case, drop, delta, factor, k):
         assert repr(list(map(tuple, got.terms))) == repr(want)
         assert repr(got.cutoff) == repr(want_cutoff)
         assert printed(got) == term_view(got)
+
+
+@st.composite
+def exact_series_past_the_doubles(draw):
+    """An exact series with coefficients down to 10^-400, past the least double,
+    on exponents in clusters 10^-12 apart, closer than FLOAT_EXPONENT_TOL, below
+    a cutoff that may fall inside a cluster."""
+    tiny, base = F(1, 10**12), draw(st.lists(st.integers(-4, 8), min_size=1, max_size=4))
+    pairs = [(draw(st.sampled_from(base)) + draw(st.integers(0, 3)) * tiny,
+              F(draw(st.integers(-3, 3)), 10 ** draw(st.sampled_from([0, 20, 310, 320, 400]))))
+             for _ in range(draw(st.integers(0, 10)))]
+    return S(pairs, draw(st.integers(-2, 10)) + draw(st.integers(-1, 1)) * tiny)
+
+
+small_floats = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-160]), st.floats(1e-310, 1e3))
+signed_small_floats = st.tuples(small_floats, st.sampled_from([1, -1])).map(lambda x: x[0] * x[1])
+
+
+def assert_floating_layout(s):
+    """No 0.0 coefficient, and no two exponents closer than FLOAT_EXPONENT_TOL."""
+    assert s.backend is Backend.FLOAT and all(s._a)
+    assert all(y - x >= qseries.FLOAT_EXPONENT_TOL for x, y in zip(s._n, s._n[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_series_past_the_doubles(),
+       st.lists(st.tuples(st.floats(-2, 8), signed_small_floats), max_size=8),
+       signed_small_floats)
+@example(S([(0, F(1, 10**400)), (1, 1)], 2), [], 1.0)      # a coefficient underflows
+@example(S([(0, 1), (F(1, 10**12), 1)], 2), [], 1.0)        # exponents 10^-12 apart
+@example(S([], 1), [(0, 1e-300), (1, 1.0)], 1e-300)         # a product underflows
+def test_every_floating_result_is_the_series_of_its_floats(exact, pairs, k):
+    """An exact series rounded to the doubles, and a floating series times a
+    scalar, are `from_terms` of their own floats: a coefficient that rounds or
+    underflows to 0.0 is dropped, and exponents within FLOAT_EXPONENT_TOL are
+    one term, as everywhere else in the floating backend."""
+    rounded = exact._rounded()
+    assert rounded == GenSeries.from_terms(
+        [(float(e), float(c)) for e, c in exact.terms], float(exact.cutoff), Backend.FLOAT)
+    t = S(pairs, 9.0, Backend.FLOAT)
+    scaled = t * k
+    assert scaled == k * t == S([(e, c * k) for e, c in t.terms], t.cutoff, Backend.FLOAT)
+    for s in (rounded, scaled):
+        assert_floating_layout(s)
+
+
+@pytest.mark.parametrize("series, want", [
+    (lambda: S([(0, F(1, 10**400)), (1, 1)], 2)._rounded(), [(1.0, 1.0)]),
+    (lambda: S([(0, 1), (F(1, 10**12), 1)], 2)._rounded(), [(0.0, 2.0)]),
+    (lambda: S([(0, 1e-300), (1, 1.0)], 2, Backend.FLOAT) * 1e-300, [(1.0, 1e-300)]),
+])
+def test_the_floating_layout_drops_zeros_and_merges_near_exponents(series, want):
+    got = series()
+    assert [tuple(t) for t in got.terms] == want
+    assert got == S(got.terms, got.cutoff, Backend.FLOAT)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -252,6 +252,26 @@ def test_the_work_cap_check_sees_a_product_without_its_cap():
     assert _nested_series_loops(ast.parse(unchecked)) == [("__mul__", 6, False)]
 
 
+def test_every_layout_of_a_series_is_named():
+    # one layout per backend: a series' tuples are laid out by `GenSeries._on_lattice`
+    # only in the two normalisers' last step (`_float_series`, `_slot_series`), the
+    # exact kernel, and the maps that keep a layout (negation, the exact scalar
+    # product, shift, dilate, truncate); every other floating series, a rounded
+    # exact one and a floating scalar product included, comes from `_float_terms`
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # breadth-first, so a nested function's name overwrites its parent's
+        owner = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        found += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "_on_lattice"]
+    assert sorted(found) == [("qseries.py", name) for name in sorted([
+        "_float_series", "_slot_series", "_euler_kernel", "__neg__", "__mul__", "shift",
+        "dilate", "truncate"])]
+
+
 def test_no_function_reads_the_terms_view():
     # a series is its lattice: every operation reads the tuples n and a, and
     # `terms` is read only by its own property, by iteration, by pickling and
